@@ -93,7 +93,6 @@ class _Builder:
         self.g = DepGraph()
         self._stmt_nodes = set()
         self._seen_values = set()
-        self._evidence_seen = set()
 
     def value(self, test, vid):
         key = (test, vid)
@@ -178,13 +177,9 @@ class _Builder:
                 raise MalformedTrace(f"{test}: unknown event kind {ev.kind!r}")
 
     def _anchor(self, key, outcome):
-        if key not in self._evidence_seen:
-            self._evidence_seen.add(key)
-            self.g.evidence_anchors.append((key, outcome))
-        else:
-            # Duplicate anchors are fine when consistent; the model layer
-            # rejects contradictions.
-            self.g.evidence_anchors.append((key, outcome))
+        # Duplicate anchors are fine when consistent; the model layer
+        # rejects contradictions.
+        self.g.evidence_anchors.append((key, outcome))
 
     def _replay_summary(self, test, ev, fs):
         ctrl = fs.pred_stack[-1][1] if fs.pred_stack else None

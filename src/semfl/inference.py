@@ -4,13 +4,17 @@ The network is bipartite: variables on one side, noisy-conjunction factors
 on the other. Messages are length-2 vectors over (correct, incorrect),
 normalized after every update. Factor messages have a closed form that is
 linear in the factor degree; a naive enumeration variant and an exact
-joint-enumeration oracle exist for cross-checking.
+joint-enumeration oracle exist for cross-checking. The scalar message
+functions below define each update for one message; `run_lbp` computes
+the same updates for every edge at once on numpy arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DegreeTooLarge, TooLarge
 from .model import FaultNet
@@ -33,6 +37,11 @@ class InferenceResult:
     converged: bool
     iterations: int
     log: list = field(default_factory=list)
+    # Normalisations that fell back to (0.5, 0.5) because both entries
+    # were zero. Naive mode's enumerated factor messages are not counted.
+    fallbacks: int = 0
+    # the largest change of any message, per iteration
+    residuals: list = field(default_factory=list)
 
     def p_faulty(self, idx):
         return 1.0 - self.marginals[idx]
@@ -43,12 +52,6 @@ def _normalize(t, f):
     if s <= 0.0:
         return _HALF
     return (t / s, f / s)
-
-
-def _base_message(var):
-    if var.evidence is not None:
-        return (1.0, 0.0) if var.evidence else (0.0, 1.0)
-    return (var.prior, 1.0 - var.prior)
 
 
 def var_to_factor(prior, evidence, incoming) -> tuple:
@@ -111,7 +114,35 @@ def factor_to_var_naive(p0, msgs, target_pos) -> tuple:
     return _normalize(out[0], out[1])
 
 
+def _running_products(msgs):
+    """Per row of a 2-D array, pre[:, i] is the product of msgs[:, :i] and
+    suf[:, i] the product of msgs[:, i:]. Each is a running product from
+    1.0, one factor at a time (suffixes from the right end)."""
+    ones = np.ones((len(msgs), 1))
+    pre = np.cumprod(np.concatenate((ones, msgs), axis=1), axis=1)
+    suf = np.cumprod(np.concatenate((ones, msgs[:, ::-1]), axis=1),
+                     axis=1)[:, ::-1]
+    return pre, suf
+
+
 class _Engine:
+    """Flooding LBP over flat edge arrays.
+
+    Edge e = offsets[a] + pos joins factor a to its variable at `pos` (0 is
+    the child), so a variable's edges in increasing order are its incident
+    edges by factor, then position. Each edge has a message each way, over
+    (correct, incorrect), in four float64 arrays. Factors are grouped by
+    arity and free variables by degree into (m, k) matrices of edge
+    indices, so an iteration is a few numpy calls per group.
+
+    The arithmetic is that of a tuple-per-message engine, in the same
+    order: exclude-one products as prefix times suffix running products,
+    (0.5, 0.5) when a normalisation sums to zero, and marginals multiplied
+    in edge by edge with a normalisation after each. Posteriors, iteration
+    counts and logs therefore match that engine, kept in the tests as the
+    reference, bit for bit, underflow on high-degree variables included.
+    """
+
     def __init__(self, net: FaultNet, cfg: InferenceConfig):
         self.net = net
         self.cfg = cfg
@@ -121,105 +152,144 @@ class _Engine:
                 raise DegreeTooLarge(
                     f"factor of degree {deg} exceeds the naive-mode cap "
                     f"of {cfg.naive_degree_cap}")
-        # incident[v] = [(factor index, position in factor.variables)]
-        self.incident = [[] for _ in net.variables]
-        for a, fac in enumerate(net.factors):
-            for pos, v in enumerate(fac.variables):
-                self.incident[v].append((a, pos))
-        self.f2v = [[_HALF] * len(f.variables) for f in net.factors]
-        self.v2f = [[_HALF] * len(f.variables) for f in net.factors]
-        self.base = [_base_message(v) for v in net.variables]
+        factors = net.factors
+        arity = np.fromiter((len(f.parents) + 1 for f in factors),
+                            np.int64, len(factors))
+        self.offsets = np.zeros(len(factors) + 1, np.int64)
+        np.cumsum(arity, out=self.offsets[1:])
+        n_edges = int(self.offsets[-1])
+        edge_var = np.fromiter(
+            itertools.chain.from_iterable(f.variables for f in factors),
+            np.int64, n_edges)
+        p0 = np.fromiter((f.p0 for f in factors), np.float64, len(factors))
+        self.factor_groups = []
+        for k in np.unique(arity):
+            rows = np.flatnonzero(arity == k)
+            edges = self.offsets[rows, None] + np.arange(k)
+            self.factor_groups.append((edges, p0[rows], 1.0 - p0[rows]))
+
+        variables = net.variables
+        observed = np.array([v.evidence is not None for v in variables], bool)
+        bt = np.array([bool(v.evidence) if v.evidence is not None
+                       else v.prior for v in variables], np.float64)
+        bf = 1.0 - bt
+        degree = np.bincount(edge_var, minlength=len(variables))
+        # the edges of variable v are incident[start[v]:start[v + 1]]
+        self.incident = np.argsort(edge_var, kind="stable")
+        self.start = np.zeros(len(variables) + 1, np.int64)
+        np.cumsum(degree, out=self.start[1:])
+        free = ~observed & (degree > 0)
+        self.var_groups = []
+        for d in np.unique(degree[free]):
+            vs = np.flatnonzero(free & (degree == d))
+            edges = self.incident[self.start[vs, None] + np.arange(d)]
+            self.var_groups.append((edges, bt[vs, None], bf[vs, None]))
+
+        self.f2v_t = np.full(n_edges, 0.5)
+        self.f2v_f = np.full(n_edges, 0.5)
+        # Observed variables send their clamped evidence on every edge.
+        self.v2f_t = np.where(observed, bt, 0.5)[edge_var]
+        self.v2f_f = np.where(observed, bf, 0.5)[edge_var]
+        self.fallbacks = 0
+
+    def _normalize(self, t, f):
+        s = t + f
+        zero = s <= 0.0
+        n = int(np.count_nonzero(zero))
+        if not n:
+            return t / s, f / s
+        self.fallbacks += n
+        s = np.where(zero, 1.0, s)
+        return np.where(zero, 0.5, t / s), np.where(zero, 0.5, f / s)
 
     def _update_v2f(self):
-        for v, inc in enumerate(self.incident):
-            if not inc:
-                continue
-            if self.net.variables[v].evidence is not None:
-                msg = self.base[v]
-                for a, pos in inc:
-                    self.v2f[a][pos] = msg
-                continue
-            msgs = [self.f2v[a][pos] for a, pos in inc]
-            n = len(msgs)
-            # Exclude-one products via prefix/suffix sweeps.
-            pre = [(1.0, 1.0)] * (n + 1)
-            for i, (mt, mf) in enumerate(msgs):
-                pre[i + 1] = (pre[i][0] * mt, pre[i][1] * mf)
-            suf = [(1.0, 1.0)] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                mt, mf = msgs[i]
-                suf[i] = (suf[i + 1][0] * mt, suf[i + 1][1] * mf)
-            bt, bf = self.base[v]
-            for i, (a, pos) in enumerate(inc):
-                t = bt * pre[i][0] * suf[i + 1][0]
-                f = bf * pre[i][1] * suf[i + 1][1]
-                self.v2f[a][pos] = _normalize(t, f)
+        for edges, bt, bf in self.var_groups:
+            t_pre, t_suf = _running_products(self.f2v_t[edges])
+            f_pre, f_suf = _running_products(self.f2v_f[edges])
+            self.v2f_t[edges], self.v2f_f[edges] = self._normalize(
+                bt * t_pre[:, :-1] * t_suf[:, 1:],
+                bf * f_pre[:, :-1] * f_suf[:, 1:])
 
-    def _update_f2v(self):
-        delta = 0.0
-        naive = self.cfg.mode == "naive"
-        damping = self.cfg.damping
+    def _factor_messages(self):
+        new_t = np.empty_like(self.f2v_t)
+        new_f = np.empty_like(self.f2v_f)
+        v2f_t, v2f_f = self.v2f_t, self.v2f_f
+        for edges, p0, q in self.factor_groups:
+            child, parents = edges[:, 0], edges[:, 1:]
+            pre, suf = _running_products(v2f_t[parents])
+            all_true = pre[:, -1]
+            new_t[child], new_f[child] = self._normalize(
+                q * all_true + p0, q * (1.0 - all_true))
+            ct, cf = v2f_t[child], v2f_f[child]
+            b = (p0 * ct + q * cf)[:, None]
+            t = (ct[:, None] - b) * pre[:, :-1] * suf[:, 1:] + b
+            new_t[parents], new_f[parents] = self._normalize(t, b)
+        return new_t, new_f
+
+    def _naive_factor_messages(self):
+        vt, vf = self.v2f_t.tolist(), self.v2f_f.tolist()
+        offsets = self.offsets.tolist()
+        new_t, new_f = [], []
         for a, fac in enumerate(self.net.factors):
-            inbox = self.v2f[a]
-            old = self.f2v[a]
-            new = [None] * len(inbox)
-            if naive:
-                for pos in range(len(inbox)):
-                    new[pos] = factor_to_var_naive(fac.p0, inbox, pos)
-            else:
-                parents = inbox[1:]
-                n = len(parents)
-                pre = [1.0] * (n + 1)
-                for i, (mt, _) in enumerate(parents):
-                    pre[i + 1] = pre[i] * mt
-                suf = [1.0] * (n + 1)
-                for i in range(n - 1, -1, -1):
-                    suf[i] = suf[i + 1] * parents[i][0]
-                p0 = fac.p0
-                t = (1.0 - p0) * pre[n] + p0
-                f = (1.0 - p0) * (1.0 - pre[n])
-                new[0] = _normalize(t, f)
-                ct, cf = inbox[0]
-                b = p0 * ct + (1.0 - p0) * cf
-                for i in range(n):
-                    t = (ct - b) * pre[i] * suf[i + 1] + b
-                    new[i + 1] = _normalize(t, b)
-            for pos, msg in enumerate(new):
-                if damping > 0.0:
-                    msg = _normalize(
-                        (1.0 - damping) * msg[0] + damping * old[pos][0],
-                        (1.0 - damping) * msg[1] + damping * old[pos][1])
-                delta = max(delta, abs(msg[0] - old[pos][0]),
-                            abs(msg[1] - old[pos][1]))
-                old[pos] = msg
-        return delta
+            lo, hi = offsets[a], offsets[a + 1]
+            inbox = list(zip(vt[lo:hi], vf[lo:hi]))
+            for pos in range(hi - lo):
+                t, f = factor_to_var_naive(fac.p0, inbox, pos)
+                new_t.append(t)
+                new_f.append(f)
+        return np.array(new_t, np.float64), np.array(new_f, np.float64)
 
-    def run(self) -> InferenceResult:
-        converged = False
-        iterations = 0
-        for it in range(1, self.cfg.max_iterations + 1):
-            iterations = it
-            self._update_v2f()
-            delta = self._update_f2v()
-            if delta < self.cfg.convergence_eps:
-                converged = True
-                break
+    def _iterate(self) -> float:
+        """One flooding round; returns the largest message change."""
+        self._update_v2f()
+        if self.cfg.mode == "naive":
+            new_t, new_f = self._naive_factor_messages()
+        else:
+            new_t, new_f = self._factor_messages()
+        damping = self.cfg.damping
+        if damping > 0.0:
+            new_t, new_f = self._normalize(
+                (1.0 - damping) * new_t + damping * self.f2v_t,
+                (1.0 - damping) * new_f + damping * self.f2v_f)
+        delta = max(np.abs(new_t - self.f2v_t).max(initial=0.0),
+                    np.abs(new_f - self.f2v_f).max(initial=0.0))
+        self.f2v_t, self.f2v_f = new_t, new_f
+        return float(delta)
+
+    def _marginals(self) -> dict:
+        f2v_t, f2v_f = self.f2v_t.tolist(), self.f2v_f.tolist()
+        incident, start = self.incident.tolist(), self.start.tolist()
         marginals = {}
         for v, var in enumerate(self.net.variables):
             if var.evidence is not None:
                 marginals[v] = 1.0 if var.evidence else 0.0
                 continue
-            t, f = self.base[v]
-            for a, pos in self.incident[v]:
-                mt, mf = self.f2v[a][pos]
-                t *= mt
-                f *= mf
+            t, f = var.prior, 1.0 - var.prior
+            for e in incident[start[v]:start[v + 1]]:
+                t *= f2v_t[e]
+                f *= f2v_f[e]
                 if t + f > 0.0:
                     t, f = _normalize(t, f)
+            if t + f <= 0.0:
+                self.fallbacks += 1
             marginals[v] = _normalize(t, f)[0]
+        return marginals
+
+    def run(self) -> InferenceResult:
+        converged = False
+        iterations = 0
+        residuals = []
+        for it in range(1, self.cfg.max_iterations + 1):
+            iterations = it
+            residuals.append(self._iterate())
+            if residuals[-1] < self.cfg.convergence_eps:
+                converged = True
+                break
+        marginals = self._marginals()
         log = [f"belief propagation: {iterations} iterations, "
                f"{'converged' if converged else 'did not converge'}"]
-        return InferenceResult(marginals, converged, iterations, log)
+        return InferenceResult(marginals, converged, iterations, log,
+                               self.fallbacks, residuals)
 
 
 def run_lbp(net: FaultNet, cfg: InferenceConfig | None = None) -> InferenceResult:

@@ -122,6 +122,7 @@ def dump_net(net: FaultNet) -> str:
             {"child": f.child, "parents": f.parents, "p0": f.p0}
             for f in net.factors
         ],
+        "stmt_vars": [[sid, idx] for sid, idx in net.stmt_vars.items()],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -130,9 +131,8 @@ def load_net(text: str) -> FaultNet:
     doc = json.loads(text)
     net = FaultNet()
     for v in doc["variables"]:
-        idx = net.add_variable(v["name"], v["kind"], v["prior"], v["evidence"])
-        if v["kind"] == "stmt":
-            net.stmt_vars[v["name"]] = idx
+        net.add_variable(v["name"], v["kind"], v["prior"], v["evidence"])
     for f in doc["factors"]:
         net.add_factor(f["child"], f["parents"], f["p0"])
+    net.stmt_vars = dict(doc["stmt_vars"])
     return net

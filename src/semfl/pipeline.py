@@ -136,15 +136,26 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     ddg = build_ddg(program, budgeted,
                     virtual_call_edges=cfg.virtual_call_edges,
                     exception_control=cfg.exception_control)
+    timings["ddg"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     net = build_net(ddg, program, cfg.model_params())
+    timings["net"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     if cfg.exact:
         marg = exact_marginals(net, cap=cfg.exact_cap)
         inf = InferenceResult(marginals=marg, converged=True, iterations=0,
                               log=["exact enumeration"])
     else:
         inf = run_lbp(net, cfg.inference_config())
+    timings["lbp"] = time.perf_counter() - t0
     log.extend(inf.log)
-    timings["model"] = time.perf_counter() - t0
+    if not cfg.exact:
+        log.append(f"belief propagation: {inf.fallbacks} zero-sum "
+                   "normalisations")
+        log.append("belief propagation residuals: "
+                   + " ".join(f"{r:.3e}" for r in inf.residuals))
 
     metadata = {
         "config": asdict(cfg),

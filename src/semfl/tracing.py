@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import MalformedTrace, NoTests
 from .lang import ast as A
@@ -28,18 +30,23 @@ EXCEPTION_CATCH = "exception_catch"
 ASSERT_OUTCOME = "assert_outcome"
 
 
-@dataclass
+# The aux of every event that has none: one shared mapping, read-only so
+# that no event can change another's. Code that rewrites aux copies it.
+_NO_AUX = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class TraceEvent:
     kind: str
     stmt: int
     reads: tuple = ()
     writes: tuple = ()
-    aux: dict = field(default_factory=dict)
+    aux: Mapping = field(default_factory=lambda: _NO_AUX)
 
     def to_record(self):
         return {"kind": self.kind, "stmt": self.stmt,
                 "reads": list(self.reads), "writes": list(self.writes),
-                "aux": self.aux}
+                "aux": dict(self.aux)}
 
     @classmethod
     def from_record(cls, rec):

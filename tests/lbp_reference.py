@@ -1,0 +1,144 @@
+"""Reference LBP engine for the equivalence tests.
+
+This is the tuple-per-message flooding engine semfl shipped before the
+edge-array engine in `semfl.inference`, kept unchanged. Each message is a
+(correct, incorrect) tuple updated by plain Python arithmetic, one
+variable and one factor at a time. The array engine must reproduce its
+marginals, iteration counts and convergence flags exactly.
+"""
+
+from __future__ import annotations
+
+from semfl.errors import DegreeTooLarge
+from semfl.inference import InferenceConfig, InferenceResult, factor_to_var_naive
+from semfl.model import FaultNet
+
+_HALF = (0.5, 0.5)
+
+
+def _normalize(t, f):
+    s = t + f
+    if s <= 0.0:
+        return _HALF
+    return (t / s, f / s)
+
+
+def _base_message(var):
+    if var.evidence is not None:
+        return (1.0, 0.0) if var.evidence else (0.0, 1.0)
+    return (var.prior, 1.0 - var.prior)
+
+
+class _Engine:
+    def __init__(self, net: FaultNet, cfg: InferenceConfig):
+        self.net = net
+        self.cfg = cfg
+        if cfg.mode == "naive":
+            deg = net.max_factor_degree()
+            if deg > cfg.naive_degree_cap:
+                raise DegreeTooLarge(
+                    f"factor of degree {deg} exceeds the naive-mode cap "
+                    f"of {cfg.naive_degree_cap}")
+        # incident[v] = [(factor index, position in factor.variables)]
+        self.incident = [[] for _ in net.variables]
+        for a, fac in enumerate(net.factors):
+            for pos, v in enumerate(fac.variables):
+                self.incident[v].append((a, pos))
+        self.f2v = [[_HALF] * len(f.variables) for f in net.factors]
+        self.v2f = [[_HALF] * len(f.variables) for f in net.factors]
+        self.base = [_base_message(v) for v in net.variables]
+
+    def _update_v2f(self):
+        for v, inc in enumerate(self.incident):
+            if not inc:
+                continue
+            if self.net.variables[v].evidence is not None:
+                msg = self.base[v]
+                for a, pos in inc:
+                    self.v2f[a][pos] = msg
+                continue
+            msgs = [self.f2v[a][pos] for a, pos in inc]
+            n = len(msgs)
+            # Exclude-one products via prefix/suffix sweeps.
+            pre = [(1.0, 1.0)] * (n + 1)
+            for i, (mt, mf) in enumerate(msgs):
+                pre[i + 1] = (pre[i][0] * mt, pre[i][1] * mf)
+            suf = [(1.0, 1.0)] * (n + 1)
+            for i in range(n - 1, -1, -1):
+                mt, mf = msgs[i]
+                suf[i] = (suf[i + 1][0] * mt, suf[i + 1][1] * mf)
+            bt, bf = self.base[v]
+            for i, (a, pos) in enumerate(inc):
+                t = bt * pre[i][0] * suf[i + 1][0]
+                f = bf * pre[i][1] * suf[i + 1][1]
+                self.v2f[a][pos] = _normalize(t, f)
+
+    def _update_f2v(self):
+        delta = 0.0
+        naive = self.cfg.mode == "naive"
+        damping = self.cfg.damping
+        for a, fac in enumerate(self.net.factors):
+            inbox = self.v2f[a]
+            old = self.f2v[a]
+            new = [None] * len(inbox)
+            if naive:
+                for pos in range(len(inbox)):
+                    new[pos] = factor_to_var_naive(fac.p0, inbox, pos)
+            else:
+                parents = inbox[1:]
+                n = len(parents)
+                pre = [1.0] * (n + 1)
+                for i, (mt, _) in enumerate(parents):
+                    pre[i + 1] = pre[i] * mt
+                suf = [1.0] * (n + 1)
+                for i in range(n - 1, -1, -1):
+                    suf[i] = suf[i + 1] * parents[i][0]
+                p0 = fac.p0
+                t = (1.0 - p0) * pre[n] + p0
+                f = (1.0 - p0) * (1.0 - pre[n])
+                new[0] = _normalize(t, f)
+                ct, cf = inbox[0]
+                b = p0 * ct + (1.0 - p0) * cf
+                for i in range(n):
+                    t = (ct - b) * pre[i] * suf[i + 1] + b
+                    new[i + 1] = _normalize(t, b)
+            for pos, msg in enumerate(new):
+                if damping > 0.0:
+                    msg = _normalize(
+                        (1.0 - damping) * msg[0] + damping * old[pos][0],
+                        (1.0 - damping) * msg[1] + damping * old[pos][1])
+                delta = max(delta, abs(msg[0] - old[pos][0]),
+                            abs(msg[1] - old[pos][1]))
+                old[pos] = msg
+        return delta
+
+    def run(self) -> InferenceResult:
+        converged = False
+        iterations = 0
+        for it in range(1, self.cfg.max_iterations + 1):
+            iterations = it
+            self._update_v2f()
+            delta = self._update_f2v()
+            if delta < self.cfg.convergence_eps:
+                converged = True
+                break
+        marginals = {}
+        for v, var in enumerate(self.net.variables):
+            if var.evidence is not None:
+                marginals[v] = 1.0 if var.evidence else 0.0
+                continue
+            t, f = self.base[v]
+            for a, pos in self.incident[v]:
+                mt, mf = self.f2v[a][pos]
+                t *= mt
+                f *= mf
+                if t + f > 0.0:
+                    t, f = _normalize(t, f)
+            marginals[v] = _normalize(t, f)[0]
+        log = [f"belief propagation: {iterations} iterations, "
+               f"{'converged' if converged else 'did not converge'}"]
+        return InferenceResult(marginals, converged, iterations, log)
+
+
+def run_reference(net: FaultNet, cfg: InferenceConfig | None = None) -> InferenceResult:
+    return _Engine(net, cfg or InferenceConfig()).run()

@@ -51,6 +51,12 @@ def test_localize_writes_reports(buggy, tmp_path, capsys):
     for name in ("report.json", "report.txt", "methods.json",
                  "combine.json", "timings.txt", "log.txt"):
         assert (out / name).exists(), name
+    timings = (out / "timings.txt").read_text()
+    assert [ln.split(":")[0] for ln in timings.splitlines()] == [
+        "profile", "trace", "ddg", "net", "lbp"]
+    log = (out / "log.txt").read_text()
+    assert "zero-sum normalisations" in log
+    assert "belief propagation residuals: " in log
     doc = json.loads((out / "report.json").read_text())
     assert len(doc["statements"]) == 3
     assert doc["statements"][0]["rank"] == 1

@@ -1,6 +1,7 @@
 """Belief-propagation tests: message-level oracles, equivalence of the
-linear-time and enumeration message updates, tree exactness against the
-joint-enumeration oracle, and guard rails."""
+linear-time and enumeration message updates, bit-identity of the edge-array
+engine with the tuple-per-message reference engine, tree exactness against
+the joint-enumeration oracle, and guard rails."""
 
 import math
 import random
@@ -18,7 +19,11 @@ from semfl.inference import (
     run_lbp,
     var_to_factor,
 )
+from semfl.lang import parse
 from semfl.model import FaultNet
+from semfl.pipeline import RunConfig, localize
+
+from lbp_reference import run_reference
 
 
 # --- message-level oracles (hand-computed) ---
@@ -193,3 +198,140 @@ def test_damping_reaches_same_fixed_point():
     for v in plain.marginals:
         assert math.isclose(plain.marginals[v], damped.marginals[v],
                             abs_tol=1e-4)
+
+
+# --- the edge-array engine against the reference engine ---
+
+def _assert_same_as_reference(net, cfg=None):
+    """Exact equality: the array engine does the reference's arithmetic in
+    the reference's order, so not even the last bit may differ."""
+    cfg = cfg or InferenceConfig()
+    new, ref = run_lbp(net, cfg), run_reference(net, cfg)
+    assert new.marginals == ref.marginals
+    assert new.iterations == ref.iterations
+    assert new.converged == ref.converged
+    assert new.log == ref.log
+    assert len(new.residuals) == new.iterations
+    assert new.converged == (new.residuals[-1] < cfg.convergence_eps)
+    return new
+
+
+@st.composite
+def loopy_nets(draw):
+    """Statements shared between values and values shared between factors
+    make loops; factor arities run from 1 (no parents) to 5."""
+    net = FaultNet()
+    stmts = [net.add_variable(f"S{i}", "stmt",
+                              prior=draw(st.floats(0.05, 1.0)))
+             for i in range(draw(st.integers(1, 3)))]
+    values = [net.add_variable("V0", "value", prior=1.0)]
+    for i in range(1, draw(st.integers(2, 10))):
+        v = net.add_variable(f"V{i}", "value",
+                             prior=draw(st.sampled_from([0.5, 1.0])))
+        parents = draw(st.lists(st.sampled_from(stmts + values),
+                                max_size=4, unique=True))
+        net.add_factor(v, parents, draw(st.sampled_from([0.01, 0.5, 0.9])))
+        values.append(v)
+    for v in draw(st.lists(st.sampled_from(stmts + values), max_size=4,
+                           unique=True)):
+        net.set_evidence(v, draw(st.booleans()))
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(loopy_nets(), st.sampled_from(["optimized", "naive"]),
+       st.sampled_from([0.0, 0.3, 0.5]))
+def test_array_engine_equals_reference_on_loopy_nets(net, mode, damping):
+    _assert_same_as_reference(net, InferenceConfig(
+        mode=mode, damping=damping, max_iterations=60))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_array_engine_equals_reference_on_random_nets(seed):
+    net = _random_net(seed, n_values=30, n_stmts=4)
+    _assert_same_as_reference(net)
+    _assert_same_as_reference(net, InferenceConfig(mode="naive"))
+    _assert_same_as_reference(net, InferenceConfig(damping=0.5))
+
+
+# sums 0..n-1, but doubles every term
+SUM_BUG = """
+fn total(n) {
+    let s = 0;
+    let i = 0;
+    while (i < n) {
+        s = s + i * 2;
+        i = i + 1;
+    }
+    return s;
+}
+
+fn test_one() {
+    assert(total(1) == 0);
+}
+
+fn test_three() {
+    assert(total(3) == 3);
+}
+"""
+
+
+def test_array_engine_equals_reference_on_a_pipeline_net():
+    program = parse(SUM_BUG)
+    res = localize(program, RunConfig())
+    assert len(res.net.factors) > 10
+    _assert_same_as_reference(res.net)
+
+
+def _star_net(degree):
+    """One statement shared by `degree` values, two of them observed."""
+    net = FaultNet()
+    s = net.add_variable("S", "stmt", prior=0.5)
+    v0 = net.add_variable("V0", "value", prior=1.0)
+    values = []
+    for i in range(degree):
+        values.append(net.add_variable(f"V{i + 1}", "value", prior=0.5))
+        net.add_factor(values[-1], [s, v0], 0.01)
+    net.set_evidence(values[0], True)
+    net.set_evidence(values[-1], False)
+    return net
+
+
+def test_high_degree_statement_keeps_zero_sum_fallback():
+    # Exclude-one products of 2,100 raw messages underflow to (0, 0), and
+    # normalising falls back to (0.5, 0.5). Pinned here, fallbacks and all,
+    # until the products are rescaled.
+    res = _assert_same_as_reference(_star_net(2_100))
+    assert res.fallbacks > 0
+    small = _assert_same_as_reference(_star_net(50))
+    assert small.fallbacks == 0
+
+
+def test_net_without_factors():
+    net = FaultNet()
+    net.add_variable("S", "stmt", prior=0.3)
+    net.set_evidence(net.add_variable("V", "value"), False)
+    res = _assert_same_as_reference(net)
+    assert res.marginals == {0: 0.3, 1: 0.0}
+    assert res.residuals == [0.0]
+
+
+def test_variable_without_factors():
+    net = _chain_net(4)
+    lone = net.add_variable("lonely", "stmt", prior=0.7)
+    res = _assert_same_as_reference(net)
+    assert res.marginals[lone] == 0.7
+
+
+def test_all_evidence_factors():
+    net = FaultNet()
+    s = net.add_variable("S", "stmt")
+    v0 = net.add_variable("V0", "value", prior=1.0)
+    v1 = net.add_variable("V1", "value")
+    v2 = net.add_variable("V2", "value")
+    net.add_factor(v1, [s, v0], 0.01)
+    net.add_factor(v2, [s, v1], 0.5)
+    for v, outcome in ((s, True), (v0, True), (v1, False), (v2, True)):
+        net.set_evidence(v, outcome)
+    _assert_same_as_reference(net)
+    _assert_same_as_reference(net, InferenceConfig(mode="naive"))

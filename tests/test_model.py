@@ -144,5 +144,6 @@ def test_dump_load_roundtrip():
     prog, ddg, net = _net()
     back = load_net(dump_net(net))
     assert dump_net(back) == dump_net(net)
+    assert back.stmt_vars == net.stmt_vars  # keyed by sid, as build_net does
     assert len(back.variables) == len(net.variables)
     assert [f.p0 for f in back.factors] == [f.p0 for f in net.factors]
