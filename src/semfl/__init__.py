@@ -7,9 +7,9 @@ of being faulty via loopy belief propagation.
 """
 
 from .ddg import DepGraph, build_ddg
-from .inference import InferenceConfig, InferenceResult, exact_marginals, run_lbp
+from .inference import InferenceResult, exact_marginals, run_lbp
 from .lang import parse
-from .model import FaultNet, ModelParams, build_net, classify_p0
+from .model import FaultNet, build_net, classify_p0
 from .pipeline import LocalizeResult, RunConfig, localize
 from .ranking import (
     DSTAR,
@@ -31,10 +31,8 @@ __all__ = [
     "DepGraph",
     "DSTAR",
     "FaultNet",
-    "InferenceConfig",
     "InferenceResult",
     "LocalizeResult",
-    "ModelParams",
     "OCHIAI",
     "Report",
     "RunConfig",

@@ -15,7 +15,7 @@ from .lang import ast as A
 from .lang import format_program, parse
 from .pipeline import RunConfig, localize
 from .ranking import DSTAR, OCHIAI, sbfl_report, topk_eval
-from .tracing import profile
+from .tracing import DEFAULT_STEP_BUDGET, profile
 
 # operator -> replacement; both directions listed explicitly
 OP_SWAPS = {
@@ -146,7 +146,7 @@ def apply_mutation(program, point: MutationPoint) -> str:
     raise ValueError(f"statement {point.sid} not found")
 
 
-def seed_faults(program, n, rng_seed, step_budget=1_000_000) -> list:
+def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
     """Draw up to n single-statement mutants with mixed test outcomes."""
     points = enumerate_mutations(program)
     rng = random.Random(rng_seed)
@@ -192,11 +192,14 @@ def load_corpus_program(name):
     raise KeyError(f"no corpus program named {name!r}")
 
 
-def corpus_seeds(per_program, rng_seed) -> list:
+def corpus_seeds(per_program, rng_seed, names=None,
+                 step_budget=DEFAULT_STEP_BUDGET) -> list:
+    """Mutants of the named corpus programs (default all), per_program
+    each, in manifest order unless names gives another."""
     seeds = []
-    for entry in load_manifest():
-        program = load_corpus_program(entry["name"])
-        seeds.extend(seed_faults(program, per_program, rng_seed))
+    for name in names or [e["name"] for e in load_manifest()]:
+        seeds.extend(seed_faults(load_corpus_program(name), per_program,
+                                 rng_seed, step_budget=step_budget))
     return seeds
 
 

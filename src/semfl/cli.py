@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import bench, tracing
@@ -23,64 +24,35 @@ SWEEP_MODERATE = (0.3, 0.4, 0.5, 0.6, 0.7)
 SWEEP_LOW = (0.001, 0.005, 0.01, 0.05, 0.1)
 
 
+def _switch_value(f):
+    """The value a switch's flag gives its field: the field's `const`, or
+    else the negation of a bool default. None for a field whose flag takes
+    a value."""
+    if "const" in f.metadata:
+        return f.metadata["const"]
+    if isinstance(f.default, bool):
+        return not f.default
+    return None
+
+
 def add_config_args(p: argparse.ArgumentParser):
+    """One flag per `RunConfig` field, named, documented and defaulted by
+    the field."""
     g = p.add_argument_group("pipeline configuration")
-    g.add_argument("--p0-moderate", type=float, default=0.5,
-                   help="p0 for boolean-range statements (paper default 0.5)")
-    g.add_argument("--p0-low", type=float, default=0.01,
-                   help="p0 for wide-range statements (paper default 0.01)")
-    g.add_argument("--prior", type=float, default=0.5,
-                   help="statement prior (paper default 0.5)")
-    g.add_argument("--max-passing-tests", type=int, default=50,
-                   help="passing tests kept by test reduction (paper default 50)")
-    g.add_argument("--trace-limit", type=int, default=1_200_000,
-                   help="per-trace event budget (paper default 1.2M)")
-    g.add_argument("--model-limit", type=int, default=1_000_000,
-                   help="total modeled event budget (paper default 1M)")
-    g.add_argument("--max-iters", type=int, default=100,
-                   help="belief propagation iteration cap (artifact decision)")
-    g.add_argument("--eps", type=float, default=1e-6,
-                   help="message convergence threshold (artifact decision)")
-    g.add_argument("--step-budget", type=int, default=1_000_000,
-                   help="interpreter steps per test (artifact decision)")
-    g.add_argument("--naive-inference", action="store_true",
-                   help="use enumeration factor messages (ablation)")
-    g.add_argument("--exact", action="store_true",
-                   help="exact joint enumeration, capped at --exact-cap variables")
-    g.add_argument("--exact-cap", type=int, default=20)
-    g.add_argument("--no-loop-compression", action="store_true")
-    g.add_argument("--no-adaptive-folding", action="store_true")
-    g.add_argument("--no-virtual-call-edges", action="store_true")
-    g.add_argument("--no-exception-control", action="store_true")
-    g.add_argument("--no-test-reduction", action="store_true")
-    g.add_argument("--jobs", type=int, default=1,
-                   help="parallel tracing / benchmark workers")
-    g.add_argument("--seed", type=int, default=0,
-                   help="seed for fault seeding (pipeline itself is deterministic)")
+    for f in fields(RunConfig):
+        flag, help = f.metadata["flag"], f.metadata["help"]
+        const = _switch_value(f)
+        if const is None:
+            g.add_argument(flag, dest=f.name, type=type(f.default),
+                           default=f.default, help=help)
+        else:
+            g.add_argument(flag, dest=f.name, action="store_const",
+                           const=const, default=f.default, help=help)
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        max_passing_tests=args.max_passing_tests,
-        trace_limit=args.trace_limit,
-        model_limit=args.model_limit,
-        loop_compression=not args.no_loop_compression,
-        adaptive_folding=not args.no_adaptive_folding,
-        test_reduction=not args.no_test_reduction,
-        mode="naive" if args.naive_inference else "optimized",
-        exact=args.exact,
-        exact_cap=args.exact_cap,
-        max_iterations=args.max_iters,
-        convergence_eps=args.eps,
-        p0_moderate=args.p0_moderate,
-        p0_low=args.p0_low,
-        statement_prior=args.prior,
-        virtual_call_edges=not args.no_virtual_call_edges,
-        exception_control=not args.no_exception_control,
-        step_budget=args.step_budget,
-        jobs=args.jobs,
-        seed=args.seed,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig)})
 
 
 def _load_program(path):
@@ -153,38 +125,25 @@ def cmd_sbfl(args) -> int:
     return EXIT_OK
 
 
-ABLATIONS = (
-    ("no-loop-compression", {"loop_compression": False}),
-    ("no-adaptive-folding", {"adaptive_folding": False}),
-    ("naive-inference", {"mode": "naive"}),
-    ("no-virtual-call-edges", {"virtual_call_edges": False}),
-    ("no-exception-control", {"exception_control": False}),
-    ("no-test-reduction", {"test_reduction": False}),
-)
+# (name, RunConfig overrides): each switch marked as an ablation, as its
+# flag sets it
+ABLATIONS = tuple(
+    (f.metadata["flag"].removeprefix("--"), {f.name: _switch_value(f)})
+    for f in fields(RunConfig) if f.metadata.get("ablation"))
 
 
 def _bench_configs(args, base: RunConfig):
     configs = [("default", base)]
     if args.ablations:
-        from dataclasses import replace
         for name, overrides in ABLATIONS:
             configs.append((name, replace(base, **overrides)))
     return configs
 
 
-def _corpus_seeds(args):
-    names = args.programs or [e["name"] for e in bench.load_manifest()]
-    seeds = []
-    for name in names:
-        program = bench.load_corpus_program(name)
-        seeds.extend(bench.seed_faults(program, args.per_program, args.seed,
-                                       step_budget=args.step_budget))
-    return seeds
-
-
 def cmd_bench(args) -> int:
     base = config_from_args(args)
-    seeds = _corpus_seeds(args)
+    seeds = bench.corpus_seeds(args.per_program, args.seed, args.programs,
+                               step_budget=base.step_budget)
     results = bench.run_benchmark(seeds, _bench_configs(args, base))
     print(bench.format_results(results), end="")
     if args.out:
@@ -194,9 +153,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from dataclasses import replace
     base = config_from_args(args)
-    seeds = _corpus_seeds(args)
+    seeds = bench.corpus_seeds(args.per_program, args.seed, args.programs,
+                               step_budget=base.step_budget)
     configs = []
     for pm in args.moderate_values:
         for pl in args.low_values:
@@ -239,6 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     bp = sub.add_parser("bench", help="seeded-fault benchmark on the corpus")
     bp.add_argument("--programs", nargs="*", help="corpus subset (default all)")
     bp.add_argument("--per-program", type=int, default=7)
+    bp.add_argument("--seed", type=int, default=0,
+                    help="seed that draws the mutants")
     bp.add_argument("--ablations", action="store_true",
                     help="also run the six ablation configurations")
     bp.add_argument("--out", help="directory for result files")
@@ -248,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     wp = sub.add_parser("sweep", help="p0 grid sweep on the corpus")
     wp.add_argument("--programs", nargs="*")
     wp.add_argument("--per-program", type=int, default=3)
+    wp.add_argument("--seed", type=int, default=0,
+                    help="seed that draws the mutants")
     wp.add_argument("--moderate-values", type=float, nargs="*",
                     default=list(SWEEP_MODERATE))
     wp.add_argument("--low-values", type=float, nargs="*",
@@ -268,11 +231,11 @@ def main(argv=None) -> int:
     except NoFailingTests as exc:
         print(f"no failing tests: {exc}", file=sys.stderr)
         return EXIT_NO_FAILING
-    except (SemflError, ValueError) as exc:
+    except (SemflError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other failure: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

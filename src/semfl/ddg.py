@@ -193,8 +193,7 @@ class _Builder:
             self.add_produced(test, w, ev.stmt, read_keys + extra, ctrl)
         if self.virtual_call_edges:
             for params, _ in fs.pending_virtual:
-                for p in params:
-                    pk = (test, p[1]) if isinstance(p, tuple) else p
+                for pk in params:
                     if pk not in self.g.producer:
                         self.add_produced(test, pk[1], ev.stmt, read_keys, None)
         fs.pending_virtual.clear()

@@ -3,32 +3,27 @@
 The network is bipartite: variables on one side, noisy-conjunction factors
 on the other. Messages are length-2 vectors over (correct, incorrect),
 normalized after every update. Factor messages have a closed form that is
-linear in the factor degree; a naive enumeration variant and an exact
-joint-enumeration oracle exist for cross-checking. The scalar message
-functions below define each update for one message; `run_lbp` computes
-the same updates for every edge at once on numpy arrays.
+linear in the factor degree (`factor_messages`); a naive enumeration
+variant and an exact joint-enumeration oracle exist for cross-checking.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegreeTooLarge, TooLarge
 from .model import FaultNet
 
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
+
 _HALF = (0.5, 0.5)
-
-
-@dataclass
-class InferenceConfig:
-    mode: str = "optimized"  # "optimized" | "naive"
-    max_iterations: int = 100
-    convergence_eps: float = 1e-6
-    naive_degree_cap: int = 20
-    damping: float = 0.0
+# Largest factor naive mode enumerates: 2**19 assignments per message.
+NAIVE_DEGREE_CAP = 20
 
 
 @dataclass
@@ -52,40 +47,6 @@ def _normalize(t, f):
     if s <= 0.0:
         return _HALF
     return (t / s, f / s)
-
-
-def var_to_factor(prior, evidence, incoming) -> tuple:
-    """Message a variable sends to one factor: its prior (or clamped
-    evidence) times the messages arriving from every other factor."""
-    if evidence is not None:
-        return (1.0, 0.0) if evidence else (0.0, 1.0)
-    t, f = prior, 1.0 - prior
-    for mt, mf in incoming:
-        t *= mt
-        f *= mf
-    return _normalize(t, f)
-
-
-def factor_to_child_optimized(p0, parent_msgs) -> tuple:
-    """Closed form of the sum over parent assignments for the child side."""
-    prod_true = 1.0
-    for mt, _ in parent_msgs:
-        prod_true *= mt
-    t = (1.0 - p0) * prod_true + p0
-    f = (1.0 - p0) * (1.0 - prod_true)
-    return _normalize(t, f)
-
-
-def factor_to_parent_optimized(p0, child_msg, other_parent_msgs) -> tuple:
-    """Closed form for one parent: everything except the all-true case
-    collapses into a constant."""
-    ct, cf = child_msg
-    b = p0 * ct + (1.0 - p0) * cf
-    prod_true = 1.0
-    for mt, _ in other_parent_msgs:
-        prod_true *= mt
-    t = (ct - b) * prod_true + b
-    return _normalize(t, b)
 
 
 def _cpd(p0, child_val, parent_vals):
@@ -125,6 +86,27 @@ def _running_products(msgs):
     return pre, suf
 
 
+def factor_messages(p0, child_t, child_f, parent_t):
+    """Closed-form messages of noisy-conjunction factors with k parents,
+    one factor per row. p0 has shape (m,), child_t and child_f are the
+    (m,) messages the children send, and parent_t holds the (m, k)
+    correct-components the parents send. Returns the unnormalised
+    messages to the children, two (m,) arrays, and to the parents, two
+    (m, k) arrays.
+
+    Summed over parent assignments, the message to the child depends only
+    on the product of the parents' correct-components. For a parent,
+    every assignment of the others but the all-correct one gives the same
+    constant b."""
+    q = 1.0 - p0
+    pre, suf = _running_products(parent_t)
+    all_true = pre[:, -1]
+    b = (p0 * child_t + q * child_f)[:, None]
+    to_parent_t = (child_t[:, None] - b) * pre[:, :-1] * suf[:, 1:] + b
+    return (q * all_true + p0, q * (1.0 - all_true),
+            to_parent_t, np.broadcast_to(b, to_parent_t.shape))
+
+
 class _Engine:
     """Flooding LBP over flat edge arrays.
 
@@ -143,15 +125,15 @@ class _Engine:
     reference, bit for bit, underflow on high-degree variables included.
     """
 
-    def __init__(self, net: FaultNet, cfg: InferenceConfig):
+    def __init__(self, net: FaultNet, cfg: RunConfig):
         self.net = net
         self.cfg = cfg
         if cfg.mode == "naive":
             deg = net.max_factor_degree()
-            if deg > cfg.naive_degree_cap:
+            if deg > NAIVE_DEGREE_CAP:
                 raise DegreeTooLarge(
                     f"factor of degree {deg} exceeds the naive-mode cap "
-                    f"of {cfg.naive_degree_cap}")
+                    f"of {NAIVE_DEGREE_CAP}")
         factors = net.factors
         arity = np.fromiter((len(f.parents) + 1 for f in factors),
                             np.int64, len(factors))
@@ -166,7 +148,7 @@ class _Engine:
         for k in np.unique(arity):
             rows = np.flatnonzero(arity == k)
             edges = self.offsets[rows, None] + np.arange(k)
-            self.factor_groups.append((edges, p0[rows], 1.0 - p0[rows]))
+            self.factor_groups.append((edges, p0[rows]))
 
         variables = net.variables
         observed = np.array([v.evidence is not None for v in variables], bool)
@@ -214,16 +196,12 @@ class _Engine:
         new_t = np.empty_like(self.f2v_t)
         new_f = np.empty_like(self.f2v_f)
         v2f_t, v2f_f = self.v2f_t, self.v2f_f
-        for edges, p0, q in self.factor_groups:
+        for edges, p0 in self.factor_groups:
             child, parents = edges[:, 0], edges[:, 1:]
-            pre, suf = _running_products(v2f_t[parents])
-            all_true = pre[:, -1]
-            new_t[child], new_f[child] = self._normalize(
-                q * all_true + p0, q * (1.0 - all_true))
-            ct, cf = v2f_t[child], v2f_f[child]
-            b = (p0 * ct + q * cf)[:, None]
-            t = (ct[:, None] - b) * pre[:, :-1] * suf[:, 1:] + b
-            new_t[parents], new_f[parents] = self._normalize(t, b)
+            ct, cf, pt, pf = factor_messages(p0, v2f_t[child], v2f_f[child],
+                                             v2f_t[parents])
+            new_t[child], new_f[child] = self._normalize(ct, cf)
+            new_t[parents], new_f[parents] = self._normalize(pt, pf)
         return new_t, new_f
 
     def _naive_factor_messages(self):
@@ -246,11 +224,6 @@ class _Engine:
             new_t, new_f = self._naive_factor_messages()
         else:
             new_t, new_f = self._factor_messages()
-        damping = self.cfg.damping
-        if damping > 0.0:
-            new_t, new_f = self._normalize(
-                (1.0 - damping) * new_t + damping * self.f2v_t,
-                (1.0 - damping) * new_f + damping * self.f2v_f)
         delta = max(np.abs(new_t - self.f2v_t).max(initial=0.0),
                     np.abs(new_f - self.f2v_f).max(initial=0.0))
         self.f2v_t, self.f2v_f = new_t, new_f
@@ -292,8 +265,13 @@ class _Engine:
                                self.fallbacks, residuals)
 
 
-def run_lbp(net: FaultNet, cfg: InferenceConfig | None = None) -> InferenceResult:
-    return _Engine(net, cfg or InferenceConfig()).run()
+def run_lbp(net: FaultNet, cfg: RunConfig | None = None) -> InferenceResult:
+    """Flooding LBP with cfg's mode, iteration cap and convergence
+    threshold (RunConfig's defaults when cfg is None)."""
+    if cfg is None:
+        from .pipeline import RunConfig  # pipeline imports this module
+        cfg = RunConfig()
+    return _Engine(net, cfg).run()
 
 
 def exact_marginals(net: FaultNet, cap: int = 20) -> dict:

@@ -1,4 +1,4 @@
-"""Per-function control-flow graphs, post-dominators, and control regions."""
+"""Per-function control-flow graphs and post-dominators."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ class ControlFlowGraph:
     nodes: list = field(default_factory=list)  # statement ids plus EXIT
     succ: dict = field(default_factory=dict)  # node -> list of successor nodes
     ipostdom: dict = field(default_factory=dict)  # node -> immediate post-dominator
-    ctrl_region: dict = field(default_factory=dict)  # branch sid -> set of sids
 
 
 def build_cfg(fn: A.FunctionDef) -> ControlFlowGraph:
@@ -49,11 +48,11 @@ def build_cfg(fn: A.FunctionDef) -> ControlFlowGraph:
     entry = link_block(fn.body, EXIT, None)
     succ[EXIT] = []
     cfg = ControlFlowGraph(entry=entry, nodes=sorted(succ), succ=succ)
-    return compute_postdominators(cfg, fn)
+    return compute_postdominators(cfg)
 
 
-def compute_postdominators(cfg: ControlFlowGraph, fn: A.FunctionDef) -> ControlFlowGraph:
-    """Iterative post-dominance fixed point; fills ipostdom and ctrl_region."""
+def compute_postdominators(cfg: ControlFlowGraph) -> ControlFlowGraph:
+    """Iterative post-dominance fixed point; fills ipostdom."""
     nodes = [n for n in cfg.nodes if n != EXIT]
     pdom = {EXIT: {EXIT}}
     for n in nodes:
@@ -76,18 +75,4 @@ def compute_postdominators(cfg: ControlFlowGraph, fn: A.FunctionDef) -> ControlF
         # the largest post-dominator set.
         cfg.ipostdom[n] = max(strict, key=lambda c: len(pdom[c]))
 
-    cfg.ctrl_region = {}
-    branch_sids = [s.sid for s in A.walk_statements(fn.body)
-                   if isinstance(s, (A.If, A.While))]
-    for b in branch_sids:
-        stop = cfg.ipostdom[b]
-        region, frontier = set(), list(cfg.succ[b])
-        while frontier:
-            n = frontier.pop()
-            if n in region or n == stop or n == EXIT:
-                continue
-            region.add(n)
-            frontier.extend(cfg.succ[n])
-        region.discard(b)
-        cfg.ctrl_region[b] = region
     return cfg

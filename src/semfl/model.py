@@ -15,18 +15,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ConflictingEvidence
 
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
+
 BOOLEAN_OPS = frozenset({"<", "<=", ">", ">=", "==", "!=", "%", "&&", "||", "!"})
 BOOLEAN_KINDS = frozenset({"if_cond", "while_cond", "assert"})
-
-
-@dataclass
-class ModelParams:
-    statement_prior: float = 0.5
-    p0_moderate: float = 0.5
-    p0_low: float = 0.01
 
 
 @dataclass
@@ -73,24 +70,26 @@ class FaultNet:
         return max((len(f.variables) for f in self.factors), default=0)
 
 
-def classify_p0(sid, program, params: ModelParams) -> float:
+def classify_p0(sid, program, cfg: RunConfig) -> float:
     """Leak probability for values produced by this statement."""
     info = program.statement_table[sid]
     if info.kind in BOOLEAN_KINDS or info.root_op in BOOLEAN_OPS:
-        return params.p0_moderate
+        return cfg.p0_moderate
     if info.root_op == "boollit":
-        return params.p0_moderate
-    return params.p0_low
+        return cfg.p0_moderate
+    return cfg.p0_low
 
 
-def build_net(ddg, program, params: ModelParams | None = None) -> FaultNet:
-    params = params or ModelParams()
+def build_net(ddg, program, cfg: RunConfig | None = None) -> FaultNet:
+    if cfg is None:
+        from .pipeline import RunConfig  # pipeline imports this module
+        cfg = RunConfig()
     net = FaultNet()
     for sid in ddg.statement_nodes:
         info = program.statement_table[sid]
         net.stmt_vars[sid] = net.add_variable(
             f"S{sid}@{info.function}:{info.line}", "stmt",
-            prior=params.statement_prior)
+            prior=cfg.statement_prior)
     for key in ddg.value_nodes:
         test, vid = key
         producer = ddg.producer.get(key)
@@ -105,7 +104,7 @@ def build_net(ddg, program, params: ModelParams | None = None) -> FaultNet:
         parents = [net.stmt_vars[producer]]
         parents.extend(net.value_vars[p] for p in ddg.value_parents[key])
         net.add_factor(net.value_vars[key], parents, classify_p0(
-            producer, program, params))
+            producer, program, cfg))
     for key, outcome in ddg.evidence_anchors:
         net.set_evidence(net.value_vars[key], outcome)
     return net

@@ -4,68 +4,87 @@ rank. Shared by the command-line interface and the benchmark harness."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import reduction, tracing
 from .ddg import build_ddg
-from .inference import InferenceConfig, InferenceResult, exact_marginals, run_lbp
-from .model import ModelParams, build_net
+from .inference import InferenceResult, exact_marginals, run_lbp
+from .model import build_net
 from .ranking import Report, rank
+
+
+def _option(default, flag, help, **metadata):
+    """A config field, the command-line flag that sets it and the flag's
+    help (`cli.add_config_args` reads them)."""
+    return field(default=default,
+                 metadata={"flag": flag, "help": help, **metadata})
 
 
 @dataclass
 class RunConfig:
+    """Every pipeline parameter with its paper or artifact default. Each
+    stage reads the fields it needs; the CLI makes one flag per field."""
+
     # reducers
-    max_passing_tests: int = 50
-    trace_limit: int = 1_200_000
-    model_limit: int = 1_000_000
-    loop_compression: bool = True
-    adaptive_folding: bool = True
-    test_reduction: bool = True
+    max_passing_tests: int = _option(
+        50, "--max-passing-tests",
+        "passing tests kept by test reduction (paper default 50)")
+    trace_limit: int = _option(
+        1_200_000, "--trace-limit",
+        "per-trace event budget (paper default 1.2M)")
+    model_limit: int = _option(
+        1_000_000, "--model-limit",
+        "total modeled event budget (paper default 1M)")
+    # ablation switches, in the order `semfl bench --ablations` runs them
+    loop_compression: bool = _option(
+        True, "--no-loop-compression", "keep every loop iteration",
+        ablation=True)
+    adaptive_folding: bool = _option(
+        True, "--no-adaptive-folding", "keep oversized failing traces whole",
+        ablation=True)
+    mode: str = _option(
+        "optimized", "--naive-inference",
+        "use enumeration factor messages", const="naive", ablation=True)
+    virtual_call_edges: bool = _option(
+        True, "--no-virtual-call-edges",
+        "no edges from traced calls inside untraced ones to their caller",
+        ablation=True)
+    exception_control: bool = _option(
+        True, "--no-exception-control",
+        "caught exceptions control no later statement", ablation=True)
+    test_reduction: bool = _option(
+        True, "--no-test-reduction",
+        "keep every passing test that shares a function with a failing one",
+        ablation=True)
     # inference
-    mode: str = "optimized"  # "optimized" | "naive"
-    exact: bool = False
-    exact_cap: int = 20
-    max_iterations: int = 100
-    convergence_eps: float = 1e-6
-    naive_degree_cap: int = 20
+    exact: bool = _option(
+        False, "--exact",
+        "exact joint enumeration, capped at --exact-cap variables")
+    exact_cap: int = _option(
+        20, "--exact-cap", "variable cap of exact enumeration")
+    max_iterations: int = _option(
+        100, "--max-iters",
+        "belief propagation iteration cap (artifact decision)")
+    convergence_eps: float = _option(
+        1e-6, "--eps", "message convergence threshold (artifact decision)")
     # model
-    p0_moderate: float = 0.5
-    p0_low: float = 0.01
-    statement_prior: float = 0.5
-    # graph construction toggles
-    virtual_call_edges: bool = True
-    exception_control: bool = True
+    p0_moderate: float = _option(
+        0.5, "--p0-moderate",
+        "p0 for boolean-range statements (paper default 0.5)")
+    p0_low: float = _option(
+        0.01, "--p0-low", "p0 for wide-range statements (paper default 0.01)")
+    statement_prior: float = _option(
+        0.5, "--prior", "statement prior (paper default 0.5)")
     # execution
-    step_budget: int = 1_000_000
-    jobs: int = 1
-    seed: int = 0
+    step_budget: int = _option(
+        tracing.DEFAULT_STEP_BUDGET, "--step-budget",
+        "interpreter steps per test (artifact decision)")
 
     def validate(self):
         for name in ("p0_moderate", "p0_low", "statement_prior"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-
-    def reduction_config(self) -> reduction.ReductionConfig:
-        return reduction.ReductionConfig(
-            max_passing_tests=self.max_passing_tests,
-            trace_limit=self.trace_limit,
-            model_limit=self.model_limit,
-            loop_compression=self.loop_compression,
-            adaptive_folding=self.adaptive_folding,
-            test_reduction=self.test_reduction)
-
-    def inference_config(self) -> InferenceConfig:
-        return InferenceConfig(
-            mode=self.mode, max_iterations=self.max_iterations,
-            convergence_eps=self.convergence_eps,
-            naive_degree_cap=self.naive_degree_cap)
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(statement_prior=self.statement_prior,
-                           p0_moderate=self.p0_moderate, p0_low=self.p0_low)
 
 
 @dataclass
@@ -100,25 +119,16 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     prof = tracing.profile(program, step_budget=cfg.step_budget)
     timings["profile"] = time.perf_counter() - t0
 
-    rcfg = cfg.reduction_config()
-    selected = reduction.select_tests(prof, rcfg)
+    selected = reduction.select_tests(prof, cfg)
     log.append(f"selected {len(selected)} of {len(prof.tests)} tests")
     traced = traced_function_set(program, prof)
     log.append(f"tracing {len(traced)} functions: {sorted(traced)}")
 
     t0 = time.perf_counter()
-
-    def run_one(test):
-        return tracing.trace(program, test, traced,
-                             step_budget=cfg.step_budget,
-                             trace_limit=cfg.trace_limit)
-
-    if cfg.jobs > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            traces = list(pool.map(run_one, selected))
-    else:
-        traces = [run_one(t) for t in selected]
-
+    traces = [tracing.trace(program, test, traced,
+                            step_budget=cfg.step_budget,
+                            trace_limit=cfg.trace_limit)
+              for test in selected]
     dropped = [t.test for t in traces if t.oversized and not t.failing]
     if dropped:
         # Oversized traces are only worth folding when the test failed.
@@ -128,8 +138,8 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     if cfg.loop_compression:
         traces = [reduction.compress_loops(t, program, log) for t in traces]
     if cfg.adaptive_folding:
-        traces = [reduction.adaptive_fold(t, rcfg, log) for t in traces]
-    budgeted = reduction.budget_traces(traces, rcfg, log)
+        traces = [reduction.adaptive_fold(t, cfg, log) for t in traces]
+    budgeted = reduction.budget_traces(traces, cfg, log)
     timings["trace"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -139,7 +149,7 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     timings["ddg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    net = build_net(ddg, program, cfg.model_params())
+    net = build_net(ddg, program, cfg)
     timings["net"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -148,7 +158,7 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
         inf = InferenceResult(marginals=marg, converged=True, iterations=0,
                               log=["exact enumeration"])
     else:
-        inf = run_lbp(net, cfg.inference_config())
+        inf = run_lbp(net, cfg)
     timings["lbp"] = time.perf_counter() - t0
     log.extend(inf.log)
     if not cfg.exact:

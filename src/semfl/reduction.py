@@ -4,7 +4,8 @@ and the model-size budget deciding which traces enter the dependency graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from .errors import NoFailingTests
 from .tracing import (
@@ -16,18 +17,11 @@ from .tracing import (
     TraceEvent,
 )
 
-
-@dataclass
-class ReductionConfig:
-    max_passing_tests: int = 50
-    trace_limit: int = 1_200_000
-    model_limit: int = 1_000_000
-    loop_compression: bool = True
-    adaptive_folding: bool = True
-    test_reduction: bool = True
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
 
 
-def select_tests(profile, cfg: ReductionConfig) -> list:
+def select_tests(profile, cfg: RunConfig) -> list:
     """Failing tests first, then passing tests by coverage overlap with them.
 
     Passing tests that share no covered function with any failing test carry
@@ -87,17 +81,24 @@ def build_tree(events) -> list:
     return root
 
 
-def flatten_tree(items, out=None) -> list:
-    if out is None:
-        out = []
-    for item in items:
-        if isinstance(item, CallNode):
-            out.append(item.enter)
-            flatten_tree(item.children, out)
-            if item.exit is not None:
-                out.append(item.exit)
-        else:
+def flatten_tree(items) -> list:
+    """The events of a tree in trace order. Iterative, so any call depth
+    flattens."""
+    out = []
+    # per open call: the rest of its items and its exit event
+    stack = [(iter(items), None)]
+    while stack:
+        rest, exit_event = stack[-1]
+        for item in rest:
+            if isinstance(item, CallNode):
+                out.append(item.enter)
+                stack.append((iter(item.children), item.exit))
+                break
             out.append(item)
+        else:
+            stack.pop()
+            if exit_event is not None:
+                out.append(exit_event)
     return out
 
 
@@ -105,35 +106,9 @@ def _item_sid(item):
     return item.enter.stmt if isinstance(item, CallNode) else item.stmt
 
 
-def _flat_events(items):
-    out = []
-    for item in items:
-        if isinstance(item, CallNode):
-            out.append(item.enter)
-            out.extend(_flat_events(item.children))
-            if item.exit is not None:
-                out.append(item.exit)
-        else:
-            out.append(item)
-    return out
-
-
 def _signature(items):
     return tuple((e.kind, e.stmt, len(e.reads), len(e.writes))
-                 for e in _flat_events(items))
-
-
-def dedup_adjacent_iterations(iterations: list) -> list:
-    """Keep an iteration only if it differs from the surviving predecessor.
-
-    Operates on any sequence of comparable iteration signatures; the loop
-    compressor uses it with statement-shape tuples.
-    """
-    kept = []
-    for it in iterations:
-        if not kept or it != kept[-1]:
-            kept.append(it)
-    return kept
+                 for e in flatten_tree(items))
 
 
 class _LoopCompressor:
@@ -214,7 +189,8 @@ class _LoopCompressor:
         return end
 
     def _record_remap(self, kept_items, removed_items):
-        for ek, er in zip(_flat_events(kept_items), _flat_events(removed_items)):
+        for ek, er in zip(flatten_tree(kept_items),
+                          flatten_tree(removed_items)):
             for wk, wr in zip(ek.writes, er.writes):
                 self.remap[wr] = wk
 
@@ -222,19 +198,24 @@ class _LoopCompressor:
 _AUX_VID_KEYS = ("value", "ret", "thrown")
 _AUX_VID_LIST_KEYS = ("params",)
 _AUX_VID_PAIR_KEYS = ("arrays", "array_versions")
+_AUX_REMAPPED = frozenset(_AUX_VID_KEYS + _AUX_VID_LIST_KEYS
+                          + _AUX_VID_PAIR_KEYS)
 
 
 def _remap_event(ev, resolve):
-    aux = dict(ev.aux)
-    for key in _AUX_VID_KEYS:
-        if aux.get(key) is not None:
-            aux[key] = resolve(aux[key])
-    for key in _AUX_VID_LIST_KEYS:
-        if key in aux:
-            aux[key] = [resolve(v) for v in aux[key]]
-    for key in _AUX_VID_PAIR_KEYS:
-        if key in aux:
-            aux[key] = [[addr, resolve(v)] for addr, v in aux[key]]
+    aux = ev.aux
+    # An aux without value ids is shared, not copied: it is never mutated.
+    if not _AUX_REMAPPED.isdisjoint(aux):
+        aux = dict(aux)
+        for key in _AUX_VID_KEYS:
+            if aux.get(key) is not None:
+                aux[key] = resolve(aux[key])
+        for key in _AUX_VID_LIST_KEYS:
+            if key in aux:
+                aux[key] = [resolve(v) for v in aux[key]]
+        for key in _AUX_VID_PAIR_KEYS:
+            if key in aux:
+                aux[key] = [[addr, resolve(v)] for addr, v in aux[key]]
     return TraceEvent(kind=ev.kind, stmt=ev.stmt,
                       reads=tuple(resolve(r) for r in ev.reads),
                       writes=ev.writes, aux=aux)
@@ -265,10 +246,6 @@ def _count_exec_per_function(items, fn_name, counts):
             _count_exec_per_function(item.children, item.callee, counts)
         elif item.kind == EXEC:
             counts[fn_name] = counts.get(fn_name, 0) + 1
-
-
-def _tree_event_count(items):
-    return len(_flat_events(items))
 
 
 def _make_summary(node: CallNode) -> TraceEvent:
@@ -306,7 +283,7 @@ def _fold_function(items, target):
     return out
 
 
-def adaptive_fold(tr: Trace, cfg: ReductionConfig, log=None) -> Trace:
+def adaptive_fold(tr: Trace, cfg: RunConfig, log=None) -> Trace:
     """Fold the largest methods of an oversized failing trace into call
     summaries until it fits the per-trace event limit."""
     if tr.size() <= cfg.trace_limit:
@@ -318,7 +295,7 @@ def adaptive_fold(tr: Trace, cfg: ReductionConfig, log=None) -> Trace:
                    key=lambda n: (-counts[n], n))
     folded = []
     for name in order:
-        if _tree_event_count(tree) <= cfg.trace_limit:
+        if len(flatten_tree(tree)) <= cfg.trace_limit:
             break
         tree = _fold_function(tree, name)
         folded.append(name)
@@ -335,7 +312,7 @@ def adaptive_fold(tr: Trace, cfg: ReductionConfig, log=None) -> Trace:
                    warning=warning or tr.warning)
 
 
-def budget_traces(traces: list, cfg: ReductionConfig, log=None) -> list:
+def budget_traces(traces: list, cfg: RunConfig, log=None) -> list:
     """All failing traces always enter the model; passing traces are added
     smallest-first while the total stays within the model budget."""
     failing = [t for t in traces if t.failing]

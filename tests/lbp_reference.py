@@ -10,8 +10,9 @@ marginals, iteration counts and convergence flags exactly.
 from __future__ import annotations
 
 from semfl.errors import DegreeTooLarge
-from semfl.inference import InferenceConfig, InferenceResult, factor_to_var_naive
+from semfl.inference import NAIVE_DEGREE_CAP, InferenceResult, factor_to_var_naive
 from semfl.model import FaultNet
+from semfl.pipeline import RunConfig
 
 _HALF = (0.5, 0.5)
 
@@ -30,15 +31,15 @@ def _base_message(var):
 
 
 class _Engine:
-    def __init__(self, net: FaultNet, cfg: InferenceConfig):
+    def __init__(self, net: FaultNet, cfg: RunConfig):
         self.net = net
         self.cfg = cfg
         if cfg.mode == "naive":
             deg = net.max_factor_degree()
-            if deg > cfg.naive_degree_cap:
+            if deg > NAIVE_DEGREE_CAP:
                 raise DegreeTooLarge(
                     f"factor of degree {deg} exceeds the naive-mode cap "
-                    f"of {cfg.naive_degree_cap}")
+                    f"of {NAIVE_DEGREE_CAP}")
         # incident[v] = [(factor index, position in factor.variables)]
         self.incident = [[] for _ in net.variables]
         for a, fac in enumerate(net.factors):
@@ -76,7 +77,6 @@ class _Engine:
     def _update_f2v(self):
         delta = 0.0
         naive = self.cfg.mode == "naive"
-        damping = self.cfg.damping
         for a, fac in enumerate(self.net.factors):
             inbox = self.v2f[a]
             old = self.f2v[a]
@@ -103,10 +103,6 @@ class _Engine:
                     t = (ct - b) * pre[i] * suf[i + 1] + b
                     new[i + 1] = _normalize(t, b)
             for pos, msg in enumerate(new):
-                if damping > 0.0:
-                    msg = _normalize(
-                        (1.0 - damping) * msg[0] + damping * old[pos][0],
-                        (1.0 - damping) * msg[1] + damping * old[pos][1])
                 delta = max(delta, abs(msg[0] - old[pos][0]),
                             abs(msg[1] - old[pos][1]))
                 old[pos] = msg
@@ -140,5 +136,5 @@ class _Engine:
         return InferenceResult(marginals, converged, iterations, log)
 
 
-def run_reference(net: FaultNet, cfg: InferenceConfig | None = None) -> InferenceResult:
-    return _Engine(net, cfg or InferenceConfig()).run()
+def run_reference(net: FaultNet, cfg: RunConfig | None = None) -> InferenceResult:
+    return _Engine(net, cfg or RunConfig()).run()

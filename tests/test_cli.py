@@ -1,17 +1,22 @@
-"""Command-line interface tests: exit codes, report files, and
-run-to-run reproducibility."""
+"""Command-line interface tests: exit codes, report files, run-to-run
+reproducibility, and one flag per config field."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from semfl import cli
 from semfl.cli import (
     EXIT_INTERNAL,
     EXIT_NO_FAILING,
     EXIT_OK,
     EXIT_SYNTAX,
+    build_parser,
+    config_from_args,
     main,
 )
+from semfl.pipeline import RunConfig
 
 BUGGY = """
 fn foo(a) {
@@ -107,6 +112,69 @@ def test_missing_file_exit_code(tmp_path, capsys):
 def test_invalid_config_rejected(buggy, capsys):
     assert main(["localize", buggy, "--p0-low", "0"]) == EXIT_INTERNAL
     assert "error" in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_one_line(buggy, monkeypatch, capsys):
+    def broken(program, cfg):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setattr(cli, "localize", broken)
+    assert main(["localize", buggy]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: engine exploded\n"
+
+
+BARE_ARGS = {
+    "localize": ["localize", "prog.mi"],
+    "trace": ["trace", "prog.mi", "--test", "test_x"],
+    "sbfl": ["sbfl", "prog.mi"],
+    "bench": ["bench"],
+    "sweep": ["sweep"],
+}
+
+CONFIG_FLAGS = {
+    "--max-passing-tests", "--trace-limit", "--model-limit",
+    "--no-loop-compression", "--no-adaptive-folding", "--naive-inference",
+    "--no-virtual-call-edges", "--no-exception-control",
+    "--no-test-reduction", "--exact", "--exact-cap", "--max-iters", "--eps",
+    "--p0-moderate", "--p0-low", "--prior", "--step-budget",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BARE_ARGS))
+def test_config_flags_match_run_config(command):
+    parser = build_parser()
+    args = parser.parse_args(BARE_ARGS[command])
+    assert config_from_args(args) == RunConfig()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    actions = commands.choices[command]._actions
+    flags = {}
+    for f in fields(RunConfig):
+        setters = [a for a in actions if a.dest == f.name]
+        assert len(setters) == 1, f.name
+        (flags[f.name],) = setters[0].option_strings
+    assert set(flags.values()) == CONFIG_FLAGS
+
+
+def test_removed_flags_rejected(capsys):
+    parser = build_parser()
+    for flag in ("--jobs", "--seed"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["localize", "prog.mi", flag, "2"])
+    for command in ("bench", "sweep"):
+        assert parser.parse_args([command, "--seed", "3"]).seed == 3
+
+
+def test_flags_set_their_fields():
+    args = build_parser().parse_args([
+        "localize", "prog.mi", "--naive-inference", "--no-test-reduction",
+        "--exact-cap", "12", "--eps", "0.001", "--prior", "0.25"])
+    assert config_from_args(args) == RunConfig(
+        mode="naive", test_reduction=False, exact_cap=12,
+        convergence_eps=0.001, statement_prior=0.25)
+    assert [name for name, _ in cli.ABLATIONS] == [
+        "no-loop-compression", "no-adaptive-folding", "naive-inference",
+        "no-virtual-call-edges", "no-exception-control", "no-test-reduction"]
 
 
 def test_trace_to_stdout_and_file(buggy, tmp_path, capsys):

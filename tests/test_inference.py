@@ -6,18 +6,16 @@ the joint-enumeration oracle, and guard rails."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semfl.errors import DegreeTooLarge, TooLarge
 from semfl.inference import (
-    InferenceConfig,
     exact_marginals,
-    factor_to_child_optimized,
-    factor_to_parent_optimized,
+    factor_messages,
     factor_to_var_naive,
     run_lbp,
-    var_to_factor,
 )
 from semfl.lang import parse
 from semfl.model import FaultNet
@@ -28,43 +26,42 @@ from lbp_reference import run_reference
 
 # --- message-level oracles (hand-computed) ---
 
-def test_var_message_prior_only():
-    assert var_to_factor(0.8, None, []) == (0.8, pytest.approx(0.2))
-
-
-def test_var_message_evidence_clamps():
-    assert var_to_factor(0.8, True, [(0.1, 0.9)]) == (1.0, 0.0)
-    assert var_to_factor(0.8, False, []) == (0.0, 1.0)
-
-
-def test_var_message_products_normalized():
-    t, f = var_to_factor(0.5, None, [(0.9, 0.1), (0.9, 0.1)])
-    assert t == pytest.approx(0.405 / 0.41)
-    assert f == pytest.approx(0.005 / 0.41)
+def _message(p0, msgs, pos):
+    """The engine's closed-form message from one factor to its variable at
+    `pos` (0 is the child), on one-row arrays, normalised. msgs[0] is the
+    child's message, as for factor_to_var_naive."""
+    to_ct, to_cf, to_pt, to_pf = factor_messages(
+        np.array([p0]), np.array([msgs[0][0]]), np.array([msgs[0][1]]),
+        np.array([[t for t, _ in msgs[1:]]]))
+    if pos == 0:
+        t, f = to_ct[0], to_cf[0]
+    else:
+        t, f = to_pt[0, pos - 1], to_pf[0, pos - 1]
+    return (t / (t + f), f / (t + f))
 
 
 def test_child_message_all_parents_correct():
     # all parents certainly correct: the child is certainly correct
-    assert factor_to_child_optimized(0.5, [(1.0, 0.0)]) == (1.0, 0.0)
+    assert _message(0.5, [(0.5, 0.5), (1.0, 0.0)], 0) == (1.0, 0.0)
 
 
 def test_child_message_parent_certainly_wrong():
     # a wrong parent leaves only the leak: (p0, 1 - p0)
-    t, f = factor_to_child_optimized(0.01, [(0.0, 1.0)])
+    t, f = _message(0.01, [(0.5, 0.5), (0.0, 1.0)], 0)
     assert (t, f) == (pytest.approx(0.01), pytest.approx(0.99))
 
 
 def test_parent_message_from_correct_child():
     # child certainly correct, p0 = 0.5, no co-parents:
     # unnormalized (1, 0.5) -> (2/3, 1/3)
-    t, f = factor_to_parent_optimized(0.5, (1.0, 0.0), [])
+    t, f = _message(0.5, [(1.0, 0.0), (0.5, 0.5)], 1)
     assert t == pytest.approx(2 / 3)
     assert f == pytest.approx(1 / 3)
 
 
 def test_parent_message_indifferent_child_is_uninformative():
     for p0 in (0.01, 0.5, 0.9):
-        t, f = factor_to_parent_optimized(p0, (0.5, 0.5), [(0.7, 0.3)])
+        t, f = _message(p0, [(0.5, 0.5), (0.5, 0.5), (0.7, 0.3)], 1)
         assert (t, f) == (0.5, 0.5)
 
 
@@ -79,11 +76,7 @@ msg = st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)).map(
 def test_optimized_messages_match_naive(p0, msgs, data):
     pos = data.draw(st.integers(0, len(msgs) - 1))
     naive = factor_to_var_naive(p0, msgs, pos)
-    if pos == 0:
-        fast = factor_to_child_optimized(p0, msgs[1:])
-    else:
-        others = [m for i, m in enumerate(msgs[1:], start=1) if i != pos]
-        fast = factor_to_parent_optimized(p0, msgs[0], others)
+    fast = _message(p0, msgs, pos)
     assert math.isclose(fast[0], naive[0], abs_tol=1e-9)
     assert math.isclose(fast[1], naive[1], abs_tol=1e-9)
 
@@ -124,8 +117,8 @@ def _chain_net(seed, length=6):
 @pytest.mark.parametrize("seed", range(20))
 def test_naive_equals_optimized_on_random_nets(seed):
     net = _random_net(seed)
-    fast = run_lbp(net, InferenceConfig(mode="optimized"))
-    slow = run_lbp(net, InferenceConfig(mode="naive"))
+    fast = run_lbp(net, RunConfig(mode="optimized"))
+    slow = run_lbp(net, RunConfig(mode="naive"))
     assert fast.iterations == slow.iterations
     for v in fast.marginals:
         assert math.isclose(fast.marginals[v], slow.marginals[v],
@@ -135,7 +128,7 @@ def test_naive_equals_optimized_on_random_nets(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_lbp_exact_on_trees(seed):
     net = _chain_net(seed)
-    res = run_lbp(net, InferenceConfig())
+    res = run_lbp(net, RunConfig())
     assert res.converged
     exact = exact_marginals(net, cap=20)
     for v in res.marginals:
@@ -169,8 +162,8 @@ def test_naive_mode_rejects_large_factors():
     child = net.add_variable("C", "value")
     net.add_factor(child, parents, 0.01)
     with pytest.raises(DegreeTooLarge):
-        run_lbp(net, InferenceConfig(mode="naive", naive_degree_cap=20))
-    run_lbp(net, InferenceConfig(mode="optimized"))  # fine in linear mode
+        run_lbp(net, RunConfig(mode="naive"))
+    run_lbp(net, RunConfig(mode="optimized"))  # fine in linear mode
 
 
 def test_exact_enumeration_cap():
@@ -190,22 +183,12 @@ def test_exact_rejects_impossible_evidence():
         exact_marginals(net)
 
 
-def test_damping_reaches_same_fixed_point():
-    net = _random_net(11)
-    plain = run_lbp(net, InferenceConfig())
-    damped = run_lbp(net, InferenceConfig(damping=0.5, max_iterations=500))
-    assert damped.converged
-    for v in plain.marginals:
-        assert math.isclose(plain.marginals[v], damped.marginals[v],
-                            abs_tol=1e-4)
-
-
 # --- the edge-array engine against the reference engine ---
 
 def _assert_same_as_reference(net, cfg=None):
     """Exact equality: the array engine does the reference's arithmetic in
     the reference's order, so not even the last bit may differ."""
-    cfg = cfg or InferenceConfig()
+    cfg = cfg or RunConfig()
     new, ref = run_lbp(net, cfg), run_reference(net, cfg)
     assert new.marginals == ref.marginals
     assert new.iterations == ref.iterations
@@ -239,19 +222,16 @@ def loopy_nets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(loopy_nets(), st.sampled_from(["optimized", "naive"]),
-       st.sampled_from([0.0, 0.3, 0.5]))
-def test_array_engine_equals_reference_on_loopy_nets(net, mode, damping):
-    _assert_same_as_reference(net, InferenceConfig(
-        mode=mode, damping=damping, max_iterations=60))
+@given(loopy_nets(), st.sampled_from(["optimized", "naive"]))
+def test_array_engine_equals_reference_on_loopy_nets(net, mode):
+    _assert_same_as_reference(net, RunConfig(mode=mode, max_iterations=60))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_array_engine_equals_reference_on_random_nets(seed):
     net = _random_net(seed, n_values=30, n_stmts=4)
     _assert_same_as_reference(net)
-    _assert_same_as_reference(net, InferenceConfig(mode="naive"))
-    _assert_same_as_reference(net, InferenceConfig(damping=0.5))
+    _assert_same_as_reference(net, RunConfig(mode="naive"))
 
 
 # sums 0..n-1, but doubles every term
@@ -334,4 +314,4 @@ def test_all_evidence_factors():
     for v, outcome in ((s, True), (v0, True), (v1, False), (v2, True)):
         net.set_evidence(v, outcome)
     _assert_same_as_reference(net)
-    _assert_same_as_reference(net, InferenceConfig(mode="naive"))
+    _assert_same_as_reference(net, RunConfig(mode="naive"))

@@ -149,7 +149,6 @@ def test_straight_line_ipostdom():
     assert fn.cfg.ipostdom[s[0]] == s[1]
     assert fn.cfg.ipostdom[s[1]] == s[2]
     assert fn.cfg.ipostdom[s[2]] == EXIT
-    assert all(not r for r in fn.cfg.ctrl_region.values())
 
 
 def test_branch_with_early_return_controls_rest():
@@ -165,7 +164,6 @@ fn f(c, a, b) {
 """)
     cond, ret_a, let_x, ret_x = fn.statement_ids()
     assert fn.cfg.ipostdom[cond] == EXIT
-    assert fn.cfg.ctrl_region[cond] == {ret_a, let_x, ret_x}
 
 
 def test_while_controls_body_only():
@@ -180,7 +178,6 @@ fn f(n) {
 """)
     let_i, cond, body, ret = fn.statement_ids()
     assert fn.cfg.ipostdom[cond] == ret
-    assert fn.cfg.ctrl_region[cond] == {body}
 
 
 def test_if_region_excludes_join():
@@ -197,8 +194,6 @@ fn f(c) {
 """)
     let_x, cond, a1, a2, ret = fn.statement_ids()
     assert fn.cfg.ipostdom[cond] == ret
-    assert fn.cfg.ctrl_region[cond] == {a1, a2}
-    assert ret not in fn.cfg.ctrl_region[cond]
 
 
 def test_postdominators_form_tree():

@@ -8,12 +8,12 @@ from semfl.errors import ConflictingEvidence
 from semfl.lang import parse
 from semfl.model import (
     FaultNet,
-    ModelParams,
     build_net,
     classify_p0,
     dump_net,
     load_net,
 )
+from semfl.pipeline import RunConfig
 from semfl.tracing import trace
 
 COND_TEST = """
@@ -34,11 +34,11 @@ fn test_fail() {
 """
 
 
-def _net(src=COND_TEST, traced=("foo",), params=None):
+def _net(src=COND_TEST, traced=("foo",), cfg=None):
     prog = parse(src)
     traces = [trace(prog, t, set(traced)) for t in prog.test_names]
     ddg = build_ddg(prog, traces)
-    return prog, ddg, build_net(ddg, prog, params)
+    return prog, ddg, build_net(ddg, prog, cfg)
 
 
 def test_classify_boolean_vs_wide_range():
@@ -58,24 +58,24 @@ fn f(a) {
     return s;
 }
 """)
-    params = ModelParams()
+    cfg = RunConfig()
     by_kind = {}
     for sid, info in prog.statement_table.items():
         by_kind.setdefault((info.kind, info.root_op), sid)
     expect = {
-        ("let", "<="): params.p0_moderate,
-        ("let", "+"): params.p0_low,
-        ("let", "%"): params.p0_moderate,
-        ("let", "boollit"): params.p0_moderate,
-        ("let", "call"): params.p0_low,
-        ("if_cond", ">"): params.p0_moderate,
-        ("while_cond", "<"): params.p0_moderate,
-        ("assign", "-"): params.p0_low,
-        ("assign", "+"): params.p0_low,
-        ("return", "var"): params.p0_low,
+        ("let", "<="): cfg.p0_moderate,
+        ("let", "+"): cfg.p0_low,
+        ("let", "%"): cfg.p0_moderate,
+        ("let", "boollit"): cfg.p0_moderate,
+        ("let", "call"): cfg.p0_low,
+        ("if_cond", ">"): cfg.p0_moderate,
+        ("while_cond", "<"): cfg.p0_moderate,
+        ("assign", "-"): cfg.p0_low,
+        ("assign", "+"): cfg.p0_low,
+        ("return", "var"): cfg.p0_low,
     }
     for key, p0 in expect.items():
-        assert classify_p0(by_kind[key], prog, params) == p0, key
+        assert classify_p0(by_kind[key], prog, cfg) == p0, key
 
 
 def test_net_mirrors_graph_structure():
@@ -128,15 +128,15 @@ def test_conflicting_evidence_rejected():
 
 
 def test_custom_params_propagate():
-    params = ModelParams(statement_prior=0.3, p0_moderate=0.4, p0_low=0.02)
-    prog, ddg, net = _net(params=params)
+    cfg = RunConfig(statement_prior=0.3, p0_moderate=0.4, p0_low=0.02)
+    prog, ddg, net = _net(cfg=cfg)
     assert all(net.variables[i].prior == 0.3 for i in net.stmt_vars.values())
     assert {f.p0 for f in net.factors} == {0.4, 0.02}
 
 
 def test_equal_leaks_collapse_distinction():
-    params = ModelParams(p0_moderate=0.2, p0_low=0.2)
-    prog, ddg, net = _net(params=params)
+    cfg = RunConfig(p0_moderate=0.2, p0_low=0.2)
+    prog, ddg, net = _net(cfg=cfg)
     assert {f.p0 for f in net.factors} == {0.2}
 
 

@@ -6,12 +6,13 @@ import pytest
 from semfl.ddg import build_ddg
 from semfl.errors import NoFailingTests
 from semfl.lang import parse
+from semfl.pipeline import RunConfig
 from semfl.reduction import (
-    ReductionConfig,
     adaptive_fold,
     budget_traces,
+    build_tree,
     compress_loops,
-    dedup_adjacent_iterations,
+    flatten_tree,
     select_tests,
 )
 from semfl.tracing import (
@@ -42,49 +43,79 @@ def test_select_by_overlap():
         ("test_p2", "pass", {"h", "test_p2"}),
         ("test_p3", "pass", {"g", "test_p3"}),
     ])
-    assert select_tests(prof, ReductionConfig()) == \
+    assert select_tests(prof, RunConfig()) == \
         ["test_fail", "test_p1", "test_p3"]
 
 
 def test_select_requires_failing():
     prof = _profile([("test_p", "pass", {"f"})])
     with pytest.raises(NoFailingTests):
-        select_tests(prof, ReductionConfig())
+        select_tests(prof, RunConfig())
 
 
 def test_select_single_failing_alone():
     prof = _profile([("test_f", "fail", {"f"})])
-    assert select_tests(prof, ReductionConfig()) == ["test_f"]
+    assert select_tests(prof, RunConfig()) == ["test_f"]
 
 
 def test_select_caps_at_fifty_deterministically():
     entries = [("test_fail", "fail", {"f"})]
     entries += [(f"test_p{i:02}", "pass", {"f"}) for i in range(60)]
     prof = _profile(entries)
-    out = select_tests(prof, ReductionConfig())
+    out = select_tests(prof, RunConfig())
     assert len(out) == 51
     assert out[1:] == sorted(out[1:])
-    assert select_tests(prof, ReductionConfig()) == out
+    assert select_tests(prof, RunConfig()) == out
 
 
 def test_select_cap_disabled_by_toggle():
     entries = [("test_fail", "fail", {"f"})]
     entries += [(f"test_p{i:02}", "pass", {"f"}) for i in range(60)]
     prof = _profile(entries)
-    cfg = ReductionConfig(test_reduction=False)
+    cfg = RunConfig(test_reduction=False)
     assert len(select_tests(prof, cfg)) == 61
 
 
 # --- loop compression ---
 
+# The loop body is "ab" except in iteration 100, where it is "ad".
+AB_AD_AB = """
+fn shape(n) {
+    let s = 0;
+    let i = 0;
+    while (i < n) {
+        if (i == 100) {
+            s = s + 2;
+        } else {
+            s = s + 1;
+        }
+        i = i + 1;
+    }
+    return s;
+}
+
+fn test_shape() {
+    assert(shape(%d) == %d);
+}
+"""
+
+
+def _kept_bodies(n):
+    """The branch arm of each loop iteration compression keeps."""
+    prog = parse(AB_AD_AB % (n, n + (n > 100)))
+    _, _, _, _, d, b, _, _ = prog.functions["shape"].statement_ids()
+    out = compress_loops(trace(prog, "test_shape", {"shape"}), prog)
+    arm = {b: "b", d: "d"}
+    return [arm[e.stmt] for e in out.events
+            if e.kind == EXEC and e.stmt in arm]
+
+
 def test_dedup_ab100_ad_ab100():
-    pattern = [("a", "b")] * 100 + [("a", "d")] + [("a", "b")] * 100
-    assert dedup_adjacent_iterations(pattern) == \
-        [("a", "b"), ("a", "d"), ("a", "b")]
+    assert _kept_bodies(201) == ["b", "d", "b"]
 
 
 def test_dedup_all_identical():
-    assert dedup_adjacent_iterations([("a",)] * 4) == [("a",)]
+    assert _kept_bodies(4) == ["b"]
 
 
 LOOPY = """
@@ -131,6 +162,54 @@ def test_compress_is_idempotent():
     twice = compress_loops(once, prog)
     assert [e.to_record() for e in twice.events] == \
            [e.to_record() for e in once.events]
+
+
+CALL_IN_LOOP = """
+fn inc(x) {
+    return x + 1;
+}
+
+fn work(n) {
+    let s = 0;
+    let i = 0;
+    while (i < n) {
+        if (i == 5) {
+            s = inc(s) + 100;
+        } else {
+            s = inc(s);
+        }
+        i = i + 1;
+    }
+    return s;
+}
+
+fn test_work() {
+    assert(work(20) == 120);
+}
+"""
+
+
+def _referenced(ev):
+    """Value ids an event reads, in its reads or in its aux data."""
+    aux = ev.aux
+    vids = list(ev.reads) + list(aux.get("params", ()))
+    vids += [aux[k] for k in ("value", "ret", "thrown")
+             if aux.get(k) is not None]
+    vids += [v for k in ("arrays", "array_versions")
+             for _, v in aux.get(k, ())]
+    return vids
+
+
+def test_compress_rebinds_aux_values_of_removed_iterations():
+    # The call in the kept `i == 5` iteration passes the `s` of a removed
+    # iteration; its parameters must be re-bound like plain reads.
+    prog = parse(CALL_IN_LOOP)
+    tr = trace(prog, "test_work", {"work", "inc"})
+    out = compress_loops(tr, prog)
+    kept = {w for e in out.events for w in e.writes}
+    removed = {w for e in tr.events for w in e.writes} - kept
+    assert removed
+    assert not {v for e in out.events for v in _referenced(e)} & removed
 
 
 # Every statement here executes in every iteration, so each cross-iteration
@@ -212,6 +291,17 @@ def test_compressed_trace_still_replays_into_a_dag():
     assert g.check_acyclic()
 
 
+def test_flatten_deep_call_nest():
+    depth = 5_000
+    events = ([TraceEvent(CALL_ENTER, 1, aux={"callee": "f", "params": []})
+               for _ in range(depth)]
+              + [TraceEvent(CALL_EXIT, 1, aux={"callee": "f"})
+                 for _ in range(depth)])
+    out = flatten_tree(build_tree(events))
+    assert len(out) == 2 * depth
+    assert all(a is b for a, b in zip(out, events))
+
+
 # --- adaptive folding ---
 
 def _exec(stmt, vid, reads=()):
@@ -244,7 +334,7 @@ def _synthetic_trace(limit_test=False):
 
 def test_fold_largest_method_only():
     tr = _synthetic_trace()
-    cfg = ReductionConfig(trace_limit=1200)
+    cfg = RunConfig(trace_limit=1200)
     out = adaptive_fold(tr, cfg)
     assert out.size() <= 1200
     kinds = {}
@@ -258,7 +348,7 @@ def test_fold_largest_method_only():
 
 def test_fold_identity_when_under_limit():
     tr = _synthetic_trace()
-    cfg = ReductionConfig(trace_limit=5000)
+    cfg = RunConfig(trace_limit=5000)
     out = adaptive_fold(tr, cfg)
     assert [e.to_record() for e in out.events] == \
            [e.to_record() for e in tr.events]
@@ -268,7 +358,7 @@ def test_fold_summary_contract():
     inner = [_exec(11, 5), _exec(11, 6)]
     events = _call_block("aa", 1, inner, params=[1, 2], ret=6)
     tr = Trace(test="test_t", status="fail", events=events)
-    out = adaptive_fold(tr, ReductionConfig(trace_limit=2))
+    out = adaptive_fold(tr, RunConfig(trace_limit=2))
     assert len(out.events) == 1
     s = out.events[0]
     assert s.kind == CALL_SUMMARY
@@ -281,7 +371,7 @@ def test_fold_preserves_nested_traced_calls():
     events = _call_block("aa", 1, [_exec(11, 5)] + nested + [_exec(11, 10)],
                          params=[1], ret=10)
     tr = Trace(test="test_t", status="fail", events=events)
-    out = adaptive_fold(tr, ReductionConfig(trace_limit=5))
+    out = adaptive_fold(tr, RunConfig(trace_limit=5))
     kinds = [e.kind for e in out.events]
     assert kinds == [CALL_ENTER, EXEC, CALL_EXIT, CALL_SUMMARY]
     assert out.events[0].aux["callee"] == "inner_fn"
@@ -291,7 +381,7 @@ def test_fold_preserves_nested_traced_calls():
 def test_fold_cannot_reach_limit_truncates():
     events = [_exec(1, i + 1) for i in range(2000)]
     tr = Trace(test="test_t", status="fail", events=events)
-    out = adaptive_fold(tr, ReductionConfig(trace_limit=1200))
+    out = adaptive_fold(tr, RunConfig(trace_limit=1200))
     assert out.size() == 1200
     assert out.warning
     assert out.truncated
@@ -306,7 +396,7 @@ def _sized(name, status, n):
 
 def test_budget_failing_only_when_over():
     traces = [_sized("test_f", "fail", 1100), _sized("test_p", "pass", 10)]
-    out = budget_traces(traces, ReductionConfig(model_limit=1000))
+    out = budget_traces(traces, RunConfig(model_limit=1000))
     assert [t.test for t in out] == ["test_f"]
 
 
@@ -317,11 +407,11 @@ def test_budget_ascending_until_limit():
         _sized("test_p1", "pass", 100),
         _sized("test_p2", "pass", 300),
     ]
-    out = budget_traces(traces, ReductionConfig(model_limit=1000))
+    out = budget_traces(traces, RunConfig(model_limit=1000))
     assert [t.test for t in out] == ["test_f", "test_p1", "test_p2"]
 
 
 def test_budget_no_passing():
     traces = [_sized("test_f", "fail", 10)]
-    out = budget_traces(traces, ReductionConfig())
+    out = budget_traces(traces, RunConfig())
     assert [t.test for t in out] == ["test_f"]
