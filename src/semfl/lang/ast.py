@@ -233,10 +233,6 @@ class Program:
     def test_names(self):
         return [n for n in self.functions if n.startswith("test_")]
 
-    @property
-    def app_functions(self):
-        return [n for n in self.functions if not n.startswith("test_")]
-
     def app_statement_ids(self):
         """Fault-candidate statements: everything outside test functions."""
         return sorted(

@@ -134,13 +134,21 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
         # Oversized traces are only worth folding when the test failed.
         traces = [t for t in traces if t.failing or not t.oversized]
         log.append(f"dropped oversized passing traces: {dropped}")
+    timings["trace"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     if cfg.loop_compression:
         traces = [reduction.compress_loops(t, program, log) for t in traces]
+    timings["compress"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     if cfg.adaptive_folding:
         traces = [reduction.adaptive_fold(t, cfg, log) for t in traces]
+    timings["fold"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     budgeted = reduction.budget_traces(traces, cfg, log)
-    timings["trace"] = time.perf_counter() - t0
+    timings["budget"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     ddg = build_ddg(program, budgeted,

@@ -43,156 +43,10 @@ def select_tests(profile, cfg: RunConfig) -> list:
     return failing + [name for _, name in scored[:limit]]
 
 
-# --- event tree ---
+# --- loop compression ---
 
-class CallNode:
-    """One traced invocation: its enter/exit boundary events and the items
-    (events or nested CallNodes) in between."""
-
-    __slots__ = ("enter", "children", "exit")
-
-    def __init__(self, enter, children=None, exit=None):
-        self.enter = enter
-        self.children = children if children is not None else []
-        self.exit = exit
-
-    @property
-    def callee(self):
-        return self.enter.aux["callee"]
-
-
-def build_tree(events) -> list:
-    root = []
-    stack = [root]
-    open_nodes = []
-    for ev in events:
-        if ev.kind == CALL_ENTER:
-            node = CallNode(ev)
-            stack[-1].append(node)
-            stack.append(node.children)
-            open_nodes.append(node)
-        elif ev.kind == CALL_EXIT:
-            if len(stack) == 1:
-                continue  # tolerate truncated traces
-            stack.pop()
-            open_nodes.pop().exit = ev
-        else:
-            stack[-1].append(ev)
-    return root
-
-
-def flatten_tree(items) -> list:
-    """The events of a tree in trace order. Iterative, so any call depth
-    flattens."""
-    out = []
-    # per open call: the rest of its items and its exit event
-    stack = [(iter(items), None)]
-    while stack:
-        rest, exit_event = stack[-1]
-        for item in rest:
-            if isinstance(item, CallNode):
-                out.append(item.enter)
-                stack.append((iter(item.children), item.exit))
-                break
-            out.append(item)
-        else:
-            stack.pop()
-            if exit_event is not None:
-                out.append(exit_event)
-    return out
-
-
-def _item_sid(item):
-    return item.enter.stmt if isinstance(item, CallNode) else item.stmt
-
-
-def _signature(items):
-    return tuple((e.kind, e.stmt, len(e.reads), len(e.writes))
-                 for e in flatten_tree(items))
-
-
-class _LoopCompressor:
-    def __init__(self, program):
-        self.program = program
-        self.remap = {}
-        self.removed_iterations = 0
-        self._loops = {name: fn.loop_bodies()
-                       for name, fn in program.functions.items()}
-        self._stmt_fn = {sid: info.function
-                         for sid, info in program.statement_table.items()}
-
-    def resolve(self, vid):
-        seen = []
-        while vid in self.remap:
-            seen.append(vid)
-            vid = self.remap[vid]
-        for s in seen:  # path compression
-            self.remap[s] = vid
-        return vid
-
-    def compress_frame(self, items, fn_name, ignore=frozenset()):
-        loops = self._loops.get(fn_name, {})
-        out = []
-        i = 0
-        while i < len(items):
-            item = items[i]
-            sid = _item_sid(item)
-            if (not isinstance(item, CallNode) and item.kind == EXEC
-                    and sid in loops and sid not in ignore):
-                i = self._compress_activation(items, i, sid, loops[sid],
-                                              fn_name, ignore, out)
-                continue
-            if isinstance(item, CallNode):
-                item.children = self.compress_frame(item.children, item.callee)
-            out.append(item)
-            i += 1
-        return out
-
-    def _in_activation(self, item, cond_sid, body, fn_name):
-        sid = _item_sid(item)
-        if sid == cond_sid or sid in body:
-            return True
-        # Items carrying foreign statement ids (virtual call blocks, caught
-        # exceptions from callees) stay in whatever region they occur in.
-        return self._stmt_fn.get(sid) != fn_name
-
-    def _compress_activation(self, items, start, cond_sid, body, fn_name,
-                             ignore, out):
-        end = start
-        boundaries = []
-        while end < len(items):
-            item = items[end]
-            if not self._in_activation(item, cond_sid, body, fn_name):
-                break
-            if (not isinstance(item, CallNode) and item.kind == EXEC
-                    and item.stmt == cond_sid):
-                boundaries.append(end)
-            end += 1
-        iterations = []
-        for k, b in enumerate(boundaries):
-            stop = boundaries[k + 1] if k + 1 < len(boundaries) else end
-            iterations.append(items[b:stop])
-
-        inner_ignore = ignore | {cond_sid}
-        compressed = [self.compress_frame(it, fn_name, inner_ignore)
-                      for it in iterations]
-
-        kept = []
-        for it in compressed:
-            if kept and _signature(it) == _signature(kept[-1]):
-                self._record_remap(kept[-1], it)
-                self.removed_iterations += 1
-            else:
-                kept.append(it)
-        for it in kept:
-            out.extend(it)
-        return end
-
-    def _record_remap(self, kept_items, removed_items):
-        for ek, er in zip(flatten_tree(kept_items),
-                          flatten_tree(removed_items)):
-            for wk, wr in zip(ek.writes, er.writes):
-                self.remap[wr] = wk
+def _shape(events):
+    return [(e.kind, e.stmt, len(e.reads), len(e.writes)) for e in events]
 
 
 _AUX_VID_KEYS = ("value", "ret", "thrown")
@@ -224,62 +78,171 @@ def _remap_event(ev, resolve):
 def compress_loops(tr: Trace, program, log=None) -> Trace:
     """Remove adjacent loop iterations with identical statement shape.
 
-    Reads of surviving events are re-bound to the corresponding values of the
-    retained iteration; value ids are not renumbered.
+    One pass over the events keeps a stack of open calls. A call's items are
+    compressed when it returns, and its caller then sees it as one flat
+    block whose statement is the call's. Reads of surviving events are
+    re-bound to the corresponding values of the retained iteration; value
+    ids are not renumbered.
     """
-    comp = _LoopCompressor(program)
-    tree = build_tree(tr.events)
-    tree = comp.compress_frame(tree, tr.test)
-    events = [_remap_event(e, comp.resolve) for e in flatten_tree(tree)]
-    if log is not None and comp.removed_iterations:
-        log.append(f"loop compression: {tr.test}: removed "
-                   f"{comp.removed_iterations} iterations "
-                   f"({len(tr.events)} -> {len(events)} events)")
+    loops = {name: fn.loop_bodies() for name, fn in program.functions.items()}
+    stmt_fn = {sid: info.function
+               for sid, info in program.statement_table.items()}
+    remap = {}
+    removed = 0
+
+    def compress(items, fn_name):
+        """The events of one call's items (events and closed call blocks),
+        innermost loops compressed first."""
+        nonlocal removed
+        fn_loops = loops.get(fn_name, {})
+        out = []
+        n = len(items)
+        i = 0
+        while i < n:
+            item = items[i]
+            i += 1
+            if isinstance(item, list):
+                out.extend(item)
+                continue
+            body = fn_loops.get(item.stmt) if item.kind == EXEC else None
+            if body is None:
+                out.append(item)
+                continue
+            # The loop runs while items carry its condition's or body's
+            # statements; an iteration starts at each condition event. Items
+            # carrying foreign statement ids (virtual call blocks, caught
+            # exceptions from callees) stay in whatever region they occur in.
+            cond = item.stmt
+            starts = [i - 1]
+            while i < n:
+                nxt = items[i]
+                if isinstance(nxt, list):
+                    sid = nxt[0].stmt
+                else:
+                    sid = nxt.stmt
+                    if sid == cond and nxt.kind == EXEC:
+                        starts.append(i)
+                if (sid != cond and sid not in body
+                        and stmt_fn.get(sid) == fn_name):
+                    break
+                i += 1
+            starts.append(i)
+            kept = kept_shape = None
+            for a, b in zip(starts, starts[1:]):
+                iteration = [items[a]] + compress(items[a + 1:b], fn_name)
+                shape = _shape(iteration)
+                if shape == kept_shape:
+                    for ek, er in zip(kept, iteration):
+                        for wk, wr in zip(ek.writes, er.writes):
+                            remap[wr] = wk
+                    removed += 1
+                else:
+                    out.extend(iteration)
+                    kept, kept_shape = iteration, shape
+        return out
+
+    stack = [(None, [])]  # per open call: its enter event and its items
+
+    def close(exit_event):
+        enter, items = stack.pop()
+        block = [enter] + compress(items, enter.aux["callee"])
+        if exit_event is not None:
+            block.append(exit_event)
+        stack[-1][1].append(block)
+
+    for ev in tr.events:
+        if ev.kind == CALL_ENTER:
+            stack.append((ev, []))
+        elif ev.kind != CALL_EXIT:
+            stack[-1][1].append(ev)
+        elif len(stack) > 1:  # a return at root level closes nothing
+            close(ev)
+    while len(stack) > 1:  # calls that never returned keep no exit
+        close(None)
+
+    def resolve(vid):
+        seen = []
+        while vid in remap:
+            seen.append(vid)
+            vid = remap[vid]
+        for s in seen:  # path compression
+            remap[s] = vid
+        return vid
+
+    events = [_remap_event(e, resolve) for e in compress(stack[0][1], tr.test)]
+    if log is not None and removed:
+        log.append(f"loop compression: {tr.test}: removed {removed} "
+                   f"iterations ({len(tr.events)} -> {len(events)} events)")
     return replace(tr, events=events)
 
 
 # --- adaptive folding ---
 
-def _count_exec_per_function(items, fn_name, counts):
-    for item in items:
-        if isinstance(item, CallNode):
-            _count_exec_per_function(item.children, item.callee, counts)
-        elif item.kind == EXEC:
-            counts[fn_name] = counts.get(fn_name, 0) + 1
+# While folding runs, this closes each call that never returned: such a
+# call's summary has no writes, and the calls that stay keep no exit.
+_NO_EXIT = TraceEvent(CALL_EXIT, -1)
 
 
-def _make_summary(node: CallNode) -> TraceEvent:
-    reads = tuple(node.enter.aux["params"])
+def _balance(events, test):
+    """The events with every call closed (a return at root level closes no
+    call and is dropped), the EXEC events per function, and the callees of
+    the calls that never returned."""
+    counts = {}
+    callees = [test]
+    out = []
+    for ev in events:
+        if ev.kind == CALL_ENTER:
+            callees.append(ev.aux["callee"])
+        elif ev.kind == CALL_EXIT:
+            if len(callees) == 1:
+                continue
+            callees.pop()
+        elif ev.kind == EXEC:
+            counts[callees[-1]] = counts.get(callees[-1], 0) + 1
+        out.append(ev)
+    unreturned = callees[1:]
+    out.extend(_NO_EXIT for _ in unreturned)
+    return out, counts, unreturned
+
+
+def _make_summary(enter, exit_event) -> TraceEvent:
+    reads = tuple(enter.aux["params"])
     writes = []
-    aux = {"callee": node.callee, "ret": None, "threw": False}
-    if node.exit is not None:
-        if not node.exit.aux.get("aborted"):
-            ret = node.exit.aux.get("ret")
-            if ret is not None:
-                writes.append(ret)
-                aux["ret"] = ret
-            writes.extend(v for _, v in node.exit.aux.get("array_versions", []))
-        else:
-            aux["threw"] = True
-            thrown = node.exit.aux.get("thrown")
-            if thrown is not None:
-                writes.append(thrown)
-    return TraceEvent(CALL_SUMMARY, node.enter.stmt,
+    aux = {"callee": enter.aux["callee"], "ret": None, "threw": False}
+    if not exit_event.aux.get("aborted"):
+        ret = exit_event.aux.get("ret")
+        if ret is not None:
+            writes.append(ret)
+            aux["ret"] = ret
+        writes.extend(v for _, v in exit_event.aux.get("array_versions", []))
+    else:
+        aux["threw"] = True
+        thrown = exit_event.aux.get("thrown")
+        if thrown is not None:
+            writes.append(thrown)
+    return TraceEvent(CALL_SUMMARY, enter.stmt,
                       reads=reads, writes=tuple(writes), aux=aux)
 
 
-def _fold_function(items, target):
+def _fold_calls(events, target):
+    """Each call of `target` becomes the traced calls nested in it, followed
+    by its summary unless its caller is folded too."""
     out = []
-    for item in items:
-        if isinstance(item, CallNode):
-            item.children = _fold_function(item.children, target)
-            if item.callee == target:
-                out.extend(c for c in item.children if isinstance(c, CallNode))
-                out.append(_make_summary(item))
-            else:
-                out.append(item)
-        else:
-            out.append(item)
+    stack = [(None, False)]  # per open call, root first: enter, folded
+    for ev in events:
+        if ev.kind == CALL_ENTER:
+            folded = ev.aux["callee"] == target
+            stack.append((ev, folded))
+            if not folded:
+                out.append(ev)
+        elif ev.kind == CALL_EXIT:
+            enter, folded = stack.pop()
+            if not folded:
+                out.append(ev)
+            elif not stack[-1][1]:
+                out.append(_make_summary(enter, ev))
+        elif not stack[-1][1]:
+            out.append(ev)
     return out
 
 
@@ -288,18 +251,18 @@ def adaptive_fold(tr: Trace, cfg: RunConfig, log=None) -> Trace:
     summaries until it fits the per-trace event limit."""
     if tr.size() <= cfg.trace_limit:
         return tr
-    tree = build_tree(tr.events)
-    counts = {}
-    _count_exec_per_function(tree, tr.test, counts)
+    events, counts, unreturned = _balance(tr.events, tr.test)
     order = sorted((name for name in counts if name != tr.test),
                    key=lambda n: (-counts[n], n))
     folded = []
     for name in order:
-        if len(flatten_tree(tree)) <= cfg.trace_limit:
+        no_exit = sum(callee not in folded for callee in unreturned)
+        if len(events) - no_exit <= cfg.trace_limit:
             break
-        tree = _fold_function(tree, name)
+        events = _fold_calls(events, name)
         folded.append(name)
-    events = flatten_tree(tree)
+    if unreturned:
+        events = [e for e in events if e is not _NO_EXIT]
     warning = ""
     if len(events) > cfg.trace_limit:
         events = events[:cfg.trace_limit]

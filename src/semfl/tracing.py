@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -17,6 +18,14 @@ from .errors import MalformedTrace, NoTests
 from .lang import ast as A
 
 DEFAULT_STEP_BUDGET = 10 ** 6
+
+# MiniImp calls nest at most this deep below a test; a call past it throws
+# a catchable `stack_overflow`.
+MAX_CALL_DEPTH = 100
+# The interpreter recurses in Python: a few frames per MiniImp call plus two
+# per level of statement or expression nesting. Tests run with Python's
+# recursion limit raised by this much per call.
+_PY_FRAMES_PER_CALL = 100
 
 # MiniImp integers are checked 64-bit: results outside this range throw.
 INT_MAX = 2 ** 63 - 1
@@ -153,11 +162,10 @@ class _Frame:
 
 
 class _Executor:
-    def __init__(self, program, traced_functions, step_budget, record):
+    def __init__(self, program, traced_functions, step_budget):
         self.program = program
         self.traced = traced_functions
         self.step_budget = step_budget
-        self.record = record
         self.steps = 0
         self.events = []
         self.vid_counter = 0
@@ -175,7 +183,7 @@ class _Executor:
         return vid
 
     def emit(self, event):
-        if self.record and self.frames and self.frames[-1].traced:
+        if self.frames and self.frames[-1].traced:
             self.events.append(event)
 
     def emit_exec(self, stmt, reads):
@@ -192,7 +200,7 @@ class _Executor:
 
     def throw(self, tag, stmt, reads, frame):
         value = ExcValue(tag)
-        if frame.traced and self.record:
+        if frame.traced:
             vid = self.emit_exec(stmt, reads)
             produced = True
         else:
@@ -325,6 +333,8 @@ class _Executor:
         fn = self.program.functions[expr.name]
         traced_call = expr.name in self.traced
         args = [self.eval_arg(a, frame, stmt) for a in expr.args]
+        if len(self.frames) > MAX_CALL_DEPTH:
+            self.throw("stack_overflow", stmt, [vid for _, vid in args], frame)
         if frame.traced and not traced_call:
             return self.run_untraced_call(fn, args, frame, stmt)
         if not frame.traced and traced_call:
@@ -350,7 +360,7 @@ class _Executor:
             "params": [vid for _, vid in args],
             "arrays": arrays,
         })
-        if traced_call and self.record:
+        if traced_call:
             self.events.append(enter)
         self.frames.append(callee_frame)
         try:
@@ -363,7 +373,7 @@ class _Executor:
             self.frames.pop()
             if isinstance(exc, MiniThrow):
                 exc.unwound += 1
-            if traced_call and self.record:
+            if traced_call:
                 aux = {"callee": fn.name, "ret": None, "aborted": True,
                        "array_versions": []}
                 if isinstance(exc, MiniThrow):
@@ -371,7 +381,7 @@ class _Executor:
                 self.events.append(TraceEvent(CALL_EXIT, stmt.sid, aux=aux))
             raise
         self.frames.pop()
-        if traced_call and self.record:
+        if traced_call:
             versions = [[addr, self.heap[addr]["version"]] for addr, _ in arrays]
             self.events.append(TraceEvent(CALL_EXIT, stmt.sid, aux={
                 "callee": fn.name, "ret": ret_vid, "aborted": False,
@@ -489,7 +499,7 @@ class _Executor:
                 raise _AssertFailure(vid)
         elif isinstance(s, A.Throw):
             value, reads = self.eval(s.expr, frame, s)
-            if frame.traced and self.record:
+            if frame.traced:
                 vid = self.emit_exec(s, reads)
                 produced = True
             else:
@@ -510,6 +520,8 @@ class _Executor:
         self.cov_functions.add(test_name)
         status, reason = "pass", ""
         truncated = False
+        py_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(py_limit + MAX_CALL_DEPTH * _PY_FRAMES_PER_CALL)
         try:
             try:
                 self.exec_block(self.program.functions[test_name].body, frame)
@@ -533,6 +545,8 @@ class _Executor:
                         "value": ev.writes[-1], "outcome": False,
                         "from_timeout": True}))
                     break
+        finally:
+            sys.setrecursionlimit(py_limit)
         self.frames.pop()
         return status, reason, truncated
 
@@ -545,7 +559,7 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET) -> CoverageProf
     records = {}
     for name in tests:
         ex = _Executor(program, traced_functions=frozenset(),
-                       step_budget=step_budget, record=False)
+                       step_budget=step_budget)
         status, reason, _ = ex.run_test(name, traced=False)
         records[name] = TestCoverage(
             test=name, status=status, reason=reason,
@@ -560,7 +574,7 @@ def trace(program: A.Program, test: str, traced_functions,
         raise MalformedTrace(f"unknown test {test!r}")
     traced = frozenset(traced_functions) | {test}
     ex = _Executor(program, traced_functions=traced,
-                   step_budget=step_budget, record=True)
+                   step_budget=step_budget)
     status, reason, truncated = ex.run_test(test, traced=True)
     t = Trace(test=test, status=status, reason=reason, events=ex.events,
               value_count=ex.vid_counter, truncated=truncated)
@@ -597,14 +611,3 @@ def load_trace(text: str) -> Trace:
                  oversized=header.get("oversized", False),
                  truncated=header.get("truncated", False),
                  warning=header.get("warning", ""))
-
-
-def dump_profile(prof: CoverageProfile) -> str:
-    lines = []
-    for cov in prof.tests.values():
-        lines.append(json.dumps({
-            "test": cov.test, "status": cov.status, "reason": cov.reason,
-            "functions": sorted(cov.functions),
-            "statements": sorted(cov.statements),
-        }, sort_keys=True))
-    return "\n".join(lines) + "\n"

@@ -58,7 +58,8 @@ def test_localize_writes_reports(buggy, tmp_path, capsys):
         assert (out / name).exists(), name
     timings = (out / "timings.txt").read_text()
     assert [ln.split(":")[0] for ln in timings.splitlines()] == [
-        "profile", "trace", "ddg", "net", "lbp"]
+        "profile", "trace", "compress", "fold", "budget", "ddg", "net",
+        "lbp"]
     log = (out / "log.txt").read_text()
     assert "zero-sum normalisations" in log
     assert "belief propagation residuals: " in log
@@ -122,6 +123,16 @@ def test_unexpected_exception_is_one_line(buggy, monkeypatch, capsys):
     assert main(["localize", buggy]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: engine exploded\n"
+
+
+def test_deep_recursion_gives_ranked_report(tmp_path, capsys):
+    p = tmp_path / "deep.mi"
+    p.write_text("fn f(n) { if (n == 0) { return 0; } return f(n - 1) + 1; }\n"
+                 "fn test_deep() { assert(f(150) == 150); }\n")
+    assert main(["localize", str(p)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith("rank")
+    assert captured.err == ""
 
 
 BARE_ARGS = {

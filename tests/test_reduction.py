@@ -10,9 +10,7 @@ from semfl.pipeline import RunConfig
 from semfl.reduction import (
     adaptive_fold,
     budget_traces,
-    build_tree,
     compress_loops,
-    flatten_tree,
     select_tests,
 )
 from semfl.tracing import (
@@ -291,17 +289,6 @@ def test_compressed_trace_still_replays_into_a_dag():
     assert g.check_acyclic()
 
 
-def test_flatten_deep_call_nest():
-    depth = 5_000
-    events = ([TraceEvent(CALL_ENTER, 1, aux={"callee": "f", "params": []})
-               for _ in range(depth)]
-              + [TraceEvent(CALL_EXIT, 1, aux={"callee": "f"})
-                 for _ in range(depth)])
-    out = flatten_tree(build_tree(events))
-    assert len(out) == 2 * depth
-    assert all(a is b for a, b in zip(out, events))
-
-
 # --- adaptive folding ---
 
 def _exec(stmt, vid, reads=()):
@@ -376,6 +363,86 @@ def test_fold_preserves_nested_traced_calls():
     assert kinds == [CALL_ENTER, EXEC, CALL_EXIT, CALL_SUMMARY]
     assert out.events[0].aux["callee"] == "inner_fn"
     assert out.events[-1].aux["callee"] == "aa"
+
+
+def _kinds(tr):
+    return [e.kind for e in tr.events]
+
+
+def test_fold_self_calling_target_keeps_outer_summary():
+    inner = _call_block("aa", 1, [_exec(11, 4)]
+                        + _call_block("cc", 3, [_exec(30, 5)], [4], 5)
+                        + [_exec(11, 7)], params=[3], ret=7)
+    events = _call_block("aa", 1, [_exec(11, 2)]
+                         + _call_block("bb", 2, [_exec(20, 3)], [2], 3)
+                         + inner + [_exec(11, 9)], params=[1], ret=9)
+    tr = Trace(test="test_t", status="fail", events=events)
+    out = adaptive_fold(tr, RunConfig(trace_limit=7))
+    # the non-target calls nested at any depth are hoisted, in order
+    assert _kinds(out) == [CALL_ENTER, EXEC, CALL_EXIT] * 2 + [CALL_SUMMARY]
+    assert [e.aux["callee"] for e in out.events if e.kind == CALL_ENTER] \
+        == ["bb", "cc"]
+    summary = out.events[-1]
+    assert summary.aux["callee"] == "aa"
+    assert (summary.reads, summary.writes) == ((1,), (9,))
+
+
+UNRETURNED = """
+fn aa(x) {
+    return x;
+}
+
+fn test_t() {
+    assert(aa(1) == 1);
+}
+"""
+
+
+def test_reducers_drop_root_returns_and_keep_unreturned_calls_open():
+    stray = TraceEvent(CALL_EXIT, 1, aux={"callee": "zz", "ret": None})
+    enter, _ = _call_block("aa", 2, [], params=[2])
+    events = [_exec(1, 1), stray, _exec(1, 2), enter, _exec(11, 3),
+              _exec(11, 4)]
+    tr = Trace(test="test_t", status="fail", events=events)
+    kept = [e.to_record() for e in events if e is not stray]
+    out = compress_loops(tr, parse(UNRETURNED))
+    assert [e.to_record() for e in out.events] == kept
+    out = adaptive_fold(tr, RunConfig(trace_limit=5))
+    assert [e.to_record() for e in out.events] == kept
+    assert not out.warning
+    out = adaptive_fold(tr, RunConfig(trace_limit=3))
+    assert _kinds(out) == [EXEC, EXEC, CALL_SUMMARY]
+    summary = out.events[-1]
+    assert (summary.reads, summary.writes) == ((2,), ())
+    assert summary.aux == {"callee": "aa", "ret": None, "threw": False}
+
+
+def test_fold_unreturned_call_hoists_an_unreturned_call():
+    # aa folds first and hoists bb, which never returned either; folding bb
+    # next must leave aa's summary after bb's, not inside bb
+    enter_aa, _ = _call_block("aa", 1, [], params=[1])
+    enter_bb, _ = _call_block("bb", 2, [], params=[2])
+    events = [enter_aa, _exec(11, 3), _exec(11, 4), enter_bb, _exec(20, 5)]
+    tr = Trace(test="test_t", status="fail", events=events)
+    out = adaptive_fold(tr, RunConfig(trace_limit=2))
+    assert [(e.kind, e.aux["callee"]) for e in out.events] == [
+        (CALL_SUMMARY, "bb"), (CALL_SUMMARY, "aa")]
+
+
+def test_reducers_take_any_call_depth():
+    # deeper than Python's recursion limit: no reducer recurses per call
+    depth = 5_000
+    enter, exit_ = _call_block("aa", 2, [], params=[2])
+    nest = [enter] * depth + [exit_] * depth
+    tr = Trace(test="test_t", status="fail", events=nest)
+    out = compress_loops(tr, parse(UNRETURNED))
+    assert [e.to_record() for e in out.events] == \
+           [e.to_record() for e in nest]
+    tr = Trace(test="test_t", status="fail",
+               events=[enter] * depth + [_exec(11, 3)] + [exit_] * depth)
+    out = adaptive_fold(tr, RunConfig(trace_limit=10))
+    assert _kinds(out) == [CALL_SUMMARY]
+    assert out.events[0].reads == (2,)
 
 
 def test_fold_cannot_reach_limit_truncates():

@@ -12,6 +12,7 @@ from semfl.tracing import (
     CALL_SUMMARY,
     EXCEPTION_CATCH,
     EXEC,
+    MAX_CALL_DEPTH,
     dump_trace,
     load_trace,
     profile,
@@ -273,6 +274,98 @@ fn test_overflow() {
 }
 """)
     assert profile(prog).tests["test_overflow"].status == "pass"
+
+
+RECURSION = """
+fn f(n) {
+    if (n == 0) {
+        return 0;
+    }
+    return f(n - 1) + 1;
+}
+
+fn test_fits() {
+    assert(f(%d) == %d);
+}
+
+fn test_deep() {
+    assert(f(%d) == %d);
+}
+"""
+
+
+def test_call_past_depth_limit_throws_stack_overflow():
+    # f(n) nests n + 1 calls of f below the test
+    fits, deep = MAX_CALL_DEPTH - 1, MAX_CALL_DEPTH
+    prog = parse(RECURSION % (fits, fits, deep, deep))
+    prof = profile(prog)
+    assert prof.tests["test_fits"].status == "pass"
+    assert prof.tests["test_deep"].status == "fail"
+    assert prof.tests["test_deep"].reason == "exception"
+    tr = trace(prog, "test_deep", {"f"})
+    assert tr.reason == "exception"
+    recursive_return = prog.functions["f"].statement_ids()[-1]
+    assert tr.events[-1].kind == ASSERT_OUTCOME
+    assert tr.events[-1].stmt == recursive_return
+    assert tr.events[-1].aux.get("from_exception")
+
+
+# The recursive call sits under five statements and six operators.
+NESTED_RECURSION = """
+fn g(n) {
+    let s = 0;
+    if (n > 0) {
+        let i = 0;
+        while (i < 1) {
+            if (i == 0) {
+                if (n > 0 - 1) {
+                    s = s + ((2 * (g(n - 1) + 1) - 2) / 2 + 1);
+                }
+            }
+            i = i + 1;
+        }
+    }
+    return s;
+}
+
+fn test_fits() {
+    assert(g(%d) == %d);
+}
+
+fn test_deep() {
+    assert(g(%d) == %d);
+}
+"""
+
+
+def test_depth_limit_holds_under_deep_statement_nesting():
+    fits, deep = MAX_CALL_DEPTH - 1, MAX_CALL_DEPTH
+    prog = parse(NESTED_RECURSION % (fits, fits, deep, deep))
+    prof = profile(prog)
+    assert prof.tests["test_fits"].status == "pass"
+    assert prof.tests["test_deep"].reason == "exception"
+    assert trace(prog, "test_deep", {"g"}).reason == "exception"
+
+
+def test_stack_overflow_is_catchable():
+    prog = parse("""
+fn down(n) {
+    return down(n + 1);
+}
+
+fn test_catch() {
+    try {
+        let v = down(0);
+        assert(false);
+    } catch (e) {
+        assert(true);
+    }
+}
+""")
+    assert profile(prog).tests["test_catch"].status == "pass"
+    tr = trace(prog, "test_catch", {"down"})
+    catches = [e for e in tr.events if e.kind == EXCEPTION_CATCH]
+    assert [c.aux["unwound"] for c in catches] == [MAX_CALL_DEPTH]
 
 
 def test_trace_status_matches_profile_status():
