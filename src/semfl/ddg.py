@@ -4,11 +4,19 @@ Replay maintains a call stack whose frames carry predicate stacks; data
 edges come from event reads/writes, control edges from the predicate on top
 of the executing frame's stack, and virtual call edges tie traced
 invocations nested inside untraced ones to the enclosing call summary.
+
+Values are numbered densely in the order replay first sees them, whether
+read or written. The graph is a few flat arrays over those numbers: the
+producing statement of each value and its parents in CSR form (one offsets
+array plus one flat index array).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import MalformedTrace
 from .lang.ast import BRANCH_KINDS
@@ -22,56 +30,26 @@ from .tracing import (
     EXEC,
 )
 
-# Value nodes are trace-local: keyed by (test name, value id).
-
 
 @dataclass
 class DepGraph:
-    statement_nodes: list = field(default_factory=list)  # sorted sids
-    value_nodes: list = field(default_factory=list)  # (test, vid) in production order
-    producer: dict = field(default_factory=dict)  # vkey -> sid (absent: input value)
-    value_parents: dict = field(default_factory=dict)  # vkey -> ordered parent vkeys
-    edges: list = field(default_factory=list)  # (kind, src, dst)
-    evidence_anchors: list = field(default_factory=list)  # (vkey, expected bool)
+    """Value i is `value_nodes[i]`, a trace-local (test name, value id).
+    Its parents are `parents[parent_start[i]:parent_start[i + 1]]`: the
+    values it read, deduplicated in read order, then its control parent
+    when `ctrl[i]` is set. An input value has no producer and no parents.
+    """
 
-    def input_values(self):
-        return [v for v in self.value_nodes if v not in self.producer]
-
-    def node_count(self):
-        return len(self.statement_nodes) + len(self.value_nodes)
+    statement_nodes: list  # sorted sids of the producing statements
+    value_nodes: list  # (test, vid) per value, in first-seen order
+    producer: np.ndarray  # int64 sid per value, -1 for an input value
+    parent_start: np.ndarray  # int64, len(value_nodes) + 1 offsets
+    parents: np.ndarray  # int64 value indices
+    ctrl: np.ndarray  # bool per value: its last parent is a control parent
+    evidence_anchors: list  # (value index, expected bool)
 
     def edge_count(self):
-        return len(self.edges)
-
-    def statement_level_edges(self, test=None):
-        """Project edges onto (producer statement, consumer statement, kind)."""
-        out = set()
-        for kind, src, dst in self.edges:
-            if test is not None and dst[0] != test:
-                continue
-            dst_stmt = self.producer.get(dst)
-            if dst_stmt is None:
-                continue
-            if kind == "stmt":
-                out.add(("stmt", src, dst_stmt))
-            else:
-                src_stmt = self.producer.get(src)
-                out.add((kind, src_stmt, dst_stmt))
-        return out
-
-    def check_acyclic(self):
-        """Topological check: every edge points to a later value node.
-
-        Value ids are assigned in execution order, so within a test they
-        give a topological witness even when a folded summary claims values
-        out of replay order.
-        """
-        for kind, src, dst in self.edges:
-            if kind == "stmt":
-                continue
-            if src[0] != dst[0] or src[1] >= dst[1]:
-                return False
-        return True
+        """One statement edge per produced value plus one per parent."""
+        return int(np.count_nonzero(self.producer >= 0)) + len(self.parents)
 
 
 class _Frame:
@@ -79,8 +57,8 @@ class _Frame:
 
     def __init__(self, fn, virtual_parent=None, params=()):
         self.fn = fn
-        self.pred_stack = []  # (branch sid or None, value vkey, pop_at sid or None)
-        self.pending_virtual = []  # (param vkeys, return vkey or None)
+        self.pred_stack = []  # (branch sid or None, value index, pop_at sid or None)
+        self.pending_virtual = []  # (param indices, return index or None)
         self.virtual_parent = virtual_parent
         self.params = params
 
@@ -90,36 +68,41 @@ class _Builder:
         self.program = program
         self.virtual_call_edges = virtual_call_edges
         self.exception_control = exception_control
-        self.g = DepGraph()
+        self._index = {}  # test -> {vid: value index}
+        self.value_nodes = []
+        self.producer = array("q")  # sid per value, -1 until produced
+        self.anchors = []
         self._stmt_nodes = set()
-        self._seen_values = set()
+        # one entry per produced value, in production order
+        self._produced = array("q")
+        self._n_parents = array("q")
+        self._ctrl = array("b")
+        self._flat_parents = array("q")
 
-    def value(self, test, vid):
-        key = (test, vid)
-        if key not in self._seen_values:
-            self._seen_values.add(key)
-            self.g.value_nodes.append(key)
-        return key
+    def value(self, vid):
+        """The index of value `vid` of the trace being replayed."""
+        idx = self._ids.get(vid)
+        if idx is None:
+            idx = self._ids[vid] = len(self.value_nodes)
+            self.value_nodes.append((self._test, vid))
+            self.producer.append(-1)
+        return idx
 
-    def add_produced(self, test, vid, sid, read_keys, ctrl_key):
-        key = self.value(test, vid)
-        if key in self.g.producer:
+    def add_produced(self, idx, sid, reads, ctrl):
+        if self.producer[idx] >= 0:
             # A folded summary may re-claim a value produced by a surviving
             # nested event; the first producer wins.
-            return key
-        self.g.producer[key] = sid
+            return
+        self.producer[idx] = sid
         self._stmt_nodes.add(sid)
-        parents = []
-        self.g.edges.append(("stmt", sid, key))
-        for r in read_keys:
-            if r not in parents:
-                parents.append(r)
-                self.g.edges.append(("data", r, key))
-        if ctrl_key is not None and ctrl_key not in parents:
-            parents.append(ctrl_key)
-            self.g.edges.append(("ctrl", ctrl_key, key))
-        self.g.value_parents[key] = parents
-        return key
+        parents = list(dict.fromkeys(reads))
+        has_ctrl = ctrl is not None and ctrl not in parents
+        if has_ctrl:
+            parents.append(ctrl)
+        self._produced.append(idx)
+        self._n_parents.append(len(parents))
+        self._ctrl.append(has_ctrl)
+        self._flat_parents.extend(parents)
 
     def stmt_info(self, sid):
         info = self.program.statement_table.get(sid)
@@ -128,7 +111,9 @@ class _Builder:
         return info
 
     def replay(self, tr):
-        test = tr.test
+        test = self._test = tr.test
+        self._ids = self._index.setdefault(test, {})
+        value = self.value
         frames = [_Frame(test)]
         for ev in tr.events:
             if not frames:
@@ -142,14 +127,15 @@ class _Builder:
 
             if ev.kind == EXEC:
                 ctrl = fs.pred_stack[-1][1] if fs.pred_stack else None
-                read_keys = [self.value(test, r) for r in ev.reads]
+                reads = [value(r) for r in ev.reads]
                 for w in ev.writes:
-                    wkey = self.add_produced(test, w, ev.stmt, read_keys, ctrl)
+                    widx = value(w)
+                    self.add_produced(widx, ev.stmt, reads, ctrl)
                 if same_frame and info.kind in BRANCH_KINDS and ev.writes:
-                    self._push_branch(fs, ev.stmt, wkey)
+                    self._push_branch(fs, ev.stmt, widx)
             elif ev.kind == CALL_ENTER:
                 virtual = not same_frame
-                params = tuple(self.value(test, p) for p in ev.aux.get("params", ()))
+                params = tuple(value(p) for p in ev.aux.get("params", ()))
                 frames.append(_Frame(ev.aux["callee"],
                                      virtual_parent=fs if virtual else None,
                                      params=params))
@@ -161,60 +147,78 @@ class _Builder:
                     ret = ev.aux.get("ret")
                     if ret is None:
                         ret = ev.aux.get("thrown")
-                    ret_key = self.value(test, ret) if ret is not None else None
-                    done.virtual_parent.pending_virtual.append((done.params, ret_key))
+                    ret_idx = value(ret) if ret is not None else None
+                    done.virtual_parent.pending_virtual.append((done.params, ret_idx))
             elif ev.kind == CALL_SUMMARY:
-                self._replay_summary(test, ev, fs)
+                self._replay_summary(ev, fs)
             elif ev.kind == EXCEPTION_CATCH:
-                key = self.value(test, ev.aux["value"])
+                idx = value(ev.aux["value"])
                 if self.exception_control:
                     # Caught exceptions control everything until the frame ends.
-                    fs.pred_stack.append((None, key, None))
+                    fs.pred_stack.append((None, idx, None))
             elif ev.kind == ASSERT_OUTCOME:
-                key = self.value(test, ev.aux["value"])
-                self._anchor(key, bool(ev.aux["outcome"]))
+                # Duplicate anchors are fine when consistent; the model
+                # layer rejects contradictions.
+                self.anchors.append((value(ev.aux["value"]),
+                                     bool(ev.aux["outcome"])))
             else:
                 raise MalformedTrace(f"{test}: unknown event kind {ev.kind!r}")
 
-    def _anchor(self, key, outcome):
-        # Duplicate anchors are fine when consistent; the model layer
-        # rejects contradictions.
-        self.g.evidence_anchors.append((key, outcome))
-
-    def _replay_summary(self, test, ev, fs):
+    def _replay_summary(self, ev, fs):
         ctrl = fs.pred_stack[-1][1] if fs.pred_stack else None
-        read_keys = [self.value(test, r) for r in ev.reads]
+        reads = [self.value(r) for r in ev.reads]
         extra = []
         if self.virtual_call_edges:
-            for _, ret_key in fs.pending_virtual:
-                if ret_key is not None and ret_key not in extra:
-                    extra.append(ret_key)
+            for _, ret_idx in fs.pending_virtual:
+                if ret_idx is not None and ret_idx not in extra:
+                    extra.append(ret_idx)
         for w in ev.writes:
-            self.add_produced(test, w, ev.stmt, read_keys + extra, ctrl)
+            self.add_produced(self.value(w), ev.stmt, reads + extra, ctrl)
         if self.virtual_call_edges:
             for params, _ in fs.pending_virtual:
-                for pk in params:
-                    if pk not in self.g.producer:
-                        self.add_produced(test, pk[1], ev.stmt, read_keys, None)
+                for p in params:
+                    self.add_produced(p, ev.stmt, reads, None)
         fs.pending_virtual.clear()
 
     def _pop_reached(self, fs, sid):
         while fs.pred_stack and fs.pred_stack[-1][2] == sid:
             fs.pred_stack.pop()
 
-    def _push_branch(self, fs, sid, value_key):
+    def _push_branch(self, fs, sid, value_idx):
         fn = self.stmt_info(sid).function
         ipd = self.program.functions[fn].cfg.ipostdom.get(sid, EXIT)
         pop_at = None if ipd == EXIT else ipd
-        entry = (sid, value_key, pop_at)
+        entry = (sid, value_idx, pop_at)
         if fs.pred_stack and fs.pred_stack[-1][0] == sid:
             fs.pred_stack[-1] = entry
         else:
             fs.pred_stack.append(entry)
 
     def finish(self):
-        self.g.statement_nodes = sorted(self._stmt_nodes)
-        return self.g
+        """Reorder the parent lists from production order into value
+        order: a folded summary can produce a value seen earlier."""
+        n = len(self.value_nodes)
+        produced = np.asarray(self._produced, np.int64)
+        n_parents = np.asarray(self._n_parents, np.int64)
+        counts = np.zeros(n, np.int64)
+        counts[produced] = n_parents
+        parent_start = np.zeros(n + 1, np.int64)
+        np.cumsum(counts, out=parent_start[1:])
+        src_start = np.cumsum(n_parents) - n_parents
+        order = np.argsort(produced, kind="stable")
+        gather = np.repeat(src_start[order] - parent_start[produced[order]],
+                           n_parents[order])
+        gather += np.arange(len(gather))
+        ctrl = np.zeros(n, bool)
+        ctrl[produced] = np.asarray(self._ctrl, bool)
+        return DepGraph(
+            statement_nodes=sorted(self._stmt_nodes),
+            value_nodes=self.value_nodes,
+            producer=np.asarray(self.producer, np.int64),
+            parent_start=parent_start,
+            parents=np.asarray(self._flat_parents, np.int64)[gather],
+            ctrl=ctrl,
+            evidence_anchors=self.anchors)
 
 
 def build_ddg(program, traces, virtual_call_edges=True,
@@ -224,19 +228,3 @@ def build_ddg(program, traces, virtual_call_edges=True,
     for tr in traces:
         builder.replay(tr)
     return builder.finish()
-
-
-def dump_ddg(g: DepGraph) -> str:
-    lines = []
-    for sid in g.statement_nodes:
-        lines.append(f"stmt {sid}")
-    for key in g.value_nodes:
-        producer = g.producer.get(key)
-        tag = f"by {producer}" if producer is not None else "input"
-        lines.append(f"value {key[0]}:{key[1]} {tag}")
-    for kind, src, dst in g.edges:
-        s = src if kind == "stmt" else f"{src[0]}:{src[1]}"
-        lines.append(f"edge {kind} {s} -> {dst[0]}:{dst[1]}")
-    for key, outcome in g.evidence_anchors:
-        lines.append(f"evidence {key[0]}:{key[1]} {outcome}")
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,9 @@
 """Loopy belief propagation over the fault network.
 
 The network is bipartite: variables on one side, noisy-conjunction factors
-on the other. Messages are length-2 vectors over (correct, incorrect),
+on the other. The engine runs on the network's own arrays (`FaultNet`):
+priors, evidence, factor offsets, one variable per factor edge and one
+leak per factor. Messages are length-2 vectors over (correct, incorrect),
 normalized after every update. Factor messages have a closed form that is
 linear in the factor degree (`factor_messages`); a naive enumeration
 variant and an exact joint-enumeration oracle exist for cross-checking.
@@ -108,14 +110,15 @@ def factor_messages(p0, child_t, child_f, parent_t):
 
 
 class _Engine:
-    """Flooding LBP over flat edge arrays.
+    """Flooding LBP on the network's edge arrays, used as they are.
 
-    Edge e = offsets[a] + pos joins factor a to its variable at `pos` (0 is
-    the child), so a variable's edges in increasing order are its incident
-    edges by factor, then position. Each edge has a message each way, over
-    (correct, incorrect), in four float64 arrays. Factors are grouped by
-    arity and free variables by degree into (m, k) matrices of edge
-    indices, so an iteration is a few numpy calls per group.
+    Edge e = offsets[a] + pos joins factor a to its variable edge_var[e]
+    at `pos` (0 is the child), so a variable's edges in increasing order
+    are its incident edges by factor, then position. Each edge has a
+    message each way, over (correct, incorrect), in four float64 arrays.
+    Factors are grouped by arity and free variables by degree into (m, k)
+    matrices of edge indices, so an iteration is a few numpy calls per
+    group.
 
     The arithmetic is that of a tuple-per-message engine, in the same
     order: exclude-one products as prefix times suffix running products,
@@ -126,7 +129,6 @@ class _Engine:
     """
 
     def __init__(self, net: FaultNet, cfg: RunConfig):
-        self.net = net
         self.cfg = cfg
         if cfg.mode == "naive":
             deg = net.max_factor_degree()
@@ -134,31 +136,23 @@ class _Engine:
                 raise DegreeTooLarge(
                     f"factor of degree {deg} exceeds the naive-mode cap "
                     f"of {NAIVE_DEGREE_CAP}")
-        factors = net.factors
-        arity = np.fromiter((len(f.parents) + 1 for f in factors),
-                            np.int64, len(factors))
-        self.offsets = np.zeros(len(factors) + 1, np.int64)
-        np.cumsum(arity, out=self.offsets[1:])
-        n_edges = int(self.offsets[-1])
-        edge_var = np.fromiter(
-            itertools.chain.from_iterable(f.variables for f in factors),
-            np.int64, n_edges)
-        p0 = np.fromiter((f.p0 for f in factors), np.float64, len(factors))
+        self.offsets, self.p0 = net.offsets, net.p0
+        self.prior, self.evidence = net.prior, net.evidence
+        edge_var = net.edge_var
+        arity = np.diff(self.offsets)
         self.factor_groups = []
         for k in np.unique(arity):
             rows = np.flatnonzero(arity == k)
             edges = self.offsets[rows, None] + np.arange(k)
-            self.factor_groups.append((edges, p0[rows]))
+            self.factor_groups.append((edges, self.p0[rows]))
 
-        variables = net.variables
-        observed = np.array([v.evidence is not None for v in variables], bool)
-        bt = np.array([bool(v.evidence) if v.evidence is not None
-                       else v.prior for v in variables], np.float64)
+        observed = self.evidence >= 0
+        bt = np.where(observed, self.evidence, self.prior)
         bf = 1.0 - bt
-        degree = np.bincount(edge_var, minlength=len(variables))
+        degree = np.bincount(edge_var, minlength=len(self.prior))
         # the edges of variable v are incident[start[v]:start[v + 1]]
         self.incident = np.argsort(edge_var, kind="stable")
-        self.start = np.zeros(len(variables) + 1, np.int64)
+        self.start = np.zeros(len(self.prior) + 1, np.int64)
         np.cumsum(degree, out=self.start[1:])
         free = ~observed & (degree > 0)
         self.var_groups = []
@@ -167,8 +161,8 @@ class _Engine:
             edges = self.incident[self.start[vs, None] + np.arange(d)]
             self.var_groups.append((edges, bt[vs, None], bf[vs, None]))
 
-        self.f2v_t = np.full(n_edges, 0.5)
-        self.f2v_f = np.full(n_edges, 0.5)
+        self.f2v_t = np.full(len(edge_var), 0.5)
+        self.f2v_f = np.full(len(edge_var), 0.5)
         # Observed variables send their clamped evidence on every edge.
         self.v2f_t = np.where(observed, bt, 0.5)[edge_var]
         self.v2f_f = np.where(observed, bf, 0.5)[edge_var]
@@ -208,11 +202,10 @@ class _Engine:
         vt, vf = self.v2f_t.tolist(), self.v2f_f.tolist()
         offsets = self.offsets.tolist()
         new_t, new_f = [], []
-        for a, fac in enumerate(self.net.factors):
-            lo, hi = offsets[a], offsets[a + 1]
+        for lo, hi, p0 in zip(offsets, offsets[1:], self.p0.tolist()):
             inbox = list(zip(vt[lo:hi], vf[lo:hi]))
             for pos in range(hi - lo):
-                t, f = factor_to_var_naive(fac.p0, inbox, pos)
+                t, f = factor_to_var_naive(p0, inbox, pos)
                 new_t.append(t)
                 new_f.append(f)
         return np.array(new_t, np.float64), np.array(new_f, np.float64)
@@ -233,11 +226,12 @@ class _Engine:
         f2v_t, f2v_f = self.f2v_t.tolist(), self.f2v_f.tolist()
         incident, start = self.incident.tolist(), self.start.tolist()
         marginals = {}
-        for v, var in enumerate(self.net.variables):
-            if var.evidence is not None:
-                marginals[v] = 1.0 if var.evidence else 0.0
+        for v, (prior, evidence) in enumerate(zip(self.prior.tolist(),
+                                                  self.evidence.tolist())):
+            if evidence >= 0:
+                marginals[v] = 1.0 if evidence else 0.0
                 continue
-            t, f = var.prior, 1.0 - var.prior
+            t, f = prior, 1.0 - prior
             for e in incident[start[v]:start[v + 1]]:
                 t *= f2v_t[e]
                 f *= f2v_f[e]
@@ -276,24 +270,26 @@ def run_lbp(net: FaultNet, cfg: RunConfig | None = None) -> InferenceResult:
 
 def exact_marginals(net: FaultNet, cap: int = 20) -> dict:
     """Exact posterior P(correct) per variable by joint enumeration."""
-    n = len(net.variables)
+    n = len(net.prior)
     if n > cap:
         raise TooLarge(f"{n} variables exceed the exact-enumeration cap {cap}")
-    children = {f.child for f in net.factors}
+    prior, evidence = net.prior.tolist(), net.evidence.tolist()
+    factors = list(net.factors)
+    children = {f.child for f in factors}
     total = 0.0
     acc = [0.0] * n
     for bits in itertools.product((True, False), repeat=n):
         weight = 1.0
         ok = True
-        for v, var in enumerate(net.variables):
-            if var.evidence is not None and bits[v] != var.evidence:
+        for v in range(n):
+            if evidence[v] >= 0 and bits[v] != evidence[v]:
                 ok = False
                 break
             if v not in children:
-                weight *= var.prior if bits[v] else 1.0 - var.prior
+                weight *= prior[v] if bits[v] else 1.0 - prior[v]
         if not ok or weight == 0.0:
             continue
-        for f in net.factors:
+        for f in factors:
             weight *= _cpd(f.p0, bits[f.child], [bits[p] for p in f.parents])
             if weight == 0.0:
                 break

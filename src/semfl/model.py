@@ -13,9 +13,11 @@ right. Every other statement, such as arithmetic, a call or a plain
 
 from __future__ import annotations
 
-import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from .errors import ConflictingEvidence
 
@@ -26,48 +28,54 @@ BOOLEAN_OPS = frozenset({"<", "<=", ">", ">=", "==", "!=", "%", "&&", "||", "!"}
 BOOLEAN_KINDS = frozenset({"if_cond", "while_cond", "assert"})
 
 
-@dataclass
-class Variable:
-    name: str
-    kind: str  # "stmt" | "value"
-    prior: float = 0.5  # P(correct)
-    evidence: bool | None = None
-
-
-@dataclass
-class Factor:
+class Factor(NamedTuple):
     child: int
     parents: list  # variable indices; the statement variable comes first
     p0: float
 
-    @property
-    def variables(self):
-        return [self.child] + self.parents
+
+class Factors(Sequence):
+    """A read-only view of a net's factors. Each item is built when it is
+    read, so the view costs nothing until it is iterated."""
+
+    def __init__(self, net):
+        self._net = net
+
+    def __len__(self):
+        return len(self._net.p0)
+
+    def __getitem__(self, a):
+        a = range(len(self))[a]
+        lo, hi = self._net.offsets[a:a + 2].tolist()
+        edges = self._net.edge_var[lo:hi].tolist()
+        return Factor(edges[0], edges[1:], self._net.p0[a].item())
+
+    def __iter__(self):
+        edge_var = self._net.edge_var.tolist()
+        offsets = self._net.offsets.tolist()
+        for lo, hi, p0 in zip(offsets, offsets[1:], self._net.p0.tolist()):
+            yield Factor(edge_var[lo], edge_var[lo + 1:hi], p0)
 
 
 @dataclass
 class FaultNet:
-    variables: list = field(default_factory=list)
-    factors: list = field(default_factory=list)
+    """The network as the arrays inference runs on. Factor a joins the
+    variables edge_var[offsets[a]:offsets[a + 1]]: its child, then its
+    parents, the statement variable first."""
+
+    prior: np.ndarray  # float64 P(correct) per variable
+    evidence: np.ndarray  # int8 per variable: 1 correct, 0 not, -1 unobserved
+    offsets: np.ndarray  # int64, one more than there are factors
+    edge_var: np.ndarray  # int64 variable index per edge
+    p0: np.ndarray  # float64 leak per factor
     stmt_vars: dict = field(default_factory=dict)  # sid -> var index
-    value_vars: dict = field(default_factory=dict)  # (test, vid) -> var index
 
-    def add_variable(self, name, kind, prior=0.5, evidence=None) -> int:
-        self.variables.append(Variable(name, kind, prior, evidence))
-        return len(self.variables) - 1
-
-    def add_factor(self, child, parents, p0):
-        self.factors.append(Factor(child, list(parents), p0))
-
-    def set_evidence(self, idx, value: bool):
-        var = self.variables[idx]
-        if var.evidence is not None and var.evidence != value:
-            raise ConflictingEvidence(
-                f"{var.name} observed both correct and incorrect")
-        var.evidence = value
+    @property
+    def factors(self):
+        return Factors(self)
 
     def max_factor_degree(self):
-        return max((len(f.variables) for f in self.factors), default=0)
+        return int(np.diff(self.offsets).max(initial=0))
 
 
 def classify_p0(sid, program, cfg: RunConfig) -> float:
@@ -81,57 +89,40 @@ def classify_p0(sid, program, cfg: RunConfig) -> float:
 
 
 def build_net(ddg, program, cfg: RunConfig | None = None) -> FaultNet:
+    """Statement variables come first, in sid order, then one variable per
+    value in value order. Each produced value is the child of one factor,
+    in value order, whose parents are its statement and its parent values."""
     if cfg is None:
         from .pipeline import RunConfig  # pipeline imports this module
         cfg = RunConfig()
-    net = FaultNet()
-    for sid in ddg.statement_nodes:
-        info = program.statement_table[sid]
-        net.stmt_vars[sid] = net.add_variable(
-            f"S{sid}@{info.function}:{info.line}", "stmt",
-            prior=cfg.statement_prior)
-    for key in ddg.value_nodes:
-        test, vid = key
-        producer = ddg.producer.get(key)
-        # Test inputs are correct by construction.
-        prior = 1.0 if producer is None else 0.5
-        net.value_vars[key] = net.add_variable(f"V{vid}@{test}", "value",
-                                               prior=prior)
-    for key in ddg.value_nodes:
-        producer = ddg.producer.get(key)
-        if producer is None:
-            continue
-        parents = [net.stmt_vars[producer]]
-        parents.extend(net.value_vars[p] for p in ddg.value_parents[key])
-        net.add_factor(net.value_vars[key], parents, classify_p0(
-            producer, program, cfg))
-    for key, outcome in ddg.evidence_anchors:
-        net.set_evidence(net.value_vars[key], outcome)
-    return net
+    n_stmts = len(ddg.statement_nodes)
+    produced = ddg.producer >= 0
+    # Test inputs are correct by construction.
+    prior = np.concatenate((np.full(n_stmts, cfg.statement_prior),
+                            np.where(produced, 0.5, 1.0)))
+    children = np.flatnonzero(produced)
+    stmts = np.searchsorted(np.array(ddg.statement_nodes, np.int64),
+                            ddg.producer[children])
+    arity = np.diff(ddg.parent_start)[children] + 2
+    offsets = np.zeros(len(children) + 1, np.int64)
+    np.cumsum(arity, out=offsets[1:])
+    edge_var = np.empty(offsets[-1], np.int64)
+    is_parent = np.ones(len(edge_var), bool)
+    is_parent[offsets[:-1]] = is_parent[offsets[:-1] + 1] = False
+    edge_var[offsets[:-1]] = n_stmts + children
+    edge_var[offsets[:-1] + 1] = stmts
+    # input values have no parents, so the flat parent array is exactly
+    # the factors' value parents, factor by factor
+    edge_var[is_parent] = n_stmts + ddg.parents
+    p0_by_stmt = np.array([classify_p0(sid, program, cfg)
+                           for sid in ddg.statement_nodes], np.float64)
 
-
-def dump_net(net: FaultNet) -> str:
-    doc = {
-        "variables": [
-            {"name": v.name, "kind": v.kind, "prior": v.prior,
-             "evidence": v.evidence}
-            for v in net.variables
-        ],
-        "factors": [
-            {"child": f.child, "parents": f.parents, "p0": f.p0}
-            for f in net.factors
-        ],
-        "stmt_vars": [[sid, idx] for sid, idx in net.stmt_vars.items()],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def load_net(text: str) -> FaultNet:
-    doc = json.loads(text)
-    net = FaultNet()
-    for v in doc["variables"]:
-        net.add_variable(v["name"], v["kind"], v["prior"], v["evidence"])
-    for f in doc["factors"]:
-        net.add_factor(f["child"], f["parents"], f["p0"])
-    net.stmt_vars = dict(doc["stmt_vars"])
-    return net
+    evidence = np.full(len(prior), -1, np.int8)
+    for idx, outcome in ddg.evidence_anchors:
+        if evidence[n_stmts + idx] == (not outcome):
+            test, vid = ddg.value_nodes[idx]
+            raise ConflictingEvidence(
+                f"V{vid}@{test} observed both correct and incorrect")
+        evidence[n_stmts + idx] = outcome
+    return FaultNet(prior, evidence, offsets, edge_var, p0_by_stmt[stmts],
+                    dict(zip(ddg.statement_nodes, range(n_stmts))))

@@ -159,6 +159,10 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     t0 = time.perf_counter()
     net = build_net(ddg, program, cfg)
     timings["net"] = time.perf_counter() - t0
+    log.append(f"graph: {len(ddg.statement_nodes)} statements, "
+               f"{len(ddg.value_nodes)} values, {ddg.edge_count()} edges, "
+               f"{len(net.p0)} factors, max factor degree "
+               f"{net.max_factor_degree()}")
 
     t0 = time.perf_counter()
     if cfg.exact:

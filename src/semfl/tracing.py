@@ -57,12 +57,6 @@ class TraceEvent:
                 "reads": list(self.reads), "writes": list(self.writes),
                 "aux": dict(self.aux)}
 
-    @classmethod
-    def from_record(cls, rec):
-        return cls(kind=rec["kind"], stmt=rec["stmt"],
-                   reads=tuple(rec["reads"]), writes=tuple(rec["writes"]),
-                   aux=rec["aux"])
-
 
 @dataclass
 class Trace:
@@ -597,17 +591,3 @@ def dump_trace(tr: Trace, program: A.Program) -> str:
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(e.to_record(), sort_keys=True) for e in tr.events)
     return "\n".join(lines) + "\n"
-
-
-def load_trace(text: str) -> Trace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MalformedTrace("empty trace file")
-    header = json.loads(lines[0])
-    events = [TraceEvent.from_record(json.loads(ln)) for ln in lines[1:]]
-    return Trace(test=header["test"], status=header["status"],
-                 reason=header.get("reason", ""), events=events,
-                 value_count=header.get("value_count", 0),
-                 oversized=header.get("oversized", False),
-                 truncated=header.get("truncated", False),
-                 warning=header.get("warning", ""))

@@ -1,0 +1,131 @@
+"""Views of the dependency graph and a network builder for the tests.
+
+`semfl.ddg.DepGraph` and `semfl.model.FaultNet` hold flat arrays. The
+functions here read a graph back as (test, vid) keys and (kind, source,
+target) edges, and `NetBuilder` assembles a hand-made network one variable
+and one factor at a time.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from semfl.model import FaultNet
+
+
+def producers(g):
+    """{(test, vid): producing sid} over the produced values."""
+    return {key: sid for key, sid in zip(g.value_nodes, g.producer.tolist())
+            if sid >= 0}
+
+
+def value_parents(g):
+    """{(test, vid): ordered parent keys} over the produced values."""
+    start = g.parent_start.tolist()
+    parents = g.parents.tolist()
+    return {key: [g.value_nodes[p] for p in parents[start[i]:start[i + 1]]]
+            for i, key in enumerate(g.value_nodes) if g.producer[i] >= 0}
+
+
+def edges(g):
+    """Per produced value, in value order: a statement edge from its
+    producer, then one data edge per read parent and a ctrl edge from its
+    control parent, as (kind, source, target)."""
+    out = []
+    start = g.parent_start.tolist()
+    parents = g.parents.tolist()
+    for i, (key, sid) in enumerate(zip(g.value_nodes, g.producer.tolist())):
+        if sid < 0:
+            continue
+        out.append(("stmt", sid, key))
+        last = start[i + 1] - 1
+        for e in range(start[i], start[i + 1]):
+            kind = "ctrl" if g.ctrl[i] and e == last else "data"
+            out.append((kind, g.value_nodes[parents[e]], key))
+    return out
+
+
+def input_values(g):
+    """Indices of the values no statement produced."""
+    return np.flatnonzero(g.producer < 0).tolist()
+
+
+def node_count(g):
+    return len(g.statement_nodes) + len(g.value_nodes)
+
+
+def statement_level_edges(g, test=None):
+    """Project edges onto (producer statement, consumer statement, kind)."""
+    producer = producers(g)
+    out = set()
+    for kind, src, dst in edges(g):
+        if test is not None and dst[0] != test:
+            continue
+        dst_stmt = producer[dst]
+        if kind == "stmt":
+            out.add(("stmt", src, dst_stmt))
+        else:
+            out.add((kind, producer.get(src), dst_stmt))
+    return out
+
+
+def check_acyclic(g):
+    """Topological check: every edge points to a later value node.
+
+    Value ids are assigned in execution order, so within a test they
+    give a topological witness even when a folded summary claims values
+    out of replay order.
+    """
+    for kind, src, dst in edges(g):
+        if kind == "stmt":
+            continue
+        if src[0] != dst[0] or src[1] >= dst[1]:
+            return False
+    return True
+
+
+def dump_ddg(g):
+    lines = [f"stmt {sid}" for sid in g.statement_nodes]
+    producer = producers(g)
+    for key in g.value_nodes:
+        tag = f"by {producer[key]}" if key in producer else "input"
+        lines.append(f"value {key[0]}:{key[1]} {tag}")
+    for kind, src, dst in edges(g):
+        s = src if kind == "stmt" else f"{src[0]}:{src[1]}"
+        lines.append(f"edge {kind} {s} -> {dst[0]}:{dst[1]}")
+    for idx, outcome in g.evidence_anchors:
+        test, vid = g.value_nodes[idx]
+        lines.append(f"evidence {test}:{vid} {outcome}")
+    return "\n".join(lines) + "\n"
+
+
+class NetBuilder:
+    """Adds variables and factors one at a time; `build` returns the
+    FaultNet. Variables are numbered in the order they are added."""
+
+    def __init__(self):
+        self.prior = []
+        self.evidence = []
+        self.factors = []  # (child, parents, p0)
+
+    def add_variable(self, prior=0.5) -> int:
+        self.prior.append(prior)
+        self.evidence.append(-1)
+        return len(self.prior) - 1
+
+    def add_factor(self, child, parents, p0):
+        self.factors.append((child, list(parents), p0))
+
+    def set_evidence(self, idx, value: bool):
+        self.evidence[idx] = int(value)
+
+    def build(self) -> FaultNet:
+        arity = [len(parents) + 1 for _, parents, _ in self.factors]
+        offsets = np.zeros(len(arity) + 1, np.int64)
+        np.cumsum(arity, out=offsets[1:])
+        edge_var = [v for child, parents, _ in self.factors
+                    for v in (child, *parents)]
+        return FaultNet(np.array(self.prior, np.float64),
+                        np.array(self.evidence, np.int8), offsets,
+                        np.array(edge_var, np.int64),
+                        np.array([p0 for _, _, p0 in self.factors], np.float64))

@@ -24,15 +24,14 @@ def _normalize(t, f):
     return (t / s, f / s)
 
 
-def _base_message(var):
-    if var.evidence is not None:
-        return (1.0, 0.0) if var.evidence else (0.0, 1.0)
-    return (var.prior, 1.0 - var.prior)
+def _base_message(prior, evidence):
+    if evidence >= 0:
+        return (1.0, 0.0) if evidence else (0.0, 1.0)
+    return (prior, 1.0 - prior)
 
 
 class _Engine:
     def __init__(self, net: FaultNet, cfg: RunConfig):
-        self.net = net
         self.cfg = cfg
         if cfg.mode == "naive":
             deg = net.max_factor_degree()
@@ -40,20 +39,23 @@ class _Engine:
                 raise DegreeTooLarge(
                     f"factor of degree {deg} exceeds the naive-mode cap "
                     f"of {NAIVE_DEGREE_CAP}")
-        # incident[v] = [(factor index, position in factor.variables)]
-        self.incident = [[] for _ in net.variables]
-        for a, fac in enumerate(net.factors):
-            for pos, v in enumerate(fac.variables):
+        self.factors = net.factors
+        self.evidence = net.evidence.tolist()
+        # incident[v] = [(factor index, position in [child] + parents)]
+        self.incident = [[] for _ in self.evidence]
+        for a, fac in enumerate(self.factors):
+            for pos, v in enumerate([fac.child] + fac.parents):
                 self.incident[v].append((a, pos))
-        self.f2v = [[_HALF] * len(f.variables) for f in net.factors]
-        self.v2f = [[_HALF] * len(f.variables) for f in net.factors]
-        self.base = [_base_message(v) for v in net.variables]
+        self.f2v = [[_HALF] * (len(f.parents) + 1) for f in self.factors]
+        self.v2f = [[_HALF] * (len(f.parents) + 1) for f in self.factors]
+        self.base = [_base_message(p, e)
+                     for p, e in zip(net.prior.tolist(), self.evidence)]
 
     def _update_v2f(self):
         for v, inc in enumerate(self.incident):
             if not inc:
                 continue
-            if self.net.variables[v].evidence is not None:
+            if self.evidence[v] >= 0:
                 msg = self.base[v]
                 for a, pos in inc:
                     self.v2f[a][pos] = msg
@@ -77,7 +79,7 @@ class _Engine:
     def _update_f2v(self):
         delta = 0.0
         naive = self.cfg.mode == "naive"
-        for a, fac in enumerate(self.net.factors):
+        for a, fac in enumerate(self.factors):
             inbox = self.v2f[a]
             old = self.f2v[a]
             new = [None] * len(inbox)
@@ -119,9 +121,9 @@ class _Engine:
                 converged = True
                 break
         marginals = {}
-        for v, var in enumerate(self.net.variables):
-            if var.evidence is not None:
-                marginals[v] = 1.0 if var.evidence else 0.0
+        for v, evidence in enumerate(self.evidence):
+            if evidence >= 0:
+                marginals[v] = 1.0 if evidence else 0.0
                 continue
             t, f = self.base[v]
             for a, pos in self.incident[v]:

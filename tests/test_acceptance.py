@@ -31,11 +31,13 @@ from semfl.inference import (
     run_lbp,
 )
 from semfl.lang import parse
-from semfl.model import FaultNet, build_net, classify_p0
+from semfl.model import build_net, classify_p0
 from semfl.pipeline import RunConfig, localize
 from semfl.ranking import DSTAR, OCHIAI, rank, sbfl_report
 from semfl.reduction import compress_loops
 from semfl.tracing import EXEC, profile, trace
+
+from helpers import NetBuilder, node_count, statement_level_edges
 
 COND_TEST = """
 fn foo(a) {
@@ -64,20 +66,20 @@ def _verdict(num, ok, detail=""):
 # --- criterion 1: worked-example numeric oracle ---
 
 def _worked_example_net():
-    net = FaultNet()
-    s3 = net.add_variable("S3", "stmt", 0.5)
-    s4 = net.add_variable("S4", "stmt", 0.5)
-    s6 = net.add_variable("S6", "stmt", 0.5)
-    for t, outcome in (("p", True), ("f", False)):
-        v2 = net.add_variable(f"V2{t}", "value", 1.0)
-        v3 = net.add_variable(f"V3{t}", "value", 0.5)
-        v4 = net.add_variable(f"V4{t}", "value", 0.5)
-        v6 = net.add_variable(f"V6{t}", "value", 0.5)
+    net = NetBuilder()
+    s3 = net.add_variable(0.5)
+    s4 = net.add_variable(0.5)
+    s6 = net.add_variable(0.5)
+    for outcome in (True, False):
+        v2 = net.add_variable(1.0)
+        v3 = net.add_variable(0.5)
+        v4 = net.add_variable(0.5)
+        v6 = net.add_variable(0.5)
         net.add_factor(v3, [s3, v2], 0.5)
         net.add_factor(v4, [s4, v2, v3], 0.01)
         net.add_factor(v6, [s6, v4], 0.01)
         net.set_evidence(v6, outcome)
-    return net, (s3, s4, s6)
+    return net.build(), (s3, s4, s6)
 
 
 def test_criterion_01_worked_example_posteriors():
@@ -98,7 +100,7 @@ def test_criterion_01_worked_example_posteriors():
 
 # --- criterion 2: end-to-end reproduction of the worked example ---
 
-def _cond_net_by_line(net, program):
+def _cond_net_by_line(net, ddg, program):
     """Describe a network built from COND_TEST in the worked example's
     names rather than by variable index. `S<line>` is the statement at that
     line, `V<line>` the value it produced, and `V2` the argument of `foo`
@@ -108,15 +110,16 @@ def _cond_net_by_line(net, program):
     line = {idx: program.statement_table[sid].line
             for sid, idx in net.stmt_vars.items()}
     produced_at = {f.child: line[f.parents[0]] for f in net.factors}
-    test_of = {idx: test for (test, _), idx in net.value_vars.items()}
+    test_of = {len(net.stmt_vars) + i: test
+               for i, (test, _) in enumerate(ddg.value_nodes)}
 
     def name(idx):
         return f"V{produced_at.get(idx, 2)}"
 
     by_test = {t: {"values": [], "factors": []} for t in test_of.values()}
     for idx, test in test_of.items():
-        var = net.variables[idx]
-        by_test[test]["values"].append((name(idx), var.prior, var.evidence))
+        evidence = None if net.evidence[idx] < 0 else bool(net.evidence[idx])
+        by_test[test]["values"].append((name(idx), net.prior[idx], evidence))
     for f in net.factors:
         by_test[test_of[f.child]]["factors"].append(
             (name(f.child), f"S{line[f.parents[0]]}",
@@ -124,15 +127,12 @@ def _cond_net_by_line(net, program):
     for desc in by_test.values():
         desc["values"].sort()
         desc["factors"].sort()
-    stmts = sorted((f"S{n}", net.variables[idx].prior)
-                   for idx, n in line.items())
-    return len(net.variables), stmts, by_test
+    stmts = sorted((f"S{n}", net.prior[idx]) for idx, n in line.items())
+    return len(net.prior), stmts, by_test
 
 
 def _set_leak(net, stmt, p0):
-    for f in net.factors:
-        if f.parents[0] == stmt:
-            f.p0 = p0
+    net.p0[net.edge_var[net.offsets[:-1] + 1] == stmt] = p0
 
 
 def _worked_example_test(outcome):
@@ -160,7 +160,7 @@ def test_criterion_02_end_to_end_cond_example():
     cfg = RunConfig()
 
     # 1. The pipeline builds the worked example's network ...
-    structure = _cond_net_by_line(net, program) == (
+    structure = _cond_net_by_line(net, res.ddg, program) == (
         3 + 2 * 4, [("S3", 0.5), ("S4", 0.5), ("S6", 0.5)],
         {"test_pass": _worked_example_test(True),
          "test_fail": _worked_example_test(False)})
@@ -247,18 +247,18 @@ def test_criterion_03_factor_message_equivalence():
 # --- criterion 4: exactness on trees ---
 
 def _random_tree_net(rng):
-    net = FaultNet()
-    values = [net.add_variable("V0", "value", 1.0)]
+    net = NetBuilder()
+    values = [net.add_variable(1.0)]
     k = rng.randint(2, 6)
     for i in range(k):
-        s = net.add_variable(f"S{i}", "stmt", 0.5)
-        v = net.add_variable(f"V{i + 1}", "value", 0.5)
+        s = net.add_variable(0.5)
+        v = net.add_variable(0.5)
         # one value parent each keeps the factor graph a tree
         net.add_factor(v, [s, rng.choice(values)], rng.choice([0.01, 0.5]))
         values.append(v)
     for v in rng.sample(values[1:], rng.randint(1, 2)):
         net.set_evidence(v, rng.random() < 0.5)
-    return net
+    return net.build()
 
 
 def test_criterion_04_tree_exactness():
@@ -284,8 +284,7 @@ def test_criterion_05_prior_fixed_point_on_corpus():
         traces = [compress_loops(trace(program, t, traced), program)
                   for t in program.test_names]
         net = build_net(build_ddg(program, traces), program)
-        for var in net.variables:
-            var.evidence = None
+        net.evidence[:] = -1
         res = run_lbp(net, RunConfig())
         for idx in net.stmt_vars.values():
             worst = max(worst, abs(res.marginals[idx] - 0.5))
@@ -389,8 +388,8 @@ def test_criterion_06_loop_compression():
         for t in program.test_names:
             tr = trace(program, t, traced)
             once = compress_loops(tr, program)
-            before = build_ddg(program, [tr]).statement_level_edges()
-            after = build_ddg(program, [once]).statement_level_edges()
+            before = statement_level_edges(build_ddg(program, [tr]))
+            after = statement_level_edges(build_ddg(program, [once]))
             edges_ok &= after == before
             twice = compress_loops(once, program)
             idempotent &= [e.to_record() for e in twice.events] == \
@@ -439,8 +438,8 @@ def _lbp_seconds_per_iteration(net):
 def test_criterion_07_linear_scaling():
     g1, net1 = _scaled_net(300)
     g2, net2 = _scaled_net(600)
-    size1 = g1.node_count() + g1.edge_count()
-    size2 = g2.node_count() + g2.edge_count()
+    size1 = node_count(g1) + g1.edge_count()
+    size2 = node_count(g2) + g2.edge_count()
     growth = size2 / size1
     time_ratio = _lbp_seconds_per_iteration(net2) / \
         _lbp_seconds_per_iteration(net1)

@@ -63,7 +63,12 @@ def test_localize_writes_reports(buggy, tmp_path, capsys):
     log = (out / "log.txt").read_text()
     assert "zero-sum normalisations" in log
     assert "belief propagation residuals: " in log
+    # the worked example: per test four values and three factors, the
+    # assignment's with the most edges (child, statement, a, condition)
+    assert ("graph: 3 statements, 8 values, 14 edges, 6 factors, "
+            "max factor degree 4") in log.splitlines()
     doc = json.loads((out / "report.json").read_text())
+    assert "factors" not in json.dumps(doc["metadata"])
     assert len(doc["statements"]) == 3
     assert doc["statements"][0]["rank"] == 1
     combine = json.loads((out / "combine.json").read_text())

@@ -3,10 +3,12 @@ exception control, acyclicity, and malformed-trace rejection."""
 
 import pytest
 
-from semfl.ddg import build_ddg, dump_ddg
+from semfl.ddg import build_ddg
 from semfl.errors import MalformedTrace
 from semfl.lang import parse
 from semfl.tracing import CALL_EXIT, CALL_SUMMARY, EXEC, Trace, TraceEvent, trace
+
+from helpers import check_acyclic, dump_ddg, edges, producers, value_parents
 
 COND_TEST = """
 fn foo(a) {
@@ -40,6 +42,7 @@ def test_cond_example_statement_nodes():
 def test_cond_example_value_chain_per_test():
     prog, traces, g = _cond_graph()
     cond_sid, assign_sid, ret_sid = prog.functions["foo"].statement_ids()
+    producer, parents, all_edges = producers(g), value_parents(g), edges(g)
     for tr in traces:
         enter, cond, assign, ret = tr.events[:4]
         a_in = (tr.test, enter.aux["params"][0])
@@ -47,23 +50,23 @@ def test_cond_example_value_chain_per_test():
         v_assign = (tr.test, assign.writes[0])
         v_ret = (tr.test, ret.writes[0])
         # the argument is an input: no producer, prior-1 value
-        assert a_in in g.value_nodes and a_in not in g.producer
-        assert g.producer[v_cond] == cond_sid
-        assert g.producer[v_assign] == assign_sid
-        assert g.producer[v_ret] == ret_sid
+        assert a_in in g.value_nodes and a_in not in producer
+        assert producer[v_cond] == cond_sid
+        assert producer[v_assign] == assign_sid
+        assert producer[v_ret] == ret_sid
         # condition reads a; assignment reads a under the condition's
         # control; return reads only the assigned value (the branch
         # predicate is popped at its immediate post-dominator)
-        assert g.value_parents[v_cond] == [a_in]
-        assert g.value_parents[v_assign] == [a_in, v_cond]
-        assert g.value_parents[v_ret] == [v_assign]
-        assert ("ctrl", v_cond, v_assign) in g.edges
-        assert ("ctrl", v_cond, v_ret) not in g.edges
+        assert parents[v_cond] == [a_in]
+        assert parents[v_assign] == [a_in, v_cond]
+        assert parents[v_ret] == [v_assign]
+        assert ("ctrl", v_cond, v_assign) in all_edges
+        assert ("ctrl", v_cond, v_ret) not in all_edges
 
 
 def test_cond_example_evidence_anchors():
     _, traces, g = _cond_graph()
-    anchors = dict(g.evidence_anchors)
+    anchors = {g.value_nodes[i]: outcome for i, outcome in g.evidence_anchors}
     expected = {(tr.test, tr.events[3].writes[0]): tr.test == "test_pass"
                 for tr in traces}
     assert anchors == expected
@@ -82,8 +85,8 @@ fn test_f() {
 }
 """)
     g = build_ddg(prog, [trace(prog, "test_f", {"f"})])
-    assert all(kind != "ctrl" for kind, _, _ in g.edges)
-    assert g.check_acyclic()
+    assert all(kind != "ctrl" for kind, _, _ in edges(g))
+    assert check_acyclic(g)
 
 
 def test_while_predicate_is_replaced_on_top():
@@ -108,17 +111,17 @@ fn test_count() {
     bodies = [e for e in tr.events if e.kind == EXEC and e.stmt == body_sid]
     assert len(conds) == 3 and len(bodies) == 2
     t = tr.test
+    parents, all_edges = value_parents(g), edges(g)
     # each body execution is controlled by the latest condition value only
     for cond_ev, body_ev in zip(conds, bodies):
         key = (t, body_ev.writes[0])
-        ctrl = [p for p in g.value_parents[key]
-                if ("ctrl", p, key) in g.edges]
+        ctrl = [p for p in parents[key] if ("ctrl", p, key) in all_edges]
         assert ctrl == [(t, cond_ev.writes[0])]
     # the predicate is popped at the loop's post-dominator: the return
     # reads the final counter but is not controlled by the condition
     ret_ev = next(e for e in tr.events if e.kind == EXEC and e.stmt == ret_sid)
     ret_key = (t, ret_ev.writes[0])
-    assert g.value_parents[ret_key] == [(t, bodies[-1].writes[0])]
+    assert parents[ret_key] == [(t, bodies[-1].writes[0])]
 
 
 NESTED = """
@@ -147,10 +150,15 @@ def test_virtual_call_edges_bridge_untraced_driver():
     cb_ret = (t, ret.writes[0])
     drv_ret = (t, summary.aux["ret"])
     # the summary's output reads the nested traced call's return value
-    assert cb_ret in g.value_parents[drv_ret]
-    # and the nested call's argument is produced by the summary statement
-    assert g.producer[param] == summary.stmt
-    assert g.check_acyclic()
+    parents = value_parents(g)
+    assert cb_ret in parents[drv_ret]
+    # and the nested call's argument is produced by the summary statement,
+    # from the summary's reads, though replay met it before the values
+    # produced ahead of it
+    assert producers(g)[param] == summary.stmt
+    assert parents[param] == [(t, r) for r in summary.reads]
+    assert g.value_nodes.index(param) < g.value_nodes.index(cb_ret)
+    assert check_acyclic(g)
 
 
 def test_virtual_call_edges_can_be_disabled():
@@ -161,7 +169,7 @@ def test_virtual_call_edges_can_be_disabled():
     assert g_off.edge_count() < g_on.edge_count()
     t = tr.test
     param = (t, tr.events[0].aux["params"][0])
-    assert param not in g_off.producer  # argument degrades to an input
+    assert param not in producers(g_off)  # argument degrades to an input
 
 
 EXCEPTIONAL = """
@@ -195,16 +203,16 @@ def test_caught_exception_controls_handler():
                       if e.kind == EXEC and e.reads == () and e.writes
                       and tr.events.index(e) > tr.events.index(catch)]
     key = (t, handler_writes[0].writes[0])
-    assert ("ctrl", exc, key) in g.edges
+    assert ("ctrl", exc, key) in edges(g)
     g_off = build_ddg(prog, [tr], exception_control=False)
-    assert ("ctrl", exc, key) not in g_off.edges
+    assert ("ctrl", exc, key) not in edges(g_off)
 
 
 def test_multi_test_graphs_are_acyclic_and_disjoint():
     prog, traces, g = _cond_graph()
-    assert g.check_acyclic()
+    assert check_acyclic(g)
     # no edge crosses tests
-    for kind, src, dst in g.edges:
+    for kind, src, dst in edges(g):
         if kind != "stmt":
             assert src[0] == dst[0]
 

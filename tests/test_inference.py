@@ -18,9 +18,9 @@ from semfl.inference import (
     run_lbp,
 )
 from semfl.lang import parse
-from semfl.model import FaultNet
 from semfl.pipeline import RunConfig, localize
 
+from helpers import NetBuilder
 from lbp_reference import run_reference
 
 
@@ -85,33 +85,37 @@ def test_optimized_messages_match_naive(p0, msgs, data):
 
 def _random_net(seed, n_values=8, n_stmts=3, loopy=True):
     rng = random.Random(seed)
-    net = FaultNet()
-    stmts = [net.add_variable(f"S{i}", "stmt", prior=0.5)
+    net = NetBuilder()
+    stmts = [net.add_variable(0.5)
              for i in range(n_stmts)]
-    values = [net.add_variable("V0", "value", prior=1.0)]
+    values = [net.add_variable(1.0)]
     for i in range(1, n_values):
-        v = net.add_variable(f"V{i}", "value", prior=0.5)
+        v = net.add_variable(0.5)
         stmt = rng.choice(stmts) if loopy else stmts[i % n_stmts]
         k = rng.randint(1, min(3, len(values)))
         parents = [stmt] + rng.sample(values, k)
         net.add_factor(v, parents, rng.choice([0.01, 0.5]))
         values.append(v)
     net.set_evidence(values[-1], rng.random() < 0.5)
-    return net
+    return net.build()
 
 
-def _chain_net(seed, length=6):
+def _chain(seed, length=6):
     """A chain is a tree-shaped factor graph: belief propagation is exact."""
     rng = random.Random(seed)
-    net = FaultNet()
-    prev = net.add_variable("V0", "value", prior=1.0)
+    net = NetBuilder()
+    prev = net.add_variable(1.0)
     for i in range(length):
-        s = net.add_variable(f"S{i}", "stmt", prior=rng.uniform(0.2, 0.8))
-        v = net.add_variable(f"V{i + 1}", "value", prior=0.5)
+        s = net.add_variable(rng.uniform(0.2, 0.8))
+        v = net.add_variable(0.5)
         net.add_factor(v, [s, prev], rng.choice([0.01, 0.5]))
         prev = v
     net.set_evidence(prev, seed % 2 == 0)
     return net
+
+
+def _chain_net(seed):
+    return _chain(seed).build()
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -138,9 +142,9 @@ def test_lbp_exact_on_trees(seed):
 def test_evidence_marginals_are_clamped():
     net = _chain_net(3)
     res = run_lbp(net)
-    for v, var in enumerate(net.variables):
-        if var.evidence is not None:
-            assert res.marginals[v] == (1.0 if var.evidence else 0.0)
+    for v, evidence in enumerate(net.evidence.tolist()):
+        if evidence >= 0:
+            assert res.marginals[v] == float(evidence)
 
 
 def test_inference_is_deterministic():
@@ -157,10 +161,11 @@ def test_marginals_are_probabilities():
 
 
 def test_naive_mode_rejects_large_factors():
-    net = FaultNet()
-    parents = [net.add_variable(f"P{i}", "value") for i in range(25)]
-    child = net.add_variable("C", "value")
+    net = NetBuilder()
+    parents = [net.add_variable() for i in range(25)]
+    child = net.add_variable()
     net.add_factor(child, parents, 0.01)
+    net = net.build()
     with pytest.raises(DegreeTooLarge):
         run_lbp(net, RunConfig(mode="naive"))
     run_lbp(net, RunConfig(mode="optimized"))  # fine in linear mode
@@ -173,14 +178,14 @@ def test_exact_enumeration_cap():
 
 
 def test_exact_rejects_impossible_evidence():
-    net = FaultNet()
-    s = net.add_variable("S", "stmt", prior=1.0)
-    v0 = net.add_variable("V0", "value", prior=1.0)
-    v1 = net.add_variable("V1", "value", prior=0.5)
+    net = NetBuilder()
+    s = net.add_variable(1.0)
+    v0 = net.add_variable(1.0)
+    v1 = net.add_variable(0.5)
     net.add_factor(v1, [s, v0], 0.01)
     net.set_evidence(v1, False)  # all parents certain: child cannot be wrong
     with pytest.raises(TooLarge):
-        exact_marginals(net)
+        exact_marginals(net.build())
 
 
 # --- the edge-array engine against the reference engine ---
@@ -203,14 +208,12 @@ def _assert_same_as_reference(net, cfg=None):
 def loopy_nets(draw):
     """Statements shared between values and values shared between factors
     make loops; factor arities run from 1 (no parents) to 5."""
-    net = FaultNet()
-    stmts = [net.add_variable(f"S{i}", "stmt",
-                              prior=draw(st.floats(0.05, 1.0)))
+    net = NetBuilder()
+    stmts = [net.add_variable(draw(st.floats(0.05, 1.0)))
              for i in range(draw(st.integers(1, 3)))]
-    values = [net.add_variable("V0", "value", prior=1.0)]
+    values = [net.add_variable(1.0)]
     for i in range(1, draw(st.integers(2, 10))):
-        v = net.add_variable(f"V{i}", "value",
-                             prior=draw(st.sampled_from([0.5, 1.0])))
+        v = net.add_variable(draw(st.sampled_from([0.5, 1.0])))
         parents = draw(st.lists(st.sampled_from(stmts + values),
                                 max_size=4, unique=True))
         net.add_factor(v, parents, draw(st.sampled_from([0.01, 0.5, 0.9])))
@@ -218,7 +221,7 @@ def loopy_nets(draw):
     for v in draw(st.lists(st.sampled_from(stmts + values), max_size=4,
                            unique=True)):
         net.set_evidence(v, draw(st.booleans()))
-    return net
+    return net.build()
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,16 +268,16 @@ def test_array_engine_equals_reference_on_a_pipeline_net():
 
 def _star_net(degree):
     """One statement shared by `degree` values, two of them observed."""
-    net = FaultNet()
-    s = net.add_variable("S", "stmt", prior=0.5)
-    v0 = net.add_variable("V0", "value", prior=1.0)
+    net = NetBuilder()
+    s = net.add_variable(0.5)
+    v0 = net.add_variable(1.0)
     values = []
     for i in range(degree):
-        values.append(net.add_variable(f"V{i + 1}", "value", prior=0.5))
+        values.append(net.add_variable(0.5))
         net.add_factor(values[-1], [s, v0], 0.01)
     net.set_evidence(values[0], True)
     net.set_evidence(values[-1], False)
-    return net
+    return net.build()
 
 
 def test_high_degree_statement_keeps_zero_sum_fallback():
@@ -288,30 +291,31 @@ def test_high_degree_statement_keeps_zero_sum_fallback():
 
 
 def test_net_without_factors():
-    net = FaultNet()
-    net.add_variable("S", "stmt", prior=0.3)
-    net.set_evidence(net.add_variable("V", "value"), False)
-    res = _assert_same_as_reference(net)
+    net = NetBuilder()
+    net.add_variable(0.3)
+    net.set_evidence(net.add_variable(), False)
+    res = _assert_same_as_reference(net.build())
     assert res.marginals == {0: 0.3, 1: 0.0}
     assert res.residuals == [0.0]
 
 
 def test_variable_without_factors():
-    net = _chain_net(4)
-    lone = net.add_variable("lonely", "stmt", prior=0.7)
-    res = _assert_same_as_reference(net)
+    net = _chain(4)
+    lone = net.add_variable(0.7)
+    res = _assert_same_as_reference(net.build())
     assert res.marginals[lone] == 0.7
 
 
 def test_all_evidence_factors():
-    net = FaultNet()
-    s = net.add_variable("S", "stmt")
-    v0 = net.add_variable("V0", "value", prior=1.0)
-    v1 = net.add_variable("V1", "value")
-    v2 = net.add_variable("V2", "value")
+    net = NetBuilder()
+    s = net.add_variable()
+    v0 = net.add_variable(1.0)
+    v1 = net.add_variable()
+    v2 = net.add_variable()
     net.add_factor(v1, [s, v0], 0.01)
     net.add_factor(v2, [s, v1], 0.5)
     for v, outcome in ((s, True), (v0, True), (v1, False), (v2, True)):
         net.set_evidence(v, outcome)
+    net = net.build()
     _assert_same_as_reference(net)
     _assert_same_as_reference(net, RunConfig(mode="naive"))
