@@ -3,7 +3,6 @@ and end-to-end comparison against the spectrum baselines."""
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 import time
@@ -130,20 +129,15 @@ def _mutate_node(expr, path, rewrite):
 
 def apply_mutation(program, point: MutationPoint) -> str:
     """Return mutant source text; statement ids are preserved because the
-    mutation never changes program shape."""
-    mutant = copy.deepcopy(program)
-    for fn in mutant.functions.values():
-        for stmt in A.walk_statements(fn.body):
-            if stmt.sid != point.sid:
-                continue
-            if point.slot == "cond":
-                stmt.cond = _mutate_node(stmt.cond, point.path, point.rewrite)
-            elif point.slot == "index":
-                stmt.index = _mutate_node(stmt.index, point.path, point.rewrite)
-            else:
-                stmt.expr = _mutate_node(stmt.expr, point.path, point.rewrite)
-            return format_program(mutant)
-    raise ValueError(f"statement {point.sid} not found")
+    mutation never changes program shape. The mutated slot is swapped on
+    the program's own statement for formatting and restored afterwards."""
+    stmt = program.statements[point.sid]
+    original = getattr(stmt, point.slot)
+    setattr(stmt, point.slot, _mutate_node(original, point.path, point.rewrite))
+    try:
+        return format_program(program)
+    finally:
+        setattr(stmt, point.slot, original)
 
 
 def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:

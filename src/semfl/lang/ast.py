@@ -228,6 +228,9 @@ class Program:
     statement_table: dict  # sid -> StatementInfo
     statements: dict  # sid -> statement node
     source_text: str = ""
+    # function name -> (params, body compiled to closures), filled by
+    # `tracing` on the function's first call
+    compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def test_names(self):

@@ -7,11 +7,19 @@ from . import ast as A
 from .cfg import build_cfg
 from .lexer import Token, tokenize
 
+# Statements and expressions nest at most this deep. One level each: a
+# block, an operator, an index, a call, an array literal and a pair of
+# parentheses. The bound keeps the recursive-descent parser (about 16
+# Python frames per parenthesis) and the interpreter inside Python's
+# recursion limit; the shipped corpus nests at most 6 deep.
+MAX_NESTING = 40
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # levels open around the current token
 
     def peek(self, ahead=0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -30,6 +38,12 @@ class _Parser:
         if tok.text != text:
             self.fail(f"expected {text!r}, found {tok.text!r}")
         return self.next()
+
+    def enter(self):
+        """Open one nesting level; close it with `self.depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     def expect_name(self) -> Token:
         tok = self.peek()
@@ -63,11 +77,22 @@ class _Parser:
 
     def parse_block(self):
         self.expect("{")
+        self.enter()
         stmts = []
         while self.peek().text != "}":
             stmts.append(self.parse_statement())
+        self.depth -= 1
         self.expect("}")
         return stmts
+
+    def statement_expr(self):
+        """A statement's expression: its levels count on top of the
+        blocks around the statement."""
+        tok = self.peek()
+        expr, height = self.parse_expr()
+        if self.depth + height > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+        return expr
 
     # --- statements ---
 
@@ -77,13 +102,13 @@ class _Parser:
             self.next()
             name = self.expect_name().text
             self.expect("=")
-            expr = self.parse_expr()
+            expr = self.statement_expr()
             self.expect(";")
             return A.Let(name=name, expr=expr, line=tok.line)
         if tok.text == "if":
             self.next()
             self.expect("(")
-            cond = self.parse_expr()
+            cond = self.statement_expr()
             self.expect(")")
             then = self.parse_block()
             orelse = []
@@ -94,7 +119,7 @@ class _Parser:
         if tok.text == "while":
             self.next()
             self.expect("(")
-            cond = self.parse_expr()
+            cond = self.statement_expr()
             self.expect(")")
             body = self.parse_block()
             return A.While(cond=cond, body=body, line=tok.line)
@@ -102,19 +127,19 @@ class _Parser:
             self.next()
             expr = None
             if self.peek().text != ";":
-                expr = self.parse_expr()
+                expr = self.statement_expr()
             self.expect(";")
             return A.Return(expr=expr, line=tok.line)
         if tok.text == "assert":
             self.next()
             self.expect("(")
-            expr = self.parse_expr()
+            expr = self.statement_expr()
             self.expect(")")
             self.expect(";")
             return A.Assert(expr=expr, line=tok.line)
         if tok.text == "throw":
             self.next()
-            expr = self.parse_expr()
+            expr = self.statement_expr()
             self.expect(";")
             return A.Throw(expr=expr, line=tok.line)
         if tok.text == "try":
@@ -130,7 +155,7 @@ class _Parser:
             if self.peek(1).text == "=":
                 self.next()
                 self.expect("=")
-                expr = self.parse_expr()
+                expr = self.statement_expr()
                 self.expect(";")
                 return A.Assign(name=tok.text, expr=expr, line=tok.line)
             if self.peek(1).text == "[":
@@ -149,27 +174,37 @@ class _Parser:
                 if j + 1 < len(self.tokens) and self.tokens[j + 1].text == "=":
                     self.next()
                     self.expect("[")
-                    index = self.parse_expr()
+                    index = self.statement_expr()
                     self.expect("]")
                     self.expect("=")
-                    expr = self.parse_expr()
+                    expr = self.statement_expr()
                     self.expect(";")
                     return A.IndexAssign(name=tok.text, index=index, expr=expr, line=tok.line)
-        expr = self.parse_expr()
+        expr = self.statement_expr()
         self.expect(";")
         return A.ExprStmt(expr=expr, line=tok.line)
 
     # --- expressions (precedence climbing) ---
+    # Each returns (expression, its nesting height in levels).
 
     def parse_expr(self):
         return self.parse_or()
 
+    def nested_expr(self):
+        """An expression one level below the current one."""
+        self.enter()
+        expr, height = self.parse_expr()
+        self.depth -= 1
+        return expr, height
+
     def _binary_level(self, ops, sub):
-        left = sub()
+        left, height = sub()
         while self.peek().text in ops and self.peek().type == "op":
             op = self.next().text
-            left = A.Binary(op=op, left=left, right=sub())
-        return left
+            right, right_height = sub()
+            left = A.Binary(op=op, left=left, right=right)
+            height = max(height, right_height) + 1
+        return left, height
 
     def parse_or(self):
         return self._binary_level(("||",), self.parse_and)
@@ -193,58 +228,65 @@ class _Parser:
         tok = self.peek()
         if tok.type == "op" and tok.text in ("-", "!"):
             self.next()
-            return A.Unary(op=tok.text, operand=self.parse_unary())
+            self.enter()
+            operand, height = self.parse_unary()
+            self.depth -= 1
+            return A.Unary(op=tok.text, operand=operand), height + 1
         return self.parse_postfix()
 
     def parse_postfix(self):
-        expr = self.parse_primary()
+        expr, height = self.parse_primary()
         while self.peek().text == "[":
             self.next()
-            index = self.parse_expr()
+            index, index_height = self.nested_expr()
             self.expect("]")
             expr = A.Index(base=expr, index=index)
-        return expr
+            height = max(height, index_height) + 1
+        return expr, height
 
     def parse_primary(self):
         tok = self.peek()
         if tok.type == "int":
             self.next()
-            return A.IntLit(value=int(tok.text))
+            return A.IntLit(value=int(tok.text)), 1
         if tok.text == "true":
             self.next()
-            return A.BoolLit(value=True)
+            return A.BoolLit(value=True), 1
         if tok.text == "false":
             self.next()
-            return A.BoolLit(value=False)
+            return A.BoolLit(value=False), 1
         if tok.text == "(":
             self.next()
-            expr = self.parse_expr()
+            expr, height = self.nested_expr()
             self.expect(")")
-            return expr
+            return expr, height + 1
         if tok.text == "[":
             self.next()
-            items = []
-            if self.peek().text != "]":
-                items.append(self.parse_expr())
-                while self.peek().text == ",":
-                    self.next()
-                    items.append(self.parse_expr())
-            self.expect("]")
-            return A.ArrayLit(items=tuple(items))
+            items, height = self.expr_list("]")
+            return A.ArrayLit(items=items), height
         if tok.type == "name":
             self.next()
             if self.peek().text == "(":
                 self.next()
-                args = []
-                if self.peek().text != ")":
-                    args.append(self.parse_expr())
-                    while self.peek().text == ",":
-                        self.next()
-                        args.append(self.parse_expr())
-                self.expect(")")
-                return A.Call(name=tok.text, args=tuple(args))
-            return A.Var(name=tok.text)
+                args, height = self.expr_list(")")
+                return A.Call(name=tok.text, args=args), height
+            return A.Var(name=tok.text), 1
         self.fail(f"expected expression, found {tok.text!r}")
+
+    def expr_list(self, close):
+        """Comma-separated expressions up to `close`, one level down: the
+        items and the height of the list."""
+        items, height = [], 0
+        if self.peek().text != close:
+            while True:
+                item, item_height = self.nested_expr()
+                items.append(item)
+                height = max(height, item_height)
+                if self.peek().text != ",":
+                    break
+                self.next()
+        self.expect(close)
+        return tuple(items), height + 1
 
 
 def _assign_ids(functions):

@@ -129,6 +129,7 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
                             step_budget=cfg.step_budget,
                             trace_limit=cfg.trace_limit)
               for test in selected]
+    events = [sum(t.size() for t in traces)]
     dropped = [t.test for t in traces if t.oversized and not t.failing]
     if dropped:
         # Oversized traces are only worth folding when the test failed.
@@ -140,15 +141,20 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     if cfg.loop_compression:
         traces = [reduction.compress_loops(t, program, log) for t in traces]
     timings["compress"] = time.perf_counter() - t0
+    events.append(sum(t.size() for t in traces))
 
     t0 = time.perf_counter()
     if cfg.adaptive_folding:
         traces = [reduction.adaptive_fold(t, cfg, log) for t in traces]
     timings["fold"] = time.perf_counter() - t0
+    events.append(sum(t.size() for t in traces))
 
     t0 = time.perf_counter()
     budgeted = reduction.budget_traces(traces, cfg, log)
     timings["budget"] = time.perf_counter() - t0
+    events.append(sum(t.size() for t in budgeted))
+    log.append("events: raw {}, after compress {}, after fold {}, "
+               "modelled {}".format(*events))
 
     t0 = time.perf_counter()
     ddg = build_ddg(program, budgeted,

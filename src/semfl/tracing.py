@@ -3,12 +3,19 @@
 `profile` runs every test with lightweight coverage recording; `trace` runs a
 single test with full value-level event recording, collapsing calls into
 untraced functions to atomic call summaries.
+
+Both run function bodies compiled once per program into nested Python
+closures (`_Compiler`), so no AST node is dispatched on at run time. An
+expression compiles to `f(ex, frame) -> (value, reads)`, where `reads` is a
+tuple of value ids, and a statement to `g(ex, frame)`, which returns None or,
+for a `return`, the pair `(value, vid)`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -22,10 +29,13 @@ DEFAULT_STEP_BUDGET = 10 ** 6
 # MiniImp calls nest at most this deep below a test; a call past it throws
 # a catchable `stack_overflow`.
 MAX_CALL_DEPTH = 100
-# The interpreter recurses in Python: a few frames per MiniImp call plus two
-# per level of statement or expression nesting. Tests run with Python's
-# recursion limit raised by this much per call.
-_PY_FRAMES_PER_CALL = 100
+# The interpreter recurses in Python: a few frames per MiniImp call plus
+# one or two per level of statement or expression nesting, which the parser
+# bounds (`lang.parser.MAX_NESTING`). Tests run with Python's recursion
+# limit raised by this much per call: the deepest program the parser
+# accepts needs 58 (calls nested in sums in call arguments; see
+# `deepest_program` in tests/test_tracer.py), plus a 25% margin.
+_PY_FRAMES_PER_CALL = 72
 
 # MiniImp integers are checked 64-bit: results outside this range throw.
 INT_MAX = 2 ** 63 - 1
@@ -107,6 +117,9 @@ class CoverageProfile:
         return len(self.passing)
 
 
+# MiniImp values are Python ints and bools, `ArrayRef`s and `ExcValue`s, so
+# `type(v) is int` tells an integer from a boolean.
+
 @dataclass(frozen=True)
 class ArrayRef:
     addr: int
@@ -117,6 +130,16 @@ class ExcValue:
     tag: str  # e.g. "div_by_zero", "index_out_of_bounds", "type_error"
 
 
+_TYPE_ERROR = ExcValue("type_error")
+_OUT_OF_BOUNDS = ExcValue("index_out_of_bounds")
+_OVERFLOW = ExcValue("overflow")
+_DIV_BY_ZERO = ExcValue("div_by_zero")
+_STACK_OVERFLOW = ExcValue("stack_overflow")
+# A name read or index-assigned on a path that never bound it (the parser's
+# scope check is lexical).
+_UNBOUND = ExcValue("unbound_variable")
+
+
 class _Timeout(Exception):
     pass
 
@@ -124,13 +147,6 @@ class _Timeout(Exception):
 class _AssertFailure(Exception):
     def __init__(self, vid):
         super().__init__("assertion failed")
-        self.vid = vid
-
-
-class _Return(Exception):
-    def __init__(self, value, vid):
-        super().__init__()
-        self.value = value
         self.vid = vid
 
 
@@ -149,384 +165,193 @@ class MiniThrow(Exception):
 class _Frame:
     __slots__ = ("fn", "env", "traced")
 
-    def __init__(self, fn, traced):
+    def __init__(self, fn, env, traced):
         self.fn = fn
-        self.env = {}
+        self.env = env  # name -> (value, vid)
         self.traced = traced
 
 
+class _Array:
+    __slots__ = ("items", "version")
+
+    def __init__(self, items, version):
+        self.items = items
+        self.version = version  # vid of the array's current contents
+
+
+# A function body that ends without `return`, or `return;`: the value 0,
+# produced by no event.
+_NO_VALUE = (0, None)
+
+
 class _Executor:
+    """State of one test run: steps, value ids, events, heap and coverage."""
+
     def __init__(self, program, traced_functions, step_budget):
-        self.program = program
+        self.functions = program.functions
+        self.compiled = program.compiled
         self.traced = traced_functions
         self.step_budget = step_budget
         self.steps = 0
         self.events = []
         self.vid_counter = 0
-        self.heap = {}
-        self.next_addr = 0
-        self.frames = []
+        self.heap = {}  # addr -> _Array; arrays are never freed
+        self.depth = 0  # MiniImp frames, the test's included
         self.cov_functions = set()
         self.cov_statements = set()
 
     # --- bookkeeping ---
 
+    def function(self, name):
+        """(params, body) of a function, compiled on its first call."""
+        code = self.compiled.get(name)
+        if code is None:
+            fn = self.functions[name]
+            code = self.compiled[name] = (fn.params, _Compiler(fn).block(fn.body))
+        return code
+
     def new_vid(self):
         vid = self.vid_counter
-        self.vid_counter += 1
+        self.vid_counter = vid + 1
         return vid
 
-    def emit(self, event):
-        if self.frames and self.frames[-1].traced:
-            self.events.append(event)
-
-    def emit_exec(self, stmt, reads):
-        vid = self.new_vid()
-        self.emit(TraceEvent(EXEC, stmt.sid, tuple(reads), (vid,)))
+    def exec_event(self, frame, sid, reads):
+        """Draw the id of a value computed by statement `sid`; record its
+        event when the frame is traced. Untraced frames still draw ids, so
+        numbering does not depend on what is traced."""
+        vid = self.vid_counter
+        self.vid_counter = vid + 1
+        if frame.traced:
+            self.events.append(TraceEvent(EXEC, sid, reads, (vid,), _NO_AUX))
         return vid
 
-    def step(self, stmt, frame):
+    def step(self, frame, sid):
         self.steps += 1
         if self.steps > self.step_budget:
             raise _Timeout()
         self.cov_functions.add(frame.fn)
-        self.cov_statements.add(stmt.sid)
+        self.cov_statements.add(sid)
 
-    def throw(self, tag, stmt, reads, frame):
-        value = ExcValue(tag)
-        if frame.traced:
-            vid = self.emit_exec(stmt, reads)
-            produced = True
-        else:
-            vid = self.new_vid()
-            produced = False
-        raise MiniThrow(value, vid, produced, stmt.sid)
+    def throw(self, frame, sid, reads, value):
+        vid = self.exec_event(frame, sid, reads)
+        raise MiniThrow(value, vid, frame.traced, sid)
 
-    # --- expression evaluation ---
-    # eval returns (python value, list of read vids).
+    # --- calls ---
 
-    def eval(self, expr, frame, stmt):
-        if isinstance(expr, A.IntLit):
-            return expr.value, []
-        if isinstance(expr, A.BoolLit):
-            return expr.value, []
-        if isinstance(expr, A.Var):
-            value, vid = frame.env[expr.name]
-            if isinstance(value, ArrayRef):
-                return value, [self.heap[value.addr]["version"]]
-            return value, [vid]
-        if isinstance(expr, A.ArrayLit):
-            items, reads = [], []
-            for e in expr.items:
-                v, r = self.eval(e, frame, stmt)
-                items.append(v)
-                reads.extend(r)
-            addr = self.next_addr
-            self.next_addr += 1
-            version = self.new_vid()
-            self.emit(TraceEvent(EXEC, stmt.sid, tuple(reads), (version,)))
-            self.heap[addr] = {"items": items, "version": version}
-            return ArrayRef(addr), [version]
-        if isinstance(expr, A.Index):
-            base, base_reads = self.eval(expr.base, frame, stmt)
-            idx, idx_reads = self.eval(expr.index, frame, stmt)
-            reads = base_reads + idx_reads
-            if not isinstance(base, ArrayRef) or not isinstance(idx, int) or isinstance(idx, bool):
-                self.throw("type_error", stmt, reads, frame)
-            items = self.heap[base.addr]["items"]
-            if idx < 0 or idx >= len(items):
-                self.throw("index_out_of_bounds", stmt, reads, frame)
-            return items[idx], reads
-        if isinstance(expr, A.Unary):
-            v, reads = self.eval(expr.operand, frame, stmt)
-            if expr.op == "-":
-                if not isinstance(v, int) or isinstance(v, bool):
-                    self.throw("type_error", stmt, reads, frame)
-                return -v, reads
-            if not isinstance(v, bool):
-                self.throw("type_error", stmt, reads, frame)
-            return (not v), reads
-        if isinstance(expr, A.Binary):
-            return self.eval_binary(expr, frame, stmt)
-        if isinstance(expr, A.Call):
-            return self.eval_call(expr, frame, stmt)
-        raise MalformedTrace(f"unknown expression {expr!r}")
-
-    def check_int(self, value, stmt, reads, frame):
-        # Checked 64-bit arithmetic: overflow throws a catchable error.
-        if value > INT_MAX or value < INT_MIN:
-            self.throw("overflow", stmt, reads, frame)
-        return value
-
-    def eval_binary(self, expr, frame, stmt):
-        op = expr.op
-        left, lr = self.eval(expr.left, frame, stmt)
-        # Short-circuit boolean operators.
-        if op in ("&&", "||"):
-            if not isinstance(left, bool):
-                self.throw("type_error", stmt, lr, frame)
-            if (op == "&&" and not left) or (op == "||" and left):
-                return left, lr
-            right, rr = self.eval(expr.right, frame, stmt)
-            if not isinstance(right, bool):
-                self.throw("type_error", stmt, lr + rr, frame)
-            return right, lr + rr
-        right, rr = self.eval(expr.right, frame, stmt)
-        reads = lr + rr
-        if op in ("==", "!="):
-            eq = left == right
-            return (eq if op == "==" else not eq), reads
-        ints = (isinstance(left, int) and not isinstance(left, bool)
-                and isinstance(right, int) and not isinstance(right, bool))
-        if not ints:
-            self.throw("type_error", stmt, reads, frame)
-        if op == "<":
-            return left < right, reads
-        if op == "<=":
-            return left <= right, reads
-        if op == ">":
-            return left > right, reads
-        if op == ">=":
-            return left >= right, reads
-        if op == "+":
-            return self.check_int(left + right, stmt, reads, frame), reads
-        if op == "-":
-            return self.check_int(left - right, stmt, reads, frame), reads
-        if op == "*":
-            return self.check_int(left * right, stmt, reads, frame), reads
-        if op in ("/", "%"):
-            if right == 0:
-                self.throw("div_by_zero", stmt, reads, frame)
-            q = abs(left) // abs(right)
-            if (left < 0) != (right < 0):
-                q = -q
-            return (q if op == "/" else left - q * right), reads
-
-    def eval_arg(self, arg, frame, stmt):
-        """Evaluate one call argument; returns (value, vid carried to the callee)."""
-        if isinstance(arg, A.Var):
-            value, reads = self.eval(arg, frame, stmt)
-            return value, reads[0]
-        if isinstance(arg, (A.IntLit, A.BoolLit)) and frame.fn.startswith("test_"):
-            # Literal test inputs are root values with no producer.
-            return (arg.value, self.new_vid())
-        if isinstance(arg, A.Call):
-            value, reads = self.eval(arg, frame, stmt)
-            if len(reads) == 1:
-                return value, reads[0]
-            # void callee: fall through to an auxiliary evaluation event
-            vid = self.emit_exec(stmt, reads)
-            return value, vid
-        value, reads = self.eval(arg, frame, stmt)
-        if isinstance(value, ArrayRef):
-            return value, self.heap[value.addr]["version"]
-        vid = self.emit_exec(stmt, reads)
-        return value, vid
-
-    def eval_call(self, expr, frame, stmt):
-        fn = self.program.functions[expr.name]
-        traced_call = expr.name in self.traced
-        args = [self.eval_arg(a, frame, stmt) for a in expr.args]
-        if len(self.frames) > MAX_CALL_DEPTH:
-            self.throw("stack_overflow", stmt, [vid for _, vid in args], frame)
+    def call(self, frame, sid, name, args):
+        """Call `name` with evaluated (value, vid) arguments from `frame`."""
+        if self.depth > MAX_CALL_DEPTH:
+            self.throw(frame, sid, tuple(vid for _, vid in args),
+                       _STACK_OVERFLOW)
+        traced_call = name in self.traced
         if frame.traced and not traced_call:
-            return self.run_untraced_call(fn, args, frame, stmt)
-        if not frame.traced and traced_call:
+            return self.run_untraced_call(name, args, sid)
+        if traced_call and not frame.traced:
             # Entered from untraced code: parameter values get fresh ids so
             # the enclosing call summary can claim them via virtual edges.
             fresh = []
             for value, _ in args:
                 vid = self.new_vid()
-                if isinstance(value, ArrayRef):
-                    self.heap[value.addr]["version"] = vid
+                if type(value) is ArrayRef:
+                    self.heap[value.addr].version = vid
                 fresh.append((value, vid))
             args = fresh
-        return self.run_call(fn, args, traced_call, stmt)
+        return self.run_call(name, args, traced_call, sid)
 
-    def run_call(self, fn, args, traced_call, stmt):
-        callee_frame = _Frame(fn.name, traced_call)
-        for name, (value, vid) in zip(fn.params, args):
-            callee_frame.env[name] = (value, vid)
-        arrays = [[value.addr, self.heap[value.addr]["version"]]
-                  for value, _ in args if isinstance(value, ArrayRef)]
-        enter = TraceEvent(CALL_ENTER, stmt.sid, aux={
-            "callee": fn.name,
-            "params": [vid for _, vid in args],
-            "arrays": arrays,
-        })
+    def run_call(self, name, args, traced_call, sid):
+        params, body = self.function(name)
+        callee = _Frame(name, dict(zip(params, args)), traced_call)
         if traced_call:
-            self.events.append(enter)
-        self.frames.append(callee_frame)
+            arrays = [[value.addr, self.heap[value.addr].version]
+                      for value, _ in args if type(value) is ArrayRef]
+            self.events.append(TraceEvent(CALL_ENTER, sid, (), (), {
+                "callee": name,
+                "params": [vid for _, vid in args],
+                "arrays": arrays,
+            }))
+        self.depth += 1
         try:
-            ret_value, ret_vid = 0, None
-            try:
-                self.exec_block(fn.body, callee_frame)
-            except _Return as r:
-                ret_value, ret_vid = r.value, r.vid
+            for g in body:
+                ret = g(self, callee)
+                if ret is not None:
+                    break
+            else:
+                ret = _NO_VALUE
         except (MiniThrow, _AssertFailure, _Timeout) as exc:
-            self.frames.pop()
-            if isinstance(exc, MiniThrow):
+            self.depth -= 1
+            if type(exc) is MiniThrow:
                 exc.unwound += 1
             if traced_call:
-                aux = {"callee": fn.name, "ret": None, "aborted": True,
+                aux = {"callee": name, "ret": None, "aborted": True,
                        "array_versions": []}
-                if isinstance(exc, MiniThrow):
+                if type(exc) is MiniThrow:
                     aux["thrown"] = exc.vid
-                self.events.append(TraceEvent(CALL_EXIT, stmt.sid, aux=aux))
+                self.events.append(TraceEvent(CALL_EXIT, sid, (), (), aux))
             raise
-        self.frames.pop()
+        self.depth -= 1
+        value, vid = ret
         if traced_call:
-            versions = [[addr, self.heap[addr]["version"]] for addr, _ in arrays]
-            self.events.append(TraceEvent(CALL_EXIT, stmt.sid, aux={
-                "callee": fn.name, "ret": ret_vid, "aborted": False,
+            versions = [[addr, self.heap[addr].version] for addr, _ in arrays]
+            self.events.append(TraceEvent(CALL_EXIT, sid, (), (), {
+                "callee": name, "ret": vid, "aborted": False,
                 "array_versions": versions,
             }))
-        return ret_value, ([ret_vid] if ret_vid is not None else [])
+        return value, (() if vid is None else (vid,))
 
-    def run_untraced_call(self, fn, args, frame, stmt):
+    def run_untraced_call(self, name, args, sid):
         """Execute an untraced callee and emit one atomic call summary.
 
         Reads: scalar arguments plus entry versions of array arguments.
         Writes: the return value plus a fresh version for each array argument.
         """
-        scalar_reads = [vid for value, vid in args if not isinstance(value, ArrayRef)]
-        array_args = [value.addr for value, _ in args if isinstance(value, ArrayRef)]
-        entry_versions = [self.heap[addr]["version"] for addr in array_args]
-
-        def finish(extra_writes, threw, ret_vid):
-            new_versions = []
-            for addr in array_args:
-                nv = self.new_vid()
-                self.heap[addr]["version"] = nv
-                new_versions.append(nv)
-            writes = tuple(extra_writes) + tuple(new_versions)
-            self.emit(TraceEvent(
-                CALL_SUMMARY, stmt.sid,
-                reads=tuple(scalar_reads + entry_versions),
-                writes=writes,
-                aux={"callee": fn.name, "ret": ret_vid, "threw": threw}))
-
+        array_args = [value.addr for value, _ in args if type(value) is ArrayRef]
+        reads = tuple([vid for value, vid in args if type(value) is not ArrayRef]
+                      + [self.heap[addr].version for addr in array_args])
         try:
-            value, _ = self.run_call(fn, args, traced_call=False, stmt=stmt)
+            value, _ = self.run_call(name, args, False, sid)
         except MiniThrow as exc:
-            extra = [] if exc.produced else [exc.vid]
-            finish(extra, threw=True, ret_vid=None)
+            writes = [] if exc.produced else [exc.vid]
+            self.call_summary(sid, name, reads, array_args, writes, True, None)
             exc.produced = True
             raise
         except _AssertFailure:
-            finish([], threw=True, ret_vid=None)
+            self.call_summary(sid, name, reads, array_args, [], True, None)
             raise
-        ret_vid = self.new_vid()
-        finish([ret_vid], threw=False, ret_vid=ret_vid)
-        return value, [ret_vid]
+        ret = self.new_vid()
+        self.call_summary(sid, name, reads, array_args, [ret], False, ret)
+        return value, (ret,)
 
-    # --- statement execution ---
-
-    def exec_block(self, stmts, frame):
-        for s in stmts:
-            self.exec_stmt(s, frame)
-
-    def exec_stmt(self, s, frame):
-        if isinstance(s, A.Try):
-            try:
-                self.exec_block(s.body, frame)
-            except MiniThrow as exc:
-                self.emit(TraceEvent(EXCEPTION_CATCH, exc.origin_sid, aux={
-                    "value": exc.vid, "unwound": exc.unwound}))
-                frame.env[s.catch_name] = (exc.value, exc.vid)
-                self.exec_block(s.handler, frame)
-            return
-        self.step(s, frame)
-        if isinstance(s, A.Let) or isinstance(s, A.Assign):
-            value, reads = self.eval(s.expr, frame, s)
-            vid = self.emit_exec(s, reads)
-            frame.env[s.name] = (value, vid)
-        elif isinstance(s, A.IndexAssign):
-            base, base_vid = frame.env[s.name]
-            idx, idx_reads = self.eval(s.index, frame, s)
-            value, val_reads = self.eval(s.expr, frame, s)
-            if not isinstance(base, ArrayRef) or not isinstance(idx, int) or isinstance(idx, bool):
-                self.throw("type_error", s, idx_reads + val_reads, frame)
-            entry = self.heap[base.addr]
-            reads = [entry["version"]] + idx_reads + val_reads
-            if idx < 0 or idx >= len(entry["items"]):
-                self.throw("index_out_of_bounds", s, reads, frame)
-            if isinstance(value, ArrayRef):
-                self.throw("type_error", s, reads, frame)
-            vid = self.emit_exec(s, reads)
-            entry["items"][idx] = value
-            entry["version"] = vid
-        elif isinstance(s, A.If):
-            cond, reads = self.eval(s.cond, frame, s)
-            if not isinstance(cond, bool):
-                self.throw("type_error", s, reads, frame)
-            self.emit_exec(s, reads)
-            self.exec_block(s.then if cond else s.orelse, frame)
-        elif isinstance(s, A.While):
-            while True:
-                self.step(s, frame)
-                cond, reads = self.eval(s.cond, frame, s)
-                if not isinstance(cond, bool):
-                    self.throw("type_error", s, reads, frame)
-                self.emit_exec(s, reads)
-                if not cond:
-                    break
-                self.exec_block(s.body, frame)
-        elif isinstance(s, A.Return):
-            if s.expr is None:
-                raise _Return(0, None)
-            value, reads = self.eval(s.expr, frame, s)
-            vid = self.emit_exec(s, reads)
-            raise _Return(value, vid)
-        elif isinstance(s, A.Assert):
-            if isinstance(s.expr, (A.Var, A.Call)):
-                value, reads = self.eval(s.expr, frame, s)
-                vid = reads[0] if reads else self.emit_exec(s, reads)
-            else:
-                value, reads = self.eval(s.expr, frame, s)
-                vid = self.emit_exec(s, reads)
-            if not isinstance(value, bool):
-                self.throw("type_error", s, [vid], frame)
-            self.emit(TraceEvent(ASSERT_OUTCOME, s.sid,
-                                 aux={"value": vid, "outcome": value}))
-            if not value:
-                raise _AssertFailure(vid)
-        elif isinstance(s, A.Throw):
-            value, reads = self.eval(s.expr, frame, s)
-            if frame.traced:
-                vid = self.emit_exec(s, reads)
-                produced = True
-            else:
-                vid = self.new_vid()
-                produced = False
-            raise MiniThrow(value, vid, produced, s.sid)
-        elif isinstance(s, A.ExprStmt):
-            value, reads = self.eval(s.expr, frame, s)
-            self.emit_exec(s, reads)
-        else:
-            raise MalformedTrace(f"unknown statement {s!r}")
+    def call_summary(self, sid, name, reads, array_args, writes, threw, ret):
+        for addr in array_args:
+            vid = self.new_vid()
+            self.heap[addr].version = vid
+            writes.append(vid)
+        self.events.append(TraceEvent(
+            CALL_SUMMARY, sid, reads, tuple(writes),
+            {"callee": name, "ret": ret, "threw": threw}))
 
     # --- test entry point ---
 
     def run_test(self, test_name, traced):
-        frame = _Frame(test_name, traced)
-        self.frames.append(frame)
+        frame = _Frame(test_name, {}, traced)
+        self.depth = 1
         self.cov_functions.add(test_name)
         status, reason = "pass", ""
         truncated = False
         py_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(py_limit + MAX_CALL_DEPTH * _PY_FRAMES_PER_CALL)
         try:
-            try:
-                self.exec_block(self.program.functions[test_name].body, frame)
-            except _Return:
-                pass
+            _, body = self.function(test_name)
+            for g in body:
+                if g(self, frame) is not None:
+                    break
         except _AssertFailure:
             status, reason = "fail", "assert"
         except MiniThrow as exc:
             status, reason = "fail", "exception"
-            self.emit(TraceEvent(ASSERT_OUTCOME, exc.origin_sid, aux={
-                "value": exc.vid, "outcome": False, "from_exception": True}))
+            if traced:
+                self.events.append(TraceEvent(ASSERT_OUTCOME, exc.origin_sid, (), (), {
+                    "value": exc.vid, "outcome": False, "from_exception": True}))
         except _Timeout:
             status, reason = "fail", "timeout"
             truncated = True
@@ -535,15 +360,380 @@ class _Executor:
             # uncaught-exception evidence.
             for ev in reversed(self.events):
                 if ev.writes:
-                    self.emit(TraceEvent(ASSERT_OUTCOME, ev.stmt, aux={
+                    self.events.append(TraceEvent(ASSERT_OUTCOME, ev.stmt, (), (), {
                         "value": ev.writes[-1], "outcome": False,
                         "from_timeout": True}))
                     break
         finally:
             sys.setrecursionlimit(py_limit)
-        self.frames.pop()
+        self.depth = 0
         return status, reason, truncated
 
+
+# --- compilation ---
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge}
+
+
+class _Compiler:
+    """Compiles one function body into closures over `_Executor` state."""
+
+    def __init__(self, fn):
+        # Literal arguments of calls made by test code are root inputs.
+        self.in_test = fn.name.startswith("test_")
+        self.sid = -1  # statement being compiled; its events carry this id
+
+    def block(self, stmts):
+        return tuple(self.stmt(s) for s in stmts)
+
+    # --- statements ---
+
+    def stmt(self, s):
+        if isinstance(s, A.Try):
+            return self.try_stmt(s)
+        self.sid = sid = s.sid
+        if isinstance(s, (A.Let, A.Assign)):
+            name, f = s.name, self.expr(s.expr)
+
+            def let(ex, frame):
+                ex.step(frame, sid)
+                value, reads = f(ex, frame)
+                frame.env[name] = (value, ex.exec_event(frame, sid, reads))
+            return let
+        if isinstance(s, A.IndexAssign):
+            return self.index_assign(s)
+        if isinstance(s, A.If):
+            f = self.expr(s.cond)
+            then, orelse = self.block(s.then), self.block(s.orelse)
+
+            def if_stmt(ex, frame):
+                ex.step(frame, sid)
+                cond, reads = f(ex, frame)
+                if type(cond) is not bool:
+                    ex.throw(frame, sid, reads, _TYPE_ERROR)
+                ex.exec_event(frame, sid, reads)
+                for g in then if cond else orelse:
+                    ret = g(ex, frame)
+                    if ret is not None:
+                        return ret
+                return None
+            return if_stmt
+        if isinstance(s, A.While):
+            f, body = self.expr(s.cond), self.block(s.body)
+
+            def while_stmt(ex, frame):
+                ex.step(frame, sid)
+                while True:
+                    ex.step(frame, sid)
+                    cond, reads = f(ex, frame)
+                    if type(cond) is not bool:
+                        ex.throw(frame, sid, reads, _TYPE_ERROR)
+                    ex.exec_event(frame, sid, reads)
+                    if not cond:
+                        return None
+                    for g in body:
+                        ret = g(ex, frame)
+                        if ret is not None:
+                            return ret
+            return while_stmt
+        if isinstance(s, A.Return):
+            if s.expr is None:
+                def return_nothing(ex, frame):
+                    ex.step(frame, sid)
+                    return _NO_VALUE
+                return return_nothing
+            f = self.expr(s.expr)
+
+            def return_stmt(ex, frame):
+                ex.step(frame, sid)
+                value, reads = f(ex, frame)
+                return value, ex.exec_event(frame, sid, reads)
+            return return_stmt
+        if isinstance(s, A.Assert):
+            return self.assert_stmt(s)
+        if isinstance(s, A.Throw):
+            f = self.expr(s.expr)
+
+            def throw_stmt(ex, frame):
+                ex.step(frame, sid)
+                value, reads = f(ex, frame)
+                ex.throw(frame, sid, reads, value)
+            return throw_stmt
+        if isinstance(s, A.ExprStmt):
+            f = self.expr(s.expr)
+
+            def expr_stmt(ex, frame):
+                ex.step(frame, sid)
+                _, reads = f(ex, frame)
+                ex.exec_event(frame, sid, reads)
+            return expr_stmt
+        raise TypeError(f"not a statement: {s!r}")
+
+    def try_stmt(self, s):
+        body, handler = self.block(s.body), self.block(s.handler)
+        name = s.catch_name
+
+        # Blocks run inline, here as in `if` and `while`, so that a level of
+        # statement nesting costs one Python frame.
+        def try_catch(ex, frame):
+            try:
+                for g in body:
+                    ret = g(ex, frame)
+                    if ret is not None:
+                        return ret
+            except MiniThrow as exc:
+                if frame.traced:
+                    ex.events.append(TraceEvent(
+                        EXCEPTION_CATCH, exc.origin_sid, (), (),
+                        {"value": exc.vid, "unwound": exc.unwound}))
+                frame.env[name] = (exc.value, exc.vid)
+                for g in handler:
+                    ret = g(ex, frame)
+                    if ret is not None:
+                        return ret
+            return None
+        return try_catch
+
+    def index_assign(self, s):
+        sid, name = s.sid, s.name
+        f_index, f_value = self.expr(s.index), self.expr(s.expr)
+
+        def index_assign(ex, frame):
+            ex.step(frame, sid)
+            try:
+                base, _ = frame.env[name]
+            except KeyError:
+                ex.throw(frame, sid, (), _UNBOUND)
+            idx, idx_reads = f_index(ex, frame)
+            value, value_reads = f_value(ex, frame)
+            if type(base) is not ArrayRef or type(idx) is not int:
+                ex.throw(frame, sid, idx_reads + value_reads, _TYPE_ERROR)
+            array = ex.heap[base.addr]
+            reads = (array.version,) + idx_reads + value_reads
+            if idx < 0 or idx >= len(array.items):
+                ex.throw(frame, sid, reads, _OUT_OF_BOUNDS)
+            if type(value) is ArrayRef:
+                ex.throw(frame, sid, reads, _TYPE_ERROR)
+            vid = ex.exec_event(frame, sid, reads)
+            array.items[idx] = value
+            array.version = vid
+        return index_assign
+
+    def assert_stmt(self, s):
+        sid, f = s.sid, self.expr(s.expr)
+        # A variable's or a call's value is asserted as it is; any other
+        # expression first becomes a value of the assert statement.
+        direct = isinstance(s.expr, (A.Var, A.Call))
+
+        def assert_stmt(ex, frame):
+            ex.step(frame, sid)
+            value, reads = f(ex, frame)
+            if direct and reads:
+                vid = reads[0]
+            else:
+                vid = ex.exec_event(frame, sid, reads)
+            if type(value) is not bool:
+                ex.throw(frame, sid, (vid,), _TYPE_ERROR)
+            if frame.traced:
+                ex.events.append(TraceEvent(ASSERT_OUTCOME, sid, (), (), {
+                    "value": vid, "outcome": value}))
+            if not value:
+                raise _AssertFailure(vid)
+        return assert_stmt
+
+    # --- expressions ---
+
+    def expr(self, e):
+        sid = self.sid
+        if isinstance(e, (A.IntLit, A.BoolLit)):
+            result = (e.value, ())
+            return lambda ex, frame: result
+        if isinstance(e, A.Var):
+            name = e.name
+
+            def var(ex, frame):
+                try:
+                    value, vid = frame.env[name]
+                except KeyError:
+                    ex.throw(frame, sid, (), _UNBOUND)
+                if type(value) is ArrayRef:
+                    return value, (ex.heap[value.addr].version,)
+                return value, (vid,)
+            return var
+        if isinstance(e, A.ArrayLit):
+            fs = tuple(self.expr(item) for item in e.items)
+
+            def array(ex, frame):
+                items, reads = [], ()
+                for f in fs:
+                    value, r = f(ex, frame)
+                    items.append(value)
+                    reads += r
+                version = ex.exec_event(frame, sid, reads)
+                addr = len(ex.heap)
+                ex.heap[addr] = _Array(items, version)
+                return ArrayRef(addr), (version,)
+            return array
+        if isinstance(e, A.Index):
+            f_base, f_index = self.expr(e.base), self.expr(e.index)
+
+            def index(ex, frame):
+                base, reads = f_base(ex, frame)
+                idx, r = f_index(ex, frame)
+                reads += r
+                if type(base) is not ArrayRef or type(idx) is not int:
+                    ex.throw(frame, sid, reads, _TYPE_ERROR)
+                items = ex.heap[base.addr].items
+                if idx < 0 or idx >= len(items):
+                    ex.throw(frame, sid, reads, _OUT_OF_BOUNDS)
+                return items[idx], reads
+            return index
+        if isinstance(e, A.Unary):
+            return self.unary(e.op, self.expr(e.operand))
+        if isinstance(e, A.Binary):
+            return self.binary(e.op, self.expr(e.left), self.expr(e.right))
+        if isinstance(e, A.Call):
+            name, fs = e.name, tuple(self.arg(a) for a in e.args)
+
+            def call(ex, frame):
+                args = []  # a loop, not a comprehension: one frame fewer
+                for f in fs:
+                    args.append(f(ex, frame))
+                return ex.call(frame, sid, name, args)
+            return call
+        raise TypeError(f"not an expression: {e!r}")
+
+    def unary(self, op, f):
+        sid = self.sid
+        if op == "-":
+            def negate(ex, frame):
+                value, reads = f(ex, frame)
+                if type(value) is not int:
+                    ex.throw(frame, sid, reads, _TYPE_ERROR)
+                return -value, reads
+            return negate
+
+        def logical_not(ex, frame):
+            value, reads = f(ex, frame)
+            if type(value) is not bool:
+                ex.throw(frame, sid, reads, _TYPE_ERROR)
+            return (not value), reads
+        return logical_not
+
+    def binary(self, op, f_left, f_right):
+        sid = self.sid
+        if op in ("&&", "||"):
+            # short-circuit: `&&` stops at false, `||` at true
+            stop = op == "||"
+
+            def logical(ex, frame):
+                left, reads = f_left(ex, frame)
+                if type(left) is not bool:
+                    ex.throw(frame, sid, reads, _TYPE_ERROR)
+                if left is stop:
+                    return left, reads
+                right, r = f_right(ex, frame)
+                reads += r
+                if type(right) is not bool:
+                    ex.throw(frame, sid, reads, _TYPE_ERROR)
+                return right, reads
+            return logical
+        if op in ("==", "!="):
+            negated = op == "!="
+
+            def equality(ex, frame):
+                left, reads = f_left(ex, frame)
+                right, r = f_right(ex, frame)
+                return (left == right) is not negated, reads + r
+            return equality
+        if op in _ORDER:
+            compare = _ORDER[op]
+
+            def order(ex, frame):
+                left, reads = f_left(ex, frame)
+                right, r = f_right(ex, frame)
+                reads += r
+                if type(left) is not int or type(right) is not int:
+                    ex.throw(frame, sid, reads, _TYPE_ERROR)
+                return compare(left, right), reads
+            return order
+        if op in _ARITHMETIC:
+            apply = _ARITHMETIC[op]
+
+            def arithmetic(ex, frame):
+                left, reads = f_left(ex, frame)
+                right, r = f_right(ex, frame)
+                reads += r
+                if type(left) is not int or type(right) is not int:
+                    ex.throw(frame, sid, reads, _TYPE_ERROR)
+                value = apply(left, right)
+                # checked 64-bit arithmetic: overflow throws
+                if value > INT_MAX or value < INT_MIN:
+                    ex.throw(frame, sid, reads, _OVERFLOW)
+                return value, reads
+            return arithmetic
+        if op in ("/", "%"):
+            quotient = op == "/"
+
+            def division(ex, frame):
+                left, reads = f_left(ex, frame)
+                right, r = f_right(ex, frame)
+                reads += r
+                if type(left) is not int or type(right) is not int:
+                    ex.throw(frame, sid, reads, _TYPE_ERROR)
+                if right == 0:
+                    ex.throw(frame, sid, reads, _DIV_BY_ZERO)
+                # truncating division, remainder with the dividend's sign
+                q = abs(left) // abs(right)
+                if (left < 0) != (right < 0):
+                    q = -q
+                return (q if quotient else left - q * right), reads
+            return division
+        raise TypeError(f"unknown operator {op!r}")
+
+    def arg(self, a):
+        """Compile a call argument to `f(ex, frame) -> (value, vid)`, the vid
+        being the value id the callee receives."""
+        sid = self.sid
+        if isinstance(a, A.Var):
+            f = self.expr(a)
+
+            def var_arg(ex, frame):
+                value, reads = f(ex, frame)
+                return value, reads[0]
+            return var_arg
+        if isinstance(a, (A.IntLit, A.BoolLit)) and self.in_test:
+            # literal test inputs are root values with no producer
+            value = a.value
+            return lambda ex, frame: (value, ex.new_vid())
+        if isinstance(a, A.Call):
+            # the call itself, not a wrapper of `f`: one frame per level of
+            # calls nested in arguments
+            name, fs = a.name, tuple(self.arg(b) for b in a.args)
+
+            def call_arg(ex, frame):
+                args = []
+                for f in fs:
+                    args.append(f(ex, frame))
+                value, reads = ex.call(frame, sid, name, args)
+                if reads:
+                    return value, reads[0]
+                # void callee: an auxiliary evaluation event
+                return value, ex.exec_event(frame, sid, reads)
+            return call_arg
+        f = self.expr(a)
+
+        def value_arg(ex, frame):
+            value, reads = f(ex, frame)
+            if type(value) is ArrayRef:
+                return value, ex.heap[value.addr].version
+            return value, ex.exec_event(frame, sid, reads)
+        return value_arg
+
+
+# --- entry points ---
 
 def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET) -> CoverageProfile:
     """Run every test once with coverage-only instrumentation."""

@@ -1,6 +1,7 @@
 """Benchmark-harness tests: mutation enumeration, fault seeding, corpus
 integrity, and batch-result shape."""
 
+import hashlib
 import math
 
 import pytest
@@ -17,7 +18,7 @@ from semfl.bench import (
     seed_faults,
 )
 from semfl.errors import NoViableMutants
-from semfl.lang import parse
+from semfl.lang import format_program, parse
 from semfl.pipeline import RunConfig, localize
 from semfl.tracing import profile
 
@@ -77,6 +78,27 @@ def test_literal_rewrite_direction_is_honored():
     assert profile(down).tests["test_f"].status == "fail"
     assert "return 1;" in apply_mutation(prog, by_rewrite["0 -> 1"])
     assert "return -1;" in apply_mutation(prog, by_rewrite["0 -> -1"])
+
+
+def test_apply_mutation_leaves_program_unchanged():
+    prog = load_corpus_program("intervals")
+    before = format_program(prog)
+    for point in enumerate_mutations(prog):
+        assert apply_mutation(prog, point) != before
+        assert format_program(prog) == before
+
+
+# sha256 of the scheduler's mutant texts, one per mutation point joined by
+# "\n\0", as drawn by the deep-copying apply_mutation this one replaced
+SCHEDULER_MUTANTS = (
+    "5f35170b9366c3a72b2596dd9bbf5081116b0a110275d652b9d461f289d65671")
+
+
+def test_mutant_texts_match_recorded_digest():
+    prog = load_corpus_program("scheduler")
+    texts = [apply_mutation(prog, p) for p in enumerate_mutations(prog)]
+    digest = hashlib.sha256("\n\0".join(texts).encode()).hexdigest()
+    assert digest == SCHEDULER_MUTANTS
 
 
 def test_seed_faults_deterministic_and_viable():

@@ -67,12 +67,58 @@ def test_localize_writes_reports(buggy, tmp_path, capsys):
     # assignment's with the most edges (child, statement, a, condition)
     assert ("graph: 3 statements, 8 values, 14 edges, 6 factors, "
             "max factor degree 4") in log.splitlines()
+    # no loop, nothing oversized: every reducer keeps all 12 events
+    assert ("events: raw 12, after compress 12, after fold 12, "
+            "modelled 12") in log.splitlines()
     doc = json.loads((out / "report.json").read_text())
     assert "factors" not in json.dumps(doc["metadata"])
+    assert "after compress" not in (out / "report.json").read_text()
     assert len(doc["statements"]) == 3
     assert doc["statements"][0]["rank"] == 1
     combine = json.loads((out / "combine.json").read_text())
     assert combine[0]["suspiciousness"] == 1.0
+
+
+LOOP = """
+fn inc(x) {
+    return x + 1;
+}
+
+fn sum(n) {
+    let i = 0;
+    let s = 0;
+    while (i < n) {
+        s = inc(s);
+        i = i + 1;
+    }
+    return s;
+}
+
+fn test_small() {
+    assert(sum(2) == 2);
+}
+
+fn test_big() {
+    assert(sum(40) == 41);
+}
+"""
+
+
+@pytest.mark.parametrize("limits, line", [
+    # both traces compress to 14 events; the passing one exceeds the
+    # model budget
+    (("--trace-limit", "20", "--model-limit", "20"),
+     "events: raw 268, after compress 28, after fold 28, modelled 14"),
+    # the passing trace is dropped as oversized, the failing one folded
+    (("--trace-limit", "12", "--model-limit", "20"),
+     "events: raw 268, after compress 14, after fold 6, modelled 6"),
+])
+def test_localize_logs_event_counts(tmp_path, limits, line):
+    p = tmp_path / "loop.mi"
+    p.write_text(LOOP)
+    out = tmp_path / "out"
+    assert main(["localize", str(p), "--out", str(out), *limits]) == EXIT_OK
+    assert line in (out / "log.txt").read_text().splitlines()
 
 
 def test_localize_reports_are_reproducible(buggy, tmp_path):
@@ -111,6 +157,15 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+def test_deep_nesting_is_syntax_error(tmp_path, capsys):
+    p = tmp_path / "deep.mi"
+    p.write_text("fn f() { return " + "(" * 200 + "1" + ")" * 200 + "; }\n"
+                 "fn test_f() { assert(f() == 1); }\n")
+    assert main(["localize", str(p)]) == EXIT_SYNTAX
+    err = capsys.readouterr().err
+    assert err.startswith("syntax error: ") and "nesting deeper than" in err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["localize", str(tmp_path / "nope.mi")]) == EXIT_INTERNAL
 
@@ -138,6 +193,20 @@ def test_deep_recursion_gives_ranked_report(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0].startswith("rank")
     assert captured.err == ""
+
+
+def test_unbound_variable_gives_ranked_report(tmp_path, capsys):
+    p = tmp_path / "unbound.mi"
+    p.write_text("fn f(c) { if (c > 0) { let x = 1; } return x; }\n"
+                 "fn test_one() { assert(f(1) == 1); }\n"
+                 "fn test_zero() { assert(f(0) == 1); }\n")
+    out = tmp_path / "out"
+    assert main(["localize", str(p), "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith("rank")
+    assert captured.err == ""
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["statements"][0]["rank"] == 1
 
 
 BARE_ARGS = {

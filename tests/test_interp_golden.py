@@ -1,0 +1,79 @@
+"""Golden interpreter-equivalence test: coverage profiles and traces of the
+corpus programs and some of their mutants, hashed and compared against
+`data/interp_digests.json`.
+
+Each digest covers, at one step budget, every test's coverage record
+(status, reason, sorted functions, sorted statements) and the
+`dump_trace` text of every test traced under
+`pipeline.traced_function_set`. Two budgets are used so that timeouts
+must land on the same step as well.
+
+Regenerate the file (only when a change to the interpreter's observable
+behaviour is intended) with
+
+    PYTHONPATH=src python tests/test_interp_golden.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from semfl.bench import (
+    apply_mutation,
+    enumerate_mutations,
+    load_corpus_program,
+    load_manifest,
+)
+from semfl.lang import parse
+from semfl.pipeline import traced_function_set
+from semfl.tracing import dump_trace, profile, trace
+
+DIGESTS = Path(__file__).parent / "data" / "interp_digests.json"
+STEP_BUDGETS = (20_000, 300)
+MUTANTS_PER_PROGRAM = 5
+
+
+def program_digest(program, step_budget):
+    prof = profile(program, step_budget=step_budget)
+    h = hashlib.sha256()
+    for name, cov in prof.tests.items():
+        h.update(json.dumps([name, cov.status, cov.reason,
+                             sorted(cov.functions),
+                             sorted(cov.statements)]).encode())
+    traced = traced_function_set(program, prof)
+    for name in program.test_names:
+        tr = trace(program, name, traced, step_budget=step_budget)
+        h.update(dump_trace(tr, program).encode())
+    return h.hexdigest()
+
+
+def corpus_programs(name):
+    """The named corpus program and its first mutants, keyed by case."""
+    program = load_corpus_program(name)
+    yield name, program
+    points = enumerate_mutations(program)[:MUTANTS_PER_PROGRAM]
+    for i, point in enumerate(points):
+        key = f"{name}#{i} s{point.sid}[{point.rewrite}]"
+        yield key, parse(apply_mutation(program, point), program.source_path)
+
+
+def digests(name):
+    return {key: {str(b): program_digest(p, b) for b in STEP_BUDGETS}
+            for key, p in corpus_programs(name)}
+
+
+NAMES = [e["name"] for e in load_manifest()]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_interpreter_matches_golden_digests(name):
+    expected = json.loads(DIGESTS.read_text())[name]
+    assert digests(name) == expected
+
+
+if __name__ == "__main__":
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps({n: digests(n) for n in NAMES},
+                                  indent=1, sort_keys=True) + "\n")

@@ -57,6 +57,19 @@ def test_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("source", [
+    # parentheses, past the recursive-descent parser's own stack
+    "fn f() { return " + "(" * 200 + "1" + ")" * 200 + "; }",
+    # a long operator chain, parsed by a loop into a deep tree
+    "fn f() { return " + " + ".join(["1"] * 100) + "; }",
+    "fn f(x) { " + "if (x) { " * 50 + "}" * 50 + " }",
+    "fn f() { return " + "-" * 100 + "1; }",
+])
+def test_nesting_past_limit_is_syntax_error(source):
+    with pytest.raises(MiniImpSyntaxError, match="nesting deeper than 40"):
+        parse(source)
+
+
 def test_duplicate_function_rejected():
     with pytest.raises(DuplicateFunction):
         parse("fn f() { return 1; }\nfn f() { return 2; }")

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from semfl.errors import NoTests
+from semfl.errors import MiniImpSyntaxError, NoTests
 from semfl.lang import parse
+from semfl.lang.parser import MAX_NESTING
 from semfl.tracing import (
     ASSERT_OUTCOME,
     CALL_ENTER,
@@ -278,6 +279,64 @@ fn test_overflow() {
     assert profile(prog).tests["test_overflow"].status == "pass"
 
 
+UNBOUND = """
+fn read(c) {
+    if (c > 0) {
+        let x = 1;
+    }
+    return x;
+}
+
+fn store(c) {
+    if (c > 0) {
+        let xs = [0];
+    }
+    xs[0] = 1;
+    return 0;
+}
+
+fn test_bound() {
+    assert(read(1) == 1);
+}
+
+fn test_read() {
+    assert(read(0) == 1);
+}
+
+fn test_store() {
+    assert(store(0) == 0);
+}
+
+fn test_caught() {
+    try {
+        let v = read(0);
+        assert(false);
+    } catch (e) {
+        assert(true);
+    }
+}
+"""
+
+
+def test_unbound_variable_throws_catchable_exception():
+    # the scope check is lexical: `x` and `xs` parse, but are unbound when
+    # the branch that declares them is not taken
+    prog = parse(UNBOUND)
+    prof = profile(prog)
+    assert prof.tests["test_bound"].status == "pass"
+    assert prof.tests["test_caught"].status == "pass"
+    for test, fn in (("test_read", "read"), ("test_store", "store")):
+        assert (prof.tests[test].status, prof.tests[test].reason) == (
+            "fail", "exception")
+        tr = trace(prog, test, {fn})
+        faulting = prog.functions[fn].statement_ids()[2]
+        assert tr.events[-2].kind == CALL_EXIT
+        assert tr.events[-2].aux["aborted"]
+        assert tr.events[-1].kind == ASSERT_OUTCOME
+        assert tr.events[-1].stmt == faulting
+        assert tr.events[-1].aux.get("from_exception")
+
+
 RECURSION = """
 fn f(n) {
     if (n == 0) {
@@ -347,6 +406,61 @@ def test_depth_limit_holds_under_deep_statement_nesting():
     assert prof.tests["test_fits"].status == "pass"
     assert prof.tests["test_deep"].reason == "exception"
     assert trace(prog, "test_deep", {"g"}).reason == "exception"
+
+
+# The shapes that nest deepest: the recursive call of g sits at the
+# deepest level the parser accepts, under blocks or under expressions.
+DEEP_WRAPPERS = {
+    "blocks": None,
+    "calls": lambda i, e: f"h({e})",
+    "negations": lambda i, e: f"-{e}",
+    "parentheses": lambda i, e: f"({e})",
+    "arithmetic": lambda i, e: f"({e})" if i % 2 else f"0 + {e}",
+    "call arguments": lambda i, e: f"h({e})" if i % 2 else f"0 + {e}",
+}
+
+
+def deepest_program(shape, extra=0):
+    """A program whose g nests MAX_NESTING + extra levels deep and is
+    called MAX_CALL_DEPTH - 1 deep by test_deep."""
+    # below g's body block, `g(n - 1)` takes three levels: call, `-`, operand
+    room = MAX_NESTING + extra - 1 - 3
+    wrap = DEEP_WRAPPERS[shape]
+    if wrap is None:
+        body = ("if (n > 0) {\n" * room + "return g(n - 1);\n"
+                + "}\n" * room + "return 0;")
+    else:
+        expr = "g(n - 1)"
+        for i in range(room):
+            expr = wrap(i, expr)
+        body = f"return {expr};"
+    depth = MAX_CALL_DEPTH - 1
+    return f"""
+fn h(x) {{
+    return x;
+}}
+
+fn g(n) {{
+    if (n == 0) {{
+        return 0;
+    }}
+{body}
+}}
+
+fn test_deep() {{
+    assert(g({depth}) == 0);
+}}
+"""
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_WRAPPERS))
+def test_deepest_accepted_nesting_runs_at_the_call_limit(shape):
+    prog = parse(deepest_program(shape))
+    assert profile(prog).tests["test_deep"].status == "pass"
+    for traced in ({"g"}, {"g", "h"}, set()):
+        assert trace(prog, "test_deep", traced).status == "pass"
+    with pytest.raises(MiniImpSyntaxError, match="nesting deeper than"):
+        parse(deepest_program(shape, extra=1))
 
 
 def test_stack_overflow_is_catchable():
