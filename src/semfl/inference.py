@@ -4,8 +4,10 @@ The network is bipartite: variables on one side, noisy-conjunction factors
 on the other. The engine runs on the network's own arrays (`FaultNet`):
 priors, evidence, factor offsets, one variable per factor edge and one
 leak per factor. Messages are length-2 vectors over (correct, incorrect),
-normalized after every update. Factor messages have a closed form that is
-linear in the factor degree (`factor_messages`); a naive enumeration
+normalized after every update. Each side of an iteration is one flat pass
+over the edge arrays that multiplies messages as sums of logarithms, so no
+degree makes a product underflow. Factor messages have a closed form that
+is linear in the factor degree (`factor_messages`); a naive enumeration
 variant and an exact joint-enumeration oracle exist for cross-checking.
 """
 
@@ -77,55 +79,63 @@ def factor_to_var_naive(p0, msgs, target_pos) -> tuple:
     return _normalize(out[0], out[1])
 
 
-def _running_products(msgs):
-    """Per row of a 2-D array, pre[:, i] is the product of msgs[:, :i] and
-    suf[:, i] the product of msgs[:, i:]. Each is a running product from
-    1.0, one factor at a time (suffixes from the right end)."""
-    ones = np.ones((len(msgs), 1))
-    pre = np.cumprod(np.concatenate((ones, msgs), axis=1), axis=1)
-    suf = np.cumprod(np.concatenate((ones, msgs[:, ::-1]), axis=1),
-                     axis=1)[:, ::-1]
-    return pre, suf
-
-
-def factor_messages(p0, child_t, child_f, parent_t):
-    """Closed-form messages of noisy-conjunction factors with k parents,
-    one factor per row. p0 has shape (m,), child_t and child_f are the
-    (m,) messages the children send, and parent_t holds the (m, k)
-    correct-components the parents send. Returns the unnormalised
-    messages to the children, two (m,) arrays, and to the parents, two
-    (m, k) arrays.
+def factor_messages(p0, offsets, v2f_t, v2f_f):
+    """Closed-form messages of noisy-conjunction factors on the flat edge
+    arrays: factor a, with leak p0[a], has the edges offsets[a]:offsets[a +
+    1], its child first, whose variables send v2f_t and v2f_f. Returns the
+    unnormalised messages back, two arrays with one entry per edge.
 
     Summed over parent assignments, the message to the child depends only
     on the product of the parents' correct-components. For a parent,
     every assignment of the others but the all-correct one gives the same
-    constant b."""
+    constant b, so it needs only the product of the other parents'. Both
+    come from one sum of logarithms per factor, less the edge's own term,
+    with exact zeros counted apart."""
+    starts, arity = offsets[:-1], np.diff(offsets)
+    zero = v2f_t == 0.0
+    log_t = np.log(v2f_t, out=np.zeros_like(v2f_t), where=~zero)
+    log_t[starts] = 0.0  # the child is not a parent
+    zero[starts] = False
+    total = np.add.reduceat(log_t, starts)
+    zeros = np.add.reduceat(zero, starts, dtype=np.int64)
     q = 1.0 - p0
-    pre, suf = _running_products(parent_t)
-    all_true = pre[:, -1]
-    b = (p0 * child_t + q * child_f)[:, None]
-    to_parent_t = (child_t[:, None] - b) * pre[:, :-1] * suf[:, 1:] + b
-    return (q * all_true + p0, q * (1.0 - all_true),
-            to_parent_t, np.broadcast_to(b, to_parent_t.shape))
+    all_true = np.where(zeros > 0, 0.0, np.exp(total))
+    others = np.where(np.repeat(zeros, arity) > zero, 0.0,
+                      np.exp(np.repeat(total, arity) - log_t))
+    child_t = v2f_t[starts]
+    b = p0 * child_t + q * v2f_f[starts]
+    to_f = np.repeat(b, arity)
+    to_t = np.repeat(child_t - b, arity) * others + to_f
+    to_t[starts] = q * all_true + p0
+    to_f[starts] = q * (1.0 - all_true)
+    return to_t, to_f
+
+
+def _log_odds(t, f):
+    """log t - log f per message, 0 where t or f is exactly zero; those
+    entries are flagged in the two masks returned with it instead."""
+    zt, zf = t == 0.0, f == 0.0
+    finite = ~(zt | zf)
+    odds = np.log(t, out=np.zeros_like(t), where=finite)
+    odds -= np.log(f, out=np.zeros_like(f), where=finite)
+    return odds, zt, zf
 
 
 class _Engine:
     """Flooding LBP on the network's edge arrays, used as they are.
 
     Edge e = offsets[a] + pos joins factor a to its variable edge_var[e]
-    at `pos` (0 is the child), so a variable's edges in increasing order
-    are its incident edges by factor, then position. Each edge has a
-    message each way, over (correct, incorrect), in four float64 arrays.
-    Factors are grouped by arity and free variables by degree into (m, k)
-    matrices of edge indices, so an iteration is a few numpy calls per
-    group.
-
-    The arithmetic is that of a tuple-per-message engine, in the same
-    order: exclude-one products as prefix times suffix running products,
-    (0.5, 0.5) when a normalisation sums to zero, and marginals multiplied
-    in edge by edge with a normalisation after each. Posteriors, iteration
-    counts and logs therefore match that engine, kept in the tests as the
-    reference, bit for bit, underflow on high-degree variables included.
+    at `pos` (0 is the child). Each edge has a message each way, over
+    (correct, incorrect), in four float64 arrays, and each side of an
+    iteration is one pass over all edges. A free variable's message on an
+    edge is the log-odds sum of its prior and incoming messages
+    (`np.bincount` on `edge_var`) less the edge's own term, through the
+    logistic function; the marginals come from the same sums. Exact zeros
+    are counted apart, so certain messages stay certain, and a message
+    falls back to (0.5, 0.5), counted in `fallbacks`, only where certain
+    messages contradict each other. Results are float64-close to, not
+    bit-identical with, the probability products of the reference engine
+    kept in the tests.
     """
 
     def __init__(self, net: FaultNet, cfg: RunConfig):
@@ -137,66 +147,61 @@ class _Engine:
                     f"factor of degree {deg} exceeds the naive-mode cap "
                     f"of {NAIVE_DEGREE_CAP}")
         self.offsets, self.p0 = net.offsets, net.p0
-        self.prior, self.evidence = net.prior, net.evidence
-        edge_var = net.edge_var
-        arity = np.diff(self.offsets)
-        self.factor_groups = []
-        for k in np.unique(arity):
-            rows = np.flatnonzero(arity == k)
-            edges = self.offsets[rows, None] + np.arange(k)
-            self.factor_groups.append((edges, self.p0[rows]))
-
-        observed = self.evidence >= 0
-        bt = np.where(observed, self.evidence, self.prior)
-        bf = 1.0 - bt
-        degree = np.bincount(edge_var, minlength=len(self.prior))
-        # the edges of variable v are incident[start[v]:start[v + 1]]
-        self.incident = np.argsort(edge_var, kind="stable")
-        self.start = np.zeros(len(self.prior) + 1, np.int64)
-        np.cumsum(degree, out=self.start[1:])
-        free = ~observed & (degree > 0)
-        self.var_groups = []
-        for d in np.unique(degree[free]):
-            vs = np.flatnonzero(free & (degree == d))
-            edges = self.incident[self.start[vs, None] + np.arange(d)]
-            self.var_groups.append((edges, bt[vs, None], bf[vs, None]))
-
-        self.f2v_t = np.full(len(edge_var), 0.5)
-        self.f2v_f = np.full(len(edge_var), 0.5)
-        # Observed variables send their clamped evidence on every edge.
-        self.v2f_t = np.where(observed, bt, 0.5)[edge_var]
-        self.v2f_f = np.where(observed, bf, 0.5)[edge_var]
+        self.prior, self.edge_var = net.prior, net.edge_var
+        self.observed = net.evidence >= 0
+        bt = np.where(self.observed, net.evidence, self.prior)
+        self.base = _log_odds(bt, 1.0 - bt)
+        # Evidence holds whatever the messages say: an observed variable
+        # counts more zeros than it has edges on the side it rules out.
+        self.clamp = [np.where(z, len(self.edge_var) + 1, 0)[self.observed]
+                      for z in self.base[1:]]
+        self.f2v_t = np.full(len(self.edge_var), 0.5)
+        self.f2v_f = np.full(len(self.edge_var), 0.5)
         self.fallbacks = 0
 
     def _normalize(self, t, f):
+        """t / (t + f) and f / (t + f); (0.5, 0.5), counted, if both are 0.
+        Overwrites t and f."""
         s = t + f
         zero = s <= 0.0
-        n = int(np.count_nonzero(zero))
-        if not n:
-            return t / s, f / s
-        self.fallbacks += n
-        s = np.where(zero, 1.0, s)
-        return np.where(zero, 0.5, t / s), np.where(zero, 0.5, f / s)
+        self.fallbacks += int(np.count_nonzero(zero))
+        np.copyto(t, 0.5, where=zero)
+        np.copyto(f, 0.5, where=zero)
+        np.copyto(s, 1.0, where=zero)
+        return t / s, f / s
+
+    def _logistic(self, odds, zt, zf):
+        """Normalised (t, f) with log-odds `odds`: (0, 1) where zt, (1, 0)
+        where zf, and the counted fallback (0.5, 0.5) where both."""
+        both = zt & zf
+        self.fallbacks += int(np.count_nonzero(both))
+        odds = np.where(zt, -np.inf, np.where(zf, np.inf, odds))
+        odds[both] = 0.0
+        # e^-|x| / (1 + e^-|x|) and 1 / (1 + e^-|x|) never overflow
+        small = np.exp(-np.abs(odds))
+        large = 1.0 / (1.0 + small)
+        small *= large
+        up = odds >= 0.0
+        return np.where(up, large, small), np.where(up, small, large)
+
+    def _sums(self):
+        """The log-odds of each factor-to-variable message with its zero
+        masks, and per variable the log-odds of its prior times all its
+        incoming messages, with counts of the zero components."""
+        odds, zt, zf = _log_odds(self.f2v_t, self.f2v_f)
+        base_odds, base_zt, base_zf = self.base
+        ev, n = self.edge_var, len(self.prior)
+        total = np.bincount(ev, odds, n) + base_odds
+        nzt = np.bincount(ev, zt, n) + base_zt
+        nzf = np.bincount(ev, zf, n) + base_zf
+        nzt[self.observed], nzf[self.observed] = self.clamp
+        return (odds, zt, zf), (total, nzt, nzf)
 
     def _update_v2f(self):
-        for edges, bt, bf in self.var_groups:
-            t_pre, t_suf = _running_products(self.f2v_t[edges])
-            f_pre, f_suf = _running_products(self.f2v_f[edges])
-            self.v2f_t[edges], self.v2f_f[edges] = self._normalize(
-                bt * t_pre[:, :-1] * t_suf[:, 1:],
-                bf * f_pre[:, :-1] * f_suf[:, 1:])
-
-    def _factor_messages(self):
-        new_t = np.empty_like(self.f2v_t)
-        new_f = np.empty_like(self.f2v_f)
-        v2f_t, v2f_f = self.v2f_t, self.v2f_f
-        for edges, p0 in self.factor_groups:
-            child, parents = edges[:, 0], edges[:, 1:]
-            ct, cf, pt, pf = factor_messages(p0, v2f_t[child], v2f_f[child],
-                                             v2f_t[parents])
-            new_t[child], new_f[child] = self._normalize(ct, cf)
-            new_t[parents], new_f[parents] = self._normalize(pt, pf)
-        return new_t, new_f
+        (odds, zt, zf), (total, nzt, nzf) = self._sums()
+        ev = self.edge_var
+        self.v2f_t, self.v2f_f = self._logistic(
+            total[ev] - odds, nzt[ev] > zt, nzf[ev] > zf)
 
     def _naive_factor_messages(self):
         vt, vf = self.v2f_t.tolist(), self.v2f_f.tolist()
@@ -216,31 +221,17 @@ class _Engine:
         if self.cfg.mode == "naive":
             new_t, new_f = self._naive_factor_messages()
         else:
-            new_t, new_f = self._factor_messages()
+            new_t, new_f = self._normalize(*factor_messages(
+                self.p0, self.offsets, self.v2f_t, self.v2f_f))
         delta = max(np.abs(new_t - self.f2v_t).max(initial=0.0),
                     np.abs(new_f - self.f2v_f).max(initial=0.0))
         self.f2v_t, self.f2v_f = new_t, new_f
         return float(delta)
 
     def _marginals(self) -> dict:
-        f2v_t, f2v_f = self.f2v_t.tolist(), self.f2v_f.tolist()
-        incident, start = self.incident.tolist(), self.start.tolist()
-        marginals = {}
-        for v, (prior, evidence) in enumerate(zip(self.prior.tolist(),
-                                                  self.evidence.tolist())):
-            if evidence >= 0:
-                marginals[v] = 1.0 if evidence else 0.0
-                continue
-            t, f = prior, 1.0 - prior
-            for e in incident[start[v]:start[v + 1]]:
-                t *= f2v_t[e]
-                f *= f2v_f[e]
-                if t + f > 0.0:
-                    t, f = _normalize(t, f)
-            if t + f <= 0.0:
-                self.fallbacks += 1
-            marginals[v] = _normalize(t, f)[0]
-        return marginals
+        _, (total, nzt, nzf) = self._sums()
+        t, _ = self._logistic(total, nzt > 0, nzf > 0)
+        return dict(enumerate(t.tolist()))
 
     def run(self) -> InferenceResult:
         converged = False

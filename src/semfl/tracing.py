@@ -163,10 +163,9 @@ class MiniThrow(Exception):
 
 
 class _Frame:
-    __slots__ = ("fn", "env", "traced")
+    __slots__ = ("env", "traced")
 
-    def __init__(self, fn, env, traced):
-        self.fn = fn
+    def __init__(self, env, traced):
         self.env = env  # name -> (value, vid)
         self.traced = traced
 
@@ -197,7 +196,6 @@ class _Executor:
         self.vid_counter = 0
         self.heap = {}  # addr -> _Array; arrays are never freed
         self.depth = 0  # MiniImp frames, the test's included
-        self.cov_functions = set()
         self.cov_statements = set()
 
     # --- bookkeeping ---
@@ -225,11 +223,10 @@ class _Executor:
             self.events.append(TraceEvent(EXEC, sid, reads, (vid,), _NO_AUX))
         return vid
 
-    def step(self, frame, sid):
+    def step(self, sid):
         self.steps += 1
         if self.steps > self.step_budget:
             raise _Timeout()
-        self.cov_functions.add(frame.fn)
         self.cov_statements.add(sid)
 
     def throw(self, frame, sid, reads, value):
@@ -260,7 +257,7 @@ class _Executor:
 
     def run_call(self, name, args, traced_call, sid):
         params, body = self.function(name)
-        callee = _Frame(name, dict(zip(params, args)), traced_call)
+        callee = _Frame(dict(zip(params, args)), traced_call)
         if traced_call:
             arrays = [[value.addr, self.heap[value.addr].version]
                       for value, _ in args if type(value) is ArrayRef]
@@ -333,9 +330,8 @@ class _Executor:
     # --- test entry point ---
 
     def run_test(self, test_name, traced):
-        frame = _Frame(test_name, {}, traced)
+        frame = _Frame({}, traced)
         self.depth = 1
-        self.cov_functions.add(test_name)
         status, reason = "pass", ""
         truncated = False
         py_limit = sys.getrecursionlimit()
@@ -398,7 +394,7 @@ class _Compiler:
             name, f = s.name, self.expr(s.expr)
 
             def let(ex, frame):
-                ex.step(frame, sid)
+                ex.step(sid)
                 value, reads = f(ex, frame)
                 frame.env[name] = (value, ex.exec_event(frame, sid, reads))
             return let
@@ -409,7 +405,7 @@ class _Compiler:
             then, orelse = self.block(s.then), self.block(s.orelse)
 
             def if_stmt(ex, frame):
-                ex.step(frame, sid)
+                ex.step(sid)
                 cond, reads = f(ex, frame)
                 if type(cond) is not bool:
                     ex.throw(frame, sid, reads, _TYPE_ERROR)
@@ -424,9 +420,9 @@ class _Compiler:
             f, body = self.expr(s.cond), self.block(s.body)
 
             def while_stmt(ex, frame):
-                ex.step(frame, sid)
+                ex.step(sid)
                 while True:
-                    ex.step(frame, sid)
+                    ex.step(sid)
                     cond, reads = f(ex, frame)
                     if type(cond) is not bool:
                         ex.throw(frame, sid, reads, _TYPE_ERROR)
@@ -441,13 +437,13 @@ class _Compiler:
         if isinstance(s, A.Return):
             if s.expr is None:
                 def return_nothing(ex, frame):
-                    ex.step(frame, sid)
+                    ex.step(sid)
                     return _NO_VALUE
                 return return_nothing
             f = self.expr(s.expr)
 
             def return_stmt(ex, frame):
-                ex.step(frame, sid)
+                ex.step(sid)
                 value, reads = f(ex, frame)
                 return value, ex.exec_event(frame, sid, reads)
             return return_stmt
@@ -457,7 +453,7 @@ class _Compiler:
             f = self.expr(s.expr)
 
             def throw_stmt(ex, frame):
-                ex.step(frame, sid)
+                ex.step(sid)
                 value, reads = f(ex, frame)
                 ex.throw(frame, sid, reads, value)
             return throw_stmt
@@ -465,7 +461,7 @@ class _Compiler:
             f = self.expr(s.expr)
 
             def expr_stmt(ex, frame):
-                ex.step(frame, sid)
+                ex.step(sid)
                 _, reads = f(ex, frame)
                 ex.exec_event(frame, sid, reads)
             return expr_stmt
@@ -501,7 +497,7 @@ class _Compiler:
         f_index, f_value = self.expr(s.index), self.expr(s.expr)
 
         def index_assign(ex, frame):
-            ex.step(frame, sid)
+            ex.step(sid)
             try:
                 base, _ = frame.env[name]
             except KeyError:
@@ -528,7 +524,7 @@ class _Compiler:
         direct = isinstance(s.expr, (A.Var, A.Call))
 
         def assert_stmt(ex, frame):
-            ex.step(frame, sid)
+            ex.step(sid)
             value, reads = f(ex, frame)
             if direct and reads:
                 vid = reads[0]
@@ -740,14 +736,18 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET) -> CoverageProf
     tests = program.test_names
     if not tests:
         raise NoTests("program defines no test_ functions")
+    table = program.statement_table
     records = {}
     for name in tests:
         ex = _Executor(program, traced_functions=frozenset(),
                        step_budget=step_budget)
         status, reason, _ = ex.run_test(name, traced=False)
+        # a function is covered when one of its statements ran; the test
+        # itself always is
+        functions = {table[sid].function for sid in ex.cov_statements}
         records[name] = TestCoverage(
             test=name, status=status, reason=reason,
-            functions=set(ex.cov_functions), statements=set(ex.cov_statements))
+            functions=functions | {name}, statements=ex.cov_statements)
     return CoverageProfile(tests=records)
 
 

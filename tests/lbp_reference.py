@@ -3,8 +3,11 @@
 This is the tuple-per-message flooding engine semfl shipped before the
 edge-array engine in `semfl.inference`, kept unchanged. Each message is a
 (correct, incorrect) tuple updated by plain Python arithmetic, one
-variable and one factor at a time. The array engine must reproduce its
-marginals, iteration counts and convergence flags exactly.
+variable and one factor at a time. The array engine sums logarithms
+instead, so it must reproduce the marginals to within float64 rounding
+(the tests allow 1e-9) and the iteration counts and convergence flags
+exactly. Its raw products underflow on variables of high degree, so it is
+an oracle for small nets only.
 """
 
 from __future__ import annotations

@@ -229,14 +229,11 @@ def test_criterion_03_factor_message_equivalence():
             msgs.append((t, 1.0 - t))
         pos = rng.randint(0, degree)
         naive = factor_to_var_naive(p0, msgs, pos)
-        # the engine's closed forms, on one-row arrays
-        to_ct, to_cf, to_pt, to_pf = factor_messages(
-            np.array([p0]), np.array([msgs[0][0]]), np.array([msgs[0][1]]),
-            np.array([[t for t, _ in msgs[1:]]]))
-        if pos == 0:
-            t, f = to_ct[0], to_cf[0]
-        else:
-            t, f = to_pt[0, pos - 1], to_pf[0, pos - 1]
+        # the engine's closed forms, on the edge arrays of one factor
+        to_t, to_f = factor_messages(
+            np.array([p0]), np.array([0, degree + 1]),
+            np.array([t for t, _ in msgs]), np.array([f for _, f in msgs]))
+        t, f = to_t[pos], to_f[pos]
         fast = (t / (t + f), f / (t + f))
         worst = max(worst, abs(fast[0] - naive[0]), abs(fast[1] - naive[1]))
     elapsed = time.perf_counter() - t0

@@ -1,10 +1,12 @@
 """Belief-propagation tests: message-level oracles, equivalence of the
-linear-time and enumeration message updates, bit-identity of the edge-array
+linear-time and enumeration message updates, agreement of the edge-array
 engine with the tuple-per-message reference engine, tree exactness against
-the joint-enumeration oracle, and guard rails."""
+the joint-enumeration oracle, high-degree exactness against rational
+arithmetic, and guard rails."""
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,15 +30,13 @@ from lbp_reference import run_reference
 
 def _message(p0, msgs, pos):
     """The engine's closed-form message from one factor to its variable at
-    `pos` (0 is the child), on one-row arrays, normalised. msgs[0] is the
-    child's message, as for factor_to_var_naive."""
-    to_ct, to_cf, to_pt, to_pf = factor_messages(
-        np.array([p0]), np.array([msgs[0][0]]), np.array([msgs[0][1]]),
-        np.array([[t for t, _ in msgs[1:]]]))
-    if pos == 0:
-        t, f = to_ct[0], to_cf[0]
-    else:
-        t, f = to_pt[0, pos - 1], to_pf[0, pos - 1]
+    `pos` (0 is the child), on the edge arrays of that one factor,
+    normalised. msgs[0] is the child's message, as for
+    factor_to_var_naive."""
+    to_t, to_f = factor_messages(
+        np.array([p0]), np.array([0, len(msgs)]),
+        np.array([t for t, _ in msgs]), np.array([f for _, f in msgs]))
+    t, f = to_t[pos], to_f[pos]
     return (t / (t + f), f / (t + f))
 
 
@@ -191,11 +191,14 @@ def test_exact_rejects_impossible_evidence():
 # --- the edge-array engine against the reference engine ---
 
 def _assert_same_as_reference(net, cfg=None):
-    """Exact equality: the array engine does the reference's arithmetic in
-    the reference's order, so not even the last bit may differ."""
+    """The array engine sums logarithms where the reference multiplies
+    probabilities, so marginals agree to float64 rounding, well within
+    1e-9 on nets this small, and iteration counts agree exactly."""
     cfg = cfg or RunConfig()
     new, ref = run_lbp(net, cfg), run_reference(net, cfg)
-    assert new.marginals == ref.marginals
+    assert new.marginals.keys() == ref.marginals.keys()
+    for v, p in ref.marginals.items():
+        assert math.isclose(new.marginals[v], p, rel_tol=0.0, abs_tol=1e-9)
     assert new.iterations == ref.iterations
     assert new.converged == ref.converged
     assert new.log == ref.log
@@ -266,28 +269,39 @@ def test_array_engine_equals_reference_on_a_pipeline_net():
     _assert_same_as_reference(res.net)
 
 
-def _star_net(degree):
-    """One statement shared by `degree` values, two of them observed."""
+def _star_posteriors(degree, p0):
+    """A statement shared by `degree` observed-correct values and by one
+    unobserved value w, each produced from the statement alone with leak
+    p0. The factor graph is a tree, so belief propagation is exact. Returns
+    the net, the statement and w, and their exact P(correct) computed in
+    rational arithmetic: given the evidence, the statement is correct with
+    odds 1 : p0**degree, and w is correct with probability 1 if it is and
+    p0 if not."""
     net = NetBuilder()
     s = net.add_variable(0.5)
-    v0 = net.add_variable(1.0)
-    values = []
     for i in range(degree):
-        values.append(net.add_variable(0.5))
-        net.add_factor(values[-1], [s, v0], 0.01)
-    net.set_evidence(values[0], True)
-    net.set_evidence(values[-1], False)
-    return net.build()
+        v = net.add_variable(0.5)
+        net.add_factor(v, [s], p0)
+        net.set_evidence(v, True)
+    w = net.add_variable(0.5)
+    net.add_factor(w, [s], p0)
+    leak = Fraction(p0)
+    p_s = 1 / (1 + leak ** degree)
+    p_w = p_s + (1 - p_s) * leak
+    return net.build(), (s, w), (float(p_s), float(p_w))
 
 
-def test_high_degree_statement_keeps_zero_sum_fallback():
-    # Exclude-one products of 2,100 raw messages underflow to (0, 0), and
-    # normalising falls back to (0.5, 0.5). Pinned here, fallbacks and all,
-    # until the products are rescaled.
-    res = _assert_same_as_reference(_star_net(2_100))
-    assert res.fallbacks > 0
-    small = _assert_same_as_reference(_star_net(50))
-    assert small.fallbacks == 0
+def test_high_degree_statement_does_not_underflow():
+    # The statement's message to w's factor is its prior times 2,100
+    # messages of about (0.5, 0.5) each: as raw products both components
+    # underflow to zero, so an engine that multiplies probabilities falls
+    # back to (0.5, 0.5) and gets w's marginal wrong.
+    net, variables, exact = _star_posteriors(2_100, 0.9995)
+    res = run_lbp(net)
+    assert res.converged
+    assert res.fallbacks == 0
+    for v, p in zip(variables, exact):
+        assert math.isclose(res.marginals[v], p, rel_tol=0.0, abs_tol=1e-9)
 
 
 def test_net_without_factors():
