@@ -48,20 +48,6 @@ class FaultSeed:
         return {self.sid}
 
 
-def _expr_children(expr):
-    if isinstance(expr, A.Binary):
-        return [expr.left, expr.right]
-    if isinstance(expr, A.Unary):
-        return [expr.operand]
-    if isinstance(expr, A.Call):
-        return list(expr.args)
-    if isinstance(expr, A.Index):
-        return [expr.base, expr.index]
-    if isinstance(expr, A.ArrayLit):
-        return list(expr.items)
-    return []
-
-
 def _replace_child(expr, i, child):
     if isinstance(expr, A.Binary):
         return replace(expr, left=child) if i == 0 else replace(expr, right=child)
@@ -87,18 +73,9 @@ def _points_in_expr(expr, path):
     if isinstance(expr, A.IntLit):
         points.append((path, f"{expr.value} -> {expr.value + 1}"))
         points.append((path, f"{expr.value} -> {expr.value - 1}"))
-    for i, child in enumerate(_expr_children(expr)):
+    for i, child in enumerate(A.children(expr)):
         points.extend(_points_in_expr(child, path + (i,)))
     return points
-
-
-def _statement_slots(stmt):
-    if isinstance(stmt, A.If) or isinstance(stmt, A.While):
-        return [("cond", stmt.cond)]
-    if isinstance(stmt, A.IndexAssign):
-        return [("index", stmt.index), ("expr", stmt.expr)]
-    expr = getattr(stmt, "expr", None)
-    return [("expr", expr)] if expr is not None else []
 
 
 def enumerate_mutations(program) -> list:
@@ -107,7 +84,7 @@ def enumerate_mutations(program) -> list:
         if fn.name.startswith("test_"):
             continue
         for stmt in A.walk_statements(fn.body):
-            for slot, expr in _statement_slots(stmt):
+            for slot, expr in A.statement_slots(stmt):
                 for path, rewrite in _points_in_expr(expr, ()):
                     points.append(MutationPoint(stmt.sid, slot, path, rewrite))
     return points
@@ -123,7 +100,7 @@ def _mutate_node(expr, path, rewrite):
                 raise ValueError(f"bad literal rewrite {rewrite!r}")
             return A.IntLit(int(target))
         raise TypeError(f"cannot mutate {expr!r}")
-    child = _expr_children(expr)[path[0]]
+    child = A.children(expr)[path[0]]
     return _replace_child(expr, path[0], _mutate_node(child, path[1:], rewrite))
 
 

@@ -52,30 +52,55 @@ class Call:
     args: tuple
 
 
+# --- expression grammar ---
+# Binary operators by precedence level, loosest first; every level is
+# left-associative. Unary operators bind tighter than any binary one, and
+# an index tighter than a unary operator.
+PRECEDENCE = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+UNARY_OPS = ("-", "!")
+UNARY_PREC = 7
+
+# MiniImp integers are checked 64-bit: a literal or a result outside this
+# range is an error.
+INT_MAX = 2 ** 63 - 1
+INT_MIN = -(2 ** 63)
+
+
+def children(expr) -> tuple:
+    """An expression's sub-expressions, left to right."""
+    if isinstance(expr, Binary):
+        return (expr.left, expr.right)
+    if isinstance(expr, Unary):
+        return (expr.operand,)
+    if isinstance(expr, Index):
+        return (expr.base, expr.index)
+    if isinstance(expr, Call):
+        return expr.args
+    if isinstance(expr, ArrayLit):
+        return expr.items
+    return ()
+
+
+_ROOT_OPS = {
+    Call: "call", Var: "var", Index: "index", IntLit: "lit",
+    BoolLit: "boollit", ArrayLit: "array",
+}
+
+
 def root_op(expr) -> str:
     """Top-level operator label of an expression, used for p0 classification."""
-    if isinstance(expr, Binary):
-        return expr.op
-    if isinstance(expr, Unary):
-        return expr.op
-    if isinstance(expr, Call):
-        return "call"
-    if isinstance(expr, Var):
-        return "var"
-    if isinstance(expr, Index):
-        return "index"
-    if isinstance(expr, IntLit):
-        return "lit"
-    if isinstance(expr, BoolLit):
-        return "boollit"
-    if isinstance(expr, ArrayLit):
-        return "array"
-    raise TypeError(f"not an expression: {expr!r}")
+    return expr.op if isinstance(expr, (Binary, Unary)) else _ROOT_OPS[type(expr)]
 
 
 # --- statements ---
 # Statements that evaluate an expression carry a statement id (sid) and a
 # source line.  `Try` is purely structural and has no sid of its own.
+# `slots` names the fields holding the expressions a statement evaluates,
+# in evaluation order; the last one produces the statement's value.
 
 @dataclass
 class Let:
@@ -84,6 +109,7 @@ class Let:
     line: int = 0
     sid: int = -1
     kind = "let"
+    slots = ("expr",)
 
 
 @dataclass
@@ -93,6 +119,7 @@ class Assign:
     line: int = 0
     sid: int = -1
     kind = "assign"
+    slots = ("expr",)
 
 
 @dataclass
@@ -103,6 +130,7 @@ class IndexAssign:
     line: int = 0
     sid: int = -1
     kind = "index_assign"
+    slots = ("index", "expr")
 
 
 @dataclass
@@ -113,6 +141,7 @@ class If:
     line: int = 0
     sid: int = -1
     kind = "if_cond"
+    slots = ("cond",)
 
 
 @dataclass
@@ -122,6 +151,7 @@ class While:
     line: int = 0
     sid: int = -1
     kind = "while_cond"
+    slots = ("cond",)
 
 
 @dataclass
@@ -130,6 +160,7 @@ class Return:
     line: int = 0
     sid: int = -1
     kind = "return"
+    slots = ("expr",)
 
 
 @dataclass
@@ -138,6 +169,7 @@ class Assert:
     line: int = 0
     sid: int = -1
     kind = "assert"
+    slots = ("expr",)
 
 
 @dataclass
@@ -146,6 +178,7 @@ class Throw:
     line: int = 0
     sid: int = -1
     kind = "throw"
+    slots = ("expr",)
 
 
 @dataclass
@@ -154,6 +187,7 @@ class ExprStmt:
     line: int = 0
     sid: int = -1
     kind = "expr"
+    slots = ("expr",)
 
 
 @dataclass
@@ -163,20 +197,16 @@ class Try:
     handler: list = field(default_factory=list)
     line: int = 0
     kind = "try"
+    slots = ()
 
 
 BRANCH_KINDS = ("if_cond", "while_cond")
 
 
-def statement_expr(stmt):
-    """The expression whose evaluation produces the statement's value."""
-    if isinstance(stmt, (Let, Assign, IndexAssign, Assert, Throw, ExprStmt, Return)):
-        return stmt.expr
-    if isinstance(stmt, If):
-        return stmt.cond
-    if isinstance(stmt, While):
-        return stmt.cond
-    return None
+def statement_slots(stmt) -> list:
+    """A statement's (slot, expression) pairs, in evaluation order."""
+    return [(slot, getattr(stmt, slot)) for slot in stmt.slots
+            if getattr(stmt, slot) is not None]
 
 
 def walk_statements(stmts):

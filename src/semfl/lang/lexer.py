@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from ..errors import MiniImpSyntaxError
@@ -13,6 +14,10 @@ KEYWORDS = {
 
 TWO_CHAR = {"<=", ">=", "==", "!=", "&&", "||"}
 ONE_CHAR = set("+-*/%<>!=(){}[],;")
+# Only ASCII: `str.isdigit` and `str.isalnum` also accept other scripts.
+DIGITS = set(string.digits)
+NAME_START = set(string.ascii_letters + "_")
+NAME_CHARS = NAME_START | DIGITS
 
 
 @dataclass(frozen=True)
@@ -43,17 +48,17 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
             continue
         start_col = col
-        if c.isdigit():
+        if c in DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in DIGITS:
                 j += 1
             tokens.append(Token("int", source[i:j], line, start_col))
             col += j - i
             i = j
             continue
-        if c.isalpha() or c == "_":
+        if c in NAME_START:
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j] in NAME_CHARS:
                 j += 1
             text = source[i:j]
             tokens.append(Token("kw" if text in KEYWORDS else "name", text, line, start_col))

@@ -9,9 +9,9 @@ from .lexer import Token, tokenize
 
 # Statements and expressions nest at most this deep. One level each: a
 # block, an operator, an index, a call, an array literal and a pair of
-# parentheses. The bound keeps the recursive-descent parser (about 16
-# Python frames per parenthesis) and the interpreter inside Python's
-# recursion limit; the shipped corpus nests at most 6 deep.
+# parentheses. The bound keeps the recursive-descent parser (at most 5
+# Python frames per level) and the interpreter inside Python's recursion
+# limit; the shipped corpus nests at most 6 deep.
 MAX_NESTING = 40
 
 
@@ -184,11 +184,27 @@ class _Parser:
         self.expect(";")
         return A.ExprStmt(expr=expr, line=tok.line)
 
-    # --- expressions (precedence climbing) ---
+    # --- expressions (precedence climbing over `ast.PRECEDENCE`) ---
     # Each returns (expression, its nesting height in levels).
 
-    def parse_expr(self):
-        return self.parse_or()
+    def parse_expr(self, min_prec=1):
+        """An expression whose binary operators bind at least as tightly as
+        `min_prec`; operators of one level associate to the left."""
+        tok = self.peek()
+        if tok.type == "op" and tok.text in A.UNARY_OPS:
+            self.next()
+            self.enter()
+            operand, height = self.parse_expr(A.UNARY_PREC)
+            self.depth -= 1
+            left, height = A.Unary(op=tok.text, operand=operand), height + 1
+        else:
+            left, height = self.parse_postfix()
+        while (prec := A.PRECEDENCE.get(self.peek().text, 0)) >= min_prec:
+            op = self.next().text
+            right, right_height = self.parse_expr(prec + 1)
+            left = A.Binary(op=op, left=left, right=right)
+            height = max(height, right_height) + 1
+        return left, height
 
     def nested_expr(self):
         """An expression one level below the current one."""
@@ -196,43 +212,6 @@ class _Parser:
         expr, height = self.parse_expr()
         self.depth -= 1
         return expr, height
-
-    def _binary_level(self, ops, sub):
-        left, height = sub()
-        while self.peek().text in ops and self.peek().type == "op":
-            op = self.next().text
-            right, right_height = sub()
-            left = A.Binary(op=op, left=left, right=right)
-            height = max(height, right_height) + 1
-        return left, height
-
-    def parse_or(self):
-        return self._binary_level(("||",), self.parse_and)
-
-    def parse_and(self):
-        return self._binary_level(("&&",), self.parse_eq)
-
-    def parse_eq(self):
-        return self._binary_level(("==", "!="), self.parse_rel)
-
-    def parse_rel(self):
-        return self._binary_level(("<", "<=", ">", ">="), self.parse_add)
-
-    def parse_add(self):
-        return self._binary_level(("+", "-"), self.parse_mul)
-
-    def parse_mul(self):
-        return self._binary_level(("*", "/", "%"), self.parse_unary)
-
-    def parse_unary(self):
-        tok = self.peek()
-        if tok.type == "op" and tok.text in ("-", "!"):
-            self.next()
-            self.enter()
-            operand, height = self.parse_unary()
-            self.depth -= 1
-            return A.Unary(op=tok.text, operand=operand), height + 1
-        return self.parse_postfix()
 
     def parse_postfix(self):
         expr, height = self.parse_primary()
@@ -247,8 +226,11 @@ class _Parser:
     def parse_primary(self):
         tok = self.peek()
         if tok.type == "int":
+            value = int(tok.text)
+            if value > A.INT_MAX:
+                self.fail(f"integer literal {tok.text} is out of 64-bit range")
             self.next()
-            return A.IntLit(value=int(tok.text)), 1
+            return A.IntLit(value=value), 1
         if tok.text == "true":
             self.next()
             return A.BoolLit(value=True), 1
@@ -296,11 +278,12 @@ def _assign_ids(functions):
     for fn in functions:
         for stmt in A.walk_statements(fn.body):
             stmt.sid = next_id
+            slots = A.statement_slots(stmt)
             table[next_id] = A.StatementInfo(
                 function=fn.name,
                 line=stmt.line,
                 kind=stmt.kind,
-                root_op=A.root_op(A.statement_expr(stmt)) if A.statement_expr(stmt) is not None else "lit",
+                root_op=A.root_op(slots[-1][1]) if slots else "lit",
             )
             stmt_map[next_id] = stmt
             next_id += 1
@@ -310,21 +293,10 @@ def _assign_ids(functions):
 def _expr_names(expr, reads, calls):
     if isinstance(expr, A.Var):
         reads.append(expr.name)
-    elif isinstance(expr, A.Index):
-        _expr_names(expr.base, reads, calls)
-        _expr_names(expr.index, reads, calls)
-    elif isinstance(expr, A.Unary):
-        _expr_names(expr.operand, reads, calls)
-    elif isinstance(expr, A.Binary):
-        _expr_names(expr.left, reads, calls)
-        _expr_names(expr.right, reads, calls)
     elif isinstance(expr, A.Call):
         calls.append((expr.name, len(expr.args)))
-        for a in expr.args:
-            _expr_names(a, reads, calls)
-    elif isinstance(expr, A.ArrayLit):
-        for a in expr.items:
-            _expr_names(a, reads, calls)
+    for child in A.children(expr):
+        _expr_names(child, reads, calls)
 
 
 def _check_scopes(functions):
@@ -332,8 +304,6 @@ def _check_scopes(functions):
     arities = {fn.name: len(fn.params) for fn in functions}
 
     def check_expr(expr, defined, fn_name):
-        if expr is None:
-            return
         reads, calls = [], []
         _expr_names(expr, reads, calls)
         for name in reads:
@@ -350,33 +320,23 @@ def _check_scopes(functions):
 
     def check_block(stmts, defined, fn_name):
         for s in stmts:
-            if isinstance(s, A.Let):
-                check_expr(s.expr, defined, fn_name)
-                defined.add(s.name)
-            elif isinstance(s, A.Assign):
-                if s.name not in defined:
-                    raise UndefinedNameAtParseScope(
-                        f"assignment to undeclared variable {s.name!r} in {fn_name!r}")
-                check_expr(s.expr, defined, fn_name)
-            elif isinstance(s, A.IndexAssign):
-                if s.name not in defined:
-                    raise UndefinedNameAtParseScope(
-                        f"assignment to undeclared variable {s.name!r} in {fn_name!r}")
-                check_expr(s.index, defined, fn_name)
-                check_expr(s.expr, defined, fn_name)
-            elif isinstance(s, A.If):
-                check_expr(s.cond, defined, fn_name)
-                check_block(s.then, defined, fn_name)
-                check_block(s.orelse, defined, fn_name)
-            elif isinstance(s, A.While):
-                check_expr(s.cond, defined, fn_name)
-                check_block(s.body, defined, fn_name)
-            elif isinstance(s, A.Try):
+            if isinstance(s, A.Try):
                 check_block(s.body, defined, fn_name)
                 defined.add(s.catch_name)
                 check_block(s.handler, defined, fn_name)
-            else:
-                check_expr(A.statement_expr(s), defined, fn_name)
+                continue
+            if isinstance(s, (A.Assign, A.IndexAssign)) and s.name not in defined:
+                raise UndefinedNameAtParseScope(
+                    f"assignment to undeclared variable {s.name!r} in {fn_name!r}")
+            for _, expr in A.statement_slots(s):
+                check_expr(expr, defined, fn_name)
+            if isinstance(s, A.Let):
+                defined.add(s.name)
+            elif isinstance(s, A.If):
+                check_block(s.then, defined, fn_name)
+                check_block(s.orelse, defined, fn_name)
+            elif isinstance(s, A.While):
+                check_block(s.body, defined, fn_name)
 
     for fn in functions:
         check_block(fn.body, set(fn.params), fn.name)

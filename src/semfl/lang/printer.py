@@ -4,14 +4,9 @@ from __future__ import annotations
 
 from . import ast as A
 
-_PREC = {
-    "||": 1, "&&": 2, "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
-}
-
-
 def format_expr(expr, parent_prec=0) -> str:
+    """Source text of an expression, parenthesised only where it binds
+    more loosely than `parent_prec`, the level its context requires."""
     if isinstance(expr, A.IntLit):
         return str(expr.value)
     if isinstance(expr, A.BoolLit):
@@ -21,18 +16,20 @@ def format_expr(expr, parent_prec=0) -> str:
     if isinstance(expr, A.ArrayLit):
         return "[" + ", ".join(format_expr(e) for e in expr.items) + "]"
     if isinstance(expr, A.Index):
-        return f"{format_expr(expr.base, 9)}[{format_expr(expr.index)}]"
+        return f"{format_expr(expr.base, A.UNARY_PREC + 1)}[{format_expr(expr.index)}]"
     if isinstance(expr, A.Call):
         return f"{expr.name}(" + ", ".join(format_expr(a) for a in expr.args) + ")"
     if isinstance(expr, A.Unary):
-        return f"{expr.op}{format_expr(expr.operand, 8)}"
-    if isinstance(expr, A.Binary):
-        prec = _PREC[expr.op]
+        prec = A.UNARY_PREC
+        text = f"{expr.op}{format_expr(expr.operand, prec)}"
+    elif isinstance(expr, A.Binary):
+        prec = A.PRECEDENCE[expr.op]
         # Left-associative: right subtree needs parens at equal precedence.
         text = (f"{format_expr(expr.left, prec)} {expr.op} "
                 f"{format_expr(expr.right, prec + 1)}")
-        return f"({text})" if prec < parent_prec else text
-    raise TypeError(f"not an expression: {expr!r}")
+    else:
+        raise TypeError(f"not an expression: {expr!r}")
+    return f"({text})" if prec < parent_prec else text
 
 
 def _format_block(stmts, indent, out):

@@ -23,6 +23,7 @@ from types import MappingProxyType
 
 from .errors import MalformedTrace, NoTests
 from .lang import ast as A
+from .lang.ast import INT_MAX, INT_MIN
 
 DEFAULT_STEP_BUDGET = 10 ** 6
 
@@ -36,10 +37,6 @@ MAX_CALL_DEPTH = 100
 # accepts needs 58 (calls nested in sums in call arguments; see
 # `deepest_program` in tests/test_tracer.py), plus a 25% margin.
 _PY_FRAMES_PER_CALL = 72
-
-# MiniImp integers are checked 64-bit: results outside this range throw.
-INT_MAX = 2 ** 63 - 1
-INT_MIN = -(2 ** 63)
 
 EXEC = "exec"
 CALL_ENTER = "call_enter"
@@ -608,7 +605,11 @@ class _Compiler:
                 value, reads = f(ex, frame)
                 if type(value) is not int:
                     ex.throw(frame, sid, reads, _TYPE_ERROR)
-                return -value, reads
+                value = -value
+                # checked 64-bit: only -INT_MIN leaves the range
+                if value > INT_MAX:
+                    ex.throw(frame, sid, reads, _OVERFLOW)
+                return value, reads
             return negate
 
         def logical_not(ex, frame):

@@ -2,7 +2,7 @@
 control-flow graphs, and post-dominators."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from semfl.errors import (
     DuplicateFunction,
@@ -11,6 +11,7 @@ from semfl.errors import (
 )
 from semfl.lang import EXIT, format_program, parse
 from semfl.lang import ast as A
+from semfl.lang.printer import format_expr
 
 COND_TEST = """
 fn foo(a) {
@@ -55,6 +56,26 @@ def test_syntax_error_carries_position():
     with pytest.raises(MiniImpSyntaxError) as err:
         parse("fn f() {\n  let x = 1 +;\n}")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("source, line, col, message", [
+    ("fn f() {\n  let y = 99999999999999999999999;\n}", 2, 11,
+     "out of 64-bit range"),
+    ("fn f() { return 9223372036854775808; }", 1, 17, "out of 64-bit range"),
+    # only ASCII digits, letters and `_` make numbers and names
+    ("fn f() {\n  return 2 + \u00b2;\n}", 2, 14, "unexpected character"),
+    ("fn f(x) { return x\u00b2; }", 1, 19, "unexpected character"),
+    ("fn f() { let \u00e9 = 1; }", 1, 14, "unexpected character"),
+])
+def test_rejected_token_carries_position(source, line, col, message):
+    with pytest.raises(MiniImpSyntaxError, match=message) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_largest_literal_parses():
+    ret = parse("fn f() { return 9223372036854775807; }").functions["f"].body[0]
+    assert ret.expr == A.IntLit(2 ** 63 - 1)
 
 
 @pytest.mark.parametrize("source", [
@@ -143,11 +164,22 @@ def test_roundtrip_statement_table():
     assert format_program(reparsed) == printed
 
 
+def _expressions(prog):
+    return [A.statement_slots(s) for fn in prog.functions.values()
+            for s in A.walk_statements(fn.body)]
+
+
 def test_printer_preserves_precedence():
-    src = "fn f(a, b) { return (a + b) * a - b / (a - 1); }"
-    prog = parse(src)
-    again = parse(format_program(prog))
-    assert format_program(again) == format_program(prog)
+    prog = parse("""
+fn f(a, b) {
+    let x = (a + b) * a - b / (a - 1);
+    let y = a - (b - a) - b;
+    // a unary index base keeps its parentheses: `-a[0]` is `-(a[0])`
+    let z = (-a)[0] + -a[0];
+    return !(a < b) || -(a * b) == --a;
+}
+""")
+    assert _expressions(parse(format_program(prog))) == _expressions(prog)
 
 
 # --- control-flow graphs and post-dominators ---
@@ -233,23 +265,39 @@ fn f(n) {
 
 
 names = st.sampled_from(["a", "b", "c"])
+# callees by arity, defined in the round-trip program
+CALLEES = ("k", "g", "h")
 
 
 @st.composite
 def expressions(draw, depth=0):
+    # literals stay non-negative: the parser reads `-1` as a unary minus
     if depth > 3 or draw(st.booleans()):
         return draw(st.one_of(
             st.integers(0, 99).map(A.IntLit),
             st.booleans().map(A.BoolLit),
             names.map(A.Var)))
-    op = draw(st.sampled_from(["+", "-", "*", "<", "<=", "==", "&&", "||"]))
-    return A.Binary(op, draw(expressions(depth + 1)),
-                    draw(expressions(depth + 1)))
+    sub = expressions(depth + 1)
+    kind = draw(st.sampled_from(["binary", "unary", "index", "call", "array"]))
+    if kind == "binary":
+        return A.Binary(draw(st.sampled_from(sorted(A.PRECEDENCE))),
+                        draw(sub), draw(sub))
+    if kind == "unary":
+        return A.Unary(draw(st.sampled_from(A.UNARY_OPS)), draw(sub))
+    if kind == "index":
+        return A.Index(draw(sub), draw(sub))
+    items = tuple(draw(st.lists(sub, max_size=len(CALLEES) - 1)))
+    if kind == "call":
+        return A.Call(CALLEES[len(items)], items)
+    return A.ArrayLit(items)
 
 
 @given(expressions())
+@example(A.Index(A.Unary("-", A.Var("a")), A.IntLit(0)))
 def test_expression_print_parse_roundtrip(expr):
-    src = "fn f(a, b, c) { return %s; }" % __import__(
-        "semfl.lang.printer", fromlist=["format_expr"]).format_expr(expr)
-    prog = parse(src)
-    assert format_program(parse(format_program(prog))) == format_program(prog)
+    # printing then parsing gives back the same tree: every precedence,
+    # associativity and parenthesis decision of the printer is the parser's
+    src = ("fn k() { return 0; }\nfn g(x) { return x; }\n"
+           "fn h(x, y) { return x; }\n"
+           "fn f(a, b, c) { return %s; }" % format_expr(expr))
+    assert parse(src).functions["f"].body[0].expr == expr

@@ -2,6 +2,7 @@
 partial tracing, arrays, exceptions, and serialization."""
 
 import json
+import sys
 
 import pytest
 
@@ -279,6 +280,45 @@ fn test_overflow() {
     assert profile(prog).tests["test_overflow"].status == "pass"
 
 
+NEGATION = """
+fn negate(x) {
+    return -x;
+}
+
+fn test_max() {
+    assert(negate(9223372036854775807) == 0 - 9223372036854775807);
+}
+
+fn test_min() {
+    let v = negate(0 - 9223372036854775807 - 1);
+    assert(v > 0);
+}
+
+fn test_caught() {
+    try {
+        let v = negate(0 - 9223372036854775807 - 1);
+        assert(false);
+    } catch (e) {
+        assert(true);
+    }
+}
+"""
+
+
+def test_negation_overflow_is_catchable():
+    # -x is checked like binary arithmetic: only x == INT_MIN overflows
+    prog = parse(NEGATION)
+    prof = profile(prog)
+    assert prof.tests["test_max"].status == "pass"
+    assert prof.tests["test_caught"].status == "pass"
+    assert (prof.tests["test_min"].status, prof.tests["test_min"].reason) == (
+        "fail", "exception")
+    tr = trace(prog, "test_min", {"negate"})
+    assert tr.events[-1].kind == ASSERT_OUTCOME
+    assert tr.events[-1].stmt == prog.functions["negate"].statement_ids()[0]
+    assert tr.events[-1].aux.get("from_exception")
+
+
 UNBOUND = """
 fn read(c) {
     if (c > 0) {
@@ -461,6 +501,26 @@ def test_deepest_accepted_nesting_runs_at_the_call_limit(shape):
         assert trace(prog, "test_deep", traced).status == "pass"
     with pytest.raises(MiniImpSyntaxError, match="nesting deeper than"):
         parse(deepest_program(shape, extra=1))
+
+
+def _from_depth(frames, f):
+    """Call f from `frames` Python frames deeper than the caller."""
+    return f() if frames == 0 else _from_depth(frames - 1, f)
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_WRAPPERS))
+def test_deepest_accepted_nesting_parses_from_deep_callers(shape):
+    # the parser takes a few Python frames per nesting level, so it can
+    # parse the deepest program it accepts from a deep caller at Python's
+    # default recursion limit
+    source = deepest_program(shape)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        prog = _from_depth(400, lambda: parse(source))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "test_deep" in prog.functions
 
 
 def test_stack_overflow_is_catchable():
