@@ -48,24 +48,6 @@ class FaultSeed:
         return {self.sid}
 
 
-def _replace_child(expr, i, child):
-    if isinstance(expr, A.Binary):
-        return replace(expr, left=child) if i == 0 else replace(expr, right=child)
-    if isinstance(expr, A.Unary):
-        return replace(expr, operand=child)
-    if isinstance(expr, A.Call):
-        args = list(expr.args)
-        args[i] = child
-        return replace(expr, args=tuple(args))
-    if isinstance(expr, A.Index):
-        return replace(expr, base=child) if i == 0 else replace(expr, index=child)
-    if isinstance(expr, A.ArrayLit):
-        items = list(expr.items)
-        items[i] = child
-        return replace(expr, items=tuple(items))
-    raise TypeError(f"no children: {expr!r}")
-
-
 def _points_in_expr(expr, path):
     points = []
     if isinstance(expr, A.Binary) and expr.op in OP_SWAPS:
@@ -101,7 +83,7 @@ def _mutate_node(expr, path, rewrite):
             return A.IntLit(int(target))
         raise TypeError(f"cannot mutate {expr!r}")
     child = A.children(expr)[path[0]]
-    return _replace_child(expr, path[0], _mutate_node(child, path[1:], rewrite))
+    return A.with_child(expr, path[0], _mutate_node(child, path[1:], rewrite))
 
 
 def apply_mutation(program, point: MutationPoint) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 # --- expressions ---
@@ -70,19 +70,31 @@ INT_MAX = 2 ** 63 - 1
 INT_MIN = -(2 ** 63)
 
 
+# Where each expression keeps its sub-expressions, left to right: a tuple
+# of fields, or the name of one field holding them all.
+_CHILD_FIELDS = {
+    Binary: ("left", "right"), Unary: ("operand",), Index: ("base", "index"),
+    Call: "args", ArrayLit: "items",
+}
+
+
 def children(expr) -> tuple:
     """An expression's sub-expressions, left to right."""
-    if isinstance(expr, Binary):
-        return (expr.left, expr.right)
-    if isinstance(expr, Unary):
-        return (expr.operand,)
-    if isinstance(expr, Index):
-        return (expr.base, expr.index)
-    if isinstance(expr, Call):
-        return expr.args
-    if isinstance(expr, ArrayLit):
-        return expr.items
-    return ()
+    fields = _CHILD_FIELDS.get(type(expr), ())
+    if isinstance(fields, str):
+        return getattr(expr, fields)
+    return tuple(getattr(expr, f) for f in fields)
+
+
+def with_child(expr, i, child):
+    """`expr` with its i-th sub-expression (as `children` orders them)
+    replaced by `child`."""
+    fields = _CHILD_FIELDS[type(expr)]
+    if isinstance(fields, str):
+        items = list(getattr(expr, fields))
+        items[i] = child
+        return replace(expr, **{fields: tuple(items)})
+    return replace(expr, **{fields[i]: child})
 
 
 _ROOT_OPS = {

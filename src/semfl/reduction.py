@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NoFailingTests
 from .tracing import (
+    ASSERT_OUTCOME,
     CALL_ENTER,
     CALL_EXIT,
     CALL_SUMMARY,
@@ -46,7 +47,11 @@ def select_tests(profile, cfg: RunConfig) -> list:
 # --- loop compression ---
 
 def _shape(events):
-    return [(e.kind, e.stmt, len(e.reads), len(e.writes)) for e in events]
+    # An assert's outcome is part of the shape, so an iteration whose assert
+    # fails is never removed as a repeat of one whose assert passed.
+    return [(e.kind, e.stmt, e.aux["outcome"]) if e.kind == ASSERT_OUTCOME
+            else (e.kind, e.stmt, len(e.reads), len(e.writes))
+            for e in events]
 
 
 _AUX_VID_KEYS = ("value", "ret", "thrown")
@@ -78,9 +83,10 @@ def _remap_event(ev, resolve):
 def compress_loops(tr: Trace, program, log=None) -> Trace:
     """Remove adjacent loop iterations with identical statement shape.
 
-    One pass over the events keeps a stack of open calls. A call's items are
-    compressed when it returns, and its caller then sees it as one flat
-    block whose statement is the call's. Reads of surviving events are
+    One pass over the events keeps a stack of open calls; every call in the
+    trace returns, as the interpreter closes each call it opens. A call's
+    items are compressed when it returns, and its caller then sees it as one
+    flat block whose statement is the call's. Reads of surviving events are
     re-bound to the corresponding values of the retained iteration; value
     ids are not renumbered.
     """
@@ -142,23 +148,15 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
         return out
 
     stack = [(None, [])]  # per open call: its enter event and its items
-
-    def close(exit_event):
-        enter, items = stack.pop()
-        block = [enter] + compress(items, enter.aux["callee"])
-        if exit_event is not None:
-            block.append(exit_event)
-        stack[-1][1].append(block)
-
     for ev in tr.events:
         if ev.kind == CALL_ENTER:
             stack.append((ev, []))
-        elif ev.kind != CALL_EXIT:
+        elif ev.kind == CALL_EXIT:
+            enter, items = stack.pop()
+            stack[-1][1].append([enter] + compress(items, enter.aux["callee"])
+                                + [ev])
+        else:
             stack[-1][1].append(ev)
-        elif len(stack) > 1:  # a return at root level closes nothing
-            close(ev)
-    while len(stack) > 1:  # calls that never returned keep no exit
-        close(None)
 
     def resolve(vid):
         seen = []
@@ -178,31 +176,18 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
 
 # --- adaptive folding ---
 
-# While folding runs, this closes each call that never returned: such a
-# call's summary has no writes, and the calls that stay keep no exit.
-_NO_EXIT = TraceEvent(CALL_EXIT, -1)
-
-
-def _balance(events, test):
-    """The events with every call closed (a return at root level closes no
-    call and is dropped), the EXEC events per function, and the callees of
-    the calls that never returned."""
+def _exec_counts(events, test):
+    """The EXEC events per function, the test's own included."""
     counts = {}
     callees = [test]
-    out = []
     for ev in events:
         if ev.kind == CALL_ENTER:
             callees.append(ev.aux["callee"])
         elif ev.kind == CALL_EXIT:
-            if len(callees) == 1:
-                continue
             callees.pop()
         elif ev.kind == EXEC:
             counts[callees[-1]] = counts.get(callees[-1], 0) + 1
-        out.append(ev)
-    unreturned = callees[1:]
-    out.extend(_NO_EXIT for _ in unreturned)
-    return out, counts, unreturned
+    return counts
 
 
 def _make_summary(enter, exit_event) -> TraceEvent:
@@ -251,18 +236,16 @@ def adaptive_fold(tr: Trace, cfg: RunConfig, log=None) -> Trace:
     summaries until it fits the per-trace event limit."""
     if tr.size() <= cfg.trace_limit:
         return tr
-    events, counts, unreturned = _balance(tr.events, tr.test)
+    counts = _exec_counts(tr.events, tr.test)
     order = sorted((name for name in counts if name != tr.test),
                    key=lambda n: (-counts[n], n))
+    events = tr.events
     folded = []
     for name in order:
-        no_exit = sum(callee not in folded for callee in unreturned)
-        if len(events) - no_exit <= cfg.trace_limit:
+        if len(events) <= cfg.trace_limit:
             break
         events = _fold_calls(events, name)
         folded.append(name)
-    if unreturned:
-        events = [e for e in events if e is not _NO_EXIT]
     warning = ""
     if len(events) > cfg.trace_limit:
         events = events[:cfg.trace_limit]

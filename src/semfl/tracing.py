@@ -85,7 +85,7 @@ class Trace:
 
 
 @dataclass
-class TestCoverage:
+class CoverageRecord:
     test: str
     status: str
     functions: set
@@ -95,7 +95,7 @@ class TestCoverage:
 
 @dataclass
 class CoverageProfile:
-    tests: dict  # test name -> TestCoverage, in test order
+    tests: dict  # test name -> CoverageRecord, in test order
 
     @property
     def failing(self):
@@ -686,6 +686,9 @@ class _Compiler:
                 q = abs(left) // abs(right)
                 if (left < 0) != (right < 0):
                     q = -q
+                # checked 64-bit: only the quotient INT_MIN / -1 overflows
+                if quotient and q > INT_MAX:
+                    ex.throw(frame, sid, reads, _OVERFLOW)
                 return (q if quotient else left - q * right), reads
             return division
         raise TypeError(f"unknown operator {op!r}")
@@ -746,7 +749,7 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET) -> CoverageProf
         # a function is covered when one of its statements ran; the test
         # itself always is
         functions = {table[sid].function for sid in ex.cov_statements}
-        records[name] = TestCoverage(
+        records[name] = CoverageRecord(
             test=name, status=status, reason=reason,
             functions=functions | {name}, statements=ex.cov_statements)
     return CoverageProfile(tests=records)

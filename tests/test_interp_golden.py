@@ -6,7 +6,8 @@ Each digest covers, at one step budget, every test's coverage record
 (status, reason, sorted functions, sorted statements) and the
 `dump_trace` text of every test traced under
 `pipeline.traced_function_set`. Two budgets are used so that timeouts
-must land on the same step as well.
+must land on the same step as well. Every traced test must also close
+each call it opens, which the trace reducers rely on.
 
 Regenerate the file (only when a change to the interpreter's observable
 behaviour is intended) with
@@ -28,7 +29,7 @@ from semfl.bench import (
 )
 from semfl.lang import parse
 from semfl.pipeline import traced_function_set
-from semfl.tracing import dump_trace, profile, trace
+from semfl.tracing import CALL_ENTER, CALL_EXIT, dump_trace, profile, trace
 
 DIGESTS = Path(__file__).parent / "data" / "interp_digests.json"
 STEP_BUDGETS = (20_000, 300)
@@ -45,8 +46,23 @@ def program_digest(program, step_budget):
     traced = traced_function_set(program, prof)
     for name in program.test_names:
         tr = trace(program, name, traced, step_budget=step_budget)
+        check_call_brackets(tr)
         h.update(dump_trace(tr, program).encode())
     return h.hexdigest()
+
+
+def check_call_brackets(tr):
+    """Every call exit closes the innermost open call of the same callee and
+    every call is closed, whether the test passes, fails, throws or times
+    out: the reducers rely on this."""
+    open_calls = []
+    for ev in tr.events:
+        if ev.kind == CALL_ENTER:
+            open_calls.append(ev.aux["callee"])
+        elif ev.kind == CALL_EXIT:
+            assert open_calls, f"{tr.test}: call exit without an enter"
+            assert open_calls.pop() == ev.aux["callee"], tr.test
+    assert not open_calls, f"{tr.test}: calls never returned: {open_calls}"
 
 
 def corpus_programs(name):

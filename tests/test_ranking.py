@@ -22,7 +22,7 @@ from semfl.ranking import (
     sbfl_scores,
     topk_eval,
 )
-from semfl.tracing import CoverageProfile, TestCoverage, profile, trace
+from semfl.tracing import CoverageProfile, CoverageRecord, profile, trace
 
 COND_TEST = """
 fn foo(a) {
@@ -95,8 +95,8 @@ fn test_f() {
 def _prof(statements_by_test):
     tests = {}
     for name, (status, stmts) in statements_by_test.items():
-        tests[name] = TestCoverage(test=name, status=status,
-                                   functions=set(), statements=set(stmts))
+        tests[name] = CoverageRecord(test=name, status=status,
+                                     functions=set(), statements=set(stmts))
     return CoverageProfile(tests=tests)
 
 

@@ -14,12 +14,13 @@ from semfl.reduction import (
     select_tests,
 )
 from semfl.tracing import (
+    ASSERT_OUTCOME,
     CALL_ENTER,
     CALL_EXIT,
     CALL_SUMMARY,
     EXEC,
     CoverageProfile,
-    TestCoverage,
+    CoverageRecord,
     Trace,
     TraceEvent,
     trace,
@@ -31,8 +32,8 @@ from helpers import check_acyclic, statement_level_edges
 def _profile(entries):
     tests = {}
     for name, status, funcs in entries:
-        tests[name] = TestCoverage(test=name, status=status,
-                                   functions=set(funcs), statements=set())
+        tests[name] = CoverageRecord(test=name, status=status,
+                                     functions=set(funcs), statements=set())
     return CoverageProfile(tests=tests)
 
 
@@ -162,6 +163,34 @@ def test_compress_is_idempotent():
     twice = compress_loops(once, prog)
     assert [e.to_record() for e in twice.events] == \
            [e.to_record() for e in once.events]
+
+
+ASSERT_IN_LOOP = """
+fn f(x) {
+    return x * 2 + 1;
+}
+
+fn test_loop() {
+    let i = 0;
+    while (i < 5) {
+        i = i + 1;
+        assert(f(i) != 7);
+    }
+}
+"""
+
+
+def test_compress_keeps_a_failing_assert_iteration():
+    # the failing third iteration has the passing iterations' statements
+    prog = parse(ASSERT_IN_LOOP)
+    tr = trace(prog, "test_loop", {"f"})
+    out = compress_loops(tr, prog)
+
+    def outcomes(t):
+        return [e.aux["outcome"] for e in t.events
+                if e.kind == ASSERT_OUTCOME]
+    assert outcomes(tr) == [True, True, False]
+    assert outcomes(out) == [True, False]
 
 
 CALL_IN_LOOP = """
@@ -388,7 +417,7 @@ def test_fold_self_calling_target_keeps_outer_summary():
     assert (summary.reads, summary.writes) == ((1,), (9,))
 
 
-UNRETURNED = """
+CALLS_AA = """
 fn aa(x) {
     return x;
 }
@@ -399,44 +428,13 @@ fn test_t() {
 """
 
 
-def test_reducers_drop_root_returns_and_keep_unreturned_calls_open():
-    stray = TraceEvent(CALL_EXIT, 1, aux={"callee": "zz", "ret": None})
-    enter, _ = _call_block("aa", 2, [], params=[2])
-    events = [_exec(1, 1), stray, _exec(1, 2), enter, _exec(11, 3),
-              _exec(11, 4)]
-    tr = Trace(test="test_t", status="fail", events=events)
-    kept = [e.to_record() for e in events if e is not stray]
-    out = compress_loops(tr, parse(UNRETURNED))
-    assert [e.to_record() for e in out.events] == kept
-    out = adaptive_fold(tr, RunConfig(trace_limit=5))
-    assert [e.to_record() for e in out.events] == kept
-    assert not out.warning
-    out = adaptive_fold(tr, RunConfig(trace_limit=3))
-    assert _kinds(out) == [EXEC, EXEC, CALL_SUMMARY]
-    summary = out.events[-1]
-    assert (summary.reads, summary.writes) == ((2,), ())
-    assert summary.aux == {"callee": "aa", "ret": None, "threw": False}
-
-
-def test_fold_unreturned_call_hoists_an_unreturned_call():
-    # aa folds first and hoists bb, which never returned either; folding bb
-    # next must leave aa's summary after bb's, not inside bb
-    enter_aa, _ = _call_block("aa", 1, [], params=[1])
-    enter_bb, _ = _call_block("bb", 2, [], params=[2])
-    events = [enter_aa, _exec(11, 3), _exec(11, 4), enter_bb, _exec(20, 5)]
-    tr = Trace(test="test_t", status="fail", events=events)
-    out = adaptive_fold(tr, RunConfig(trace_limit=2))
-    assert [(e.kind, e.aux["callee"]) for e in out.events] == [
-        (CALL_SUMMARY, "bb"), (CALL_SUMMARY, "aa")]
-
-
 def test_reducers_take_any_call_depth():
     # deeper than Python's recursion limit: no reducer recurses per call
     depth = 5_000
     enter, exit_ = _call_block("aa", 2, [], params=[2])
     nest = [enter] * depth + [exit_] * depth
     tr = Trace(test="test_t", status="fail", events=nest)
-    out = compress_loops(tr, parse(UNRETURNED))
+    out = compress_loops(tr, parse(CALLS_AA))
     assert [e.to_record() for e in out.events] == \
            [e.to_record() for e in nest]
     tr = Trace(test="test_t", status="fail",

@@ -302,11 +302,19 @@ fn test_caught() {
         assert(true);
     }
 }
+
+fn test_quotient() {
+    let m = 0 - 9223372036854775807 - 1;
+    assert(m % (0 - 1) == 0);
+    let v = m / (0 - 1);
+    assert(v > 0);
+}
 """
 
 
 def test_negation_overflow_is_catchable():
-    # -x is checked like binary arithmetic: only x == INT_MIN overflows
+    # -x and / are checked like + - *: only -INT_MIN and INT_MIN / -1
+    # overflow, while the remainder INT_MIN % -1 is 0
     prog = parse(NEGATION)
     prof = profile(prog)
     assert prof.tests["test_max"].status == "pass"
@@ -317,6 +325,8 @@ def test_negation_overflow_is_catchable():
     assert tr.events[-1].kind == ASSERT_OUTCOME
     assert tr.events[-1].stmt == prog.functions["negate"].statement_ids()[0]
     assert tr.events[-1].aux.get("from_exception")
+    quotient = prof.tests["test_quotient"]
+    assert (quotient.status, quotient.reason) == ("fail", "exception")
 
 
 UNBOUND = """
