@@ -96,7 +96,7 @@ def cmd_trace(args) -> int:
     prof = tracing.profile(program, step_budget=cfg.step_budget)
     if args.test not in prof.tests:
         raise SemflError(f"unknown test {args.test!r}")
-    traced = traced_function_set(program, prof)
+    traced = traced_function_set(prof)
     if not traced:
         traced = frozenset(f for f in prof.tests[args.test].functions
                            if not f.startswith("test_"))

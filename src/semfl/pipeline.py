@@ -100,13 +100,23 @@ class LocalizeResult:
     log: list = field(default_factory=list)
 
 
-def traced_function_set(program, profile):
+def traced_function_set(profile):
     """Partial tracing: record details only inside application functions
     covered by at least one failing test."""
     covered = set()
     for t in profile.failing:
         covered |= t.functions
     return frozenset(f for f in covered if not f.startswith("test_"))
+
+
+def _reusable(tr, traced):
+    """Whether a failing test's trace from the profile run, which traced
+    every non-test function, is the one `traced` gives. Each call is traced
+    or not at the time it is made, so a call whose status differs between
+    the two sets leaves a call-enter event here; with none, the two runs
+    draw the same value ids and record the same events."""
+    return all(ev.aux["callee"] in traced or ev.aux["callee"] == tr.test
+               for ev in tr.events if ev.kind == tracing.CALL_ENTER)
 
 
 def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
@@ -116,18 +126,28 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     timings = {}
 
     t0 = time.perf_counter()
-    prof = tracing.profile(program, step_budget=cfg.step_budget)
+    recorded = {}  # failing test -> its trace from the profile run
+    prof = tracing.profile(program, step_budget=cfg.step_budget,
+                           failing_traces=recorded,
+                           trace_limit=cfg.trace_limit)
     timings["profile"] = time.perf_counter() - t0
 
     selected = reduction.select_tests(prof, cfg)
     log.append(f"selected {len(selected)} of {len(prof.tests)} tests")
-    traced = traced_function_set(program, prof)
+    traced = traced_function_set(prof)
     log.append(f"tracing {len(traced)} functions: {sorted(traced)}")
 
     t0 = time.perf_counter()
-    traces = [tracing.trace(program, test, traced,
-                            step_budget=cfg.step_budget,
-                            trace_limit=cfg.trace_limit)
+    failing = len(recorded)
+    recorded = {name: tr for name, tr in recorded.items()
+                if _reusable(tr, traced)}
+    log.append(f"failing traces: {len(recorded)} from the profile run, "
+               f"{failing - len(recorded)} traced again")
+    # popped, so that no raw trace outlives its compression
+    traces = [recorded.pop(test) if test in recorded
+              else tracing.trace(program, test, traced,
+                                 step_budget=cfg.step_budget,
+                                 trace_limit=cfg.trace_limit)
               for test in selected]
     events = [sum(t.size() for t in traces)]
     dropped = [t.test for t in traces if t.oversized and not t.failing]
@@ -198,6 +218,8 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
                       "iterations": inf.iterations},
         "warnings": [t.warning for t in budgeted if t.warning],
     }
+    t0 = time.perf_counter()
     report = rank(inf.marginals, net, program, metadata)
+    timings["rank"] = time.perf_counter() - t0
     return LocalizeResult(prof, selected, budgeted, ddg, net, inf, report,
                           timings, log)

@@ -61,10 +61,27 @@ _AUX_REMAPPED = frozenset(_AUX_VID_KEYS + _AUX_VID_LIST_KEYS
                           + _AUX_VID_PAIR_KEYS)
 
 
-def _remap_event(ev, resolve):
+def _aux_vids(aux):
+    for key in _AUX_VID_KEYS:
+        yield aux.get(key)
+    for key in _AUX_VID_LIST_KEYS:
+        yield from aux.get(key, ())
+    for key in _AUX_VID_PAIR_KEYS:
+        for _, v in aux.get(key, ()):
+            yield v
+
+
+def _remap_event(ev, remapped, resolve):
+    """`ev` with its reads and aux value ids resolved; `ev` itself when
+    none of them is in `remapped`."""
+    reads = ev.reads
+    if not remapped.isdisjoint(reads):
+        reads = tuple(resolve(r) for r in reads)
     aux = ev.aux
-    # An aux without value ids is shared, not copied: it is never mutated.
-    if not _AUX_REMAPPED.isdisjoint(aux):
+    # An aux is copied only when one of its value ids changes: events share
+    # it otherwise, as it is never mutated.
+    if (not _AUX_REMAPPED.isdisjoint(aux)
+            and not remapped.isdisjoint(_aux_vids(aux))):
         aux = dict(aux)
         for key in _AUX_VID_KEYS:
             if aux.get(key) is not None:
@@ -75,8 +92,9 @@ def _remap_event(ev, resolve):
         for key in _AUX_VID_PAIR_KEYS:
             if key in aux:
                 aux[key] = [[addr, resolve(v)] for addr, v in aux[key]]
-    return TraceEvent(kind=ev.kind, stmt=ev.stmt,
-                      reads=tuple(resolve(r) for r in ev.reads),
+    if reads is ev.reads and aux is ev.aux:
+        return ev
+    return TraceEvent(kind=ev.kind, stmt=ev.stmt, reads=reads,
                       writes=ev.writes, aux=aux)
 
 
@@ -88,7 +106,8 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
     items are compressed when it returns, and its caller then sees it as one
     flat block whose statement is the call's. Reads of surviving events are
     re-bound to the corresponding values of the retained iteration; value
-    ids are not renumbered.
+    ids are not renumbered, and an event with nothing to re-bind is kept
+    as it is.
     """
     loops = {name: fn.loop_bodies() for name, fn in program.functions.items()}
     stmt_fn = {sid: info.function
@@ -119,6 +138,9 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
             # carrying foreign statement ids (virtual call blocks, caught
             # exceptions from callees) stay in whatever region they occur in.
             cond = item.stmt
+            # Only a loop with a nested loop of its own needs its
+            # iterations compressed; any other iteration is just flattened.
+            nested = not body.isdisjoint(fn_loops)
             starts = [i - 1]
             while i < n:
                 nxt = items[i]
@@ -135,7 +157,15 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
             starts.append(i)
             kept = kept_shape = None
             for a, b in zip(starts, starts[1:]):
-                iteration = [items[a]] + compress(items[a + 1:b], fn_name)
+                if nested:
+                    iteration = [items[a]] + compress(items[a + 1:b], fn_name)
+                else:
+                    iteration = [items[a]]
+                    for it in items[a + 1:b]:
+                        if isinstance(it, list):
+                            iteration.extend(it)
+                        else:
+                            iteration.append(it)
                 shape = _shape(iteration)
                 if shape == kept_shape:
                     for ek, er in zip(kept, iteration):
@@ -167,10 +197,14 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
             remap[s] = vid
         return vid
 
-    events = [_remap_event(e, resolve) for e in compress(stack[0][1], tr.test)]
-    if log is not None and removed:
-        log.append(f"loop compression: {tr.test}: removed {removed} "
-                   f"iterations ({len(tr.events)} -> {len(events)} events)")
+    events = compress(stack[0][1], tr.test)
+    if removed:
+        remapped = remap.keys()
+        events = [_remap_event(e, remapped, resolve) for e in events]
+        if log is not None:
+            log.append(f"loop compression: {tr.test}: removed {removed} "
+                       f"iterations ({len(tr.events)} -> {len(events)} "
+                       "events)")
     return replace(tr, events=events)
 
 

@@ -1,8 +1,9 @@
 """Test execution under two instrumentation modes.
 
-`profile` runs every test with lightweight coverage recording; `trace` runs a
-single test with full value-level event recording, collapsing calls into
-untraced functions to atomic call summaries.
+`profile` runs every test with lightweight coverage recording, or with
+every non-test function traced when the caller keeps the failing tests'
+traces; `trace` runs a single test with full value-level event recording,
+collapsing calls into untraced functions to atomic call summaries.
 
 Both run function bodies compiled once per program into nested Python
 closures (`_Compiler`), so no AST node is dispatched on at run time. An
@@ -735,23 +736,39 @@ class _Compiler:
 
 # --- entry points ---
 
-def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET) -> CoverageProfile:
-    """Run every test once with coverage-only instrumentation."""
+def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
+            failing_traces=None, trace_limit=None) -> CoverageProfile:
+    """Run every test once with coverage-only instrumentation.
+
+    Given a dict as `failing_traces`, each test instead runs with every
+    non-test function traced, as `trace` would run it, and the dict gets
+    the `Trace` of each failing test under the test's name; the events of
+    passing tests are dropped. Coverage is the same either way.
+    """
     tests = program.test_names
     if not tests:
         raise NoTests("program defines no test_ functions")
     table = program.statement_table
+    app = frozenset(n for n in program.functions if not n.startswith("test_"))
     records = {}
     for name in tests:
-        ex = _Executor(program, traced_functions=frozenset(),
-                       step_budget=step_budget)
-        status, reason, _ = ex.run_test(name, traced=False)
+        if failing_traces is None:
+            ex = _Executor(program, traced_functions=frozenset(),
+                           step_budget=step_budget)
+            status, reason, _ = ex.run_test(name, traced=False)
+            statements = ex.cov_statements
+        else:
+            tr, statements = _record(program, name, app, step_budget,
+                                     trace_limit)
+            status, reason = tr.status, tr.reason
+            if tr.failing:
+                failing_traces[name] = tr
         # a function is covered when one of its statements ran; the test
         # itself always is
-        functions = {table[sid].function for sid in ex.cov_statements}
+        functions = {table[sid].function for sid in statements}
         records[name] = CoverageRecord(
             test=name, status=status, reason=reason,
-            functions=functions | {name}, statements=ex.cov_statements)
+            functions=functions | {name}, statements=statements)
     return CoverageProfile(tests=records)
 
 
@@ -760,15 +777,21 @@ def trace(program: A.Program, test: str, traced_functions,
     """Run one test with full event recording for `traced_functions`."""
     if test not in program.functions:
         raise MalformedTrace(f"unknown test {test!r}")
+    return _record(program, test, traced_functions, step_budget,
+                   trace_limit)[0]
+
+
+def _record(program, test, traced_functions, step_budget, trace_limit):
+    """Run `test` with itself and `traced_functions` traced. Returns its
+    `Trace` and the statements it covered."""
     traced = frozenset(traced_functions) | {test}
-    ex = _Executor(program, traced_functions=traced,
-                   step_budget=step_budget)
+    ex = _Executor(program, traced_functions=traced, step_budget=step_budget)
     status, reason, truncated = ex.run_test(test, traced=True)
     t = Trace(test=test, status=status, reason=reason, events=ex.events,
               value_count=ex.vid_counter, truncated=truncated)
     if trace_limit is not None and t.size() > trace_limit:
         t.oversized = True
-    return t
+    return t, ex.cov_statements
 
 
 # --- serialization ---

@@ -1,0 +1,150 @@
+"""Reference loop compression for the equivalence tests.
+
+This is the `compress_loops` semfl shipped before iterations of loops
+without nested loops were built by flattening, unchanged events were kept
+as they are and the remap pass was skipped when nothing was removed. It
+compresses every iteration through a recursive call on a slice and
+rebuilds every surviving event. `semfl.reduction.compress_loops` must
+give the same events (by `to_record`) and the same log lines.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from semfl.tracing import (
+    ASSERT_OUTCOME,
+    CALL_ENTER,
+    CALL_EXIT,
+    EXEC,
+    Trace,
+    TraceEvent,
+)
+
+
+def _shape(events):
+    # An assert's outcome is part of the shape, so an iteration whose assert
+    # fails is never removed as a repeat of one whose assert passed.
+    return [(e.kind, e.stmt, e.aux["outcome"]) if e.kind == ASSERT_OUTCOME
+            else (e.kind, e.stmt, len(e.reads), len(e.writes))
+            for e in events]
+
+
+_AUX_VID_KEYS = ("value", "ret", "thrown")
+_AUX_VID_LIST_KEYS = ("params",)
+_AUX_VID_PAIR_KEYS = ("arrays", "array_versions")
+_AUX_REMAPPED = frozenset(_AUX_VID_KEYS + _AUX_VID_LIST_KEYS
+                          + _AUX_VID_PAIR_KEYS)
+
+
+def _remap_event(ev, resolve):
+    aux = ev.aux
+    # An aux without value ids is shared, not copied: it is never mutated.
+    if not _AUX_REMAPPED.isdisjoint(aux):
+        aux = dict(aux)
+        for key in _AUX_VID_KEYS:
+            if aux.get(key) is not None:
+                aux[key] = resolve(aux[key])
+        for key in _AUX_VID_LIST_KEYS:
+            if key in aux:
+                aux[key] = [resolve(v) for v in aux[key]]
+        for key in _AUX_VID_PAIR_KEYS:
+            if key in aux:
+                aux[key] = [[addr, resolve(v)] for addr, v in aux[key]]
+    return TraceEvent(kind=ev.kind, stmt=ev.stmt,
+                      reads=tuple(resolve(r) for r in ev.reads),
+                      writes=ev.writes, aux=aux)
+
+
+def compress_loops(tr: Trace, program, log=None) -> Trace:
+    """Remove adjacent loop iterations with identical statement shape.
+
+    One pass over the events keeps a stack of open calls; every call in the
+    trace returns, as the interpreter closes each call it opens. A call's
+    items are compressed when it returns, and its caller then sees it as one
+    flat block whose statement is the call's. Reads of surviving events are
+    re-bound to the corresponding values of the retained iteration; value
+    ids are not renumbered.
+    """
+    loops = {name: fn.loop_bodies() for name, fn in program.functions.items()}
+    stmt_fn = {sid: info.function
+               for sid, info in program.statement_table.items()}
+    remap = {}
+    removed = 0
+
+    def compress(items, fn_name):
+        """The events of one call's items (events and closed call blocks),
+        innermost loops compressed first."""
+        nonlocal removed
+        fn_loops = loops.get(fn_name, {})
+        out = []
+        n = len(items)
+        i = 0
+        while i < n:
+            item = items[i]
+            i += 1
+            if isinstance(item, list):
+                out.extend(item)
+                continue
+            body = fn_loops.get(item.stmt) if item.kind == EXEC else None
+            if body is None:
+                out.append(item)
+                continue
+            # The loop runs while items carry its condition's or body's
+            # statements; an iteration starts at each condition event. Items
+            # carrying foreign statement ids (virtual call blocks, caught
+            # exceptions from callees) stay in whatever region they occur in.
+            cond = item.stmt
+            starts = [i - 1]
+            while i < n:
+                nxt = items[i]
+                if isinstance(nxt, list):
+                    sid = nxt[0].stmt
+                else:
+                    sid = nxt.stmt
+                    if sid == cond and nxt.kind == EXEC:
+                        starts.append(i)
+                if (sid != cond and sid not in body
+                        and stmt_fn.get(sid) == fn_name):
+                    break
+                i += 1
+            starts.append(i)
+            kept = kept_shape = None
+            for a, b in zip(starts, starts[1:]):
+                iteration = [items[a]] + compress(items[a + 1:b], fn_name)
+                shape = _shape(iteration)
+                if shape == kept_shape:
+                    for ek, er in zip(kept, iteration):
+                        for wk, wr in zip(ek.writes, er.writes):
+                            remap[wr] = wk
+                    removed += 1
+                else:
+                    out.extend(iteration)
+                    kept, kept_shape = iteration, shape
+        return out
+
+    stack = [(None, [])]  # per open call: its enter event and its items
+    for ev in tr.events:
+        if ev.kind == CALL_ENTER:
+            stack.append((ev, []))
+        elif ev.kind == CALL_EXIT:
+            enter, items = stack.pop()
+            stack[-1][1].append([enter] + compress(items, enter.aux["callee"])
+                                + [ev])
+        else:
+            stack[-1][1].append(ev)
+
+    def resolve(vid):
+        seen = []
+        while vid in remap:
+            seen.append(vid)
+            vid = remap[vid]
+        for s in seen:  # path compression
+            remap[s] = vid
+        return vid
+
+    events = [_remap_event(e, resolve) for e in compress(stack[0][1], tr.test)]
+    if log is not None and removed:
+        log.append(f"loop compression: {tr.test}: removed {removed} "
+                   f"iterations ({len(tr.events)} -> {len(events)} events)")
+    return replace(tr, events=events)

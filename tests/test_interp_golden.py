@@ -7,7 +7,10 @@ Each digest covers, at one step budget, every test's coverage record
 `dump_trace` text of every test traced under
 `pipeline.traced_function_set`. Two budgets are used so that timeouts
 must land on the same step as well. Every traced test must also close
-each call it opens, which the trace reducers rely on.
+each call it opens, which the trace reducers rely on. The same digests
+must come out when the profile run records the failing tests' traces,
+as `pipeline.localize` has it do, and those traces stand in for their
+tests' traces.
 
 Regenerate the file (only when a change to the interpreter's observable
 behaviour is intended) with
@@ -36,16 +39,23 @@ STEP_BUDGETS = (20_000, 300)
 MUTANTS_PER_PROGRAM = 5
 
 
-def program_digest(program, step_budget):
-    prof = profile(program, step_budget=step_budget)
+def program_digest(program, step_budget, record=False):
+    """The digest of `program`; with `record`, of the profile run that
+    records the failing tests' traces, and of those traces in place of
+    fresh ones."""
+    recorded = {} if record else None
+    prof = profile(program, step_budget=step_budget, failing_traces=recorded)
     h = hashlib.sha256()
     for name, cov in prof.tests.items():
         h.update(json.dumps([name, cov.status, cov.reason,
                              sorted(cov.functions),
                              sorted(cov.statements)]).encode())
-    traced = traced_function_set(program, prof)
+    traced = traced_function_set(prof)
     for name in program.test_names:
-        tr = trace(program, name, traced, step_budget=step_budget)
+        if record and name in recorded:
+            tr = recorded[name]
+        else:
+            tr = trace(program, name, traced, step_budget=step_budget)
         check_call_brackets(tr)
         h.update(dump_trace(tr, program).encode())
     return h.hexdigest()
@@ -75,8 +85,8 @@ def corpus_programs(name):
         yield key, parse(apply_mutation(program, point), program.source_path)
 
 
-def digests(name):
-    return {key: {str(b): program_digest(p, b) for b in STEP_BUDGETS}
+def digests(name, record=False):
+    return {key: {str(b): program_digest(p, b, record) for b in STEP_BUDGETS}
             for key, p in corpus_programs(name)}
 
 
@@ -87,6 +97,12 @@ NAMES = [e["name"] for e in load_manifest()]
 def test_interpreter_matches_golden_digests(name):
     expected = json.loads(DIGESTS.read_text())[name]
     assert digests(name) == expected
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_failing_traces_recorded_while_profiling_match_golden_digests(name):
+    expected = json.loads(DIGESTS.read_text())[name]
+    assert digests(name, record=True) == expected
 
 
 if __name__ == "__main__":

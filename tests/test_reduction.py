@@ -3,10 +3,11 @@ the model-size budget."""
 
 import pytest
 
+from semfl.bench import load_corpus_program, seed_faults
 from semfl.ddg import build_ddg
 from semfl.errors import NoFailingTests
 from semfl.lang import parse
-from semfl.pipeline import RunConfig
+from semfl.pipeline import RunConfig, traced_function_set
 from semfl.reduction import (
     adaptive_fold,
     budget_traces,
@@ -23,9 +24,11 @@ from semfl.tracing import (
     CoverageRecord,
     Trace,
     TraceEvent,
+    profile,
     trace,
 )
 
+from compress_reference import compress_loops as reference_compress_loops
 from helpers import check_acyclic, statement_level_edges
 
 
@@ -317,6 +320,96 @@ def test_compressed_trace_still_replays_into_a_dag():
     prog = parse(NESTED_LOOPS)
     tr = compress_loops(trace(prog, "test_grind", {"grind"}), prog)
     assert check_acyclic(build_ddg(prog, [tr]))
+
+
+def _assert_compresses_like_reference(tr, prog):
+    log, ref_log = [], []
+    out = compress_loops(tr, prog, log)
+    ref = reference_compress_loops(tr, prog, ref_log)
+    assert [e.to_record() for e in out.events] == \
+           [e.to_record() for e in ref.events], tr.test
+    assert log == ref_log
+    assert (out.value_count, out.status) == (ref.value_count, ref.status)
+
+
+@pytest.mark.parametrize("name", ["sorting", "scheduler", "digits"])
+def test_compress_matches_reference_on_corpus_mutants(name):
+    program = load_corpus_program(name)
+    for seed in seed_faults(program, 3, 0, step_budget=5000):
+        mutant = parse(seed.source, seed.base_path)
+        prof = profile(mutant, step_budget=5000)
+        traced = traced_function_set(prof)
+        for test in mutant.test_names:
+            _assert_compresses_like_reference(
+                trace(mutant, test, traced, step_budget=5000), mutant)
+
+
+# No corpus function nests loops; here loops nest three deep, around calls
+# with loops of their own, a caught exception and array writes, and the
+# test's own loop runs the whole nest with a failing assert.
+NESTED_GRID = """
+fn fill(a, n) {
+    let i = 0;
+    while (i < n) {
+        a[i] = i % 3;
+        i = i + 1;
+    }
+    return a;
+}
+
+fn risky(x) {
+    if (x == 4) {
+        throw 7;
+    }
+    return x + 1;
+}
+
+fn grid(n) {
+    let a = [0, 0, 0, 0, 0, 0];
+    fill(a, 6);
+    let total = 0;
+    let r = 0;
+    while (r < n) {
+        let c = 0;
+        while (c < n) {
+            try {
+                total = total + risky(c) * a[c % 6];
+            } catch (e) {
+                total = total - e;
+            }
+            let k = 0;
+            while (k < 2) {
+                k = k + 1;
+            }
+            c = c + 1;
+        }
+        if (r == 2) {
+            total = total + 1;
+        }
+        r = r + 1;
+    }
+    return total;
+}
+
+fn test_grid_small() {
+    assert(grid(3) == 25);
+}
+
+fn test_grid_rows() {
+    let i = 0;
+    while (i < 3) {
+        assert(grid(4 + i) > 10);
+        i = i + 1;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("traced", [{"fill", "risky", "grid"}, {"grid"}, ()])
+def test_compress_matches_reference_on_nested_loops(traced):
+    prog = parse(NESTED_GRID)
+    for test in prog.test_names:
+        _assert_compresses_like_reference(trace(prog, test, traced), prog)
 
 
 # --- adaptive folding ---

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from semfl.bench import load_corpus_program, seed_faults
 from semfl.errors import MiniImpSyntaxError, NoTests
 from semfl.lang import parse
 from semfl.lang.parser import MAX_NESTING
+from semfl.pipeline import RunConfig, localize, traced_function_set
 from semfl.tracing import (
     ASSERT_OUTCOME,
     CALL_ENTER,
@@ -601,3 +603,82 @@ fn test_loopy() {
     tr = trace(prog, "test_loopy", {"loopy"}, trace_limit=20)
     assert tr.oversized
     assert trace(prog, "test_loopy", {"loopy"}).oversized is False
+
+
+# --- failing tests profiled and traced in one run ---
+
+def _localize_raw(program, **settings):
+    """`localize` with no reducer changing its traces, after checking each
+    of them against a fresh `trace` of its test."""
+    cfg = RunConfig(loop_compression=False, adaptive_folding=False,
+                    model_limit=10 ** 9, **settings)
+    res = localize(program, cfg)
+    traced = traced_function_set(res.profile)
+    for tr in res.traces:
+        fresh = trace(program, tr.test, traced, step_budget=cfg.step_budget,
+                      trace_limit=cfg.trace_limit)
+        assert dump_trace(tr, program) == dump_trace(fresh, program), tr.test
+    return res
+
+
+@pytest.mark.parametrize("trace_limit", [1_200_000, 300])
+@pytest.mark.parametrize("name", ["sorting", "scheduler", "digits"])
+def test_failing_traces_from_the_profile_run_are_fresh_traces(name,
+                                                              trace_limit):
+    program = load_corpus_program(name)
+    for seed in seed_faults(program, 2, 0, step_budget=5000):
+        mutant = parse(seed.source, seed.base_path)
+        res = _localize_raw(mutant, step_budget=5000, trace_limit=trace_limit)
+        failing = res.profile.num_failing
+        assert (f"failing traces: {failing} from the profile run, "
+                "0 traced again") in res.log
+        assert [t.test for t in res.traces if t.failing] == \
+            res.selected_tests[:failing]
+
+
+# `nop` runs no statement, and `f` none before the step budget of 2 runs
+# out, so no test covers either and the trace does not enter them; the
+# profile run traced them like every non-test function, so its traces of
+# the failing tests do not fit.
+EMPTY_CALLEE = """
+fn nop() {
+}
+
+fn inc(x) {
+    return x + 2;
+}
+
+fn test_inc() {
+    nop();
+    assert(inc(1) == 2);
+}
+
+fn test_inc_zero() {
+    assert(inc(0) == 2);
+}
+"""
+
+BUDGET_ENDS_AT_CALL = """
+fn f(x) {
+    return x;
+}
+
+fn test_t() {
+    let a = 1;
+    let b = f(a);
+    assert(b == 1);
+}
+"""
+
+
+@pytest.mark.parametrize("source, step_budget", [
+    (EMPTY_CALLEE, 5000), (BUDGET_ENDS_AT_CALL, 2)],
+    ids=["empty_body", "budget_ends_at_call"])
+def test_failing_test_calling_an_uncovered_function_is_traced_again(
+        source, step_budget):
+    program = parse(source)
+    res = _localize_raw(program, step_budget=step_budget)
+    assert "failing traces: 0 from the profile run, 1 traced again" in res.log
+    failing = next(t for t in res.traces if t.failing)
+    entered = {e.aux["callee"] for e in failing.events if e.kind == CALL_ENTER}
+    assert not entered & {"nop", "f"}
