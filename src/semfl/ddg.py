@@ -6,14 +6,15 @@ of the executing frame's stack, and virtual call edges tie traced
 invocations nested inside untraced ones to the enclosing call summary.
 
 Values are numbered densely in the order replay first sees them, whether
-read or written. The graph is a few flat arrays over those numbers: the
-producing statement of each value and its parents in CSR form (one offsets
-array plus one flat index array).
+read or written, trace after trace. The graph is a few flat arrays over
+those numbers: the trace-local id of each value, its producing statement
+and its parents in CSR form (one offsets array plus one flat index array).
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,16 @@ from .tracing import (
 
 @dataclass
 class DepGraph:
-    """Value i is `value_nodes[i]`, a trace-local (test name, value id).
-    Its parents are `parents[parent_start[i]:parent_start[i + 1]]`: the
-    values it read, deduplicated in read order, then its control parent
-    when `ctrl[i]` is set. An input value has no producer and no parents.
+    """Value i is value id `value_nodes[i]` of the trace it was seen in
+    (`value_key`). Its parents are `parents[parent_start[i]:parent_start[i
+    + 1]]`: the values it read, deduplicated in read order, then its
+    control parent when `ctrl[i]` is set. An input value has no producer
+    and no parents.
     """
 
     statement_nodes: list  # sorted sids of the producing statements
-    value_nodes: list  # (test, vid) per value, in first-seen order
+    value_nodes: np.ndarray  # int64 trace-local vid per value, in value order
+    trace_starts: list  # (test, index of its first value) per trace replayed
     producer: np.ndarray  # int64 sid per value, -1 for an input value
     parent_start: np.ndarray  # int64, len(value_nodes) + 1 offsets
     parents: np.ndarray  # int64 value indices
@@ -50,6 +53,11 @@ class DepGraph:
     def edge_count(self):
         """One statement edge per produced value plus one per parent."""
         return int(np.count_nonzero(self.producer >= 0)) + len(self.parents)
+
+    def value_key(self, i):
+        """(test, vid) of value i."""
+        row = bisect_right(self.trace_starts, i, key=lambda t: t[1]) - 1
+        return self.trace_starts[row][0], int(self.value_nodes[i])
 
 
 class _Frame:
@@ -68,8 +76,8 @@ class _Builder:
         self.program = program
         self.virtual_call_edges = virtual_call_edges
         self.exception_control = exception_control
-        self._index = {}  # test -> {vid: value index}
-        self.value_nodes = []
+        self.value_nodes = array("q")
+        self.trace_starts = []
         self.producer = array("q")  # sid per value, -1 until produced
         self.anchors = []
         self._stmt_nodes = set()
@@ -84,7 +92,7 @@ class _Builder:
         idx = self._ids.get(vid)
         if idx is None:
             idx = self._ids[vid] = len(self.value_nodes)
-            self.value_nodes.append((self._test, vid))
+            self.value_nodes.append(vid)
             self.producer.append(-1)
         return idx
 
@@ -111,8 +119,9 @@ class _Builder:
         return info
 
     def replay(self, tr):
-        test = self._test = tr.test
-        self._ids = self._index.setdefault(test, {})
+        test = tr.test
+        self._ids = {}  # vid -> value index, for this trace
+        self.trace_starts.append((test, len(self.value_nodes)))
         value = self.value
         frames = [_Frame(test)]
         for ev in tr.events:
@@ -213,7 +222,8 @@ class _Builder:
         ctrl[produced] = np.asarray(self._ctrl, bool)
         return DepGraph(
             statement_nodes=sorted(self._stmt_nodes),
-            value_nodes=self.value_nodes,
+            value_nodes=np.asarray(self.value_nodes, np.int64),
+            trace_starts=self.trace_starts,
             producer=np.asarray(self.producer, np.int64),
             parent_start=parent_start,
             parents=np.asarray(self._flat_parents, np.int64)[gather],

@@ -32,7 +32,7 @@ NAIVE_DEGREE_CAP = 20
 
 @dataclass
 class InferenceResult:
-    marginals: dict  # variable index -> P(correct)
+    marginals: np.ndarray  # float64 P(correct) per variable
     converged: bool
     iterations: int
     log: list = field(default_factory=list)
@@ -43,7 +43,7 @@ class InferenceResult:
     residuals: list = field(default_factory=list)
 
     def p_faulty(self, idx):
-        return 1.0 - self.marginals[idx]
+        return 1.0 - float(self.marginals[idx])
 
 
 def _normalize(t, f):
@@ -126,16 +126,16 @@ class _Engine:
 
     Edge e = offsets[a] + pos joins factor a to its variable edge_var[e]
     at `pos` (0 is the child). Each edge has a message each way, over
-    (correct, incorrect), in four float64 arrays, and each side of an
-    iteration is one pass over all edges. A free variable's message on an
-    edge is the log-odds sum of its prior and incoming messages
-    (`np.bincount` on `edge_var`) less the edge's own term, through the
-    logistic function; the marginals come from the same sums. Exact zeros
-    are counted apart, so certain messages stay certain, and a message
-    falls back to (0.5, 0.5), counted in `fallbacks`, only where certain
-    messages contradict each other. Results are float64-close to, not
-    bit-identical with, the probability products of the reference engine
-    kept in the tests.
+    (correct, incorrect), in float64 arrays (the variables' only for one
+    iteration), and each side of an iteration is one pass over all edges.
+    A free variable's message on an edge is the log-odds sum of its prior
+    and incoming messages (`np.bincount` on `edge_var`) less the edge's
+    own term, through the logistic function; the marginals come from the
+    same sums. Exact zeros are counted apart, so certain messages stay
+    certain, and a message falls back to (0.5, 0.5), counted in
+    `fallbacks`, only where certain messages contradict each other.
+    Results are float64-close to, not bit-identical with, the probability
+    products of the reference engine kept in the tests.
     """
 
     def __init__(self, net: FaultNet, cfg: RunConfig):
@@ -197,14 +197,13 @@ class _Engine:
         nzt[self.observed], nzf[self.observed] = self.clamp
         return (odds, zt, zf), (total, nzt, nzf)
 
-    def _update_v2f(self):
+    def _v2f(self):
         (odds, zt, zf), (total, nzt, nzf) = self._sums()
         ev = self.edge_var
-        self.v2f_t, self.v2f_f = self._logistic(
-            total[ev] - odds, nzt[ev] > zt, nzf[ev] > zf)
+        return self._logistic(total[ev] - odds, nzt[ev] > zt, nzf[ev] > zf)
 
-    def _naive_factor_messages(self):
-        vt, vf = self.v2f_t.tolist(), self.v2f_f.tolist()
+    def _naive_factor_messages(self, v2f_t, v2f_f):
+        vt, vf = v2f_t.tolist(), v2f_f.tolist()
         offsets = self.offsets.tolist()
         new_t, new_f = [], []
         for lo, hi, p0 in zip(offsets, offsets[1:], self.p0.tolist()):
@@ -217,21 +216,21 @@ class _Engine:
 
     def _iterate(self) -> float:
         """One flooding round; returns the largest message change."""
-        self._update_v2f()
+        v2f = self._v2f()
         if self.cfg.mode == "naive":
-            new_t, new_f = self._naive_factor_messages()
+            new_t, new_f = self._naive_factor_messages(*v2f)
         else:
             new_t, new_f = self._normalize(*factor_messages(
-                self.p0, self.offsets, self.v2f_t, self.v2f_f))
+                self.p0, self.offsets, *v2f))
         delta = max(np.abs(new_t - self.f2v_t).max(initial=0.0),
                     np.abs(new_f - self.f2v_f).max(initial=0.0))
         self.f2v_t, self.f2v_f = new_t, new_f
         return float(delta)
 
-    def _marginals(self) -> dict:
+    def _marginals(self) -> np.ndarray:
         _, (total, nzt, nzf) = self._sums()
         t, _ = self._logistic(total, nzt > 0, nzf > 0)
-        return dict(enumerate(t.tolist()))
+        return t
 
     def run(self) -> InferenceResult:
         converged = False
@@ -259,14 +258,16 @@ def run_lbp(net: FaultNet, cfg: RunConfig | None = None) -> InferenceResult:
     return _Engine(net, cfg).run()
 
 
-def exact_marginals(net: FaultNet, cap: int = 20) -> dict:
+def exact_marginals(net: FaultNet, cap: int = 20) -> np.ndarray:
     """Exact posterior P(correct) per variable by joint enumeration."""
     n = len(net.prior)
     if n > cap:
         raise TooLarge(f"{n} variables exceed the exact-enumeration cap {cap}")
     prior, evidence = net.prior.tolist(), net.evidence.tolist()
-    factors = list(net.factors)
-    children = {f.child for f in factors}
+    edge_var, offsets = net.edge_var.tolist(), net.offsets.tolist()
+    factors = [(edge_var[lo], edge_var[lo + 1:hi], p0)
+               for lo, hi, p0 in zip(offsets, offsets[1:], net.p0.tolist())]
+    children = {child for child, _, _ in factors}
     total = 0.0
     acc = [0.0] * n
     for bits in itertools.product((True, False), repeat=n):
@@ -280,8 +281,8 @@ def exact_marginals(net: FaultNet, cap: int = 20) -> dict:
                 weight *= prior[v] if bits[v] else 1.0 - prior[v]
         if not ok or weight == 0.0:
             continue
-        for f in factors:
-            weight *= _cpd(f.p0, bits[f.child], [bits[p] for p in f.parents])
+        for child, parents, p0 in factors:
+            weight *= _cpd(p0, bits[child], [bits[p] for p in parents])
             if weight == 0.0:
                 break
         if weight == 0.0:
@@ -292,4 +293,4 @@ def exact_marginals(net: FaultNet, cap: int = 20) -> dict:
                 acc[v] += weight
     if total == 0.0:
         raise TooLarge("evidence has zero probability under the model")
-    return {v: acc[v] / total for v in range(n)}
+    return np.array(acc) / total

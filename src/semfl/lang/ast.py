@@ -251,9 +251,6 @@ class FunctionDef:
     body: list
     cfg: object = None  # ControlFlowGraph, attached after parsing
 
-    def statement_ids(self):
-        return [s.sid for s in walk_statements(self.body)]
-
     def loop_bodies(self):
         """Map while-cond sid -> set of sids syntactically inside the loop."""
         out = {}

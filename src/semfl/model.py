@@ -120,7 +120,7 @@ def build_net(ddg, program, cfg: RunConfig | None = None) -> FaultNet:
     evidence = np.full(len(prior), -1, np.int8)
     for idx, outcome in ddg.evidence_anchors:
         if evidence[n_stmts + idx] == (not outcome):
-            test, vid = ddg.value_nodes[idx]
+            test, vid = ddg.value_key(idx)
             raise ConflictingEvidence(
                 f"V{vid}@{test} observed both correct and incorrect")
         evidence[n_stmts + idx] = outcome

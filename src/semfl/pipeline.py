@@ -102,21 +102,11 @@ class LocalizeResult:
 
 def traced_function_set(profile):
     """Partial tracing: record details only inside application functions
-    covered by at least one failing test."""
-    covered = set()
+    entered by at least one failing test."""
+    entered = set()
     for t in profile.failing:
-        covered |= t.functions
-    return frozenset(f for f in covered if not f.startswith("test_"))
-
-
-def _reusable(tr, traced):
-    """Whether a failing test's trace from the profile run, which traced
-    every non-test function, is the one `traced` gives. Each call is traced
-    or not at the time it is made, so a call whose status differs between
-    the two sets leaves a call-enter event here; with none, the two runs
-    draw the same value ids and record the same events."""
-    return all(ev.aux["callee"] in traced or ev.aux["callee"] == tr.test
-               for ev in tr.events if ev.kind == tracing.CALL_ENTER)
+        entered |= t.functions
+    return frozenset(f for f in entered if not f.startswith("test_"))
 
 
 def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
@@ -138,12 +128,10 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     log.append(f"tracing {len(traced)} functions: {sorted(traced)}")
 
     t0 = time.perf_counter()
-    failing = len(recorded)
-    recorded = {name: tr for name, tr in recorded.items()
-                if _reusable(tr, traced)}
-    log.append(f"failing traces: {len(recorded)} from the profile run, "
-               f"{failing - len(recorded)} traced again")
-    # popped, so that no raw trace outlives its compression
+    # A failing test's trace from the profile run, which traced every
+    # non-test function, is the one `traced` gives: each call is traced or
+    # not when it is made, and `traced` holds every function the test
+    # entered. Popped, so that no raw trace outlives its compression.
     traces = [recorded.pop(test) if test in recorded
               else tracing.trace(program, test, traced,
                                  step_budget=cfg.step_budget,

@@ -88,7 +88,8 @@ def rank(marginals, net, program, metadata=None) -> Report:
         if idx is None:
             scored.append((sid, 0.0, False))
         else:
-            scored.append((sid, 1.0 - marginals[idx], True))
+            # a Python float: report.json rounds with Python's `round`
+            scored.append((sid, 1.0 - float(marginals[idx]), True))
     scored.sort(key=lambda x: (-x[1], x[0]))
     return Report(_attach_ranks(scored, program), dict(metadata or {}))
 

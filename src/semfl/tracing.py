@@ -89,7 +89,7 @@ class Trace:
 class CoverageRecord:
     test: str
     status: str
-    functions: set
+    functions: set  # the functions the test entered, itself included
     statements: set
     reason: str = ""
 
@@ -195,6 +195,7 @@ class _Executor:
         self.heap = {}  # addr -> _Array; arrays are never freed
         self.depth = 0  # MiniImp frames, the test's included
         self.cov_statements = set()
+        self.cov_functions = set()  # functions entered, the test's excluded
 
     # --- bookkeeping ---
 
@@ -255,6 +256,7 @@ class _Executor:
 
     def run_call(self, name, args, traced_call, sid):
         params, body = self.function(name)
+        self.cov_functions.add(name)
         callee = _Frame(dict(zip(params, args)), traced_call)
         if traced_call:
             arrays = [[value.addr, self.heap[value.addr].version]
@@ -309,8 +311,11 @@ class _Executor:
             self.call_summary(sid, name, reads, array_args, writes, True, None)
             exc.produced = True
             raise
-        except _AssertFailure:
-            self.call_summary(sid, name, reads, array_args, [], True, None)
+        except (_AssertFailure, _Timeout) as exc:
+            # a timeout's evidence lands on the last value written: a fresh
+            # one of the call
+            writes = [self.new_vid()] if type(exc) is _Timeout else []
+            self.call_summary(sid, name, reads, array_args, writes, True, None)
             raise
         ret = self.new_vid()
         self.call_summary(sid, name, reads, array_args, [ret], False, ret)
@@ -748,7 +753,6 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
     tests = program.test_names
     if not tests:
         raise NoTests("program defines no test_ functions")
-    table = program.statement_table
     app = frozenset(n for n in program.functions if not n.startswith("test_"))
     records = {}
     for name in tests:
@@ -756,16 +760,13 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
             ex = _Executor(program, traced_functions=frozenset(),
                            step_budget=step_budget)
             status, reason, _ = ex.run_test(name, traced=False)
-            statements = ex.cov_statements
+            statements, functions = ex.cov_statements, ex.cov_functions
         else:
-            tr, statements = _record(program, name, app, step_budget,
-                                     trace_limit)
+            tr, statements, functions = _record(program, name, app,
+                                                step_budget, trace_limit)
             status, reason = tr.status, tr.reason
             if tr.failing:
                 failing_traces[name] = tr
-        # a function is covered when one of its statements ran; the test
-        # itself always is
-        functions = {table[sid].function for sid in statements}
         records[name] = CoverageRecord(
             test=name, status=status, reason=reason,
             functions=functions | {name}, statements=statements)
@@ -783,7 +784,7 @@ def trace(program: A.Program, test: str, traced_functions,
 
 def _record(program, test, traced_functions, step_budget, trace_limit):
     """Run `test` with itself and `traced_functions` traced. Returns its
-    `Trace` and the statements it covered."""
+    `Trace`, the statements it ran and the functions it entered."""
     traced = frozenset(traced_functions) | {test}
     ex = _Executor(program, traced_functions=traced, step_budget=step_budget)
     status, reason, truncated = ex.run_test(test, traced=True)
@@ -791,7 +792,7 @@ def _record(program, test, traced_functions, step_budget, trace_limit):
               value_count=ex.vid_counter, truncated=truncated)
     if trace_limit is not None and t.size() > trace_limit:
         t.oversized = True
-    return t, ex.cov_statements
+    return t, ex.cov_statements, ex.cov_functions
 
 
 # --- serialization ---

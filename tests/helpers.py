@@ -3,28 +3,40 @@
 `semfl.ddg.DepGraph` and `semfl.model.FaultNet` hold flat arrays. The
 functions here read a graph back as (test, vid) keys and (kind, source,
 target) edges, and `NetBuilder` assembles a hand-made network one variable
-and one factor at a time.
+and one factor at a time. `statement_ids` lists a function's statements.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from semfl.lang.ast import walk_statements
 from semfl.model import FaultNet
+
+
+def statement_ids(fn):
+    """The sids of a function's statements, in source order."""
+    return [s.sid for s in walk_statements(fn.body)]
+
+
+def value_keys(g):
+    """The (test, vid) key of every value, in value order."""
+    return [g.value_key(i) for i in range(len(g.value_nodes))]
 
 
 def producers(g):
     """{(test, vid): producing sid} over the produced values."""
-    return {key: sid for key, sid in zip(g.value_nodes, g.producer.tolist())
+    return {key: sid for key, sid in zip(value_keys(g), g.producer.tolist())
             if sid >= 0}
 
 
 def value_parents(g):
     """{(test, vid): ordered parent keys} over the produced values."""
+    keys = value_keys(g)
     start = g.parent_start.tolist()
     parents = g.parents.tolist()
-    return {key: [g.value_nodes[p] for p in parents[start[i]:start[i + 1]]]
-            for i, key in enumerate(g.value_nodes) if g.producer[i] >= 0}
+    return {key: [keys[p] for p in parents[start[i]:start[i + 1]]]
+            for i, key in enumerate(keys) if g.producer[i] >= 0}
 
 
 def edges(g):
@@ -32,16 +44,17 @@ def edges(g):
     producer, then one data edge per read parent and a ctrl edge from its
     control parent, as (kind, source, target)."""
     out = []
+    keys = value_keys(g)
     start = g.parent_start.tolist()
     parents = g.parents.tolist()
-    for i, (key, sid) in enumerate(zip(g.value_nodes, g.producer.tolist())):
+    for i, (key, sid) in enumerate(zip(keys, g.producer.tolist())):
         if sid < 0:
             continue
         out.append(("stmt", sid, key))
         last = start[i + 1] - 1
         for e in range(start[i], start[i + 1]):
             kind = "ctrl" if g.ctrl[i] and e == last else "data"
-            out.append((kind, g.value_nodes[parents[e]], key))
+            out.append((kind, keys[parents[e]], key))
     return out
 
 
@@ -87,14 +100,14 @@ def check_acyclic(g):
 def dump_ddg(g):
     lines = [f"stmt {sid}" for sid in g.statement_nodes]
     producer = producers(g)
-    for key in g.value_nodes:
+    for key in value_keys(g):
         tag = f"by {producer[key]}" if key in producer else "input"
         lines.append(f"value {key[0]}:{key[1]} {tag}")
     for kind, src, dst in edges(g):
         s = src if kind == "stmt" else f"{src[0]}:{src[1]}"
         lines.append(f"edge {kind} {s} -> {dst[0]}:{dst[1]}")
     for idx, outcome in g.evidence_anchors:
-        test, vid = g.value_nodes[idx]
+        test, vid = g.value_key(idx)
         lines.append(f"evidence {test}:{vid} {outcome}")
     return "\n".join(lines) + "\n"
 

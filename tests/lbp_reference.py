@@ -12,6 +12,8 @@ an oracle for small nets only.
 
 from __future__ import annotations
 
+import numpy as np
+
 from semfl.errors import DegreeTooLarge
 from semfl.inference import NAIVE_DEGREE_CAP, InferenceResult, factor_to_var_naive
 from semfl.model import FaultNet
@@ -123,10 +125,10 @@ class _Engine:
             if delta < self.cfg.convergence_eps:
                 converged = True
                 break
-        marginals = {}
+        marginals = []
         for v, evidence in enumerate(self.evidence):
             if evidence >= 0:
-                marginals[v] = 1.0 if evidence else 0.0
+                marginals.append(1.0 if evidence else 0.0)
                 continue
             t, f = self.base[v]
             for a, pos in self.incident[v]:
@@ -135,10 +137,11 @@ class _Engine:
                 f *= mf
                 if t + f > 0.0:
                     t, f = _normalize(t, f)
-            marginals[v] = _normalize(t, f)[0]
+            marginals.append(_normalize(t, f)[0])
         log = [f"belief propagation: {iterations} iterations, "
                f"{'converged' if converged else 'did not converge'}"]
-        return InferenceResult(marginals, converged, iterations, log)
+        return InferenceResult(np.array(marginals), converged, iterations,
+                               log)
 
 
 def run_reference(net: FaultNet, cfg: RunConfig | None = None) -> InferenceResult:

@@ -37,7 +37,12 @@ from semfl.ranking import DSTAR, OCHIAI, rank, sbfl_report
 from semfl.reduction import compress_loops
 from semfl.tracing import EXEC, profile, trace
 
-from helpers import NetBuilder, node_count, statement_level_edges
+from helpers import (
+    NetBuilder,
+    node_count,
+    statement_ids,
+    statement_level_edges,
+)
 
 COND_TEST = """
 fn foo(a) {
@@ -92,7 +97,7 @@ def test_criterion_01_worked_example_posteriors():
     ordered = faulty[0] > faulty[1] > faulty[2]
     naive = run_lbp(net, RunConfig(mode="naive"))
     agree = all(math.isclose(res.marginals[v], naive.marginals[v],
-                             abs_tol=1e-9) for v in res.marginals)
+                             abs_tol=1e-9) for v in range(len(res.marginals)))
     elapsed = time.perf_counter() - t0
     ok = close and ordered and agree and elapsed < 1.0
     assert _verdict(1, ok, f"faulty={[round(p, 4) for p in faulty]}")
@@ -110,8 +115,8 @@ def _cond_net_by_line(net, ddg, program):
     line = {idx: program.statement_table[sid].line
             for sid, idx in net.stmt_vars.items()}
     produced_at = {f.child: line[f.parents[0]] for f in net.factors}
-    test_of = {len(net.stmt_vars) + i: test
-               for i, (test, _) in enumerate(ddg.value_nodes)}
+    test_of = {len(net.stmt_vars) + i: ddg.value_key(i)[0]
+               for i in range(len(ddg.value_nodes))}
 
     def name(idx):
         return f"V{produced_at.get(idx, 2)}"
@@ -147,7 +152,7 @@ def _worked_example_test(outcome):
 def test_criterion_02_end_to_end_cond_example():
     t0 = time.perf_counter()
     program = parse(COND_TEST)
-    cond_sid, assign_sid, ret_sid = program.functions["foo"].statement_ids()
+    cond_sid, assign_sid, ret_sid = statement_ids(program.functions["foo"])
     sids = (cond_sid, assign_sid, ret_sid)
     prof = profile(program)
     sbfl_tied = True
@@ -265,7 +270,7 @@ def test_criterion_04_tree_exactness():
         net = _random_tree_net(rng)
         res = run_lbp(net, RunConfig())
         exact = exact_marginals(net, cap=30)
-        for v in res.marginals:
+        for v in range(len(res.marginals)):
             worst = max(worst, abs(res.marginals[v] - exact[v]))
     assert _verdict(4, worst <= 1e-6, f"worst gap={worst:.2e}")
 
@@ -371,7 +376,7 @@ fn test_shape() {
 
 def test_criterion_06_loop_compression():
     program = parse(AB_AD_AB)
-    _, _, _, branch, d, b, _, _ = program.functions["shape"].statement_ids()
+    _, _, _, branch, d, b, _, _ = statement_ids(program.functions["shape"])
     tr = compress_loops(trace(program, "test_shape", {"shape"}), program)
     kept = [e.stmt for e in tr.events
             if e.kind == EXEC and e.stmt in (branch, b, d)]

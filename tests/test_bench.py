@@ -22,6 +22,8 @@ from semfl.lang import format_program, parse
 from semfl.pipeline import RunConfig, localize
 from semfl.tracing import profile
 
+from helpers import statement_ids
+
 CORRECT = """
 fn foo(a) {
     if (a < 2) {
@@ -49,7 +51,7 @@ def test_enumerate_skips_test_functions():
 
 def test_known_operator_swap_reproduces_fault():
     prog = parse(CORRECT)
-    cond_sid = prog.functions["foo"].statement_ids()[0]
+    cond_sid = statement_ids(prog.functions["foo"])[0]
     point = next(p for p in enumerate_mutations(prog)
                  if p.sid == cond_sid and p.rewrite == "< -> <=")
     source = apply_mutation(prog, point)

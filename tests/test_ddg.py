@@ -8,7 +8,15 @@ from semfl.errors import MalformedTrace
 from semfl.lang import parse
 from semfl.tracing import CALL_EXIT, CALL_SUMMARY, EXEC, Trace, TraceEvent, trace
 
-from helpers import check_acyclic, dump_ddg, edges, producers, value_parents
+from helpers import (
+    check_acyclic,
+    dump_ddg,
+    edges,
+    producers,
+    statement_ids,
+    value_keys,
+    value_parents,
+)
 
 COND_TEST = """
 fn foo(a) {
@@ -36,12 +44,12 @@ def _cond_graph():
 
 def test_cond_example_statement_nodes():
     prog, _, g = _cond_graph()
-    assert g.statement_nodes == list(prog.functions["foo"].statement_ids())
+    assert g.statement_nodes == list(statement_ids(prog.functions["foo"]))
 
 
 def test_cond_example_value_chain_per_test():
     prog, traces, g = _cond_graph()
-    cond_sid, assign_sid, ret_sid = prog.functions["foo"].statement_ids()
+    cond_sid, assign_sid, ret_sid = statement_ids(prog.functions["foo"])
     producer, parents, all_edges = producers(g), value_parents(g), edges(g)
     for tr in traces:
         enter, cond, assign, ret = tr.events[:4]
@@ -50,7 +58,7 @@ def test_cond_example_value_chain_per_test():
         v_assign = (tr.test, assign.writes[0])
         v_ret = (tr.test, ret.writes[0])
         # the argument is an input: no producer, prior-1 value
-        assert a_in in g.value_nodes and a_in not in producer
+        assert a_in in value_keys(g) and a_in not in producer
         assert producer[v_cond] == cond_sid
         assert producer[v_assign] == assign_sid
         assert producer[v_ret] == ret_sid
@@ -66,7 +74,7 @@ def test_cond_example_value_chain_per_test():
 
 def test_cond_example_evidence_anchors():
     _, traces, g = _cond_graph()
-    anchors = {g.value_nodes[i]: outcome for i, outcome in g.evidence_anchors}
+    anchors = {g.value_key(i): outcome for i, outcome in g.evidence_anchors}
     expected = {(tr.test, tr.events[3].writes[0]): tr.test == "test_pass"
                 for tr in traces}
     assert anchors == expected
@@ -106,7 +114,7 @@ fn test_count() {
     tr = trace(prog, "test_count", {"count"})
     g = build_ddg(prog, [tr])
     fn = prog.functions["count"]
-    _, cond_sid, body_sid, ret_sid = fn.statement_ids()
+    _, cond_sid, body_sid, ret_sid = statement_ids(fn)
     conds = [e for e in tr.events if e.kind == EXEC and e.stmt == cond_sid]
     bodies = [e for e in tr.events if e.kind == EXEC and e.stmt == body_sid]
     assert len(conds) == 3 and len(bodies) == 2
@@ -157,7 +165,8 @@ def test_virtual_call_edges_bridge_untraced_driver():
     # produced ahead of it
     assert producers(g)[param] == summary.stmt
     assert parents[param] == [(t, r) for r in summary.reads]
-    assert g.value_nodes.index(param) < g.value_nodes.index(cb_ret)
+    keys = value_keys(g)
+    assert keys.index(param) < keys.index(cb_ret)
     assert check_acyclic(g)
 
 

@@ -13,6 +13,8 @@ from semfl.lang import EXIT, format_program, parse
 from semfl.lang import ast as A
 from semfl.lang.printer import format_expr
 
+from helpers import statement_ids
+
 COND_TEST = """
 fn foo(a) {
     if (a <= 2) {
@@ -148,7 +150,7 @@ fn f(a, b) {
 }
 """)
     ops = [prog.statement_table[s].root_op
-           for s in prog.functions["f"].statement_ids()]
+           for s in statement_ids(prog.functions["f"])]
     assert ops == ["%", "+", "<", "call", "var"]
 
 
@@ -190,7 +192,7 @@ def _fn(src, name="f"):
 
 def test_straight_line_ipostdom():
     fn = _fn("fn f(a) { let x = a; let y = x; return y; }")
-    s = fn.statement_ids()
+    s = statement_ids(fn)
     assert fn.cfg.ipostdom[s[0]] == s[1]
     assert fn.cfg.ipostdom[s[1]] == s[2]
     assert fn.cfg.ipostdom[s[2]] == EXIT
@@ -207,7 +209,7 @@ fn f(c, a, b) {
     return x;
 }
 """)
-    cond, ret_a, let_x, ret_x = fn.statement_ids()
+    cond, ret_a, let_x, ret_x = statement_ids(fn)
     assert fn.cfg.ipostdom[cond] == EXIT
 
 
@@ -221,7 +223,7 @@ fn f(n) {
     return i;
 }
 """)
-    let_i, cond, body, ret = fn.statement_ids()
+    let_i, cond, body, ret = statement_ids(fn)
     assert fn.cfg.ipostdom[cond] == ret
 
 
@@ -237,7 +239,7 @@ fn f(c) {
     return x;
 }
 """)
-    let_x, cond, a1, a2, ret = fn.statement_ids()
+    let_x, cond, a1, a2, ret = statement_ids(fn)
     assert fn.cfg.ipostdom[cond] == ret
 
 
@@ -255,7 +257,7 @@ fn f(n) {
     return i;
 }
 """)
-    for sid in fn.statement_ids():
+    for sid in statement_ids(fn):
         seen = set()
         node = sid
         while node != EXIT:

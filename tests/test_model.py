@@ -1,9 +1,11 @@
 """Model-construction tests: leak-probability classification, network
 structure, priors, and evidence handling."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semfl.bench import load_corpus_program, seed_faults
 from semfl.ddg import build_ddg
 from semfl.errors import ConflictingEvidence, SemflError
 from semfl.lang import parse
@@ -12,9 +14,9 @@ from semfl.model import build_net, classify_p0
 from semfl.inference import run_lbp
 from semfl.pipeline import RunConfig, localize
 from semfl.ranking import rank
-from semfl.tracing import trace
+from semfl.tracing import ASSERT_OUTCOME, EXEC, trace
 
-from helpers import input_values, node_count, producers
+from helpers import input_values, node_count, producers, statement_ids
 from test_lang import expressions
 
 COND_TEST = """
@@ -93,7 +95,7 @@ def test_net_mirrors_graph_structure():
 
 def test_cond_example_factor_leaks():
     prog, ddg, net = _net()
-    cond_sid, assign_sid, ret_sid = prog.functions["foo"].statement_ids()
+    cond_sid, assign_sid, ret_sid = statement_ids(prog.functions["foo"])
     leak_by_stmt = {}
     for f in net.factors:
         sid = next(s for s, i in net.stmt_vars.items() if i == f.parents[0])
@@ -122,13 +124,45 @@ def test_evidence_pass_true_fail_false():
 def test_conflicting_evidence_rejected():
     prog, ddg, _ = _net()
     idx, outcome = ddg.evidence_anchors[0]
-    test, vid = ddg.value_nodes[idx]
+    test, vid = ddg.value_key(idx)
     ddg.evidence_anchors.append((idx, outcome))  # consistent repeat is fine
     assert build_net(ddg, prog).evidence[len(ddg.statement_nodes) + idx] \
         == outcome
     ddg.evidence_anchors.append((idx, not outcome))
     with pytest.raises(ConflictingEvidence, match=f"^V{vid}@{test} "):
         build_net(ddg, prog)
+
+
+def test_values_are_arrays_from_graph_to_marginals():
+    program = load_corpus_program("scheduler")
+    seed = seed_faults(program, 1, 0, step_budget=5000)[0]
+    mutant = parse(seed.source, seed.base_path)
+    res = localize(mutant, RunConfig(step_budget=5000))
+    ddg, net = res.ddg, res.net
+    assert isinstance(ddg.value_nodes, np.ndarray)
+    assert ddg.value_nodes.dtype == np.int64
+    keys = [ddg.value_key(i) for i in range(len(ddg.value_nodes))]
+    assert len(set(keys)) == len(keys)
+    # values come trace by trace, in replay order
+    order = [tr.test for tr in res.traces]
+    assert [test for test, _ in keys] == sorted(
+        (test for test, _ in keys), key=order.index)
+    key_set = set(keys)
+    for tr in res.traces:
+        for ev in tr.events:
+            if ev.kind == EXEC:
+                assert {(tr.test, w) for w in ev.writes} <= key_set
+    anchored = [(tr.test, ev.aux["value"]) for tr in res.traces
+                for ev in tr.events if ev.kind == ASSERT_OUTCOME]
+    assert [ddg.value_key(i) for i, _ in ddg.evidence_anchors] == anchored
+    assert isinstance(res.inference.marginals, np.ndarray)
+    assert res.inference.marginals.dtype == np.float64
+    assert len(res.inference.marginals) == len(net.prior)
+    idx, outcome = ddg.evidence_anchors[-1]
+    test, vid = anchored[-1]
+    ddg.evidence_anchors.append((idx, not outcome))
+    with pytest.raises(ConflictingEvidence, match=f"^V{vid}@{test} "):
+        build_net(ddg, mutant)
 
 
 def test_custom_params_propagate():
@@ -150,7 +184,7 @@ def test_empty_graph_gives_empty_net():
     assert net.offsets.tolist() == [0] and len(net.edge_var) == 0
     assert list(net.factors) == [] and net.max_factor_degree() == 0
     res = run_lbp(net)
-    assert res.marginals == {} and res.converged
+    assert len(res.marginals) == 0 and res.converged
     assert rank(res.marginals, net, prog).entries[0].executed is False
 
 

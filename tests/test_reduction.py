@@ -29,7 +29,7 @@ from semfl.tracing import (
 )
 
 from compress_reference import compress_loops as reference_compress_loops
-from helpers import check_acyclic, statement_level_edges
+from helpers import check_acyclic, statement_ids, statement_level_edges
 
 
 def _profile(entries):
@@ -107,7 +107,7 @@ fn test_shape() {
 def _kept_bodies(n):
     """The branch arm of each loop iteration compression keeps."""
     prog = parse(AB_AD_AB % (n, n + (n > 100)))
-    _, _, _, _, d, b, _, _ = prog.functions["shape"].statement_ids()
+    _, _, _, _, d, b, _, _ = statement_ids(prog.functions["shape"])
     out = compress_loops(trace(prog, "test_shape", {"shape"}), prog)
     arm = {b: "b", d: "d"}
     return [arm[e.stmt] for e in out.events

@@ -25,6 +25,8 @@ from semfl.tracing import (
     trace,
 )
 
+from helpers import statement_ids
+
 COND_TEST = """
 fn foo(a) {
     if (a <= 2) {
@@ -179,7 +181,7 @@ def test_array_write_produces_new_version():
     prog = parse(ARRAYS)
     tr = trace(prog, "test_bump", {"bump"})
     writes = [e for e in tr.events if e.kind == EXEC and e.stmt ==
-              parse(ARRAYS).functions["bump"].statement_ids()[0]]
+              statement_ids(parse(ARRAYS).functions["bump"])[0]]
     assert len(writes) == 1
     store = writes[0]
     assert len(store.writes) == 1
@@ -325,7 +327,7 @@ def test_negation_overflow_is_catchable():
         "fail", "exception")
     tr = trace(prog, "test_min", {"negate"})
     assert tr.events[-1].kind == ASSERT_OUTCOME
-    assert tr.events[-1].stmt == prog.functions["negate"].statement_ids()[0]
+    assert tr.events[-1].stmt == statement_ids(prog.functions["negate"])[0]
     assert tr.events[-1].aux.get("from_exception")
     quotient = prof.tests["test_quotient"]
     assert (quotient.status, quotient.reason) == ("fail", "exception")
@@ -381,7 +383,7 @@ def test_unbound_variable_throws_catchable_exception():
         assert (prof.tests[test].status, prof.tests[test].reason) == (
             "fail", "exception")
         tr = trace(prog, test, {fn})
-        faulting = prog.functions[fn].statement_ids()[2]
+        faulting = statement_ids(prog.functions[fn])[2]
         assert tr.events[-2].kind == CALL_EXIT
         assert tr.events[-2].aux["aborted"]
         assert tr.events[-1].kind == ASSERT_OUTCOME
@@ -417,7 +419,7 @@ def test_call_past_depth_limit_throws_stack_overflow():
     assert prof.tests["test_deep"].reason == "exception"
     tr = trace(prog, "test_deep", {"f"})
     assert tr.reason == "exception"
-    recursive_return = prog.functions["f"].statement_ids()[-1]
+    recursive_return = statement_ids(prog.functions["f"])[-1]
     assert tr.events[-1].kind == ASSERT_OUTCOME
     assert tr.events[-1].stmt == recursive_return
     assert tr.events[-1].aux.get("from_exception")
@@ -630,16 +632,13 @@ def test_failing_traces_from_the_profile_run_are_fresh_traces(name,
         mutant = parse(seed.source, seed.base_path)
         res = _localize_raw(mutant, step_budget=5000, trace_limit=trace_limit)
         failing = res.profile.num_failing
-        assert (f"failing traces: {failing} from the profile run, "
-                "0 traced again") in res.log
         assert [t.test for t in res.traces if t.failing] == \
             res.selected_tests[:failing]
 
 
 # `nop` runs no statement, and `f` none before the step budget of 2 runs
-# out, so no test covers either and the trace does not enter them; the
-# profile run traced them like every non-test function, so its traces of
-# the failing tests do not fit.
+# out; the failing test enters it all the same, so it is traced and the
+# profile run's trace of the test is the one `localize` keeps.
 EMPTY_CALLEE = """
 fn nop() {
 }
@@ -674,11 +673,23 @@ fn test_t() {
 @pytest.mark.parametrize("source, step_budget", [
     (EMPTY_CALLEE, 5000), (BUDGET_ENDS_AT_CALL, 2)],
     ids=["empty_body", "budget_ends_at_call"])
-def test_failing_test_calling_an_uncovered_function_is_traced_again(
-        source, step_budget):
+def test_callee_that_runs_no_statement_is_traced(source, step_budget):
     program = parse(source)
     res = _localize_raw(program, step_budget=step_budget)
-    assert "failing traces: 0 from the profile run, 1 traced again" in res.log
     failing = next(t for t in res.traces if t.failing)
+    callee = ({"nop", "f"} & set(program.functions)).pop()
+    assert callee in res.profile.tests[failing.test].functions
     entered = {e.aux["callee"] for e in failing.events if e.kind == CALL_ENTER}
-    assert not entered & {"nop", "f"}
+    assert callee in entered
+
+
+def test_timeout_in_an_untraced_call_marks_its_summary():
+    tr = trace(parse(BUDGET_ENDS_AT_CALL), "test_t", set(), step_budget=2)
+    assert tr.reason == "timeout"
+    summary, outcome = tr.events[-2:]
+    assert summary.kind == CALL_SUMMARY and summary.aux["callee"] == "f"
+    assert summary.aux["threw"] and len(summary.writes) == 1
+    assert outcome.kind == ASSERT_OUTCOME and outcome.aux["from_timeout"]
+    assert outcome.stmt == summary.stmt
+    assert outcome.aux["value"] == summary.writes[0]
+    assert outcome.aux["outcome"] is False
