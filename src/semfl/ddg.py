@@ -88,12 +88,17 @@ class _Builder:
         self._flat_parents = array("q")
 
     def value(self, vid):
-        """The index of value `vid` of the trace being replayed."""
+        """The index of value `vid` of the trace being replayed; an alias
+        left by loop compression is the value it stands for."""
         idx = self._ids.get(vid)
         if idx is None:
-            idx = self._ids[vid] = len(self.value_nodes)
-            self.value_nodes.append(vid)
-            self.producer.append(-1)
+            kept = self._aliases.get(vid)
+            if kept is not None:
+                idx = self._ids[vid] = self.value(kept)
+            else:
+                idx = self._ids[vid] = len(self.value_nodes)
+                self.value_nodes.append(vid)
+                self.producer.append(-1)
         return idx
 
     def add_produced(self, idx, sid, reads, ctrl):
@@ -121,6 +126,7 @@ class _Builder:
     def replay(self, tr):
         test = tr.test
         self._ids = {}  # vid -> value index, for this trace
+        self._aliases = tr.aliases
         self.trace_starts.append((test, len(self.value_nodes)))
         value = self.value
         frames = [_Frame(test)]

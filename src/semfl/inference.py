@@ -42,9 +42,6 @@ class InferenceResult:
     # the largest change of any message, per iteration
     residuals: list = field(default_factory=list)
 
-    def p_faulty(self, idx):
-        return 1.0 - float(self.marginals[idx])
-
 
 def _normalize(t, f):
     s = t + f

@@ -54,66 +54,31 @@ def _shape(events):
             for e in events]
 
 
-_AUX_VID_KEYS = ("value", "ret", "thrown")
-_AUX_VID_LIST_KEYS = ("params",)
-_AUX_VID_PAIR_KEYS = ("arrays", "array_versions")
-_AUX_REMAPPED = frozenset(_AUX_VID_KEYS + _AUX_VID_LIST_KEYS
-                          + _AUX_VID_PAIR_KEYS)
-
-
-def _aux_vids(aux):
-    for key in _AUX_VID_KEYS:
-        yield aux.get(key)
-    for key in _AUX_VID_LIST_KEYS:
-        yield from aux.get(key, ())
-    for key in _AUX_VID_PAIR_KEYS:
-        for _, v in aux.get(key, ()):
-            yield v
-
-
-def _remap_event(ev, remapped, resolve):
-    """`ev` with its reads and aux value ids resolved; `ev` itself when
-    none of them is in `remapped`."""
-    reads = ev.reads
-    if not remapped.isdisjoint(reads):
-        reads = tuple(resolve(r) for r in reads)
-    aux = ev.aux
-    # An aux is copied only when one of its value ids changes: events share
-    # it otherwise, as it is never mutated.
-    if (not _AUX_REMAPPED.isdisjoint(aux)
-            and not remapped.isdisjoint(_aux_vids(aux))):
-        aux = dict(aux)
-        for key in _AUX_VID_KEYS:
-            if aux.get(key) is not None:
-                aux[key] = resolve(aux[key])
-        for key in _AUX_VID_LIST_KEYS:
-            if key in aux:
-                aux[key] = [resolve(v) for v in aux[key]]
-        for key in _AUX_VID_PAIR_KEYS:
-            if key in aux:
-                aux[key] = [[addr, resolve(v)] for addr, v in aux[key]]
-    if reads is ev.reads and aux is ev.aux:
-        return ev
-    return TraceEvent(kind=ev.kind, stmt=ev.stmt, reads=reads,
-                      writes=ev.writes, aux=aux)
-
-
 def compress_loops(tr: Trace, program, log=None) -> Trace:
     """Remove adjacent loop iterations with identical statement shape.
 
     One pass over the events keeps a stack of open calls; every call in the
     trace returns, as the interpreter closes each call it opens. A call's
     items are compressed when it returns, and its caller then sees it as one
-    flat block whose statement is the call's. Reads of surviving events are
-    re-bound to the corresponding values of the retained iteration; value
-    ids are not renumbered, and an event with nothing to re-bind is kept
-    as it is.
+    flat block whose statement is the call's. The kept events are the
+    interpreter's own; each value written in a removed iteration goes into
+    the trace's `aliases`, mapped to the value the retained iteration wrote
+    in its place, and the dependency graph resolves it there.
     """
     loops = {name: fn.loop_bodies() for name, fn in program.functions.items()}
     stmt_fn = {sid: info.function
                for sid, info in program.statement_table.items()}
-    remap = {}
+    aliases = dict(tr.aliases)
     removed = 0
+
+    def flat(items):
+        out = []
+        for it in items:
+            if isinstance(it, list):
+                out.extend(it)
+            else:
+                out.append(it)
+        return out
 
     def compress(items, fn_name):
         """The events of one call's items (events and closed call blocks),
@@ -134,43 +99,48 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
                 out.append(item)
                 continue
             # The loop runs while items carry its condition's or body's
-            # statements; an iteration starts at each condition event. Items
-            # carrying foreign statement ids (virtual call blocks, caught
-            # exceptions from callees) stay in whatever region they occur in.
+            # statements. Items carrying foreign statement ids (virtual call
+            # blocks, caught exceptions from callees) stay in whatever region
+            # they occur in. An iteration starts at a condition event, unless
+            # its value is passed to a call the condition makes.
             cond = item.stmt
             # Only a loop with a nested loop of its own needs its
             # iterations compressed; any other iteration is just flattened.
             nested = not body.isdisjoint(fn_loops)
-            starts = [i - 1]
+            first = i - 1
+            conds = [first]
+            passed = set()
             while i < n:
                 nxt = items[i]
                 if isinstance(nxt, list):
                     sid = nxt[0].stmt
+                    if sid == cond:
+                        passed.update(nxt[0].aux["params"])
                 else:
                     sid = nxt.stmt
-                    if sid == cond and nxt.kind == EXEC:
-                        starts.append(i)
+                    if sid == cond:
+                        if nxt.kind == EXEC:
+                            conds.append(i)
+                        elif nxt.kind == CALL_SUMMARY:
+                            passed.update(nxt.reads)
                 if (sid != cond and sid not in body
                         and stmt_fn.get(sid) == fn_name):
                     break
                 i += 1
+            starts = [a for a in conds if passed.isdisjoint(items[a].writes)]
             starts.append(i)
+            out.extend(flat(items[first:starts[0]]))
             kept = kept_shape = None
             for a, b in zip(starts, starts[1:]):
                 if nested:
                     iteration = [items[a]] + compress(items[a + 1:b], fn_name)
                 else:
-                    iteration = [items[a]]
-                    for it in items[a + 1:b]:
-                        if isinstance(it, list):
-                            iteration.extend(it)
-                        else:
-                            iteration.append(it)
+                    iteration = flat(items[a:b])
                 shape = _shape(iteration)
                 if shape == kept_shape:
                     for ek, er in zip(kept, iteration):
                         for wk, wr in zip(ek.writes, er.writes):
-                            remap[wr] = wk
+                            aliases[wr] = wk
                     removed += 1
                 else:
                     out.extend(iteration)
@@ -190,22 +160,22 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
 
     def resolve(vid):
         seen = []
-        while vid in remap:
+        while vid in aliases:
             seen.append(vid)
-            vid = remap[vid]
+            vid = aliases[vid]
         for s in seen:  # path compression
-            remap[s] = vid
+            aliases[s] = vid
         return vid
 
     events = compress(stack[0][1], tr.test)
-    if removed:
-        remapped = remap.keys()
-        events = [_remap_event(e, remapped, resolve) for e in events]
-        if log is not None:
-            log.append(f"loop compression: {tr.test}: removed {removed} "
-                       f"iterations ({len(tr.events)} -> {len(events)} "
-                       "events)")
-    return replace(tr, events=events)
+    # A value an inner loop kept may go with an outer iteration removed
+    # later, so aliases chain: flatten them.
+    for vid in aliases:
+        resolve(vid)
+    if log is not None and removed:
+        log.append(f"loop compression: {tr.test}: removed {removed} "
+                   f"iterations ({len(tr.events)} -> {len(events)} events)")
+    return replace(tr, events=events, aliases=aliases)
 
 
 # --- adaptive folding ---

@@ -76,6 +76,9 @@ class Trace:
     oversized: bool = False
     truncated: bool = False
     warning: str = ""
+    # Loop compression maps each value written in a removed iteration to
+    # the value the kept iteration wrote in its place; never a chain.
+    aliases: dict = field(default_factory=dict)
 
     @property
     def failing(self):

@@ -1,11 +1,15 @@
 """Reference loop compression for the equivalence tests.
 
 This is the `compress_loops` semfl shipped before iterations of loops
-without nested loops were built by flattening, unchanged events were kept
-as they are and the remap pass was skipped when nothing was removed. It
-compresses every iteration through a recursive call on a slice and
-rebuilds every surviving event. `semfl.reduction.compress_loops` must
-give the same events (by `to_record`) and the same log lines.
+without nested loops were built by flattening and before value ids of
+removed iterations became trace aliases. It compresses every iteration
+through a recursive call on a slice and rebuilds every surviving event
+with its value ids re-bound. It keeps the old iteration boundary: every
+condition event starts an iteration, also one whose value is an argument
+of a call the condition makes. No corpus loop condition calls a function,
+so there `semfl.reduction.compress_loops` must keep the same events (by
+kind, statement and writes), log the same lines, and give the same
+dependency graph.
 """
 
 from __future__ import annotations

@@ -3,10 +3,13 @@
 `semfl.ddg.DepGraph` and `semfl.model.FaultNet` hold flat arrays. The
 functions here read a graph back as (test, vid) keys and (kind, source,
 target) edges, and `NetBuilder` assembles a hand-made network one variable
-and one factor at a time. `statement_ids` lists a function's statements.
+and one factor at a time. `statement_ids` lists a function's statements,
+and `p_faulty` reads a statement's fault probability off a marginal.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -95,6 +98,21 @@ def check_acyclic(g):
         if src[0] != dst[0] or src[1] >= dst[1]:
             return False
     return True
+
+
+def assert_same_graph(a, b):
+    """Every field of two graphs is equal, arrays element by element."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def p_faulty(res, idx):
+    """P(faulty) of variable `idx` in an inference result."""
+    return 1.0 - float(res.marginals[idx])
 
 
 def dump_ddg(g):

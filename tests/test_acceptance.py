@@ -40,6 +40,7 @@ from semfl.tracing import EXEC, profile, trace
 from helpers import (
     NetBuilder,
     node_count,
+    p_faulty,
     statement_ids,
     statement_level_edges,
 )
@@ -91,7 +92,7 @@ def test_criterion_01_worked_example_posteriors():
     t0 = time.perf_counter()
     net, stmts = _worked_example_net()
     res = run_lbp(net, RunConfig())
-    faulty = [res.p_faulty(s) for s in stmts]
+    faulty = [p_faulty(res, s) for s in stmts]
     expected = [0.707, 0.270, 0.223]
     close = all(abs(a - b) <= 0.005 for a, b in zip(faulty, expected))
     ordered = faulty[0] > faulty[1] > faulty[2]
@@ -186,7 +187,7 @@ def test_criterion_02_end_to_end_cond_example():
     reported = {e.sid: e.probability for e in res.report.entries}
     faulty = [reported[sid] for sid in sids]
     matches_hand = len(reported) == 3 and all(
-        abs(p - hand_res.p_faulty(s)) <= 1e-9
+        abs(p - p_faulty(hand_res, s)) <= 1e-9
         for p, s in zip(faulty, hand_stmts))
     cond_rank = res.report.rank_of(cond_sid)
     exact_rank = localize(program, RunConfig(exact=True)).report \
@@ -198,7 +199,7 @@ def test_criterion_02_end_to_end_cond_example():
     _set_leak(net, net.stmt_vars[ret_sid], cfg.p0_low)
     low = run_lbp(net, cfg)
     low_report = rank(low.marginals, net, program)
-    low_faulty = [low.p_faulty(net.stmt_vars[sid]) for sid in sids]
+    low_faulty = [p_faulty(low, net.stmt_vars[sid]) for sid in sids]
     rank1 = (low_report.rank_of(cond_sid) == 1
              and all(abs(p - q) <= 0.005
                      for p, q in zip(low_faulty, (0.707, 0.270, 0.223))))

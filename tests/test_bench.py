@@ -2,7 +2,9 @@
 integrity, and batch-result shape."""
 
 import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +191,17 @@ def test_naive_and_optimized_agree_end_to_end():
     for a, b in zip(fast.report.entries, slow.report.entries):
         assert a.sid == b.sid
         assert math.isclose(a.probability, b.probability, abs_tol=1e-9)
+
+
+def test_perfbench_layers_name_semfl_callables():
+    # perfbench's tracer wraps each layer by module and function name; a
+    # renamed entry point would break its traced runs.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    for span, (module, name) in tracer.LAYERS.items():
+        assert module.split(".")[0] == "semfl", span
+        fn = getattr(importlib.import_module(module), name, None)
+        assert callable(fn), span

@@ -152,7 +152,8 @@ def test_values_are_arrays_from_graph_to_marginals():
         for ev in tr.events:
             if ev.kind == EXEC:
                 assert {(tr.test, w) for w in ev.writes} <= key_set
-    anchored = [(tr.test, ev.aux["value"]) for tr in res.traces
+    anchored = [(tr.test, tr.aliases.get(ev.aux["value"], ev.aux["value"]))
+                for tr in res.traces
                 for ev in tr.events if ev.kind == ASSERT_OUTCOME]
     assert [ddg.value_key(i) for i, _ in ddg.evidence_anchors] == anchored
     assert isinstance(res.inference.marginals, np.ndarray)

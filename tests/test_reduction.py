@@ -29,7 +29,12 @@ from semfl.tracing import (
 )
 
 from compress_reference import compress_loops as reference_compress_loops
-from helpers import check_acyclic, statement_ids, statement_level_edges
+from helpers import (
+    assert_same_graph,
+    check_acyclic,
+    statement_ids,
+    statement_level_edges,
+)
 
 
 def _profile(entries):
@@ -166,6 +171,7 @@ def test_compress_is_idempotent():
     twice = compress_loops(once, prog)
     assert [e.to_record() for e in twice.events] == \
            [e.to_record() for e in once.events]
+    assert once.aliases and twice.aliases == once.aliases
 
 
 ASSERT_IN_LOOP = """
@@ -234,14 +240,65 @@ def _referenced(ev):
 
 def test_compress_rebinds_aux_values_of_removed_iterations():
     # The call in the kept `i == 5` iteration passes the `s` of a removed
-    # iteration; its parameters must be re-bound like plain reads.
+    # iteration; its parameters resolve through the aliases like plain reads.
     prog = parse(CALL_IN_LOOP)
     tr = trace(prog, "test_work", {"work", "inc"})
     out = compress_loops(tr, prog)
     kept = {w for e in out.events for w in e.writes}
     removed = {w for e in tr.events for w in e.writes} - kept
-    assert removed
-    assert not {v for e in out.events for v in _referenced(e)} & removed
+    referenced = {v for e in out.events for v in _referenced(e)} & removed
+    assert referenced
+    assert referenced <= out.aliases.keys()
+    assert {out.aliases[v] for v in referenced} <= kept
+
+
+# A condition that passes a computed argument to a call evaluates that
+# argument as an event of its own statement before the condition itself.
+CALL_IN_CONDITION = """
+fn g(x) {
+    return x;
+}
+
+fn count(n) {
+    let i = 0;
+    while (%s < n) {
+        i = i + 1;
+    }
+    return i;
+}
+
+fn test_count() {
+    assert(count(50) == 50);
+}
+"""
+
+
+def _condition_events(tr, prog):
+    """The events of the loop condition that are not a call's argument."""
+    cond = next(iter(prog.functions["count"].loop_bodies()))
+    passed = set()
+    for e in tr.events:
+        if e.stmt == cond and e.kind == CALL_ENTER:
+            passed.update(e.aux["params"])
+        elif e.stmt == cond and e.kind == CALL_SUMMARY:
+            passed.update(e.reads)
+    return [e for e in tr.events if e.kind == EXEC and e.stmt == cond
+            and passed.isdisjoint(e.writes)]
+
+
+@pytest.mark.parametrize("traced", [{"count", "g"}, {"count"}])
+@pytest.mark.parametrize("cond", ["g(i + 1) - 1", "g(i)"])
+def test_compress_starts_iterations_at_the_condition_not_its_arguments(
+        cond, traced):
+    prog = parse(CALL_IN_CONDITION % cond)
+    tr = trace(prog, "test_count", traced)
+    log = []
+    out = compress_loops(tr, prog, log)
+    assert len(_condition_events(tr, prog)) == 51
+    # the first iteration and the final check
+    assert len(_condition_events(out, prog)) == 2
+    assert log == [f"loop compression: test_count: removed 49 iterations "
+                   f"({len(tr.events)} -> {len(out.events)} events)"]
 
 
 # Every statement here executes in every iteration, so each cross-iteration
@@ -323,13 +380,16 @@ def test_compressed_trace_still_replays_into_a_dag():
 
 
 def _assert_compresses_like_reference(tr, prog):
+    # The reference re-binds the kept events' value ids; compress_loops
+    # keeps the events as they are and leaves that to the graph builder.
     log, ref_log = [], []
     out = compress_loops(tr, prog, log)
     ref = reference_compress_loops(tr, prog, ref_log)
-    assert [e.to_record() for e in out.events] == \
-           [e.to_record() for e in ref.events], tr.test
+    assert [(e.kind, e.stmt, e.writes) for e in out.events] == \
+           [(e.kind, e.stmt, e.writes) for e in ref.events], tr.test
     assert log == ref_log
     assert (out.value_count, out.status) == (ref.value_count, ref.status)
+    assert_same_graph(build_ddg(prog, [out]), build_ddg(prog, [ref]))
 
 
 @pytest.mark.parametrize("name", ["sorting", "scheduler", "digits"])
