@@ -51,8 +51,10 @@ def add_config_args(p: argparse.ArgumentParser):
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(**{f.name: getattr(args, f.name)
-                        for f in fields(RunConfig)})
+    cfg = RunConfig(**{f.name: getattr(args, f.name)
+                       for f in fields(RunConfig)})
+    cfg.validate()
+    return cfg
 
 
 def _load_program(path):

@@ -1,9 +1,9 @@
 """Dynamic dependency graph construction by replaying budgeted traces.
 
-Replay maintains a call stack whose frames carry predicate stacks; data
-edges come from event reads/writes, control edges from the predicate on top
-of the executing frame's stack, and virtual call edges tie traced
-invocations nested inside untraced ones to the enclosing call summary.
+Replay maintains a call stack whose frames carry predicate stacks of branch
+events; data edges come from event reads/writes, control edges from the
+predicate on top of the executing frame's stack, and virtual call edges tie
+traced invocations nested inside untraced ones to the enclosing call summary.
 
 Values are numbered densely in the order replay first sees them, whether
 read or written, trace after trace. The graph is a few flat arrays over
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedTrace
-from .lang.ast import BRANCH_KINDS
 from .lang.cfg import EXIT
 from .tracing import (
     ASSERT_OUTCOME,
+    BRANCH,
     CALL_ENTER,
     CALL_EXIT,
     CALL_SUMMARY,
@@ -117,36 +117,34 @@ class _Builder:
         self._ctrl.append(has_ctrl)
         self._flat_parents.extend(parents)
 
-    def stmt_info(self, sid):
-        info = self.program.statement_table.get(sid)
-        if info is None:
-            raise MalformedTrace(f"trace references unknown statement {sid}")
-        return info
-
     def replay(self, tr):
         test = tr.test
         self._ids = {}  # vid -> value index, for this trace
         self._aliases = tr.aliases
         self.trace_starts.append((test, len(self.value_nodes)))
         value = self.value
+        statements = self.program.statement_table
         frames = [_Frame(test)]
         for ev in tr.events:
             if not frames:
                 raise MalformedTrace(f"{test}: event after root frame closed")
             fs = frames[-1]
-            info = self.stmt_info(ev.stmt)
+            info = statements.get(ev.stmt)
+            if info is None:
+                raise MalformedTrace(f"{test}: unknown statement {ev.stmt}")
             same_frame = info.function == fs.fn
 
-            if same_frame and ev.kind in (EXEC, CALL_ENTER, CALL_SUMMARY):
+            if same_frame and ev.kind in (EXEC, BRANCH, CALL_ENTER,
+                                          CALL_SUMMARY):
                 self._pop_reached(fs, ev.stmt)
 
-            if ev.kind == EXEC:
+            if ev.kind == EXEC or ev.kind == BRANCH:
                 ctrl = fs.pred_stack[-1][1] if fs.pred_stack else None
                 reads = [value(r) for r in ev.reads]
                 for w in ev.writes:
                     widx = value(w)
                     self.add_produced(widx, ev.stmt, reads, ctrl)
-                if same_frame and info.kind in BRANCH_KINDS and ev.writes:
+                if ev.kind == BRANCH and same_frame and ev.writes:
                     self._push_branch(fs, ev.stmt, widx)
             elif ev.kind == CALL_ENTER:
                 virtual = not same_frame
@@ -200,8 +198,7 @@ class _Builder:
             fs.pred_stack.pop()
 
     def _push_branch(self, fs, sid, value_idx):
-        fn = self.stmt_info(sid).function
-        ipd = self.program.functions[fn].cfg.ipostdom.get(sid, EXIT)
+        ipd = self.program.functions[fs.fn].cfg.ipostdom.get(sid, EXIT)
         pop_at = None if ipd == EXIT else ipd
         entry = (sid, value_idx, pop_at)
         if fs.pred_stack and fs.pred_stack[-1][0] == sid:

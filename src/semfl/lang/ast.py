@@ -212,9 +212,6 @@ class Try:
     slots = ()
 
 
-BRANCH_KINDS = ("if_cond", "while_cond")
-
-
 def statement_slots(stmt) -> list:
     """A statement's (slot, expression) pairs, in evaluation order."""
     return [(slot, getattr(stmt, slot)) for slot in stmt.slots

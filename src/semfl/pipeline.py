@@ -85,6 +85,15 @@ class RunConfig:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
+        for name in ("trace_limit", "model_limit", "step_budget",
+                     "max_iterations", "convergence_eps"):
+            v = getattr(self, name)
+            if not v > 0:
+                raise ValueError(f"{name} must be positive, got {v}")
+        for name in ("max_passing_tests", "exact_cap"):
+            v = getattr(self, name)
+            if not v >= 0:
+                raise ValueError(f"{name} must be non-negative, got {v}")
 
 
 @dataclass

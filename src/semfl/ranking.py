@@ -39,12 +39,13 @@ class Report:
             "metadata": self.metadata,
             "statements": [
                 {"id": e.sid, "location": f"{e.function}:{e.line}",
-                 "probability": round(e.probability, 12), "rank": e.rank,
+                 "probability": None if e.probability == math.inf
+                 else round(e.probability, 12), "rank": e.rank,
                  "avg_rank": e.avg_rank, "executed": e.executed}
                 for e in self.entries
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_table(self) -> str:
         lines = [f"{'rank':>4}  {'prob':>8}  {'avg':>7}  location"]

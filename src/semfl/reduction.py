@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING
 from .errors import NoFailingTests
 from .tracing import (
     ASSERT_OUTCOME,
+    BRANCH,
     CALL_ENTER,
     CALL_EXIT,
     CALL_SUMMARY,
@@ -94,42 +95,32 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
             if isinstance(item, list):
                 out.extend(item)
                 continue
-            body = fn_loops.get(item.stmt) if item.kind == EXEC else None
+            body = fn_loops.get(item.stmt) if item.kind == BRANCH else None
             if body is None:
                 out.append(item)
                 continue
             # The loop runs while items carry its condition's or body's
-            # statements. Items carrying foreign statement ids (virtual call
-            # blocks, caught exceptions from callees) stay in whatever region
-            # they occur in. An iteration starts at a condition event, unless
-            # its value is passed to a call the condition makes.
+            # statements; each branch event of its condition starts an
+            # iteration. Items with foreign statement ids (virtual call
+            # blocks, caught exceptions from callees) stay in their iteration.
             cond = item.stmt
             # Only a loop with a nested loop of its own needs its
             # iterations compressed; any other iteration is just flattened.
             nested = not body.isdisjoint(fn_loops)
-            first = i - 1
-            conds = [first]
-            passed = set()
+            starts = [i - 1]
             while i < n:
                 nxt = items[i]
                 if isinstance(nxt, list):
                     sid = nxt[0].stmt
-                    if sid == cond:
-                        passed.update(nxt[0].aux["params"])
                 else:
                     sid = nxt.stmt
-                    if sid == cond:
-                        if nxt.kind == EXEC:
-                            conds.append(i)
-                        elif nxt.kind == CALL_SUMMARY:
-                            passed.update(nxt.reads)
+                    if sid == cond and nxt.kind == BRANCH:
+                        starts.append(i)
                 if (sid != cond and sid not in body
                         and stmt_fn.get(sid) == fn_name):
                     break
                 i += 1
-            starts = [a for a in conds if passed.isdisjoint(items[a].writes)]
             starts.append(i)
-            out.extend(flat(items[first:starts[0]]))
             kept = kept_shape = None
             for a, b in zip(starts, starts[1:]):
                 if nested:
@@ -181,7 +172,7 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
 # --- adaptive folding ---
 
 def _exec_counts(events, test):
-    """The EXEC events per function, the test's own included."""
+    """The EXEC and BRANCH events per function, the test's own included."""
     counts = {}
     callees = [test]
     for ev in events:
@@ -189,7 +180,7 @@ def _exec_counts(events, test):
             callees.append(ev.aux["callee"])
         elif ev.kind == CALL_EXIT:
             callees.pop()
-        elif ev.kind == EXEC:
+        elif ev.kind == EXEC or ev.kind == BRANCH:
             counts[callees[-1]] = counts.get(callees[-1], 0) + 1
     return counts
 

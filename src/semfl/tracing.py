@@ -3,7 +3,8 @@
 `profile` runs every test with lightweight coverage recording, or with
 every non-test function traced when the caller keeps the failing tests'
 traces; `trace` runs a single test with full value-level event recording,
-collapsing calls into untraced functions to atomic call summaries.
+collapsing calls into untraced functions to atomic call summaries. A value
+is an EXEC event, or a BRANCH event if it is a condition's own value.
 
 Both run function bodies compiled once per program into nested Python
 closures (`_Compiler`), so no AST node is dispatched on at run time. An
@@ -40,6 +41,7 @@ MAX_CALL_DEPTH = 100
 _PY_FRAMES_PER_CALL = 72
 
 EXEC = "exec"
+BRANCH = "branch"
 CALL_ENTER = "call_enter"
 CALL_EXIT = "call_exit"
 CALL_SUMMARY = "call_summary"
@@ -215,14 +217,14 @@ class _Executor:
         self.vid_counter = vid + 1
         return vid
 
-    def exec_event(self, frame, sid, reads):
+    def exec_event(self, frame, sid, reads, kind=EXEC):
         """Draw the id of a value computed by statement `sid`; record its
-        event when the frame is traced. Untraced frames still draw ids, so
-        numbering does not depend on what is traced."""
+        event, of `kind`, when the frame is traced. Untraced frames still
+        draw ids, so numbering does not depend on what is traced."""
         vid = self.vid_counter
         self.vid_counter = vid + 1
         if frame.traced:
-            self.events.append(TraceEvent(EXEC, sid, reads, (vid,), _NO_AUX))
+            self.events.append(TraceEvent(kind, sid, reads, (vid,), _NO_AUX))
         return vid
 
     def step(self, sid):
@@ -415,7 +417,7 @@ class _Compiler:
                 cond, reads = f(ex, frame)
                 if type(cond) is not bool:
                     ex.throw(frame, sid, reads, _TYPE_ERROR)
-                ex.exec_event(frame, sid, reads)
+                ex.exec_event(frame, sid, reads, BRANCH)
                 for g in then if cond else orelse:
                     ret = g(ex, frame)
                     if ret is not None:
@@ -432,7 +434,7 @@ class _Compiler:
                     cond, reads = f(ex, frame)
                     if type(cond) is not bool:
                         ex.throw(frame, sid, reads, _TYPE_ERROR)
-                    ex.exec_event(frame, sid, reads)
+                    ex.exec_event(frame, sid, reads, BRANCH)
                     if not cond:
                         return None
                     for g in body:

@@ -5,11 +5,12 @@ without nested loops were built by flattening and before value ids of
 removed iterations became trace aliases. It compresses every iteration
 through a recursive call on a slice and rebuilds every surviving event
 with its value ids re-bound. It keeps the old iteration boundary: every
-condition event starts an iteration, also one whose value is an argument
-of a call the condition makes. No corpus loop condition calls a function,
-so there `semfl.reduction.compress_loops` must keep the same events (by
-kind, statement and writes), log the same lines, and give the same
-dependency graph.
+event of the condition's statement that computes a value starts an
+iteration, whether it is the condition's branch event or an EXEC, such as
+an argument of a call the condition makes or a value it throws. No corpus
+loop condition calls a function, so there `semfl.reduction.compress_loops`
+must keep the same events (by kind, statement and writes), log the same
+lines, and give the same dependency graph.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import replace
 
 from semfl.tracing import (
     ASSERT_OUTCOME,
+    BRANCH,
     CALL_ENTER,
     CALL_EXIT,
     EXEC,
@@ -90,7 +92,8 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
             if isinstance(item, list):
                 out.extend(item)
                 continue
-            body = fn_loops.get(item.stmt) if item.kind == EXEC else None
+            body = (fn_loops.get(item.stmt) if item.kind in (EXEC, BRANCH)
+                    else None)
             if body is None:
                 out.append(item)
                 continue
@@ -106,7 +109,7 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
                     sid = nxt[0].stmt
                 else:
                     sid = nxt.stmt
-                    if sid == cond and nxt.kind == EXEC:
+                    if sid == cond and nxt.kind in (EXEC, BRANCH):
                         starts.append(i)
                 if (sid != cond and sid not in body
                         and stmt_fn.get(sid) == fn_name):

@@ -35,7 +35,7 @@ from semfl.model import build_net, classify_p0
 from semfl.pipeline import RunConfig, localize
 from semfl.ranking import DSTAR, OCHIAI, rank, sbfl_report
 from semfl.reduction import compress_loops
-from semfl.tracing import EXEC, profile, trace
+from semfl.tracing import BRANCH, EXEC, profile, trace
 
 from helpers import (
     NetBuilder,
@@ -380,7 +380,7 @@ def test_criterion_06_loop_compression():
     _, _, _, branch, d, b, _, _ = statement_ids(program.functions["shape"])
     tr = compress_loops(trace(program, "test_shape", {"shape"}), program)
     kept = [e.stmt for e in tr.events
-            if e.kind == EXEC and e.stmt in (branch, b, d)]
+            if e.kind in (EXEC, BRANCH) and e.stmt in (branch, b, d)]
     dedup_ok = kept == [branch, b, branch, d, branch, b]
     edges_ok = True
     idempotent = True

@@ -175,6 +175,27 @@ def test_invalid_config_rejected(buggy, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--max-passing-tests", "-1", "max_passing_tests"),
+    ("--trace-limit", "0", "trace_limit"),
+    ("--model-limit", "-5", "model_limit"),
+    ("--step-budget", "0", "step_budget"),
+    ("--max-iters", "0", "max_iterations"),
+    ("--exact-cap", "-1", "exact_cap"),
+    ("--eps", "0", "convergence_eps"),
+    ("--eps", "nan", "convergence_eps"),
+])
+@pytest.mark.parametrize("command", ["localize", "sbfl", "trace"])
+def test_out_of_range_limit_rejected(buggy, capsys, command, flag, value,
+                                     field):
+    argv = [command, buggy, flag, value]
+    if command == "trace":
+        argv += ["--test", "test_fail"]
+    assert main(argv) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+
+
 def test_unexpected_exception_is_one_line(buggy, monkeypatch, capsys):
     def broken(program, cfg):
         raise RuntimeError("engine exploded")

@@ -6,7 +6,15 @@ import pytest
 from semfl.ddg import build_ddg
 from semfl.errors import MalformedTrace
 from semfl.lang import parse
-from semfl.tracing import CALL_EXIT, CALL_SUMMARY, EXEC, Trace, TraceEvent, trace
+from semfl.tracing import (
+    BRANCH,
+    CALL_EXIT,
+    CALL_SUMMARY,
+    EXEC,
+    Trace,
+    TraceEvent,
+    trace,
+)
 
 from helpers import (
     check_acyclic,
@@ -115,7 +123,8 @@ fn test_count() {
     g = build_ddg(prog, [tr])
     fn = prog.functions["count"]
     _, cond_sid, body_sid, ret_sid = statement_ids(fn)
-    conds = [e for e in tr.events if e.kind == EXEC and e.stmt == cond_sid]
+    conds = [e for e in tr.events
+             if e.kind in (EXEC, BRANCH) and e.stmt == cond_sid]
     bodies = [e for e in tr.events if e.kind == EXEC and e.stmt == body_sid]
     assert len(conds) == 3 and len(bodies) == 2
     t = tr.test
@@ -130,6 +139,106 @@ fn test_count() {
     ret_ev = next(e for e in tr.events if e.kind == EXEC and e.stmt == ret_sid)
     ret_key = (t, ret_ev.writes[0])
     assert parents[ret_key] == [(t, bodies[-1].writes[0])]
+
+
+def _ctrl_parent(g, key):
+    """The control parent of value `key`, or None."""
+    return next((src for kind, src, dst in edges(g)
+                 if kind == "ctrl" and dst == key), None)
+
+
+CALL_IN_NESTED_IF = """
+fn g(x) {
+    return x * 2;
+}
+
+fn h(n) {
+    let r = 0;
+    if (n > 0) {
+        if (g(n + 1) > 4) {
+            r = 1;
+        }
+    }
+    return r;
+}
+
+fn test_h() {
+    assert(h(2) == 1);
+}
+"""
+
+
+@pytest.mark.parametrize("traced", [{"h", "g"}, {"h"}])
+def test_condition_calling_a_function_is_controlled_by_the_enclosing_branch(
+        traced):
+    prog = parse(CALL_IN_NESTED_IF)
+    _, outer_sid, inner_sid, body_sid, _ = statement_ids(prog.functions["h"])
+    tr = trace(prog, "test_h", traced)
+    g = build_ddg(prog, [tr])
+    t = tr.test
+    outer, inner = (next(e for e in tr.events
+                         if e.kind == BRANCH and e.stmt == sid)
+                    for sid in (outer_sid, inner_sid))
+    arg = next(e for e in tr.events if e.kind == EXEC and e.stmt == inner_sid)
+    outer_key, inner_key = (t, outer.writes[0]), (t, inner.writes[0])
+    arg_key = (t, arg.writes[0])
+    # the argument and the condition's own value are both controlled by
+    # the enclosing condition, never by the argument
+    assert _ctrl_parent(g, arg_key) == outer_key
+    assert _ctrl_parent(g, inner_key) == outer_key
+    body = next(e for e in tr.events if e.stmt == body_sid)
+    assert _ctrl_parent(g, (t, body.writes[0])) == inner_key
+    summaries = [e for e in tr.events if e.kind == CALL_SUMMARY]
+    if "g" in traced:
+        assert not summaries
+    else:
+        # an untraced call's summary keeps its control parent
+        (summary,) = summaries
+        assert summary.stmt == inner_sid and summary.reads == arg.writes
+        assert _ctrl_parent(g, (t, summary.writes[0])) == outer_key
+
+
+CALL_IN_LOOP_CONDITION = """
+fn g(x) {
+    return x;
+}
+
+fn count(n) {
+    let i = 0;
+    while (g(i + 1) - 1 < n) {
+        i = i + 1;
+    }
+    return i;
+}
+
+fn test_count() {
+    assert(count(3) == 3);
+}
+"""
+
+
+@pytest.mark.parametrize("traced", [{"count", "g"}, {"count"}])
+def test_loop_condition_calling_a_function_is_controlled_by_the_last_one(
+        traced):
+    prog = parse(CALL_IN_LOOP_CONDITION)
+    _, cond_sid, _, _ = statement_ids(prog.functions["count"])
+    tr = trace(prog, "test_count", traced)
+    g = build_ddg(prog, [tr])
+    t = tr.test
+    at_cond = [e for e in tr.events if e.stmt == cond_sid]
+    conds = [(t, e.writes[0]) for e in at_cond if e.kind == BRANCH]
+    args = [(t, e.writes[0]) for e in at_cond if e.kind == EXEC]
+    summaries = [(t, e.writes[0]) for e in at_cond if e.kind == CALL_SUMMARY]
+    assert len(conds) == len(args) == 4
+    assert len(summaries) == (0 if "g" in traced else 4)
+    # each evaluation of the condition, its argument and its call's summary
+    # included, is controlled by the previous evaluation's value
+    previous = [None] + conds[:-1]
+    assert [_ctrl_parent(g, c) for c in conds] == previous
+    assert [_ctrl_parent(g, a) for a in args] == previous
+    if summaries:
+        assert [_ctrl_parent(g, s) for s in summaries] == previous
+    assert check_acyclic(g)
 
 
 NESTED = """

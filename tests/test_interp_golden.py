@@ -7,10 +7,11 @@ Each digest covers, at one step budget, every test's coverage record
 `dump_trace` text of every test traced under
 `pipeline.traced_function_set`. Two budgets are used so that timeouts
 must land on the same step as well. Every traced test must also close
-each call it opens, which the trace reducers rely on. The same digests
-must come out when the profile run records the failing tests' traces,
-as `pipeline.localize` has it do, and those traces stand in for their
-tests' traces.
+each call it opens and mark only the values of `if` and `while`
+conditions as branch events, which the trace reducers and the graph
+builder rely on. The same digests must come out when the profile run
+records the failing tests' traces, as `pipeline.localize` has it do, and
+those traces stand in for their tests' traces.
 
 Regenerate the file (only when a change to the interpreter's observable
 behaviour is intended) with
@@ -32,7 +33,14 @@ from semfl.bench import (
 )
 from semfl.lang import parse
 from semfl.pipeline import traced_function_set
-from semfl.tracing import CALL_ENTER, CALL_EXIT, dump_trace, profile, trace
+from semfl.tracing import (
+    BRANCH,
+    CALL_ENTER,
+    CALL_EXIT,
+    dump_trace,
+    profile,
+    trace,
+)
 
 DIGESTS = Path(__file__).parent / "data" / "interp_digests.json"
 STEP_BUDGETS = (20_000, 300)
@@ -56,18 +64,22 @@ def program_digest(program, step_budget, record=False):
             tr = recorded[name]
         else:
             tr = trace(program, name, traced, step_budget=step_budget)
-        check_call_brackets(tr)
+        check_call_brackets(tr, program)
         h.update(dump_trace(tr, program).encode())
     return h.hexdigest()
 
 
-def check_call_brackets(tr):
+def check_call_brackets(tr, program):
     """Every call exit closes the innermost open call of the same callee and
     every call is closed, whether the test passes, fails, throws or times
-    out: the reducers rely on this."""
+    out: the reducers rely on this. Every branch event is one of an `if` or
+    a `while` statement."""
     open_calls = []
     for ev in tr.events:
-        if ev.kind == CALL_ENTER:
+        if ev.kind == BRANCH:
+            kind = program.statement_table[ev.stmt].kind
+            assert kind in ("if_cond", "while_cond"), (tr.test, ev.stmt)
+        elif ev.kind == CALL_ENTER:
             open_calls.append(ev.aux["callee"])
         elif ev.kind == CALL_EXIT:
             assert open_calls, f"{tr.test}: call exit without an enter"

@@ -1,10 +1,12 @@
 """Ranking and metric tests: report ordering, spectrum-based baselines,
 top-k evaluation, method aggregation, and combine-score export."""
 
+import json
 import math
 
 import pytest
 
+from semfl.bench import load_corpus_program, seed_faults
 from semfl.ddg import build_ddg
 from semfl.errors import EmptyGroundTruth
 from semfl.lang import parse
@@ -197,3 +199,22 @@ def test_report_json_is_stable():
     assert rep.to_json() == rep.to_json()
     table = rep.to_table()
     assert table.count("\n") == len(rep.entries) + 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_dstar_report_is_strict_json():
+    program = load_corpus_program("sorting")
+    (seed,) = seed_faults(program, 1, 0, step_budget=5000)
+    mutant = parse(seed.source, seed.base_path)
+    rep = sbfl_report(profile(mutant, step_budget=5000), DSTAR, mutant)
+    unbounded = [e.sid for e in rep.entries if e.probability == math.inf]
+    assert unbounded
+    doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
+    # the unbounded scores rank first and are written as null
+    assert [s["id"] for s in doc["statements"]
+            if s["probability"] is None] == unbounded
+    assert [s["rank"] for s in doc["statements"][:len(unbounded)]] == \
+           list(range(1, len(unbounded) + 1))

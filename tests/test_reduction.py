@@ -16,6 +16,7 @@ from semfl.reduction import (
 )
 from semfl.tracing import (
     ASSERT_OUTCOME,
+    BRANCH,
     CALL_ENTER,
     CALL_EXIT,
     CALL_SUMMARY,
@@ -151,7 +152,8 @@ fn test_work() {
 def _cond_exec_count(tr, prog, fn="work"):
     loops = prog.functions[fn].loop_bodies()
     cond = next(iter(loops))
-    return sum(1 for e in tr.events if e.kind == EXEC and e.stmt == cond)
+    return sum(1 for e in tr.events
+               if e.kind in (EXEC, BRANCH) and e.stmt == cond)
 
 
 def test_compress_keeps_distinct_iterations():
@@ -274,16 +276,9 @@ fn test_count() {
 
 
 def _condition_events(tr, prog):
-    """The events of the loop condition that are not a call's argument."""
+    """The branch events of the loop condition."""
     cond = next(iter(prog.functions["count"].loop_bodies()))
-    passed = set()
-    for e in tr.events:
-        if e.stmt == cond and e.kind == CALL_ENTER:
-            passed.update(e.aux["params"])
-        elif e.stmt == cond and e.kind == CALL_SUMMARY:
-            passed.update(e.reads)
-    return [e for e in tr.events if e.kind == EXEC and e.stmt == cond
-            and passed.isdisjoint(e.writes)]
+    return [e for e in tr.events if e.kind == BRANCH and e.stmt == cond]
 
 
 @pytest.mark.parametrize("traced", [{"count", "g"}, {"count"}])
@@ -364,7 +359,8 @@ def test_inner_loops_compress_first():
     body_assign = sorted(loops[inner])[0]
 
     def count(tr_, sid):
-        return sum(1 for e in tr_.events if e.kind == EXEC and e.stmt == sid)
+        return sum(1 for e in tr_.events
+                   if e.kind in (EXEC, BRANCH) and e.stmt == sid)
 
     # inner: per outer iteration 3 identical body iterations -> 1; the two
     # outer iterations then become identical and collapse as well

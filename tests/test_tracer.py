@@ -13,6 +13,7 @@ from semfl.lang.parser import MAX_NESTING
 from semfl.pipeline import RunConfig, localize, traced_function_set
 from semfl.tracing import (
     ASSERT_OUTCOME,
+    BRANCH,
     CALL_ENTER,
     CALL_EXIT,
     CALL_SUMMARY,
@@ -93,7 +94,7 @@ def test_fig1_failing_trace_events():
     tr = trace(prog, "test_fail", {"foo"})
     assert tr.status == "fail"
     kinds = [e.kind for e in tr.events]
-    assert kinds == [CALL_ENTER, EXEC, EXEC, EXEC, CALL_EXIT, ASSERT_OUTCOME]
+    assert kinds == [CALL_ENTER, BRANCH, EXEC, EXEC, CALL_EXIT, ASSERT_OUTCOME]
     enter, cond, assign, ret, exit_, outcome = tr.events
     a_in = enter.aux["params"][0]
     assert cond.reads == (a_in,) and len(cond.writes) == 1
@@ -148,7 +149,7 @@ def test_exec_events_write_exactly_one_value():
     prog = parse(NESTED)
     tr = trace(prog, "test_nested", {"callback", "driver"})
     for e in tr.events:
-        if e.kind == EXEC:
+        if e.kind in (EXEC, BRANCH):
             assert len(e.writes) == 1
 
 
