@@ -14,7 +14,7 @@ from .lang import ast as A
 from .lang import format_program, parse
 from .pipeline import RunConfig, localize
 from .ranking import DSTAR, OCHIAI, sbfl_report, topk_eval
-from .tracing import DEFAULT_STEP_BUDGET, profile
+from .tracing import DEFAULT_STEP_BUDGET, run_test
 
 # operator -> replacement; both directions listed explicitly
 OP_SWAPS = {
@@ -99,6 +99,30 @@ def apply_mutation(program, point: MutationPoint) -> str:
         setattr(stmt, point.slot, original)
 
 
+def _mixed_outcomes(mutant, step_budget) -> bool:
+    """Whether some test of `mutant` passes and another fails.
+
+    Every test first runs on a tenth of the step budget: a test that ends
+    there ends the same way on the whole budget. Only when those outcomes
+    are not mixed do the others run on the whole budget, one at a time.
+    """
+    seen = set()
+    unfinished = []
+    for test in mutant.test_names:
+        status, reason = run_test(mutant, test, max(1, step_budget // 10))
+        if reason == "timeout":
+            unfinished.append(test)
+        else:
+            seen.add(status)
+        if len(seen) == 2:
+            return True
+    for test in unfinished:
+        seen.add(run_test(mutant, test, step_budget)[0])
+        if len(seen) == 2:
+            return True
+    return False
+
+
 def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
     """Draw up to n single-statement mutants with mixed test outcomes."""
     points = enumerate_mutations(program)
@@ -110,14 +134,13 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
             break
         source = apply_mutation(program, point)
         try:
-            mutant = parse(source, program.source_path)
-            prof = profile(mutant, step_budget=step_budget)
+            viable = _mixed_outcomes(parse(source, program.source_path),
+                                     step_budget)
         except Exception:
             continue
-        if prof.num_failing == 0 or prof.num_passing == 0:
-            continue
-        seeds.append(FaultSeed(program.source_path, point.sid,
-                               point.rewrite, source, rng_seed))
+        if viable:
+            seeds.append(FaultSeed(program.source_path, point.sid,
+                                   point.rewrite, source, rng_seed))
     if not seeds:
         raise NoViableMutants(
             f"no mutation of {program.source_path} flips some tests "
@@ -158,6 +181,14 @@ def corpus_seeds(per_program, rng_seed, names=None,
 
 # --- batch runs ---
 
+RANKERS = ("semfl", "ochiai", "dstar")
+# How the fault's rank reads ties: its position in the report, where ties
+# break by statement id; the average position over its ties; the last
+# position among its ties.
+TIE_POLICIES = ("id", "average", "worst")
+REASONS = ("assert", "exception", "timeout")
+
+
 @dataclass
 class CaseResult:
     case: str
@@ -166,6 +197,8 @@ class CaseResult:
     hits: dict = field(default_factory=dict)  # ranker -> {k: bool}
     ranks: dict = field(default_factory=dict)  # ranker -> best rank
     timings: dict = field(default_factory=dict)
+    reason: str = ""  # why the mutant fails, one of REASONS
+    tie_ranks: dict = field(default_factory=dict)  # ranker -> {policy: rank}
 
     def to_record(self):
         return {"case": self.case, "config": self.config, "error": self.error,
@@ -179,6 +212,26 @@ def _best_rank(report, ground_truth):
     return min(ranks) if ranks else None
 
 
+def _tie_ranks(report, ground_truth) -> dict:
+    """The best rank of a ground-truth statement under each tie policy."""
+    best = {}
+    for e in report.entries:
+        if e.sid in ground_truth:
+            worst = sum(1 for x in report.entries
+                        if x.probability >= e.probability)
+            for policy, r in zip(TIE_POLICIES, (e.rank, e.avg_rank, worst)):
+                best[policy] = min(best.get(policy, r), r)
+    return best
+
+
+def _failure_reason(profile) -> str:
+    """A mutant fails by timeout if any failing test timed out, else by
+    exception if any threw, else by assert."""
+    reasons = {t.reason for t in profile.failing}
+    return next((r for r in ("timeout", "exception") if r in reasons),
+                "assert")
+
+
 def run_case(seed: FaultSeed, cfg: RunConfig, ks=(1, 3, 5, 10)) -> CaseResult:
     case = f"{seed.base_path}#s{seed.sid}[{seed.rewrite}]"
     result = CaseResult(case=case, config="")
@@ -187,12 +240,14 @@ def run_case(seed: FaultSeed, cfg: RunConfig, ks=(1, 3, 5, 10)) -> CaseResult:
         program = parse(seed.source, seed.base_path)
         res = localize(program, cfg)
         gt = seed.ground_truth
-        result.hits["semfl"] = topk_eval(res.report, gt, ks)
-        result.ranks["semfl"] = _best_rank(res.report, gt)
-        for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR)):
-            rep = sbfl_report(res.profile, formula, program)
-            result.hits[name] = topk_eval(rep, gt, ks)
-            result.ranks[name] = _best_rank(rep, gt)
+        reports = [("semfl", res.report)] + [
+            (name, sbfl_report(res.profile, formula, program))
+            for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR))]
+        for name, report in reports:
+            result.hits[name] = topk_eval(report, gt, ks)
+            result.ranks[name] = _best_rank(report, gt)
+            result.tie_ranks[name] = _tie_ranks(report, gt)
+        result.reason = _failure_reason(res.profile)
         result.timings = dict(res.timings)
     except Exception as exc:  # record, never abort the batch
         result.error = f"{type(exc).__name__}: {exc}"
@@ -211,14 +266,36 @@ def run_benchmark(seeds, configs, ks=(1, 3, 5, 10)) -> dict:
             rows.append(r)
     aggregate = {}
     for name, _ in configs:
-        for ranker in ("semfl", "ochiai", "dstar"):
+        for ranker in RANKERS:
             counts = {k: 0 for k in ks}
             for r in rows:
                 if r.config == name and not r.error:
                     for k in ks:
                         counts[k] += bool(r.hits.get(ranker, {}).get(k))
             aggregate[(name, ranker)] = counts
-    return {"rows": rows, "aggregate": aggregate, "ks": list(ks)}
+    return {"rows": rows, "aggregate": aggregate, "ks": list(ks),
+            "ties": _tie_tables(rows, [name for name, _ in configs], ks)}
+
+
+def _tie_tables(rows, configs, ks) -> list:
+    """Top-k hits and mean fault rank per tie policy, config, ranker and
+    failure reason ("all" first), over the rows that ran."""
+    records = []
+    for policy in TIE_POLICIES:
+        for name in configs:
+            ran = [r for r in rows if r.config == name and not r.error]
+            for ranker in RANKERS:
+                for reason in ("all",) + REASONS:
+                    ranks = [r.tie_ranks[ranker][policy] for r in ran
+                             if reason in ("all", r.reason)]
+                    records.append({
+                        "policy": policy, "config": name, "ranker": ranker,
+                        "reason": reason, "cases": len(ranks),
+                        "hits": {str(k): sum(x <= k for x in ranks)
+                                 for k in ks},
+                        "mean_rank": (round(sum(ranks) / len(ranks), 4)
+                                      if ranks else None)})
+    return records
 
 
 def format_results(results) -> str:
@@ -232,6 +309,19 @@ def format_results(results) -> str:
         n = sum(1 for r in results["rows"] if r.config == cfg and not r.error)
         lines.append(f"{cfg:<24} {ranker:<8} " +
                      " ".join(f"{counts[k]:<7}" for k in ks) + f" {n}")
+    for policy in TIE_POLICIES:
+        lines.append("")
+        lines.append(f"ties: {policy}")
+        lines.append(f"{'config':<24} {'ranker':<8} {'reason':<10} " +
+                     " ".join(f"top-{k:<3}" for k in ks) + " mean   cases")
+        for t in results["ties"]:
+            if t["policy"] == policy:
+                mean = ("-" if t["mean_rank"] is None
+                        else f"{t['mean_rank']:.2f}")
+                lines.append(
+                    f"{t['config']:<24} {t['ranker']:<8} {t['reason']:<10} "
+                    + " ".join(f"{t['hits'][str(k)]:<7}" for k in ks)
+                    + f" {mean:<6} {t['cases']}")
     errors = [r for r in results["rows"] if r.error]
     for r in errors:
         lines.append(f"error: {r.case} [{r.config}]: {r.error}")
@@ -241,11 +331,13 @@ def format_results(results) -> str:
 def results_to_json(results) -> str:
     doc = {
         "ks": results["ks"],
-        "rows": [r.to_record() for r in results["rows"]],
+        "rows": [{**r.to_record(), "reason": r.reason,
+                  "tie_ranks": r.tie_ranks} for r in results["rows"]],
         "aggregate": [
             {"config": cfg, "ranker": ranker,
              "hits": {str(k): v for k, v in counts.items()}}
             for (cfg, ranker), counts in results["aggregate"].items()
         ],
+        "ties": results["ties"],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -156,13 +156,14 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = config_from_args(args)
-    seeds = bench.corpus_seeds(args.per_program, args.seed, args.programs,
-                               step_budget=base.step_budget)
     configs = []
     for pm in args.moderate_values:
         for pl in args.low_values:
-            configs.append((f"p0m={pm},p0l={pl}",
-                            replace(base, p0_moderate=pm, p0_low=pl)))
+            cfg = replace(base, p0_moderate=pm, p0_low=pl)
+            cfg.validate()  # the whole grid, before any case runs
+            configs.append((f"p0m={pm},p0l={pl}", cfg))
+    seeds = bench.corpus_seeds(args.per_program, args.seed, args.programs,
+                               step_budget=base.step_budget)
     results = bench.run_benchmark(seeds, configs)
     print(bench.format_results(results), end="")
     if args.out:

@@ -35,6 +35,10 @@ class RunConfig:
     model_limit: int = _option(
         1_000_000, "--model-limit",
         "total modeled event budget (paper default 1M)")
+    loop_period: int = _option(
+        3, "--loop-period",
+        "longest period of loop iterations that compression removes "
+        "(paper: 1)")
     # ablation switches, in the order `semfl bench --ablations` runs them
     loop_compression: bool = _option(
         True, "--no-loop-compression", "keep every loop iteration",
@@ -90,6 +94,9 @@ class RunConfig:
             v = getattr(self, name)
             if not v > 0:
                 raise ValueError(f"{name} must be positive, got {v}")
+        if not self.loop_period >= 1:
+            raise ValueError(
+                f"loop_period must be at least 1, got {self.loop_period}")
         for name in ("max_passing_tests", "exact_cap"):
             v = getattr(self, name)
             if not v >= 0:
@@ -156,7 +163,9 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
 
     t0 = time.perf_counter()
     if cfg.loop_compression:
-        traces = [reduction.compress_loops(t, program, log) for t in traces]
+        traces = [reduction.compress_loops(t, program, log,
+                                           period=cfg.loop_period)
+                  for t in traces]
     timings["compress"] = time.perf_counter() - t0
     events.append(sum(t.size() for t in traces))
 

@@ -4,6 +4,7 @@ and the model-size budget deciding which traces enter the dependency graph.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -55,22 +56,47 @@ def _shape(events):
             for e in events]
 
 
-def compress_loops(tr: Trace, program, log=None) -> Trace:
-    """Remove adjacent loop iterations with identical statement shape.
+def _lag(shapes, shape, period):
+    """The least p in 2..`period` for which an iteration of `shape`, with
+    the p - 1 iterations before it, repeats the p iterations before those;
+    0 when there is none. `shapes` ends with the shapes of the run's
+    iterations so far, the latest last."""
+    n = len(shapes)
+    for p in range(2, period + 1):
+        if n < 2 * p - 1:
+            break
+        if shape == shapes[-p] and all(shapes[-i] == shapes[-i - p]
+                                       for i in range(1, p)):
+            return p
+    return 0
+
+
+def _writes(events):
+    return [w for e in events for w in e.writes]
+
+
+def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
+    """Remove loop iterations that repeat the iterations before them.
+
+    Within one run of a loop, an iteration is removed when, for the least
+    p <= `period`, it and the p - 1 iterations before it have the same
+    shapes as the p iterations before those. Each value it writes is then
+    an alias of the value written in its place by the iteration p before
+    it, or by the kept iteration that one stands for. At period 1 this is
+    the paper's rule: an iteration shaped like the one before it.
 
     One pass over the events keeps a stack of open calls; every call in the
     trace returns, as the interpreter closes each call it opens. A call's
     items are compressed when it returns, and its caller then sees it as one
     flat block whose statement is the call's. The kept events are the
-    interpreter's own; each value written in a removed iteration goes into
-    the trace's `aliases`, mapped to the value the retained iteration wrote
-    in its place, and the dependency graph resolves it there.
+    interpreter's own; the aliases go into the trace's `aliases`, and the
+    dependency graph resolves them there.
     """
     loops = {name: fn.loop_bodies() for name, fn in program.functions.items()}
     stmt_fn = {sid: info.function
                for sid, info in program.statement_table.items()}
     aliases = dict(tr.aliases)
-    removed = 0
+    removed = [0] * period  # iterations removed at each lag
 
     def flat(items):
         out = []
@@ -84,7 +110,6 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
     def compress(items, fn_name):
         """The events of one call's items (events and closed call blocks),
         innermost loops compressed first."""
-        nonlocal removed
         fn_loops = loops.get(fn_name, {})
         out = []
         n = len(items)
@@ -121,21 +146,32 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
                     break
                 i += 1
             starts.append(i)
-            kept = kept_shape = None
+            # Per iteration of the run, removed ones included: its shape,
+            # and the writes of the kept iteration that stands for it
+            # (itself if kept).
+            shapes = deque(maxlen=2 * period - 1)
+            kept_writes = deque(maxlen=period)
             for a, b in zip(starts, starts[1:]):
                 if nested:
                     iteration = [items[a]] + compress(items[a + 1:b], fn_name)
                 else:
                     iteration = flat(items[a:b])
                 shape = _shape(iteration)
-                if shape == kept_shape:
-                    for ek, er in zip(kept, iteration):
-                        for wk, wr in zip(ek.writes, er.writes):
-                            aliases[wr] = wk
-                    removed += 1
+                if shapes and shape == shapes[-1]:
+                    p = 1
+                else:
+                    p = _lag(shapes, shape, period)
+                if p:
+                    # the iteration p back has this shape, and so has the
+                    # kept iteration standing for it
+                    rep = kept_writes[-p]
+                    aliases.update(zip(_writes(iteration), rep))
+                    removed[p - 1] += 1
                 else:
                     out.extend(iteration)
-                    kept, kept_shape = iteration, shape
+                    rep = _writes(iteration)
+                shapes.append(shape)
+                kept_writes.append(rep)
         return out
 
     stack = [(None, [])]  # per open call: its enter event and its items
@@ -149,23 +185,20 @@ def compress_loops(tr: Trace, program, log=None) -> Trace:
         else:
             stack[-1][1].append(ev)
 
-    def resolve(vid):
-        seen = []
-        while vid in aliases:
-            seen.append(vid)
-            vid = aliases[vid]
-        for s in seen:  # path compression
-            aliases[s] = vid
-        return vid
-
     events = compress(stack[0][1], tr.test)
     # A value an inner loop kept may go with an outer iteration removed
-    # later, so aliases chain: flatten them.
-    for vid in aliases:
-        resolve(vid)
-    if log is not None and removed:
-        log.append(f"loop compression: {tr.test}: removed {removed} "
-                   f"iterations ({len(tr.events)} -> {len(events)} events)")
+    # later, so aliases chain: flatten those.
+    for vid, target in aliases.items():
+        if target in aliases:
+            while target in aliases:
+                target = aliases[target]
+            aliases[vid] = target
+    if log is not None and sum(removed):
+        longer = ", ".join(f"period {p}: {k}"
+                           for p, k in enumerate(removed, 1) if p > 1 and k)
+        log.append(f"loop compression: {tr.test}: removed {sum(removed)} "
+                   f"iterations ({len(tr.events)} -> {len(events)} events)"
+                   + (f" ({longer})" if longer else ""))
     return replace(tr, events=events, aliases=aliases)
 
 

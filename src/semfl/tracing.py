@@ -778,6 +778,15 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
     return CoverageProfile(tests=records)
 
 
+def run_test(program: A.Program, test: str,
+             step_budget=DEFAULT_STEP_BUDGET) -> tuple:
+    """Run one test with nothing traced; its (status, reason)."""
+    ex = _Executor(program, traced_functions=frozenset(),
+                   step_budget=step_budget)
+    status, reason, _ = ex.run_test(test, traced=False)
+    return status, reason
+
+
 def trace(program: A.Program, test: str, traced_functions,
           step_budget=DEFAULT_STEP_BUDGET, trace_limit=None) -> Trace:
     """Run one test with full event recording for `traced_functions`."""

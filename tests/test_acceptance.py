@@ -284,7 +284,8 @@ def test_criterion_05_prior_fixed_point_on_corpus():
         program = load_corpus_program(entry["name"])
         traced = frozenset(f for f in program.functions
                            if not f.startswith("test_"))
-        traces = [compress_loops(trace(program, t, traced), program)
+        traces = [compress_loops(trace(program, t, traced), program,
+                                 period=RunConfig().loop_period)
                   for t in program.test_names]
         net = build_net(build_ddg(program, traces), program)
         net.evidence[:] = -1
@@ -376,27 +377,30 @@ fn test_shape() {
 
 
 def test_criterion_06_loop_compression():
+    # the paper's period 1, and periods up to 3 (the default)
     program = parse(AB_AD_AB)
     _, _, _, branch, d, b, _, _ = statement_ids(program.functions["shape"])
-    tr = compress_loops(trace(program, "test_shape", {"shape"}), program)
-    kept = [e.stmt for e in tr.events
-            if e.kind in (EXEC, BRANCH) and e.stmt in (branch, b, d)]
-    dedup_ok = kept == [branch, b, branch, d, branch, b]
-    edges_ok = True
-    idempotent = True
+    raw = trace(program, "test_shape", {"shape"})
+    dedup_ok = edges_ok = idempotent = True
+    for period in (1, 3):
+        tr = compress_loops(raw, program, period=period)
+        kept = [e.stmt for e in tr.events
+                if e.kind in (EXEC, BRANCH) and e.stmt in (branch, b, d)]
+        dedup_ok &= kept == [branch, b, branch, d, branch, b]
     for src in LOOP_CORPUS:
         program = parse(src)
         traced = frozenset(f for f in program.functions
                            if not f.startswith("test_"))
         for t in program.test_names:
             tr = trace(program, t, traced)
-            once = compress_loops(tr, program)
             before = statement_level_edges(build_ddg(program, [tr]))
-            after = statement_level_edges(build_ddg(program, [once]))
-            edges_ok &= after == before
-            twice = compress_loops(once, program)
-            idempotent &= [e.to_record() for e in twice.events] == \
-                          [e.to_record() for e in once.events]
+            for period in (1, 2, 3):
+                once = compress_loops(tr, program, period=period)
+                after = statement_level_edges(build_ddg(program, [once]))
+                edges_ok &= after == before
+                twice = compress_loops(once, program, period=period)
+                idempotent &= [e.to_record() for e in twice.events] == \
+                              [e.to_record() for e in once.events]
     ok = dedup_ok and edges_ok and idempotent
     assert _verdict(6, ok, f"dedup={dedup_ok}, edges={edges_ok}, "
                            f"idempotent={idempotent}")

@@ -3,6 +3,7 @@ integrity, and batch-result shape."""
 
 import hashlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -11,7 +12,9 @@ import pytest
 from semfl.bench import (
     MutationPoint,
     apply_mutation,
+    corpus_seeds,
     enumerate_mutations,
+    format_results,
     load_corpus_program,
     load_manifest,
     run_benchmark,
@@ -129,6 +132,60 @@ fn test_ident() {
         seed_faults(prog, 3, rng_seed=0)
 
 
+# The mutants seed_faults drew for 7 per corpus program, mutation seeds 0-3,
+# at step budgets 20,000 and 300, when it still ran every test of every
+# candidate to its end (the profile of each mutant).
+SEED_DRAWS = Path(__file__).parent / "data" / "seed_draws.json"
+
+
+def test_seed_faults_draws_as_a_full_profile_did():
+    recorded = json.loads(SEED_DRAWS.read_text())
+    for e in load_manifest():
+        prog = load_corpus_program(e["name"])
+        for seed, budgets in recorded[e["name"]].items():
+            for budget, cases in budgets.items():
+                drawn = seed_faults(prog, 7, int(seed),
+                                    step_budget=int(budget))
+                assert [f"s{s.sid}[{s.rewrite}]" for s in drawn] == cases, \
+                    (e["name"], seed, budget)
+
+
+# The unmutated test_long needs more than a tenth of a 200-step budget.
+SPIN = """
+fn spin(n) {
+    let i = 0;
+    while (i != n) {
+        i = i + 1;
+    }
+    return i;
+}
+
+fn test_zero() {
+    assert(spin(0) == 0);
+}
+
+fn test_long() {
+    assert(spin(31) == 31);
+}
+"""
+
+
+def test_seed_faults_finishes_tests_that_outrun_a_tenth_of_the_budget():
+    prog = parse(SPIN, "spin.mi")
+    seeds = seed_faults(prog, 20, rng_seed=0, step_budget=200)
+    outcomes = {}
+    for s in seeds:
+        prof = profile(parse(s.source), step_budget=200)
+        outcomes[s.rewrite] = [(t.status, t.reason)
+                               for t in prof.tests.values()]
+    # `0 -> 1` never lets test_zero leave the loop; the other three keep
+    # test_zero passing, so test_long, the only failing test, times out
+    timeout = [("pass", ""), ("fail", "timeout")]
+    assert outcomes == {"0 -> 1": [("fail", "timeout"), ("pass", "")],
+                        "1 -> 0": timeout, "1 -> 2": timeout,
+                        "+ -> -": timeout}
+
+
 # --- corpus ---
 
 def test_manifest_lists_programs_with_tests():
@@ -177,6 +234,50 @@ def test_run_benchmark_shape_and_determinism():
                                      for r in ("semfl", "ochiai", "dstar")}
     again = run_benchmark(seeds, configs)
     assert results_to_json(res) == results_to_json(again)
+
+
+def test_tie_policies_and_failure_reasons():
+    # Ochiai ties the fault with other statements in both cases.
+    seeds = corpus_seeds(2, 0, ["digits"], step_budget=20_000)
+    res = run_benchmark(seeds, [("default", RunConfig())])
+    rows = res["rows"]
+    assert [(r.case, r.reason) for r in rows] == [
+        ("digits.mi#s30[/ -> *]", "exception"),
+        ("digits.mi#s14[1 -> 0]", "assert")]
+    assert [r.tie_ranks["ochiai"] for r in rows] == [
+        {"id": 5, "average": 3.0, "worst": 5},
+        {"id": 2, "average": 3.5, "worst": 6}]
+    assert [r.tie_ranks["semfl"] for r in rows] == [
+        {"id": 1, "average": 1.0, "worst": 1},
+        {"id": 3, "average": 3.0, "worst": 3}]
+    for r in rows:
+        assert {n: t["id"] for n, t in r.tie_ranks.items()} == r.ranks
+    ochiai = {(t["policy"], t["reason"]): (t["hits"], t["mean_rank"],
+                                           t["cases"])
+              for t in res["ties"] if t["ranker"] == "ochiai"}
+    assert ochiai[("id", "all")] == (
+        {"1": 0, "3": 1, "5": 2, "10": 2}, 3.5, 2)
+    assert ochiai[("average", "all")] == (
+        {"1": 0, "3": 1, "5": 2, "10": 2}, 3.25, 2)
+    assert ochiai[("worst", "all")] == (
+        {"1": 0, "3": 0, "5": 1, "10": 2}, 5.5, 2)
+    assert ochiai[("worst", "assert")] == (
+        {"1": 0, "3": 0, "5": 0, "10": 1}, 6.0, 1)
+    assert ochiai[("id", "timeout")] == (
+        {"1": 0, "3": 0, "5": 0, "10": 0}, None, 0)
+    # the id-order table is the bench's first table
+    assert res["aggregate"][("default", "ochiai")] == {1: 0, 3: 1, 5: 2,
+                                                       10: 2}
+    text = format_results(res)
+    assert text.splitlines()[0].split() == [
+        "config", "ranker", "top-1", "top-3", "top-5", "top-10", "cases"]
+    assert [line for line in text.splitlines()
+            if line.startswith("ties:")] == [
+        "ties: id", "ties: average", "ties: worst"]
+    doc = json.loads(results_to_json(res))
+    assert doc["rows"][0]["reason"] == "exception"
+    assert doc["rows"][0]["tie_ranks"]["ochiai"]["worst"] == 5
+    assert len(doc["ties"]) == 3 * 3 * 4
 
 
 def test_run_benchmark_empty_configs():

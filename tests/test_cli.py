@@ -179,6 +179,7 @@ def test_invalid_config_rejected(buggy, capsys):
     ("--max-passing-tests", "-1", "max_passing_tests"),
     ("--trace-limit", "0", "trace_limit"),
     ("--model-limit", "-5", "model_limit"),
+    ("--loop-period", "0", "loop_period"),
     ("--step-budget", "0", "step_budget"),
     ("--max-iters", "0", "max_iterations"),
     ("--exact-cap", "-1", "exact_cap"),
@@ -239,7 +240,7 @@ BARE_ARGS = {
 }
 
 CONFIG_FLAGS = {
-    "--max-passing-tests", "--trace-limit", "--model-limit",
+    "--max-passing-tests", "--trace-limit", "--model-limit", "--loop-period",
     "--no-loop-compression", "--no-adaptive-folding", "--naive-inference",
     "--no-virtual-call-edges", "--no-exception-control",
     "--no-test-reduction", "--exact", "--exact-cap", "--max-iters", "--eps",
@@ -324,3 +325,12 @@ def test_sweep_smoke(capsys):
                  "--low-values", "0.01", "0.05"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "p0m=0.5,p0l=0.01" in out and "p0m=0.5,p0l=0.05" in out
+
+
+def test_sweep_rejects_an_out_of_range_grid(capsys):
+    assert main(["sweep", "--programs", "sorting", "--per-program", "1",
+                 "--moderate-values", "0", "--low-values", "0.01"]) \
+        == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p0_moderate must be in (0, 1], got 0.0\n"

@@ -88,6 +88,8 @@ def test_select_cap_disabled_by_toggle():
 
 # --- loop compression ---
 
+PERIOD = RunConfig().loop_period  # the pipeline's default
+
 # The loop body is "ab" except in iteration 100, where it is "ad".
 AB_AD_AB = """
 fn shape(n) {
@@ -114,7 +116,8 @@ def _kept_bodies(n):
     """The branch arm of each loop iteration compression keeps."""
     prog = parse(AB_AD_AB % (n, n + (n > 100)))
     _, _, _, _, d, b, _, _ = statement_ids(prog.functions["shape"])
-    out = compress_loops(trace(prog, "test_shape", {"shape"}), prog)
+    out = compress_loops(trace(prog, "test_shape", {"shape"}), prog,
+                         period=1)
     arm = {b: "b", d: "d"}
     return [arm[e.stmt] for e in out.events
             if e.kind == EXEC and e.stmt in arm]
@@ -159,7 +162,7 @@ def _cond_exec_count(tr, prog, fn="work"):
 def test_compress_keeps_distinct_iterations():
     prog = parse(LOOPY)
     tr = trace(prog, "test_work", {"work"})
-    out = compress_loops(tr, prog)
+    out = compress_loops(tr, prog, period=1)
     # shape runs: 5 "else" iterations, 1 "then", 14 "else", final check
     assert _cond_exec_count(tr, prog) == 21
     assert _cond_exec_count(out, prog) == 4
@@ -169,11 +172,12 @@ def test_compress_keeps_distinct_iterations():
 def test_compress_is_idempotent():
     prog = parse(LOOPY)
     tr = trace(prog, "test_work", {"work"})
-    once = compress_loops(tr, prog)
-    twice = compress_loops(once, prog)
-    assert [e.to_record() for e in twice.events] == \
-           [e.to_record() for e in once.events]
-    assert once.aliases and twice.aliases == once.aliases
+    for period in (1, 2, 3):
+        once = compress_loops(tr, prog, period=period)
+        twice = compress_loops(once, prog, period=period)
+        assert [e.to_record() for e in twice.events] == \
+               [e.to_record() for e in once.events]
+        assert once.aliases and twice.aliases == once.aliases
 
 
 ASSERT_IN_LOOP = """
@@ -195,7 +199,7 @@ def test_compress_keeps_a_failing_assert_iteration():
     # the failing third iteration has the passing iterations' statements
     prog = parse(ASSERT_IN_LOOP)
     tr = trace(prog, "test_loop", {"f"})
-    out = compress_loops(tr, prog)
+    out = compress_loops(tr, prog, period=PERIOD)
 
     def outcomes(t):
         return [e.aux["outcome"] for e in t.events
@@ -245,7 +249,7 @@ def test_compress_rebinds_aux_values_of_removed_iterations():
     # iteration; its parameters resolve through the aliases like plain reads.
     prog = parse(CALL_IN_LOOP)
     tr = trace(prog, "test_work", {"work", "inc"})
-    out = compress_loops(tr, prog)
+    out = compress_loops(tr, prog, period=PERIOD)
     kept = {w for e in out.events for w in e.writes}
     removed = {w for e in tr.events for w in e.writes} - kept
     referenced = {v for e in out.events for v in _referenced(e)} & removed
@@ -288,7 +292,7 @@ def test_compress_starts_iterations_at_the_condition_not_its_arguments(
     prog = parse(CALL_IN_CONDITION % cond)
     tr = trace(prog, "test_count", traced)
     log = []
-    out = compress_loops(tr, prog, log)
+    out = compress_loops(tr, prog, log, period=PERIOD)
     assert len(_condition_events(tr, prog)) == 51
     # the first iteration and the final check
     assert len(_condition_events(out, prog)) == 2
@@ -322,8 +326,75 @@ def test_compress_preserves_statement_level_edges():
     prog = parse(UNIFORM_LOOP)
     tr = trace(prog, "test_work", {"work"})
     before = statement_level_edges(build_ddg(prog, [tr]))
-    after = statement_level_edges(build_ddg(prog, [compress_loops(tr, prog)]))
+    after = statement_level_edges(
+        build_ddg(prog, [compress_loops(tr, prog, period=1)]))
     assert after == before
+
+
+# The loop body alternates between the two arms: a run of period 2.
+ALTERNATE = """
+fn alternate(n) {
+    let s = 0;
+    let i = 0;
+    while (i < n) {
+        if (i % 2 == 0) {
+            s = s + i;
+        } else {
+            s = s - 1;
+        }
+        i = i + 1;
+    }
+    return s;
+}
+
+fn test_alternate() {
+    assert(alternate(10) == 15);
+}
+"""
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_compress_removes_a_period_two_run(period):
+    prog = parse(ALTERNATE)
+    tr = trace(prog, "test_alternate", {"alternate"})
+    log = []
+    out = compress_loops(tr, prog, log, period=period)
+    before = statement_level_edges(build_ddg(prog, [tr]))
+    assert statement_level_edges(build_ddg(prog, [out])) == before
+    if period == 1:
+        assert out.events == tr.events and log == []
+    else:
+        # three iterations kept, then the exit check
+        assert (len(tr.events), len(out.events)) == (48, 20)
+        assert log == ["loop compression: test_alternate: removed 7 "
+                       "iterations (48 -> 20 events) (period 2: 7)"]
+
+
+def _ancestor_statements(g, sid):
+    """The statements that produced some ancestor of a value of `sid`."""
+    start = g.parent_start.tolist()
+    parents = g.parents.tolist()
+    todo = [i for i, p in enumerate(g.producer.tolist()) if p == sid]
+    seen = set(todo)
+    while todo:
+        i = todo.pop()
+        for p in parents[start[i]:start[i + 1]]:
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return {int(g.producer[i]) for i in seen} - {-1}
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_compress_keeps_the_odd_iteration_an_ancestor(period):
+    # LOOPY's iterations are shaped e x 5, t, e x 14. Aliasing an `e` after
+    # the `t` back to the first `e` would cut the `t` off the return value.
+    prog = parse(LOOPY)
+    _, _, _, _, odd, _, _, ret = statement_ids(prog.functions["work"])
+    tr = trace(prog, "test_work", {"work"})
+    out = compress_loops(tr, prog, period=period)
+    assert odd in _ancestor_statements(build_ddg(prog, [out]), ret)
+    assert _cond_exec_count(out, prog) == 4
 
 
 NESTED_LOOPS = """
@@ -351,7 +422,7 @@ fn test_grind() {
 def test_inner_loops_compress_first():
     prog = parse(NESTED_LOOPS)
     tr = trace(prog, "test_grind", {"grind"})
-    out = compress_loops(tr, prog)
+    out = compress_loops(tr, prog, period=PERIOD)
     fn = prog.functions["grind"]
     loops = fn.loop_bodies()
     outer = min(loops)  # outer while has the smaller statement id
@@ -371,7 +442,8 @@ def test_inner_loops_compress_first():
 
 def test_compressed_trace_still_replays_into_a_dag():
     prog = parse(NESTED_LOOPS)
-    tr = compress_loops(trace(prog, "test_grind", {"grind"}), prog)
+    tr = compress_loops(trace(prog, "test_grind", {"grind"}), prog,
+                        period=PERIOD)
     assert check_acyclic(build_ddg(prog, [tr]))
 
 
@@ -379,7 +451,7 @@ def _assert_compresses_like_reference(tr, prog):
     # The reference re-binds the kept events' value ids; compress_loops
     # keeps the events as they are and leaves that to the graph builder.
     log, ref_log = [], []
-    out = compress_loops(tr, prog, log)
+    out = compress_loops(tr, prog, log, period=1)
     ref = reference_compress_loops(tr, prog, ref_log)
     assert [(e.kind, e.stmt, e.writes) for e in out.events] == \
            [(e.kind, e.stmt, e.writes) for e in ref.events], tr.test
@@ -583,7 +655,7 @@ def test_reducers_take_any_call_depth():
     enter, exit_ = _call_block("aa", 2, [], params=[2])
     nest = [enter] * depth + [exit_] * depth
     tr = Trace(test="test_t", status="fail", events=nest)
-    out = compress_loops(tr, parse(CALLS_AA))
+    out = compress_loops(tr, parse(CALLS_AA), period=PERIOD)
     assert [e.to_record() for e in out.events] == \
            [e.to_record() for e in nest]
     tr = Trace(test="test_t", status="fail",
