@@ -7,7 +7,7 @@ of being faulty via loopy belief propagation.
 """
 
 from .ddg import DepGraph, build_ddg
-from .inference import InferenceResult, exact_marginals, run_lbp
+from .inference import InferenceResult, run_lbp
 from .lang import parse
 from .model import FaultNet, build_net, classify_p0
 from .pipeline import LocalizeResult, RunConfig, localize
@@ -40,7 +40,6 @@ __all__ = [
     "build_ddg",
     "build_net",
     "classify_p0",
-    "exact_marginals",
     "export_combine_scores",
     "localize",
     "method_level",

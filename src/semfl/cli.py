@@ -25,14 +25,9 @@ SWEEP_LOW = (0.001, 0.005, 0.01, 0.05, 0.1)
 
 
 def _switch_value(f):
-    """The value a switch's flag gives its field: the field's `const`, or
-    else the negation of a bool default. None for a field whose flag takes
-    a value."""
-    if "const" in f.metadata:
-        return f.metadata["const"]
-    if isinstance(f.default, bool):
-        return not f.default
-    return None
+    """The value a switch's flag gives its field: the negation of a bool
+    default. None for a field whose flag takes a value."""
+    return not f.default if isinstance(f.default, bool) else None
 
 
 def add_config_args(p: argparse.ArgumentParser):
@@ -142,8 +137,15 @@ def _bench_configs(args, base: RunConfig):
     return configs
 
 
+def _check_per_program(args):
+    if args.per_program < 1:
+        raise ValueError(
+            f"per_program must be at least 1, got {args.per_program}")
+
+
 def cmd_bench(args) -> int:
     base = config_from_args(args)
+    _check_per_program(args)
     seeds = bench.corpus_seeds(args.per_program, args.seed, args.programs,
                                step_budget=base.step_budget)
     results = bench.run_benchmark(seeds, _bench_configs(args, base))
@@ -156,6 +158,10 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = config_from_args(args)
+    _check_per_program(args)
+    if not args.moderate_values or not args.low_values:
+        raise ValueError("the p0 grid is empty: give at least one "
+                         "--moderate-values and one --low-values value")
     configs = []
     for pm in args.moderate_values:
         for pl in args.low_values:
@@ -204,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--seed", type=int, default=0,
                     help="seed that draws the mutants")
     bp.add_argument("--ablations", action="store_true",
-                    help="also run the six ablation configurations")
+                    help="also run one configuration per ablation: "
+                         + ", ".join(name for name, _ in ABLATIONS))
     bp.add_argument("--out", help="directory for result files")
     add_config_args(bp)
     bp.set_defaults(func=cmd_bench)
@@ -225,7 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help or a usage error; its status 2 for
+        # the latter would read as EXIT_NO_FAILING
+        return EXIT_OK if exc.code == 0 else EXIT_INTERNAL
     try:
         return args.func(args)
     except MiniImpSyntaxError as exc:

@@ -36,14 +36,6 @@ class ConflictingEvidence(SemflError):
     pass
 
 
-class DegreeTooLarge(SemflError):
-    pass
-
-
-class TooLarge(SemflError):
-    pass
-
-
 class EmptyGroundTruth(SemflError):
     pass
 

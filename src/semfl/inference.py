@@ -7,27 +7,21 @@ leak per factor. Messages are length-2 vectors over (correct, incorrect),
 normalized after every update. Each side of an iteration is one flat pass
 over the edge arrays that multiplies messages as sums of logarithms, so no
 degree makes a product underflow. Factor messages have a closed form that
-is linear in the factor degree (`factor_messages`); a naive enumeration
-variant and an exact joint-enumeration oracle exist for cross-checking.
+is linear in the factor degree (`factor_messages`). The enumeration
+oracles it is checked against live in the tests (`tests/lbp_reference.py`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegreeTooLarge, TooLarge
 from .model import FaultNet
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
-
-_HALF = (0.5, 0.5)
-# Largest factor naive mode enumerates: 2**19 assignments per message.
-NAIVE_DEGREE_CAP = 20
 
 
 @dataclass
@@ -37,43 +31,10 @@ class InferenceResult:
     iterations: int
     log: list = field(default_factory=list)
     # Normalisations that fell back to (0.5, 0.5) because both entries
-    # were zero. Naive mode's enumerated factor messages are not counted.
+    # were zero.
     fallbacks: int = 0
     # the largest change of any message, per iteration
     residuals: list = field(default_factory=list)
-
-
-def _normalize(t, f):
-    s = t + f
-    if s <= 0.0:
-        return _HALF
-    return (t / s, f / s)
-
-
-def _cpd(p0, child_val, parent_vals):
-    if all(parent_vals):
-        return 1.0 if child_val else 0.0
-    return p0 if child_val else 1.0 - p0
-
-
-def factor_to_var_naive(p0, msgs, target_pos) -> tuple:
-    """Brute-force message: enumerate every assignment of the other
-    variables attached to the factor. msgs[0] is the child's message."""
-    n = len(msgs)
-    others = [i for i in range(n) if i != target_pos]
-    out = [0.0, 0.0]
-    for combo in itertools.product((True, False), repeat=len(others)):
-        weight = 1.0
-        for i, val in zip(others, combo):
-            weight *= msgs[i][0] if val else msgs[i][1]
-        vals = [None] * n
-        for i, val in zip(others, combo):
-            vals[i] = val
-        for target_val in (True, False):
-            vals[target_pos] = target_val
-            p = _cpd(p0, vals[0], vals[1:])
-            out[0 if target_val else 1] += weight * p
-    return _normalize(out[0], out[1])
 
 
 def factor_messages(p0, offsets, v2f_t, v2f_f):
@@ -137,12 +98,6 @@ class _Engine:
 
     def __init__(self, net: FaultNet, cfg: RunConfig):
         self.cfg = cfg
-        if cfg.mode == "naive":
-            deg = net.max_factor_degree()
-            if deg > NAIVE_DEGREE_CAP:
-                raise DegreeTooLarge(
-                    f"factor of degree {deg} exceeds the naive-mode cap "
-                    f"of {NAIVE_DEGREE_CAP}")
         self.offsets, self.p0 = net.offsets, net.p0
         self.prior, self.edge_var = net.prior, net.edge_var
         self.observed = net.evidence >= 0
@@ -199,26 +154,10 @@ class _Engine:
         ev = self.edge_var
         return self._logistic(total[ev] - odds, nzt[ev] > zt, nzf[ev] > zf)
 
-    def _naive_factor_messages(self, v2f_t, v2f_f):
-        vt, vf = v2f_t.tolist(), v2f_f.tolist()
-        offsets = self.offsets.tolist()
-        new_t, new_f = [], []
-        for lo, hi, p0 in zip(offsets, offsets[1:], self.p0.tolist()):
-            inbox = list(zip(vt[lo:hi], vf[lo:hi]))
-            for pos in range(hi - lo):
-                t, f = factor_to_var_naive(p0, inbox, pos)
-                new_t.append(t)
-                new_f.append(f)
-        return np.array(new_t, np.float64), np.array(new_f, np.float64)
-
     def _iterate(self) -> float:
         """One flooding round; returns the largest message change."""
-        v2f = self._v2f()
-        if self.cfg.mode == "naive":
-            new_t, new_f = self._naive_factor_messages(*v2f)
-        else:
-            new_t, new_f = self._normalize(*factor_messages(
-                self.p0, self.offsets, *v2f))
+        new_t, new_f = self._normalize(*factor_messages(
+            self.p0, self.offsets, *self._v2f()))
         delta = max(np.abs(new_t - self.f2v_t).max(initial=0.0),
                     np.abs(new_f - self.f2v_f).max(initial=0.0))
         self.f2v_t, self.f2v_f = new_t, new_f
@@ -247,47 +186,9 @@ class _Engine:
 
 
 def run_lbp(net: FaultNet, cfg: RunConfig | None = None) -> InferenceResult:
-    """Flooding LBP with cfg's mode, iteration cap and convergence
-    threshold (RunConfig's defaults when cfg is None)."""
+    """Flooding LBP with cfg's iteration cap and convergence threshold
+    (RunConfig's defaults when cfg is None)."""
     if cfg is None:
         from .pipeline import RunConfig  # pipeline imports this module
         cfg = RunConfig()
     return _Engine(net, cfg).run()
-
-
-def exact_marginals(net: FaultNet, cap: int = 20) -> np.ndarray:
-    """Exact posterior P(correct) per variable by joint enumeration."""
-    n = len(net.prior)
-    if n > cap:
-        raise TooLarge(f"{n} variables exceed the exact-enumeration cap {cap}")
-    prior, evidence = net.prior.tolist(), net.evidence.tolist()
-    edge_var, offsets = net.edge_var.tolist(), net.offsets.tolist()
-    factors = [(edge_var[lo], edge_var[lo + 1:hi], p0)
-               for lo, hi, p0 in zip(offsets, offsets[1:], net.p0.tolist())]
-    children = {child for child, _, _ in factors}
-    total = 0.0
-    acc = [0.0] * n
-    for bits in itertools.product((True, False), repeat=n):
-        weight = 1.0
-        ok = True
-        for v in range(n):
-            if evidence[v] >= 0 and bits[v] != evidence[v]:
-                ok = False
-                break
-            if v not in children:
-                weight *= prior[v] if bits[v] else 1.0 - prior[v]
-        if not ok or weight == 0.0:
-            continue
-        for child, parents, p0 in factors:
-            weight *= _cpd(p0, bits[child], [bits[p] for p in parents])
-            if weight == 0.0:
-                break
-        if weight == 0.0:
-            continue
-        total += weight
-        for v in range(n):
-            if bits[v]:
-                acc[v] += weight
-    if total == 0.0:
-        raise TooLarge("evidence has zero probability under the model")
-    return np.array(acc) / total

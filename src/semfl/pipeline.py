@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import reduction, tracing
 from .ddg import build_ddg
-from .inference import InferenceResult, exact_marginals, run_lbp
+from .inference import InferenceResult, run_lbp
 from .model import build_net
 from .ranking import Report, rank
 
@@ -46,9 +46,6 @@ class RunConfig:
     adaptive_folding: bool = _option(
         True, "--no-adaptive-folding", "keep oversized failing traces whole",
         ablation=True)
-    mode: str = _option(
-        "optimized", "--naive-inference",
-        "use enumeration factor messages", const="naive", ablation=True)
     virtual_call_edges: bool = _option(
         True, "--no-virtual-call-edges",
         "no edges from traced calls inside untraced ones to their caller",
@@ -61,11 +58,6 @@ class RunConfig:
         "keep every passing test that shares a function with a failing one",
         ablation=True)
     # inference
-    exact: bool = _option(
-        False, "--exact",
-        "exact joint enumeration, capped at --exact-cap variables")
-    exact_cap: int = _option(
-        20, "--exact-cap", "variable cap of exact enumeration")
     max_iterations: int = _option(
         100, "--max-iters",
         "belief propagation iteration cap (artifact decision)")
@@ -97,10 +89,9 @@ class RunConfig:
         if not self.loop_period >= 1:
             raise ValueError(
                 f"loop_period must be at least 1, got {self.loop_period}")
-        for name in ("max_passing_tests", "exact_cap"):
-            v = getattr(self, name)
-            if not v >= 0:
-                raise ValueError(f"{name} must be non-negative, got {v}")
+        if not self.max_passing_tests >= 0:
+            raise ValueError("max_passing_tests must be non-negative, "
+                             f"got {self.max_passing_tests}")
 
 
 @dataclass
@@ -197,19 +188,13 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
                f"{net.max_factor_degree()}")
 
     t0 = time.perf_counter()
-    if cfg.exact:
-        marg = exact_marginals(net, cap=cfg.exact_cap)
-        inf = InferenceResult(marginals=marg, converged=True, iterations=0,
-                              log=["exact enumeration"])
-    else:
-        inf = run_lbp(net, cfg)
+    inf = run_lbp(net, cfg)
     timings["lbp"] = time.perf_counter() - t0
     log.extend(inf.log)
-    if not cfg.exact:
-        log.append(f"belief propagation: {inf.fallbacks} zero-sum "
-                   "normalisations")
-        log.append("belief propagation residuals: "
-                   + " ".join(f"{r:.3e}" for r in inf.residuals))
+    log.append(f"belief propagation: {inf.fallbacks} zero-sum "
+               "normalisations")
+    log.append("belief propagation residuals: "
+               + " ".join(f"{r:.3e}" for r in inf.residuals))
 
     metadata = {
         "config": asdict(cfg),

@@ -96,7 +96,7 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
     stmt_fn = {sid: info.function
                for sid, info in program.statement_table.items()}
     aliases = dict(tr.aliases)
-    removed = [0] * period  # iterations removed at each lag
+    removed = {}  # lag -> iterations removed at it
 
     def flat(items):
         out = []
@@ -166,7 +166,7 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
                     # kept iteration standing for it
                     rep = kept_writes[-p]
                     aliases.update(zip(_writes(iteration), rep))
-                    removed[p - 1] += 1
+                    removed[p] = removed.get(p, 0) + 1
                 else:
                     out.extend(iteration)
                     rep = _writes(iteration)
@@ -193,10 +193,11 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
             while target in aliases:
                 target = aliases[target]
             aliases[vid] = target
-    if log is not None and sum(removed):
+    if log is not None and removed:
         longer = ", ".join(f"period {p}: {k}"
-                           for p, k in enumerate(removed, 1) if p > 1 and k)
-        log.append(f"loop compression: {tr.test}: removed {sum(removed)} "
+                           for p, k in sorted(removed.items()) if p > 1)
+        log.append(f"loop compression: {tr.test}: removed "
+                   f"{sum(removed.values())} "
                    f"iterations ({len(tr.events)} -> {len(events)} events)"
                    + (f" ({longer})" if longer else ""))
     return replace(tr, events=events, aliases=aliases)

@@ -115,10 +115,6 @@ class CoverageProfile:
     def num_failing(self):
         return len(self.failing)
 
-    @property
-    def num_passing(self):
-        return len(self.passing)
-
 
 # MiniImp values are Python ints and bools, `ArrayRef`s and `ExcValue`s, so
 # `type(v) is int` tells an integer from a boolean.

@@ -1,25 +1,33 @@
-"""Reference LBP engine for the equivalence tests.
+"""Oracles for the inference tests.
 
-This is the tuple-per-message flooding engine semfl shipped before the
-edge-array engine in `semfl.inference`, kept unchanged. Each message is a
-(correct, incorrect) tuple updated by plain Python arithmetic, one
-variable and one factor at a time. The array engine sums logarithms
-instead, so it must reproduce the marginals to within float64 rounding
-(the tests allow 1e-9) and the iteration counts and convergence flags
-exactly. Its raw products underflow on variables of high degree, so it is
-an oracle for small nets only.
+`run_reference` is the tuple-per-message flooding engine semfl shipped
+before the edge-array engine in `semfl.inference`, kept unchanged. Each
+message is a (correct, incorrect) tuple updated by plain Python
+arithmetic, one variable and one factor at a time. The array engine sums
+logarithms instead, so it must reproduce the marginals to within float64
+rounding (the tests allow 1e-9) and the iteration counts and convergence
+flags exactly. Its raw products underflow on variables of high degree, so
+it is an oracle for small nets only. With `naive=True` its factor messages
+enumerate every assignment of the factor's other variables
+(`factor_to_var_naive`) instead of using the closed form.
+
+`exact_marginals` enumerates every joint state of a net's variables: the
+exact posteriors, for nets of at most about 20 variables.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from semfl.errors import DegreeTooLarge
-from semfl.inference import NAIVE_DEGREE_CAP, InferenceResult, factor_to_var_naive
+from semfl.inference import InferenceResult
 from semfl.model import FaultNet
 from semfl.pipeline import RunConfig
 
 _HALF = (0.5, 0.5)
+# Largest factor the naive messages enumerate: 2**19 assignments each.
+NAIVE_DEGREE_CAP = 20
 
 
 def _normalize(t, f):
@@ -29,6 +37,71 @@ def _normalize(t, f):
     return (t / s, f / s)
 
 
+def _cpd(p0, child_val, parent_vals):
+    if all(parent_vals):
+        return 1.0 if child_val else 0.0
+    return p0 if child_val else 1.0 - p0
+
+
+def factor_to_var_naive(p0, msgs, target_pos) -> tuple:
+    """Brute-force message: enumerate every assignment of the other
+    variables attached to the factor. msgs[0] is the child's message."""
+    n = len(msgs)
+    others = [i for i in range(n) if i != target_pos]
+    out = [0.0, 0.0]
+    for combo in itertools.product((True, False), repeat=len(others)):
+        weight = 1.0
+        for i, val in zip(others, combo):
+            weight *= msgs[i][0] if val else msgs[i][1]
+        vals = [None] * n
+        for i, val in zip(others, combo):
+            vals[i] = val
+        for target_val in (True, False):
+            vals[target_pos] = target_val
+            p = _cpd(p0, vals[0], vals[1:])
+            out[0 if target_val else 1] += weight * p
+    return _normalize(out[0], out[1])
+
+
+def exact_marginals(net: FaultNet, cap: int = 20) -> np.ndarray:
+    """Exact posterior P(correct) per variable by joint enumeration."""
+    n = len(net.prior)
+    if n > cap:
+        raise ValueError(
+            f"{n} variables exceed the exact-enumeration cap {cap}")
+    prior, evidence = net.prior.tolist(), net.evidence.tolist()
+    edge_var, offsets = net.edge_var.tolist(), net.offsets.tolist()
+    factors = [(edge_var[lo], edge_var[lo + 1:hi], p0)
+               for lo, hi, p0 in zip(offsets, offsets[1:], net.p0.tolist())]
+    children = {child for child, _, _ in factors}
+    total = 0.0
+    acc = [0.0] * n
+    for bits in itertools.product((True, False), repeat=n):
+        weight = 1.0
+        ok = True
+        for v in range(n):
+            if evidence[v] >= 0 and bits[v] != evidence[v]:
+                ok = False
+                break
+            if v not in children:
+                weight *= prior[v] if bits[v] else 1.0 - prior[v]
+        if not ok or weight == 0.0:
+            continue
+        for child, parents, p0 in factors:
+            weight *= _cpd(p0, bits[child], [bits[p] for p in parents])
+            if weight == 0.0:
+                break
+        if weight == 0.0:
+            continue
+        total += weight
+        for v in range(n):
+            if bits[v]:
+                acc[v] += weight
+    if total == 0.0:
+        raise ValueError("evidence has zero probability under the model")
+    return np.array(acc) / total
+
+
 def _base_message(prior, evidence):
     if evidence >= 0:
         return (1.0, 0.0) if evidence else (0.0, 1.0)
@@ -36,12 +109,13 @@ def _base_message(prior, evidence):
 
 
 class _Engine:
-    def __init__(self, net: FaultNet, cfg: RunConfig):
+    def __init__(self, net: FaultNet, cfg: RunConfig, naive: bool):
         self.cfg = cfg
-        if cfg.mode == "naive":
+        self.naive = naive
+        if naive:
             deg = net.max_factor_degree()
             if deg > NAIVE_DEGREE_CAP:
-                raise DegreeTooLarge(
+                raise ValueError(
                     f"factor of degree {deg} exceeds the naive-mode cap "
                     f"of {NAIVE_DEGREE_CAP}")
         self.factors = net.factors
@@ -83,12 +157,11 @@ class _Engine:
 
     def _update_f2v(self):
         delta = 0.0
-        naive = self.cfg.mode == "naive"
         for a, fac in enumerate(self.factors):
             inbox = self.v2f[a]
             old = self.f2v[a]
             new = [None] * len(inbox)
-            if naive:
+            if self.naive:
                 for pos in range(len(inbox)):
                     new[pos] = factor_to_var_naive(fac.p0, inbox, pos)
             else:
@@ -144,5 +217,8 @@ class _Engine:
                                log)
 
 
-def run_reference(net: FaultNet, cfg: RunConfig | None = None) -> InferenceResult:
-    return _Engine(net, cfg or RunConfig()).run()
+def run_reference(net: FaultNet, cfg: RunConfig | None = None,
+                  naive: bool = False) -> InferenceResult:
+    """The reference engine's result with cfg's iteration cap and
+    convergence threshold; `naive` enumerates its factor messages."""
+    return _Engine(net, cfg or RunConfig(), naive).run()

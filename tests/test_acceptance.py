@@ -24,12 +24,7 @@ import pytest
 from semfl.bench import results_to_json, run_benchmark, seed_faults
 from semfl.bench import load_corpus_program, load_manifest
 from semfl.ddg import build_ddg
-from semfl.inference import (
-    exact_marginals,
-    factor_messages,
-    factor_to_var_naive,
-    run_lbp,
-)
+from semfl.inference import factor_messages, run_lbp
 from semfl.lang import parse
 from semfl.model import build_net, classify_p0
 from semfl.pipeline import RunConfig, localize
@@ -44,6 +39,7 @@ from helpers import (
     statement_ids,
     statement_level_edges,
 )
+from lbp_reference import exact_marginals, factor_to_var_naive, run_reference
 
 COND_TEST = """
 fn foo(a) {
@@ -96,7 +92,7 @@ def test_criterion_01_worked_example_posteriors():
     expected = [0.707, 0.270, 0.223]
     close = all(abs(a - b) <= 0.005 for a, b in zip(faulty, expected))
     ordered = faulty[0] > faulty[1] > faulty[2]
-    naive = run_lbp(net, RunConfig(mode="naive"))
+    naive = run_reference(net, RunConfig(), naive=True)
     agree = all(math.isclose(res.marginals[v], naive.marginals[v],
                              abs_tol=1e-9) for v in range(len(res.marginals)))
     elapsed = time.perf_counter() - t0
@@ -190,8 +186,7 @@ def test_criterion_02_end_to_end_cond_example():
         abs(p - p_faulty(hand_res, s)) <= 1e-9
         for p, s in zip(faulty, hand_stmts))
     cond_rank = res.report.rank_of(cond_sid)
-    exact_rank = localize(program, RunConfig(exact=True)).report \
-        .rank_of(cond_sid)
+    exact_rank = rank(exact_marginals(net), net, program).rank_of(cond_sid)
     last = cond_rank == exact_rank == 3
 
     # 3. With the worked example's low leak on the return, the same
@@ -513,9 +508,10 @@ def test_criterion_10_ablations(corpus_runs):
     fast = localize(program, RunConfig(step_budget=20_000))
     agree = True
     if fast.net.max_factor_degree() <= 20:
-        slow = localize(program, RunConfig(mode="naive", step_budget=20_000))
+        slow = rank(run_reference(fast.net, naive=True).marginals,
+                    fast.net, program)
         agree = all(math.isclose(a.probability, b.probability, abs_tol=1e-9)
-                    for a, b in zip(fast.report.entries, slow.report.entries))
+                    for a, b in zip(fast.report.entries, slow.entries))
     nested = parse(NESTED)
     tr = trace(nested, "test_nested", {"callback"})
     with_edges = build_ddg(nested, [tr], virtual_call_edges=True)

@@ -130,18 +130,12 @@ def test_localize_reports_are_reproducible(buggy, tmp_path):
 
 
 def test_localize_flag_variants_run(buggy, capsys):
-    assert main(["localize", buggy, "--naive-inference",
+    assert main(["localize", buggy, "--no-adaptive-folding",
                  "--no-loop-compression"]) == EXIT_OK
-    naive = capsys.readouterr().out
+    variant = capsys.readouterr().out
     assert main(["localize", buggy]) == EXIT_OK
     default = capsys.readouterr().out
-    assert naive == default  # tiny case: every reducer is a no-op
-
-
-def test_localize_exact_mode(buggy, capsys):
-    assert main(["localize", buggy, "--exact"]) == EXIT_OK
-    table = capsys.readouterr().out
-    assert len(table.splitlines()) == 4
+    assert variant == default  # tiny case: every reducer is a no-op
 
 
 def test_localize_without_failing_tests(tmp_path):
@@ -182,7 +176,6 @@ def test_invalid_config_rejected(buggy, capsys):
     ("--loop-period", "0", "loop_period"),
     ("--step-budget", "0", "step_budget"),
     ("--max-iters", "0", "max_iterations"),
-    ("--exact-cap", "-1", "exact_cap"),
     ("--eps", "0", "convergence_eps"),
     ("--eps", "nan", "convergence_eps"),
 ])
@@ -241,9 +234,9 @@ BARE_ARGS = {
 
 CONFIG_FLAGS = {
     "--max-passing-tests", "--trace-limit", "--model-limit", "--loop-period",
-    "--no-loop-compression", "--no-adaptive-folding", "--naive-inference",
+    "--no-loop-compression", "--no-adaptive-folding",
     "--no-virtual-call-edges", "--no-exception-control",
-    "--no-test-reduction", "--exact", "--exact-cap", "--max-iters", "--eps",
+    "--no-test-reduction", "--max-iters", "--eps",
     "--p0-moderate", "--p0-low", "--prior", "--step-budget",
 }
 
@@ -263,24 +256,47 @@ def test_config_flags_match_run_config(command):
     assert set(flags.values()) == CONFIG_FLAGS
 
 
-def test_removed_flags_rejected(capsys):
+def test_removed_flags_rejected(buggy, capsys):
     parser = build_parser()
-    for flag in ("--jobs", "--seed"):
+    for flags in (["--jobs", "2"], ["--seed", "2"], ["--naive-inference"],
+                  ["--exact"], ["--exact-cap", "3"]):
         with pytest.raises(SystemExit):
-            parser.parse_args(["localize", "prog.mi", flag, "2"])
+            parser.parse_args(["localize", "prog.mi", *flags])
+        capsys.readouterr()
+        assert main(["localize", buggy, *flags]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
     for command in ("bench", "sweep"):
         assert parser.parse_args([command, "--seed", "3"]).seed == 3
 
 
+def test_usage_error_is_not_no_failing_tests(buggy, capsys):
+    # argparse exits 2 on a usage error, which is EXIT_NO_FAILING's code
+    assert main(["localize", buggy, "--bogus"]) == EXIT_INTERNAL
+    assert main(["localize"]) == EXIT_INTERNAL
+    assert main([]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("usage: semfl") == 3
+
+
+def test_help_exits_ok(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert main(["localize", "--help"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "--max-iters" in captured.out and captured.err == ""
+
+
 def test_flags_set_their_fields():
     args = build_parser().parse_args([
-        "localize", "prog.mi", "--naive-inference", "--no-test-reduction",
-        "--exact-cap", "12", "--eps", "0.001", "--prior", "0.25"])
+        "localize", "prog.mi", "--no-test-reduction", "--loop-period", "5",
+        "--eps", "0.001", "--prior", "0.25"])
     assert config_from_args(args) == RunConfig(
-        mode="naive", test_reduction=False, exact_cap=12,
-        convergence_eps=0.001, statement_prior=0.25)
+        test_reduction=False, loop_period=5, convergence_eps=0.001,
+        statement_prior=0.25)
     assert [name for name, _ in cli.ABLATIONS] == [
-        "no-loop-compression", "no-adaptive-folding", "naive-inference",
+        "no-loop-compression", "no-adaptive-folding",
         "no-virtual-call-edges", "no-exception-control", "no-test-reduction"]
 
 
@@ -334,3 +350,30 @@ def test_sweep_rejects_an_out_of_range_grid(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: p0_moderate must be in (0, 1], got 0.0\n"
+
+
+def _no_seeding(*args, **kwargs):
+    raise AssertionError("mutants seeded before the arguments were checked")
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_per_program_below_one_rejected(command, monkeypatch, capsys):
+    monkeypatch.setattr(cli.bench, "corpus_seeds", _no_seeding)
+    assert main([command, "--programs", "sorting", "--per-program", "0"]) \
+        == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: per_program must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("grid", [
+    ["--moderate-values"], ["--low-values"],
+    ["--moderate-values", "--low-values"]])
+def test_sweep_rejects_an_empty_grid(grid, monkeypatch, capsys):
+    monkeypatch.setattr(cli.bench, "corpus_seeds", _no_seeding)
+    assert main(["sweep", "--programs", "sorting", "--per-program", "1",
+                 *grid]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the p0 grid is empty")
+    assert captured.err.count("\n") == 1

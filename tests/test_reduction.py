@@ -1,6 +1,8 @@
 """Reducer tests: test selection, loop compression, adaptive folding, and
 the model-size budget."""
 
+import tracemalloc
+
 import pytest
 
 from semfl.bench import load_corpus_program, seed_faults
@@ -368,6 +370,24 @@ def test_compress_removes_a_period_two_run(period):
         assert (len(tr.events), len(out.events)) == (48, 20)
         assert log == ["loop compression: test_alternate: removed 7 "
                        "iterations (48 -> 20 events) (period 2: 7)"]
+
+
+def test_compress_memory_does_not_grow_with_the_period():
+    # The period only bounds how far back a repeat is looked for, so even
+    # a huge one costs no memory of its own.
+    prog = parse(ALTERNATE)
+    tr = trace(prog, "test_alternate", {"alternate"})
+    log = []
+    tracemalloc.start()
+    try:
+        out = compress_loops(tr, prog, log, period=10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert out.events == compress_loops(tr, prog, period=PERIOD).events
+    assert log == ["loop compression: test_alternate: removed 7 "
+                   "iterations (48 -> 20 events) (period 2: 7)"]
 
 
 def _ancestor_statements(g, sid):

@@ -53,7 +53,7 @@ def test_profile_cond_example():
     assert prof.tests["test_fail"].status == "fail"
     assert prof.tests["test_pass"].functions == {"foo", "test_pass"}
     assert prof.tests["test_fail"].functions == {"foo", "test_fail"}
-    assert prof.num_failing == 1 and prof.num_passing == 1
+    assert prof.num_failing == 1 and len(prof.passing) == 1
 
 
 def test_profile_requires_tests():
