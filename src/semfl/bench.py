@@ -207,11 +207,6 @@ class CaseResult:
                 "ranks": self.ranks}
 
 
-def _best_rank(report, ground_truth):
-    ranks = [e.rank for e in report.entries if e.sid in ground_truth]
-    return min(ranks) if ranks else None
-
-
 def _tie_ranks(report, ground_truth) -> dict:
     """The best rank of a ground-truth statement under each tie policy."""
     best = {}
@@ -245,8 +240,8 @@ def run_case(seed: FaultSeed, cfg: RunConfig, ks=(1, 3, 5, 10)) -> CaseResult:
             for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR))]
         for name, report in reports:
             result.hits[name] = topk_eval(report, gt, ks)
-            result.ranks[name] = _best_rank(report, gt)
             result.tie_ranks[name] = _tie_ranks(report, gt)
+            result.ranks[name] = result.tie_ranks[name]["id"]
         result.reason = _failure_reason(res.profile)
         result.timings = dict(res.timings)
     except Exception as exc:  # record, never abort the batch

@@ -98,8 +98,7 @@ def cmd_trace(args) -> int:
         traced = frozenset(f for f in prof.tests[args.test].functions
                            if not f.startswith("test_"))
     tr = tracing.trace(program, args.test, traced,
-                       step_budget=cfg.step_budget,
-                       trace_limit=cfg.trace_limit)
+                       step_budget=cfg.step_budget)
     text = tracing.dump_trace(tr, program)
     if args.out:
         Path(args.out).write_text(text)
@@ -129,36 +128,34 @@ ABLATIONS = tuple(
     for f in fields(RunConfig) if f.metadata.get("ablation"))
 
 
-def _bench_configs(args, base: RunConfig):
-    configs = [("default", base)]
-    if args.ablations:
-        for name, overrides in ABLATIONS:
-            configs.append((name, replace(base, **overrides)))
-    return configs
-
-
-def _check_per_program(args):
+def _run_corpus(args, base: RunConfig, configs, name) -> int:
+    """Seed the corpus mutants, run each (name, config) of `configs` on
+    them, print the table and write `<name>.json` and `<name>.txt`."""
     if args.per_program < 1:
         raise ValueError(
             f"per_program must be at least 1, got {args.per_program}")
+    seeds = bench.corpus_seeds(args.per_program, args.seed, args.programs,
+                               step_budget=base.step_budget)
+    results = bench.run_benchmark(seeds, configs)
+    table = bench.format_results(results)
+    print(table, end="")
+    if args.out:
+        _write(args.out, f"{name}.json", bench.results_to_json(results))
+        _write(args.out, f"{name}.txt", table)
+    return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     base = config_from_args(args)
-    _check_per_program(args)
-    seeds = bench.corpus_seeds(args.per_program, args.seed, args.programs,
-                               step_budget=base.step_budget)
-    results = bench.run_benchmark(seeds, _bench_configs(args, base))
-    print(bench.format_results(results), end="")
-    if args.out:
-        _write(args.out, "bench.json", bench.results_to_json(results))
-        _write(args.out, "bench.txt", bench.format_results(results))
-    return EXIT_OK
+    configs = [("default", base)]
+    if args.ablations:
+        configs += [(name, replace(base, **overrides))
+                    for name, overrides in ABLATIONS]
+    return _run_corpus(args, base, configs, "bench")
 
 
 def cmd_sweep(args) -> int:
     base = config_from_args(args)
-    _check_per_program(args)
     if not args.moderate_values or not args.low_values:
         raise ValueError("the p0 grid is empty: give at least one "
                          "--moderate-values and one --low-values value")
@@ -168,14 +165,7 @@ def cmd_sweep(args) -> int:
             cfg = replace(base, p0_moderate=pm, p0_low=pl)
             cfg.validate()  # the whole grid, before any case runs
             configs.append((f"p0m={pm},p0l={pl}", cfg))
-    seeds = bench.corpus_seeds(args.per_program, args.seed, args.programs,
-                               step_budget=base.step_budget)
-    results = bench.run_benchmark(seeds, configs)
-    print(bench.format_results(results), end="")
-    if args.out:
-        _write(args.out, "sweep.json", bench.results_to_json(results))
-        _write(args.out, "sweep.txt", bench.format_results(results))
-    return EXIT_OK
+    return _run_corpus(args, base, configs, "sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sbfl)
 
     bp = sub.add_parser("bench", help="seeded-fault benchmark on the corpus")
-    bp.add_argument("--programs", nargs="*", help="corpus subset (default all)")
+    bp.add_argument("--programs", nargs="+", help="corpus subset (default all)")
     bp.add_argument("--per-program", type=int, default=7)
     bp.add_argument("--seed", type=int, default=0,
                     help="seed that draws the mutants")
@@ -217,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp.set_defaults(func=cmd_bench)
 
     wp = sub.add_parser("sweep", help="p0 grid sweep on the corpus")
-    wp.add_argument("--programs", nargs="*")
+    wp.add_argument("--programs", nargs="+")
     wp.add_argument("--per-program", type=int, default=3)
     wp.add_argument("--seed", type=int, default=0,
                     help="seed that draws the mutants")

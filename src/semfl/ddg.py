@@ -22,7 +22,8 @@ import numpy as np
 from .errors import MalformedTrace
 from .lang.cfg import EXIT
 from .tracing import (
-    ASSERT_OUTCOME,
+    ASSERT_FAIL,
+    ASSERT_PASS,
     BRANCH,
     CALL_ENTER,
     CALL_EXIT,
@@ -148,7 +149,7 @@ class _Builder:
                     self._push_branch(fs, ev.stmt, widx)
             elif ev.kind == CALL_ENTER:
                 virtual = not same_frame
-                params = tuple(value(p) for p in ev.aux.get("params", ()))
+                params = tuple(value(p) for p in ev.reads)
                 frames.append(_Frame(ev.aux["callee"],
                                      virtual_parent=fs if virtual else None,
                                      params=params))
@@ -165,15 +166,14 @@ class _Builder:
             elif ev.kind == CALL_SUMMARY:
                 self._replay_summary(ev, fs)
             elif ev.kind == EXCEPTION_CATCH:
-                idx = value(ev.aux["value"])
+                idx = value(ev.reads[0])
                 if self.exception_control:
                     # Caught exceptions control everything until the frame ends.
                     fs.pred_stack.append((None, idx, None))
-            elif ev.kind == ASSERT_OUTCOME:
+            elif ev.kind == ASSERT_PASS or ev.kind == ASSERT_FAIL:
                 # Duplicate anchors are fine when consistent; the model
                 # layer rejects contradictions.
-                self.anchors.append((value(ev.aux["value"]),
-                                     bool(ev.aux["outcome"])))
+                self.anchors.append((value(ev.reads[0]), ev.kind == ASSERT_PASS))
             else:
                 raise MalformedTrace(f"{test}: unknown event kind {ev.kind!r}")
 

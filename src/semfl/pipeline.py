@@ -44,7 +44,7 @@ class RunConfig:
         True, "--no-loop-compression", "keep every loop iteration",
         ablation=True)
     adaptive_folding: bool = _option(
-        True, "--no-adaptive-folding", "keep oversized failing traces whole",
+        True, "--no-adaptive-folding", "keep failing traces whole at any length",
         ablation=True)
     virtual_call_edges: bool = _option(
         True, "--no-virtual-call-edges",
@@ -125,8 +125,7 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     t0 = time.perf_counter()
     recorded = {}  # failing test -> its trace from the profile run
     prof = tracing.profile(program, step_budget=cfg.step_budget,
-                           failing_traces=recorded,
-                           trace_limit=cfg.trace_limit)
+                           failing_traces=recorded)
     timings["profile"] = time.perf_counter() - t0
 
     selected = reduction.select_tests(prof, cfg)
@@ -141,14 +140,14 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     # entered. Popped, so that no raw trace outlives its compression.
     traces = [recorded.pop(test) if test in recorded
               else tracing.trace(program, test, traced,
-                                 step_budget=cfg.step_budget,
-                                 trace_limit=cfg.trace_limit)
+                                 step_budget=cfg.step_budget)
               for test in selected]
     events = [sum(t.size() for t in traces)]
-    dropped = [t.test for t in traces if t.oversized and not t.failing]
+    # Only a failing trace over the event limit is worth folding.
+    dropped = [t.test for t in traces
+               if not t.failing and t.size() > cfg.trace_limit]
     if dropped:
-        # Oversized traces are only worth folding when the test failed.
-        traces = [t for t in traces if t.failing or not t.oversized]
+        traces = [t for t in traces if t.test not in dropped]
         log.append(f"dropped oversized passing traces: {dropped}")
     timings["trace"] = time.perf_counter() - t0
 

@@ -10,7 +10,6 @@ from typing import TYPE_CHECKING
 
 from .errors import NoFailingTests
 from .tracing import (
-    ASSERT_OUTCOME,
     BRANCH,
     CALL_ENTER,
     CALL_EXIT,
@@ -49,11 +48,9 @@ def select_tests(profile, cfg: RunConfig) -> list:
 # --- loop compression ---
 
 def _shape(events):
-    # An assert's outcome is part of the shape, so an iteration whose assert
-    # fails is never removed as a repeat of one whose assert passed.
-    return [(e.kind, e.stmt, e.aux["outcome"]) if e.kind == ASSERT_OUTCOME
-            else (e.kind, e.stmt, len(e.reads), len(e.writes))
-            for e in events]
+    # The kind tells a failed assert from a passed one, so an iteration whose
+    # assert fails is never removed as a repeat of one whose assert passed.
+    return [(e.kind, e.stmt, len(e.reads), len(e.writes)) for e in events]
 
 
 def _lag(shapes, shape, period):
@@ -220,22 +217,14 @@ def _exec_counts(events, test):
 
 
 def _make_summary(enter, exit_event) -> TraceEvent:
-    reads = tuple(enter.aux["params"])
-    writes = []
-    aux = {"callee": enter.aux["callee"], "ret": None, "threw": False}
-    if not exit_event.aux.get("aborted"):
-        ret = exit_event.aux.get("ret")
-        if ret is not None:
-            writes.append(ret)
-            aux["ret"] = ret
-        writes.extend(v for _, v in exit_event.aux.get("array_versions", []))
-    else:
-        aux["threw"] = True
-        thrown = exit_event.aux.get("thrown")
-        if thrown is not None:
-            writes.append(thrown)
-    return TraceEvent(CALL_SUMMARY, enter.stmt,
-                      reads=reads, writes=tuple(writes), aux=aux)
+    """One call as a summary: it reads the call's arguments and writes what
+    the call hands back, its return value and array versions or the value
+    it threw."""
+    aux = exit_event.aux
+    writes = [aux[k] for k in ("ret", "thrown") if aux.get(k) is not None]
+    writes += aux.get("array_versions", ())
+    return TraceEvent(CALL_SUMMARY, enter.stmt, enter.reads, tuple(writes),
+                      {"callee": enter.aux["callee"]})
 
 
 def _fold_calls(events, target):
@@ -261,8 +250,8 @@ def _fold_calls(events, target):
 
 
 def adaptive_fold(tr: Trace, cfg: RunConfig, log=None) -> Trace:
-    """Fold the largest methods of an oversized failing trace into call
-    summaries until it fits the per-trace event limit."""
+    """Fold the largest methods of a failing trace into call summaries
+    until it fits the per-trace event limit."""
     if tr.size() <= cfg.trace_limit:
         return tr
     counts = _exec_counts(tr.events, tr.test)
@@ -282,9 +271,7 @@ def adaptive_fold(tr: Trace, cfg: RunConfig, log=None) -> Trace:
     if log is not None and (folded or warning):
         log.append(f"adaptive folding: {tr.test}: folded {folded or 'nothing'}"
                    f" -> {len(events)} events{'; ' + warning if warning else ''}")
-    return replace(tr, events=events, oversized=False,
-                   truncated=tr.truncated or bool(warning),
-                   warning=warning or tr.warning)
+    return replace(tr, events=events, warning=warning or tr.warning)
 
 
 def budget_traces(traces: list, cfg: RunConfig, log=None) -> list:

@@ -6,6 +6,14 @@ traces; `trace` runs a single test with full value-level event recording,
 collapsing calls into untraced functions to atomic call summaries. A value
 is an EXEC event, or a BRANCH event if it is a condition's own value.
 
+An event names values only in its `reads` and `writes`, except for what a
+call hands back at its exit. Evidence is an ASSERT_PASS or ASSERT_FAIL
+event reading the observed value; an uncaught exception and a timeout are
+ASSERT_FAIL events too. Only call events carry `aux`: every one names its
+`callee`; a CALL_EXIT that returns normally adds `ret` and the
+`array_versions` of its array arguments, and one left by a MiniImp
+exception adds the `thrown` value.
+
 Both run function bodies compiled once per program into nested Python
 closures (`_Compiler`), so no AST node is dispatched on at run time. An
 expression compiles to `f(ex, frame) -> (value, reads)`, where `reads` is a
@@ -46,7 +54,8 @@ CALL_ENTER = "call_enter"
 CALL_EXIT = "call_exit"
 CALL_SUMMARY = "call_summary"
 EXCEPTION_CATCH = "exception_catch"
-ASSERT_OUTCOME = "assert_outcome"
+ASSERT_PASS = "assert_pass"
+ASSERT_FAIL = "assert_fail"
 
 
 # The aux of every event that has none: one shared mapping, read-only so
@@ -74,9 +83,6 @@ class Trace:
     status: str  # "pass" | "fail"
     reason: str = ""  # "", "assert", "exception", "timeout"
     events: list = field(default_factory=list)
-    value_count: int = 0
-    oversized: bool = False
-    truncated: bool = False
     warning: str = ""
     # Loop compression maps each value written in a removed iteration to
     # the value the kept iteration wrote in its place; never a chain.
@@ -158,7 +164,6 @@ class MiniThrow(Exception):
         self.vid = vid
         self.produced = produced  # whether some event writes `vid`
         self.origin_sid = origin_sid
-        self.unwound = 0
 
 
 class _Frame:
@@ -260,13 +265,10 @@ class _Executor:
         self.cov_functions.add(name)
         callee = _Frame(dict(zip(params, args)), traced_call)
         if traced_call:
-            arrays = [[value.addr, self.heap[value.addr].version]
-                      for value, _ in args if type(value) is ArrayRef]
-            self.events.append(TraceEvent(CALL_ENTER, sid, (), (), {
-                "callee": name,
-                "params": [vid for _, vid in args],
-                "arrays": arrays,
-            }))
+            arrays = [value.addr for value, _ in args if type(value) is ArrayRef]
+            self.events.append(TraceEvent(
+                CALL_ENTER, sid, tuple([vid for _, vid in args]), (),
+                {"callee": name}))
         self.depth += 1
         try:
             for g in body:
@@ -277,11 +279,8 @@ class _Executor:
                 ret = _NO_VALUE
         except (MiniThrow, _AssertFailure, _Timeout) as exc:
             self.depth -= 1
-            if type(exc) is MiniThrow:
-                exc.unwound += 1
             if traced_call:
-                aux = {"callee": name, "ret": None, "aborted": True,
-                       "array_versions": []}
+                aux = {"callee": name}
                 if type(exc) is MiniThrow:
                     aux["thrown"] = exc.vid
                 self.events.append(TraceEvent(CALL_EXIT, sid, (), (), aux))
@@ -289,10 +288,9 @@ class _Executor:
         self.depth -= 1
         value, vid = ret
         if traced_call:
-            versions = [[addr, self.heap[addr].version] for addr, _ in arrays]
             self.events.append(TraceEvent(CALL_EXIT, sid, (), (), {
-                "callee": name, "ret": vid, "aborted": False,
-                "array_versions": versions,
+                "callee": name, "ret": vid,
+                "array_versions": [self.heap[addr].version for addr in arrays],
             }))
         return value, (() if vid is None else (vid,))
 
@@ -309,27 +307,26 @@ class _Executor:
             value, _ = self.run_call(name, args, False, sid)
         except MiniThrow as exc:
             writes = [] if exc.produced else [exc.vid]
-            self.call_summary(sid, name, reads, array_args, writes, True, None)
+            self.call_summary(sid, name, reads, array_args, writes)
             exc.produced = True
             raise
         except (_AssertFailure, _Timeout) as exc:
             # a timeout's evidence lands on the last value written: a fresh
             # one of the call
             writes = [self.new_vid()] if type(exc) is _Timeout else []
-            self.call_summary(sid, name, reads, array_args, writes, True, None)
+            self.call_summary(sid, name, reads, array_args, writes)
             raise
         ret = self.new_vid()
-        self.call_summary(sid, name, reads, array_args, [ret], False, ret)
+        self.call_summary(sid, name, reads, array_args, [ret])
         return value, (ret,)
 
-    def call_summary(self, sid, name, reads, array_args, writes, threw, ret):
+    def call_summary(self, sid, name, reads, array_args, writes):
         for addr in array_args:
             vid = self.new_vid()
             self.heap[addr].version = vid
             writes.append(vid)
-        self.events.append(TraceEvent(
-            CALL_SUMMARY, sid, reads, tuple(writes),
-            {"callee": name, "ret": ret, "threw": threw}))
+        self.events.append(TraceEvent(CALL_SUMMARY, sid, reads, tuple(writes),
+                                      {"callee": name}))
 
     # --- test entry point ---
 
@@ -337,7 +334,6 @@ class _Executor:
         frame = _Frame({}, traced)
         self.depth = 1
         status, reason = "pass", ""
-        truncated = False
         py_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(py_limit + MAX_CALL_DEPTH * _PY_FRAMES_PER_CALL)
         try:
@@ -350,24 +346,22 @@ class _Executor:
         except MiniThrow as exc:
             status, reason = "fail", "exception"
             if traced:
-                self.events.append(TraceEvent(ASSERT_OUTCOME, exc.origin_sid, (), (), {
-                    "value": exc.vid, "outcome": False, "from_exception": True}))
+                self.events.append(TraceEvent(ASSERT_FAIL, exc.origin_sid,
+                                              (exc.vid,), (), _NO_AUX))
         except _Timeout:
             status, reason = "fail", "timeout"
-            truncated = True
             # The observable wrong output of a non-terminating test is the
             # last value it produced; clamp it incorrect, mirroring the
             # uncaught-exception evidence.
             for ev in reversed(self.events):
                 if ev.writes:
-                    self.events.append(TraceEvent(ASSERT_OUTCOME, ev.stmt, (), (), {
-                        "value": ev.writes[-1], "outcome": False,
-                        "from_timeout": True}))
+                    self.events.append(TraceEvent(ASSERT_FAIL, ev.stmt,
+                                                  (ev.writes[-1],), (), _NO_AUX))
                     break
         finally:
             sys.setrecursionlimit(py_limit)
         self.depth = 0
-        return status, reason, truncated
+        return status, reason
 
 
 # --- compilation ---
@@ -485,9 +479,8 @@ class _Compiler:
                         return ret
             except MiniThrow as exc:
                 if frame.traced:
-                    ex.events.append(TraceEvent(
-                        EXCEPTION_CATCH, exc.origin_sid, (), (),
-                        {"value": exc.vid, "unwound": exc.unwound}))
+                    ex.events.append(TraceEvent(EXCEPTION_CATCH, exc.origin_sid,
+                                                (exc.vid,), (), _NO_AUX))
                 frame.env[name] = (exc.value, exc.vid)
                 for g in handler:
                     ret = g(ex, frame)
@@ -537,8 +530,8 @@ class _Compiler:
             if type(value) is not bool:
                 ex.throw(frame, sid, (vid,), _TYPE_ERROR)
             if frame.traced:
-                ex.events.append(TraceEvent(ASSERT_OUTCOME, sid, (), (), {
-                    "value": vid, "outcome": value}))
+                ex.events.append(TraceEvent(ASSERT_PASS if value else ASSERT_FAIL,
+                                            sid, (vid,), (), _NO_AUX))
             if not value:
                 raise _AssertFailure(vid)
         return assert_stmt
@@ -743,7 +736,7 @@ class _Compiler:
 # --- entry points ---
 
 def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
-            failing_traces=None, trace_limit=None) -> CoverageProfile:
+            failing_traces=None) -> CoverageProfile:
     """Run every test once with coverage-only instrumentation.
 
     Given a dict as `failing_traces`, each test instead runs with every
@@ -760,11 +753,11 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
         if failing_traces is None:
             ex = _Executor(program, traced_functions=frozenset(),
                            step_budget=step_budget)
-            status, reason, _ = ex.run_test(name, traced=False)
+            status, reason = ex.run_test(name, traced=False)
             statements, functions = ex.cov_statements, ex.cov_functions
         else:
             tr, statements, functions = _record(program, name, app,
-                                                step_budget, trace_limit)
+                                                step_budget)
             status, reason = tr.status, tr.reason
             if tr.failing:
                 failing_traces[name] = tr
@@ -779,29 +772,24 @@ def run_test(program: A.Program, test: str,
     """Run one test with nothing traced; its (status, reason)."""
     ex = _Executor(program, traced_functions=frozenset(),
                    step_budget=step_budget)
-    status, reason, _ = ex.run_test(test, traced=False)
-    return status, reason
+    return ex.run_test(test, traced=False)
 
 
 def trace(program: A.Program, test: str, traced_functions,
-          step_budget=DEFAULT_STEP_BUDGET, trace_limit=None) -> Trace:
+          step_budget=DEFAULT_STEP_BUDGET) -> Trace:
     """Run one test with full event recording for `traced_functions`."""
     if test not in program.functions:
         raise MalformedTrace(f"unknown test {test!r}")
-    return _record(program, test, traced_functions, step_budget,
-                   trace_limit)[0]
+    return _record(program, test, traced_functions, step_budget)[0]
 
 
-def _record(program, test, traced_functions, step_budget, trace_limit):
+def _record(program, test, traced_functions, step_budget):
     """Run `test` with itself and `traced_functions` traced. Returns its
     `Trace`, the statements it ran and the functions it entered."""
     traced = frozenset(traced_functions) | {test}
     ex = _Executor(program, traced_functions=traced, step_budget=step_budget)
-    status, reason, truncated = ex.run_test(test, traced=True)
-    t = Trace(test=test, status=status, reason=reason, events=ex.events,
-              value_count=ex.vid_counter, truncated=truncated)
-    if trace_limit is not None and t.size() > trace_limit:
-        t.oversized = True
+    status, reason = ex.run_test(test, traced=True)
+    t = Trace(test=test, status=status, reason=reason, events=ex.events)
     return t, ex.cov_statements, ex.cov_functions
 
 
@@ -813,9 +801,7 @@ def program_hash(program: A.Program) -> str:
 
 def dump_trace(tr: Trace, program: A.Program) -> str:
     header = {"test": tr.test, "status": tr.status, "reason": tr.reason,
-              "program": program_hash(program), "value_count": tr.value_count,
-              "oversized": tr.oversized, "truncated": tr.truncated,
-              "warning": tr.warning}
+              "program": program_hash(program), "warning": tr.warning}
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(e.to_record(), sort_keys=True) for e in tr.events)
     return "\n".join(lines) + "\n"

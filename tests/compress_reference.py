@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from semfl.tracing import (
-    ASSERT_OUTCOME,
     BRANCH,
     CALL_ENTER,
     CALL_EXIT,
@@ -29,34 +28,22 @@ from semfl.tracing import (
 
 
 def _shape(events):
-    # An assert's outcome is part of the shape, so an iteration whose assert
-    # fails is never removed as a repeat of one whose assert passed.
-    return [(e.kind, e.stmt, e.aux["outcome"]) if e.kind == ASSERT_OUTCOME
-            else (e.kind, e.stmt, len(e.reads), len(e.writes))
-            for e in events]
-
-
-_AUX_VID_KEYS = ("value", "ret", "thrown")
-_AUX_VID_LIST_KEYS = ("params",)
-_AUX_VID_PAIR_KEYS = ("arrays", "array_versions")
-_AUX_REMAPPED = frozenset(_AUX_VID_KEYS + _AUX_VID_LIST_KEYS
-                          + _AUX_VID_PAIR_KEYS)
+    # The kind tells a failed assert from a passed one, so an iteration whose
+    # assert fails is never removed as a repeat of one whose assert passed.
+    return [(e.kind, e.stmt, len(e.reads), len(e.writes)) for e in events]
 
 
 def _remap_event(ev, resolve):
     aux = ev.aux
-    # An aux without value ids is shared, not copied: it is never mutated.
-    if not _AUX_REMAPPED.isdisjoint(aux):
+    # Only a call exit names values outside its reads and writes. An aux
+    # without value ids is shared, not copied: it is never mutated.
+    if "ret" in aux or "thrown" in aux:
         aux = dict(aux)
-        for key in _AUX_VID_KEYS:
+        for key in ("ret", "thrown"):
             if aux.get(key) is not None:
                 aux[key] = resolve(aux[key])
-        for key in _AUX_VID_LIST_KEYS:
-            if key in aux:
-                aux[key] = [resolve(v) for v in aux[key]]
-        for key in _AUX_VID_PAIR_KEYS:
-            if key in aux:
-                aux[key] = [[addr, resolve(v)] for addr, v in aux[key]]
+        if "array_versions" in aux:
+            aux["array_versions"] = [resolve(v) for v in aux["array_versions"]]
     return TraceEvent(kind=ev.kind, stmt=ev.stmt,
                       reads=tuple(resolve(r) for r in ev.reads),
                       writes=ev.writes, aux=aux)

@@ -104,21 +104,23 @@ fn test_big() {
 """
 
 
-@pytest.mark.parametrize("limits, line", [
+@pytest.mark.parametrize("limits, lines", [
     # both traces compress to 14 events; the passing one exceeds the
     # model budget
     (("--trace-limit", "20", "--model-limit", "20"),
-     "events: raw 268, after compress 28, after fold 28, modelled 14"),
+     ["events: raw 268, after compress 28, after fold 28, modelled 14"]),
     # the passing trace is dropped as oversized, the failing one folded
     (("--trace-limit", "12", "--model-limit", "20"),
-     "events: raw 268, after compress 14, after fold 6, modelled 6"),
-])
-def test_localize_logs_event_counts(tmp_path, limits, line):
+     ["dropped oversized passing traces: ['test_small']",
+      "events: raw 268, after compress 14, after fold 6, modelled 6"]),
+], ids=lambda v: v[-1] if isinstance(v, list) else None)  # the count line
+def test_localize_logs_event_counts(tmp_path, limits, lines):
     p = tmp_path / "loop.mi"
     p.write_text(LOOP)
     out = tmp_path / "out"
     assert main(["localize", str(p), "--out", str(out), *limits]) == EXIT_OK
-    assert line in (out / "log.txt").read_text().splitlines()
+    log = (out / "log.txt").read_text().splitlines()
+    assert all(line in log for line in lines), log
 
 
 def test_localize_reports_are_reproducible(buggy, tmp_path):
@@ -303,7 +305,7 @@ def test_flags_set_their_fields():
 def test_trace_to_stdout_and_file(buggy, tmp_path, capsys):
     assert main(["trace", buggy, "--test", "test_fail"]) == EXIT_OK
     text = capsys.readouterr().out
-    assert "assert_outcome" in text
+    assert "assert_fail" in text
     out = tmp_path / "trace.txt"
     assert main(["trace", buggy, "--test", "test_fail",
                  "--out", str(out)]) == EXIT_OK
@@ -364,6 +366,17 @@ def test_per_program_below_one_rejected(command, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: per_program must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_empty_program_list_is_a_usage_error(command, monkeypatch, capsys):
+    # `--programs` with no names would otherwise seed the whole corpus
+    monkeypatch.setattr(cli.bench, "corpus_seeds", _no_seeding)
+    assert main([command, "--programs"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --programs: expected at least one argument" \
+        in captured.err
 
 
 @pytest.mark.parametrize("grid", [

@@ -61,7 +61,7 @@ def test_cond_example_value_chain_per_test():
     producer, parents, all_edges = producers(g), value_parents(g), edges(g)
     for tr in traces:
         enter, cond, assign, ret = tr.events[:4]
-        a_in = (tr.test, enter.aux["params"][0])
+        a_in = (tr.test, enter.reads[0])
         v_cond = (tr.test, cond.writes[0])
         v_assign = (tr.test, assign.writes[0])
         v_ret = (tr.test, ret.writes[0])
@@ -263,9 +263,9 @@ def test_virtual_call_edges_bridge_untraced_driver():
     g = build_ddg(prog, [tr])
     t = tr.test
     enter, ret, _, summary = tr.events[:4]
-    param = (t, enter.aux["params"][0])
+    param = (t, enter.reads[0])
     cb_ret = (t, ret.writes[0])
-    drv_ret = (t, summary.aux["ret"])
+    drv_ret = (t, summary.writes[0])  # a summary writes its return first
     # the summary's output reads the nested traced call's return value
     parents = value_parents(g)
     assert cb_ret in parents[drv_ret]
@@ -286,7 +286,7 @@ def test_virtual_call_edges_can_be_disabled():
     g_off = build_ddg(prog, [tr], virtual_call_edges=False)
     assert g_off.edge_count() < g_on.edge_count()
     t = tr.test
-    param = (t, tr.events[0].aux["params"][0])
+    param = (t, tr.events[0].reads[0])
     assert param not in producers(g_off)  # argument degrades to an input
 
 
@@ -316,7 +316,7 @@ def test_caught_exception_controls_handler():
     g = build_ddg(prog, [tr])
     t = tr.test
     catch = next(e for e in tr.events if e.kind == "exception_catch")
-    exc = (t, catch.aux["value"])
+    exc = (t, catch.reads[0])
     handler_writes = [e for e in tr.events
                       if e.kind == EXEC and e.reads == () and e.writes
                       and tr.events.index(e) > tr.events.index(catch)]
@@ -348,7 +348,6 @@ def test_unmatched_call_exit_rejected():
     bad = Trace(test="test_x", status="fail",
                 events=[TraceEvent(CALL_EXIT, 0,
                                    aux={"callee": "foo", "ret": None,
-                                        "aborted": False,
                                         "array_versions": []})])
     with pytest.raises(MalformedTrace):
         build_ddg(prog, [bad])

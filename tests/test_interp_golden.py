@@ -9,9 +9,10 @@ Each digest covers, at one step budget, every test's coverage record
 must land on the same step as well. Every traced test must also close
 each call it opens and mark only the values of `if` and `while`
 conditions as branch events, which the trace reducers and the graph
-builder rely on. The same digests must come out when the profile run
-records the failing tests' traces, as `pipeline.localize` has it do, and
-those traces stand in for their tests' traces.
+builder rely on, and carry aux data only on call events. The same
+digests must come out when the profile run records the failing tests'
+traces, as `pipeline.localize` has it do, and those traces stand in for
+their tests' traces.
 
 Regenerate the file (only when a change to the interpreter's observable
 behaviour is intended) with
@@ -37,6 +38,7 @@ from semfl.tracing import (
     BRANCH,
     CALL_ENTER,
     CALL_EXIT,
+    CALL_SUMMARY,
     dump_trace,
     profile,
     trace,
@@ -73,9 +75,11 @@ def check_call_brackets(tr, program):
     """Every call exit closes the innermost open call of the same callee and
     every call is closed, whether the test passes, fails, throws or times
     out: the reducers rely on this. Every branch event is one of an `if` or
-    a `while` statement."""
+    a `while` statement, and only call events carry aux data."""
     open_calls = []
     for ev in tr.events:
+        assert bool(ev.aux) == (ev.kind in (CALL_ENTER, CALL_EXIT,
+                                            CALL_SUMMARY)), (tr.test, ev)
         if ev.kind == BRANCH:
             kind = program.statement_table[ev.stmt].kind
             assert kind in ("if_cond", "while_cond"), (tr.test, ev.stmt)

@@ -14,7 +14,7 @@ from semfl.model import build_net, classify_p0
 from semfl.inference import run_lbp
 from semfl.pipeline import RunConfig, localize
 from semfl.ranking import rank
-from semfl.tracing import ASSERT_OUTCOME, BRANCH, EXEC, trace
+from semfl.tracing import ASSERT_FAIL, ASSERT_PASS, BRANCH, EXEC, trace
 
 from helpers import input_values, node_count, producers, statement_ids
 from test_lang import expressions
@@ -152,9 +152,9 @@ def test_values_are_arrays_from_graph_to_marginals():
         for ev in tr.events:
             if ev.kind in (EXEC, BRANCH):
                 assert {(tr.test, w) for w in ev.writes} <= key_set
-    anchored = [(tr.test, tr.aliases.get(ev.aux["value"], ev.aux["value"]))
-                for tr in res.traces
-                for ev in tr.events if ev.kind == ASSERT_OUTCOME]
+    anchored = [(tr.test, tr.aliases.get(ev.reads[0], ev.reads[0]))
+                for tr in res.traces for ev in tr.events
+                if ev.kind in (ASSERT_PASS, ASSERT_FAIL)]
     assert [ddg.value_key(i) for i, _ in ddg.evidence_anchors] == anchored
     assert isinstance(res.inference.marginals, np.ndarray)
     assert res.inference.marginals.dtype == np.float64

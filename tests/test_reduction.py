@@ -17,7 +17,8 @@ from semfl.reduction import (
     select_tests,
 )
 from semfl.tracing import (
-    ASSERT_OUTCOME,
+    ASSERT_FAIL,
+    ASSERT_PASS,
     BRANCH,
     CALL_ENTER,
     CALL_EXIT,
@@ -204,8 +205,8 @@ def test_compress_keeps_a_failing_assert_iteration():
     out = compress_loops(tr, prog, period=PERIOD)
 
     def outcomes(t):
-        return [e.aux["outcome"] for e in t.events
-                if e.kind == ASSERT_OUTCOME]
+        return [e.kind == ASSERT_PASS for e in t.events
+                if e.kind in (ASSERT_PASS, ASSERT_FAIL)]
     assert outcomes(tr) == [True, True, False]
     assert outcomes(out) == [True, False]
 
@@ -236,13 +237,11 @@ fn test_work() {
 
 
 def _referenced(ev):
-    """Value ids an event reads, in its reads or in its aux data."""
+    """Value ids an event names: its reads, and what a call exit hands
+    back."""
     aux = ev.aux
-    vids = list(ev.reads) + list(aux.get("params", ()))
-    vids += [aux[k] for k in ("value", "ret", "thrown")
-             if aux.get(k) is not None]
-    vids += [v for k in ("arrays", "array_versions")
-             for _, v in aux.get(k, ())]
+    vids = list(ev.reads) + list(aux.get("array_versions", ()))
+    vids += [aux[k] for k in ("ret", "thrown") if aux.get(k) is not None]
     return vids
 
 
@@ -476,7 +475,7 @@ def _assert_compresses_like_reference(tr, prog):
     assert [(e.kind, e.stmt, e.writes) for e in out.events] == \
            [(e.kind, e.stmt, e.writes) for e in ref.events], tr.test
     assert log == ref_log
-    assert (out.value_count, out.status) == (ref.value_count, ref.status)
+    assert out.status == ref.status
     assert_same_graph(build_ddg(prog, [out]), build_ddg(prog, [ref]))
 
 
@@ -567,11 +566,10 @@ def _exec(stmt, vid, reads=()):
 
 
 def _call_block(callee, stmt, events, params=(), ret=None):
-    enter = TraceEvent(CALL_ENTER, stmt,
-                       aux={"callee": callee, "params": list(params),
-                            "arrays": []})
+    enter = TraceEvent(CALL_ENTER, stmt, tuple(params),
+                       aux={"callee": callee})
     exit_ = TraceEvent(CALL_EXIT, stmt,
-                       aux={"callee": callee, "ret": ret, "aborted": False,
+                       aux={"callee": callee, "ret": ret,
                             "array_versions": []})
     return [enter] + events + [exit_]
 
@@ -690,8 +688,7 @@ def test_fold_cannot_reach_limit_truncates():
     tr = Trace(test="test_t", status="fail", events=events)
     out = adaptive_fold(tr, RunConfig(trace_limit=1200))
     assert out.size() == 1200
-    assert out.warning
-    assert out.truncated
+    assert out.warning == "cannot reach trace limit by folding; truncated"
 
 
 # --- model budget ---

@@ -12,7 +12,8 @@ from semfl.lang import parse
 from semfl.lang.parser import MAX_NESTING
 from semfl.pipeline import RunConfig, localize, traced_function_set
 from semfl.tracing import (
-    ASSERT_OUTCOME,
+    ASSERT_FAIL,
+    ASSERT_PASS,
     BRANCH,
     CALL_ENTER,
     CALL_EXIT,
@@ -86,7 +87,7 @@ fn test_spin() {
     assert prof.tests["test_spin"].status == "fail"
     assert prof.tests["test_spin"].reason == "timeout"
     tr = trace(prog, "test_spin", {"spin"}, step_budget=5000)
-    assert tr.truncated
+    assert tr.reason == "timeout"
 
 
 def test_fig1_failing_trace_events():
@@ -94,25 +95,27 @@ def test_fig1_failing_trace_events():
     tr = trace(prog, "test_fail", {"foo"})
     assert tr.status == "fail"
     kinds = [e.kind for e in tr.events]
-    assert kinds == [CALL_ENTER, BRANCH, EXEC, EXEC, CALL_EXIT, ASSERT_OUTCOME]
+    assert kinds == [CALL_ENTER, BRANCH, EXEC, EXEC, CALL_EXIT, ASSERT_FAIL]
     enter, cond, assign, ret, exit_, outcome = tr.events
-    a_in = enter.aux["params"][0]
+    a_in = enter.reads[0]
     assert cond.reads == (a_in,) and len(cond.writes) == 1
     assert assign.reads == (a_in,)
     assert ret.reads == assign.writes
     assert exit_.aux["ret"] == ret.writes[0]
-    assert outcome.aux == {"value": ret.writes[0], "outcome": False}
+    assert (outcome.reads, outcome.writes) == ((ret.writes[0],), ())
+    assert outcome.aux == {}
 
 
 def test_untraced_callee_collapses_to_summary():
     prog = parse(COND_TEST)
     tr = trace(prog, "test_fail", set())
     kinds = [e.kind for e in tr.events]
-    assert kinds == [CALL_SUMMARY, ASSERT_OUTCOME]
+    assert kinds == [CALL_SUMMARY, ASSERT_FAIL]
     summary = tr.events[0]
     assert len(summary.reads) == 1  # the scalar argument
-    assert summary.aux["ret"] in summary.writes
-    assert tr.events[1].aux["value"] == summary.aux["ret"]
+    assert summary.aux == {"callee": "foo"}
+    # the return value is the summary's first write
+    assert tr.events[1].reads == (summary.writes[0],)
 
 
 NESTED = """
@@ -138,7 +141,7 @@ def test_traced_call_nested_in_untraced_driver():
     # callback's block sits before the driver summary that encloses it;
     # the trailing exec is the asserted comparison in the test body
     assert kinds == [CALL_ENTER, EXEC, CALL_EXIT, CALL_SUMMARY, EXEC,
-                     ASSERT_OUTCOME]
+                     ASSERT_PASS]
     enter, ret, exit_, summary = tr.events[:4]
     assert enter.aux["callee"] == "callback"
     assert summary.aux["callee"] == "driver"
@@ -158,7 +161,10 @@ def test_reads_are_produced_or_inputs():
     tr = trace(prog, "test_fail", {"foo"})
     produced = set()
     for e in tr.events:
-        produced.update(e.aux.get("params", ()))
+        if e.kind == CALL_ENTER:
+            # a literal argument of a test's call is an input, produced by
+            # no event
+            produced.update(e.reads)
         for r in e.reads:
             assert r in produced
         produced.update(e.writes)
@@ -188,8 +194,22 @@ def test_array_write_produces_new_version():
     assert len(store.writes) == 1
     # new version reads the previous version (first read)
     enter = [e for e in tr.events if e.kind == CALL_ENTER][0]
-    entry_version = enter.aux["arrays"][0][1]
+    entry_version = enter.reads[0]
     assert store.reads[0] == entry_version
+
+
+def _exits_throwing(tr, vid):
+    """The call exits that pass on the thrown value `vid`."""
+    return sum(e.kind == CALL_EXIT and e.aux.get("thrown") == vid
+               for e in tr.events)
+
+
+def _ends_in_thrown_evidence(tr):
+    """Whether the trace ends in the evidence of an uncaught exception: an
+    ASSERT_FAIL reading the value its last call exit threw."""
+    exit_, outcome = tr.events[-2:]
+    return (exit_.kind == CALL_EXIT and outcome.kind == ASSERT_FAIL
+            and outcome.reads == (exit_.aux.get("thrown"),))
 
 
 def test_exception_unwinds_to_catch():
@@ -219,9 +239,9 @@ fn test_catch() {
     tr = trace(prog, "test_catch", {"inner", "outer"})
     catches = [e for e in tr.events if e.kind == EXCEPTION_CATCH]
     assert len(catches) == 1
-    assert catches[0].aux["unwound"] == 2
+    assert _exits_throwing(tr, catches[0].reads[0]) == 2
     aborted = [e for e in tr.events if e.kind == CALL_EXIT
-               and e.aux.get("aborted")]
+               and "ret" not in e.aux]
     assert len(aborted) == 2
 
 
@@ -238,10 +258,7 @@ fn test_boom() {
 """)
     tr = trace(prog, "test_boom", {"boom"})
     assert tr.status == "fail" and tr.reason == "exception"
-    outcome = tr.events[-1]
-    assert outcome.kind == ASSERT_OUTCOME
-    assert outcome.aux["outcome"] is False
-    assert outcome.aux.get("from_exception")
+    assert _ends_in_thrown_evidence(tr)
 
 
 def test_division_by_zero_is_catchable():
@@ -327,9 +344,8 @@ def test_negation_overflow_is_catchable():
     assert (prof.tests["test_min"].status, prof.tests["test_min"].reason) == (
         "fail", "exception")
     tr = trace(prog, "test_min", {"negate"})
-    assert tr.events[-1].kind == ASSERT_OUTCOME
+    assert _ends_in_thrown_evidence(tr)
     assert tr.events[-1].stmt == statement_ids(prog.functions["negate"])[0]
-    assert tr.events[-1].aux.get("from_exception")
     quotient = prof.tests["test_quotient"]
     assert (quotient.status, quotient.reason) == ("fail", "exception")
 
@@ -385,11 +401,8 @@ def test_unbound_variable_throws_catchable_exception():
             "fail", "exception")
         tr = trace(prog, test, {fn})
         faulting = statement_ids(prog.functions[fn])[2]
-        assert tr.events[-2].kind == CALL_EXIT
-        assert tr.events[-2].aux["aborted"]
-        assert tr.events[-1].kind == ASSERT_OUTCOME
+        assert _ends_in_thrown_evidence(tr)
         assert tr.events[-1].stmt == faulting
-        assert tr.events[-1].aux.get("from_exception")
 
 
 RECURSION = """
@@ -421,9 +434,8 @@ def test_call_past_depth_limit_throws_stack_overflow():
     tr = trace(prog, "test_deep", {"f"})
     assert tr.reason == "exception"
     recursive_return = statement_ids(prog.functions["f"])[-1]
-    assert tr.events[-1].kind == ASSERT_OUTCOME
+    assert _ends_in_thrown_evidence(tr)
     assert tr.events[-1].stmt == recursive_return
-    assert tr.events[-1].aux.get("from_exception")
 
 
 # The recursive call sits under five statements and six operators.
@@ -556,7 +568,8 @@ fn test_catch() {
     assert profile(prog).tests["test_catch"].status == "pass"
     tr = trace(prog, "test_catch", {"down"})
     catches = [e for e in tr.events if e.kind == EXCEPTION_CATCH]
-    assert [c.aux["unwound"] for c in catches] == [MAX_CALL_DEPTH]
+    assert len(catches) == 1
+    assert _exits_throwing(tr, catches[0].reads[0]) == MAX_CALL_DEPTH
 
 
 def test_trace_status_matches_profile_status():
@@ -580,32 +593,10 @@ def test_dump_trace_lines():
     header, *lines = dump_trace(tr, prog).splitlines()
     assert json.loads(header) == {
         "test": "test_nested", "status": tr.status, "reason": tr.reason,
-        "program": program_hash(prog), "value_count": tr.value_count,
-        "oversized": False, "truncated": False, "warning": ""}
-    assert tr.status == "pass" and tr.value_count > 0
+        "program": program_hash(prog), "warning": ""}
+    assert tr.status == "pass"
     assert lines == [json.dumps(e.to_record(), sort_keys=True)
                      for e in tr.events]
-
-
-def test_oversized_flagging():
-    prog = parse("""
-fn loopy(n) {
-    let i = 0;
-    let s = 0;
-    while (i < n) {
-        s = s + i;
-        i = i + 1;
-    }
-    return s;
-}
-
-fn test_loopy() {
-    assert(loopy(50) == 1225);
-}
-""")
-    tr = trace(prog, "test_loopy", {"loopy"}, trace_limit=20)
-    assert tr.oversized
-    assert trace(prog, "test_loopy", {"loopy"}).oversized is False
 
 
 # --- failing tests profiled and traced in one run ---
@@ -618,8 +609,7 @@ def _localize_raw(program, **settings):
     res = localize(program, cfg)
     traced = traced_function_set(res.profile)
     for tr in res.traces:
-        fresh = trace(program, tr.test, traced, step_budget=cfg.step_budget,
-                      trace_limit=cfg.trace_limit)
+        fresh = trace(program, tr.test, traced, step_budget=cfg.step_budget)
         assert dump_trace(tr, program) == dump_trace(fresh, program), tr.test
     return res
 
@@ -688,9 +678,9 @@ def test_timeout_in_an_untraced_call_marks_its_summary():
     tr = trace(parse(BUDGET_ENDS_AT_CALL), "test_t", set(), step_budget=2)
     assert tr.reason == "timeout"
     summary, outcome = tr.events[-2:]
-    assert summary.kind == CALL_SUMMARY and summary.aux["callee"] == "f"
-    assert summary.aux["threw"] and len(summary.writes) == 1
-    assert outcome.kind == ASSERT_OUTCOME and outcome.aux["from_timeout"]
+    assert summary.kind == CALL_SUMMARY and summary.aux == {"callee": "f"}
+    assert len(summary.writes) == 1
+    # the evidence of a timeout reads the last value written
+    assert outcome.kind == ASSERT_FAIL
     assert outcome.stmt == summary.stmt
-    assert outcome.aux["value"] == summary.writes[0]
-    assert outcome.aux["outcome"] is False
+    assert outcome.reads == (summary.writes[0],)
