@@ -100,23 +100,9 @@ def apply_mutation(program, point: MutationPoint) -> str:
 
 
 def _mixed_outcomes(mutant, step_budget) -> bool:
-    """Whether some test of `mutant` passes and another fails.
-
-    Every test first runs on a tenth of the step budget: a test that ends
-    there ends the same way on the whole budget. Only when those outcomes
-    are not mixed do the others run on the whole budget, one at a time.
-    """
+    """Whether some test of `mutant` passes and another fails."""
     seen = set()
-    unfinished = []
     for test in mutant.test_names:
-        status, reason = run_test(mutant, test, max(1, step_budget // 10))
-        if reason == "timeout":
-            unfinished.append(test)
-        else:
-            seen.add(status)
-        if len(seen) == 2:
-            return True
-    for test in unfinished:
         seen.add(run_test(mutant, test, step_budget)[0])
         if len(seen) == 2:
             return True

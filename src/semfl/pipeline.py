@@ -127,6 +127,9 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     prof = tracing.profile(program, step_budget=cfg.step_budget,
                            failing_traces=recorded)
     timings["profile"] = time.perf_counter() - t0
+    stopped = [t.stopped_at for t in prof.failing if t.stopped_at]
+    log.append(f"repeated loop state: {len(stopped)} timeout tests stopped "
+               f"after {sum(stopped)} steps in all")
 
     selected = reduction.select_tests(prof, cfg)
     log.append(f"selected {len(selected)} of {len(prof.tests)} tests")

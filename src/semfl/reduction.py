@@ -216,36 +216,44 @@ def _exec_counts(events, test):
     return counts
 
 
-def _make_summary(enter, exit_event) -> TraceEvent:
+def _make_summary(enter, exit_event, escaped) -> TraceEvent:
     """One call as a summary: it reads the call's arguments and writes what
     the call hands back, its return value and array versions or the value
-    it threw."""
+    it threw, and then the `escaped` values folded away with it."""
     aux = exit_event.aux
     writes = [aux[k] for k in ("ret", "thrown") if aux.get(k) is not None]
     writes += aux.get("array_versions", ())
-    return TraceEvent(CALL_SUMMARY, enter.stmt, enter.reads, tuple(writes),
-                      {"callee": enter.aux["callee"]})
+    return TraceEvent(CALL_SUMMARY, enter.stmt, enter.reads,
+                      tuple(writes + escaped), {"callee": enter.aux["callee"]})
 
 
-def _fold_calls(events, target):
+def _fold_calls(events, target, evidence):
     """Each call of `target` becomes the traced calls nested in it, followed
-    by its summary unless its caller is folded too."""
+    by its summary unless its caller is folded too. A value of `evidence`
+    written by a folded event is written by the summary standing for it:
+    a timeout's evidence reads the last value written, which a call that
+    ran out of steps never hands back."""
     out = []
-    stack = [(None, False)]  # per open call, root first: enter, folded
+    # per open call, root first: enter, folded, evidence values folded in it
+    stack = [(None, False, [])]
     for ev in events:
         if ev.kind == CALL_ENTER:
             folded = ev.aux["callee"] == target
-            stack.append((ev, folded))
+            stack.append((ev, folded, []))
             if not folded:
                 out.append(ev)
         elif ev.kind == CALL_EXIT:
-            enter, folded = stack.pop()
+            enter, folded, escaped = stack.pop()
             if not folded:
                 out.append(ev)
-            elif not stack[-1][1]:
-                out.append(_make_summary(enter, ev))
+            elif stack[-1][1]:
+                stack[-1][2].extend(escaped)
+            else:
+                out.append(_make_summary(enter, ev, escaped))
         elif not stack[-1][1]:
             out.append(ev)
+        elif not evidence.isdisjoint(ev.writes):
+            stack[-1][2].extend(w for w in ev.writes if w in evidence)
     return out
 
 
@@ -258,11 +266,15 @@ def adaptive_fold(tr: Trace, cfg: RunConfig, log=None) -> Trace:
     order = sorted((name for name in counts if name != tr.test),
                    key=lambda n: (-counts[n], n))
     events = tr.events
+    # a timeout trace's last event is its evidence, unless it wrote nothing;
+    # the value it reads may stand for one loop compression kept
+    evidence = frozenset(tr.aliases.get(v, v) for v in events[-1].reads
+                         if tr.reason == "timeout")
     folded = []
     for name in order:
         if len(events) <= cfg.trace_limit:
             break
-        events = _fold_calls(events, name)
+        events = _fold_calls(events, name, evidence)
         folded.append(name)
     warning = ""
     if len(events) > cfg.trace_limit:

@@ -103,6 +103,9 @@ class CoverageRecord:
     functions: set  # the functions the test entered, itself included
     statements: set
     reason: str = ""
+    # the steps a timeout ran once a repeated loop state cut its budget to
+    # the step the full budget stops at; 0 if no state repeated
+    stopped_at: int = 0
 
 
 @dataclass
@@ -202,6 +205,7 @@ class _Executor:
         self.depth = 0  # MiniImp frames, the test's included
         self.cov_statements = set()
         self.cov_functions = set()  # functions entered, the test's excluded
+        self.stopped_at = 0  # see `CoverageRecord.stopped_at`
 
     # --- bookkeeping ---
 
@@ -364,6 +368,88 @@ class _Executor:
         return status, reason
 
 
+# --- repeated loop states ---
+
+# A loop run watches its head state only after this many iterations: a
+# spin cut short sooner would leave loop compression a shorter run to
+# compress, and loops that end mostly end before it.
+_LOOP_WARMUP = 64
+# After it, every eighth head is checked: a check costs about a quarter of
+# the shortest loop's iteration. A cycle of p heads is then found
+# lcm(p, 8) heads after a kept state in it.
+_LOOP_STRIDE = 8
+
+_first = operator.itemgetter(0)
+
+
+def _arrays(heap, values):
+    """Contents and item types of every array reachable from `values`,
+    through arrays that hold arrays, by address."""
+    out = {}
+    stack = [v.addr for v in values if type(v) is ArrayRef]
+    while stack:
+        addr = stack.pop()
+        if addr not in out:
+            items = heap[addr].items
+            out[addr] = (items[:], list(map(type, items)))
+            stack.extend(v.addr for v in items if type(v) is ArrayRef)
+    return out
+
+
+class _LoopWatch:
+    """Brent's cycle check on the head states of one loop run.
+
+    A program is only functions, and MiniImp is deterministic, so what a
+    loop does from its head on is fixed by its frame's variables and the
+    arrays reachable from them, by address and contents; an array allocated
+    later gets a fresh address, and addresses are only ever compared for
+    identity. Once a head state recurs, the run cycles with the period of
+    steps between the two heads and never leaves the loop. The budget is
+    then cut to the step at which the full run would stop in the same
+    phase of the cycle: the timeout fires at the same statement, after the
+    same coverage, with its evidence on the same statement's value.
+
+    Values are compared with their types, since `True == 1` in Python. One
+    state is kept, replaced after 64, 128, 256, ... heads (Brent, BIT 1980),
+    and compared with every `_LOOP_STRIDE`-th head after it.
+    """
+
+    __slots__ = ("values", "types", "arrays", "steps", "heads", "window")
+
+    def __init__(self, ex, env):
+        self.window = _LOOP_WARMUP
+        self.keep(ex, env)
+
+    def keep(self, ex, env):
+        self.values = values = list(map(_first, env.values()))
+        self.types = list(map(type, values))
+        self.arrays = _arrays(ex.heap, values)
+        self.steps = ex.steps
+        self.heads = 0
+
+    def same(self, heap, values):
+        """Whether a head whose values equal the kept ones has its state:
+        the same types and arrays."""
+        return (list(map(type, values)) == self.types
+                and _arrays(heap, values) == self.arrays)
+
+    def head(self, ex, env):
+        """Check one head; the heads to skip before the next check."""
+        values = list(map(_first, env.values()))
+        if values == self.values and self.same(ex.heap, values):
+            period = ex.steps - self.steps
+            left = ex.step_budget - ex.steps
+            ex.step_budget -= left - left % period
+            ex.stopped_at = ex.step_budget
+            # the run ends within the steps left: no head needs a check
+            return left
+        self.heads += _LOOP_STRIDE
+        if self.heads == self.window:
+            self.window *= 2
+            self.keep(ex, env)
+        return _LOOP_STRIDE - 1
+
+
 # --- compilation ---
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -419,7 +505,16 @@ class _Compiler:
 
             def while_stmt(ex, frame):
                 ex.step(sid)
+                countdown, watch = _LOOP_WARMUP, None
                 while True:
+                    # the loop head: a run past its warm-up watches its state
+                    if countdown:
+                        countdown -= 1
+                    elif watch is None:
+                        watch = _LoopWatch(ex, frame.env)
+                        countdown = _LOOP_STRIDE - 1
+                    else:
+                        countdown = watch.head(ex, frame.env)
                     ex.step(sid)
                     cond, reads = f(ex, frame)
                     if type(cond) is not bool:
@@ -754,16 +849,15 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
             ex = _Executor(program, traced_functions=frozenset(),
                            step_budget=step_budget)
             status, reason = ex.run_test(name, traced=False)
-            statements, functions = ex.cov_statements, ex.cov_functions
         else:
-            tr, statements, functions = _record(program, name, app,
-                                                step_budget)
+            tr, ex = _record(program, name, app, step_budget)
             status, reason = tr.status, tr.reason
             if tr.failing:
                 failing_traces[name] = tr
         records[name] = CoverageRecord(
             test=name, status=status, reason=reason,
-            functions=functions | {name}, statements=statements)
+            functions=ex.cov_functions | {name},
+            statements=ex.cov_statements, stopped_at=ex.stopped_at)
     return CoverageProfile(tests=records)
 
 
@@ -785,12 +879,11 @@ def trace(program: A.Program, test: str, traced_functions,
 
 def _record(program, test, traced_functions, step_budget):
     """Run `test` with itself and `traced_functions` traced. Returns its
-    `Trace`, the statements it ran and the functions it entered."""
+    `Trace` and the `_Executor` that ran it."""
     traced = frozenset(traced_functions) | {test}
     ex = _Executor(program, traced_functions=traced, step_budget=step_budget)
     status, reason = ex.run_test(test, traced=True)
-    t = Trace(test=test, status=status, reason=reason, events=ex.events)
-    return t, ex.cov_statements, ex.cov_functions
+    return Trace(test=test, status=status, reason=reason, events=ex.events), ex
 
 
 # --- serialization ---

@@ -16,7 +16,9 @@ from semfl.cli import (
     config_from_args,
     main,
 )
+from semfl.lang import parse
 from semfl.pipeline import RunConfig
+from semfl.tracing import profile
 
 BUGGY = """
 fn foo(a) {
@@ -121,6 +123,54 @@ def test_localize_logs_event_counts(tmp_path, limits, lines):
     assert main(["localize", str(p), "--out", str(out), *limits]) == EXIT_OK
     log = (out / "log.txt").read_text().splitlines()
     assert all(line in log for line in lines), log
+
+
+WALK = """
+fn walk(n) {
+    let i = 0;
+    while (i != n) {
+        i = (i + 2) % 10;
+    }
+    return i;
+}
+
+fn up(n) {
+    let i = 0;
+    while (i != n) {
+        i = i + 1;
+    }
+    return i;
+}
+
+fn test_even() {
+    assert(walk(4) == 4);
+}
+
+fn test_odd() {
+    assert(walk(3) == 3);
+}
+
+fn test_below() {
+    assert(up(0 - 1) == 0 - 1);
+}
+"""
+
+
+def test_localize_logs_tests_stopped_at_a_repeated_loop_state(tmp_path):
+    # `walk(3)` cycles through five states; `up(-1)` counts up to its budget
+    p = tmp_path / "walk.mi"
+    p.write_text(WALK)
+    prof = profile(parse(WALK), step_budget=5000)
+    odd = prof.tests["test_odd"]
+    assert 0 < odd.stopped_at < 5000
+    assert prof.tests["test_below"].reason == "timeout"
+    out = tmp_path / "out"
+    assert main(["localize", str(p), "--out", str(out),
+                 "--step-budget", "5000"]) == EXIT_OK
+    log = (out / "log.txt").read_text().splitlines()
+    assert (f"repeated loop state: 1 timeout tests stopped after "
+            f"{odd.stopped_at} steps in all") in log
+    assert "stopped" not in (out / "report.json").read_text()
 
 
 def test_localize_reports_are_reproducible(buggy, tmp_path):

@@ -9,7 +9,7 @@ from semfl.bench import load_corpus_program, seed_faults
 from semfl.ddg import build_ddg
 from semfl.errors import NoFailingTests
 from semfl.lang import parse
-from semfl.pipeline import RunConfig, traced_function_set
+from semfl.pipeline import RunConfig, localize, traced_function_set
 from semfl.reduction import (
     adaptive_fold,
     budget_traces,
@@ -689,6 +689,57 @@ def test_fold_cannot_reach_limit_truncates():
     out = adaptive_fold(tr, RunConfig(trace_limit=1200))
     assert out.size() == 1200
     assert out.warning == "cannot reach trace limit by folding; truncated"
+
+
+SPIN = """
+fn spin(n) {
+    let i = n;
+    while (i > 0) {
+        i = i + 1;
+    }
+    return i;
+}
+
+fn test_spin() {
+    assert(spin(3) == 3);
+}
+"""
+
+
+@pytest.mark.parametrize("compression, step_budget", [(False, 2000),
+                                                     (True, 2001)])
+def test_fold_keeps_a_producer_for_the_timeout_evidence(compression,
+                                                        step_budget):
+    # the evidence reads the last value `spin` wrote before its steps ran
+    # out, and the summary folding `spin` is what is left to write it; at
+    # 2,001 steps that value is in an iteration compression removed
+    res = localize(parse(SPIN), RunConfig(
+        trace_limit=3, step_budget=step_budget,
+        loop_compression=compression))
+    (tr,) = res.traces
+    assert (tr.events[-1].reads[0] in tr.aliases) == compression
+    assert "adaptive folding: test_spin: folded ['spin'] -> 2 events" \
+        in res.log
+    summary, evidence = tr.events
+    assert summary.kind == CALL_SUMMARY and evidence.kind == ASSERT_FAIL
+    assert summary.writes == tuple(tr.aliases.get(v, v)
+                                   for v in evidence.reads)
+    ((anchor, _),) = res.ddg.evidence_anchors
+    assert res.ddg.producer[anchor] >= 0
+
+
+def test_fold_hands_the_timeout_evidence_out_of_nested_calls():
+    # `aa` ran out of steps inside a call of itself
+    inner = [TraceEvent(CALL_ENTER, 1, (2,), aux={"callee": "aa"}),
+             _exec(11, 3), TraceEvent(CALL_EXIT, 1, aux={"callee": "aa"})]
+    events = ([TraceEvent(CALL_ENTER, 1, (1,), aux={"callee": "aa"}),
+               _exec(11, 2)] + inner
+              + [TraceEvent(CALL_EXIT, 1, aux={"callee": "aa"}),
+                 TraceEvent(ASSERT_FAIL, 11, (3,))])
+    tr = Trace(test="test_t", status="fail", reason="timeout", events=events)
+    out = adaptive_fold(tr, RunConfig(trace_limit=2))
+    assert _kinds(out) == [CALL_SUMMARY, ASSERT_FAIL]
+    assert (out.events[0].reads, out.events[0].writes) == ((1,), (3,))
 
 
 # --- model budget ---

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from semfl.bench import load_corpus_program, seed_faults
+from semfl import tracing
 from semfl.errors import MiniImpSyntaxError, NoTests
 from semfl.lang import parse
 from semfl.lang.parser import MAX_NESTING
@@ -684,3 +685,192 @@ def test_timeout_in_an_untraced_call_marks_its_summary():
     assert outcome.kind == ASSERT_FAIL
     assert outcome.stmt == summary.stmt
     assert outcome.reads == (summary.writes[0],)
+
+
+# --- repeated loop states ---
+
+def _only_record(source, step_budget=10 ** 6):
+    """The only test's coverage record, from a profile run."""
+    (record,) = profile(parse(source), step_budget=step_budget).tests.values()
+    return record
+
+
+def test_repeated_loop_state_stops_long_before_the_budget():
+    record = _only_record("""
+fn flip(n) {
+    let i = 0;
+    while (n > 0) {
+        i = 1 - i;
+    }
+    return i;
+}
+
+fn test_flip() {
+    assert(flip(3) == 0);
+}
+""")
+    assert (record.status, record.reason) == ("fail", "timeout")
+    assert 0 < record.stopped_at < 1000
+
+
+def test_array_held_by_an_array_is_part_of_the_state():
+    # the frame's own array `a` never changes; the array it holds does
+    record = _only_record("""
+fn bump(b) {
+    b[0] = b[0] + 1;
+}
+
+fn test_nested() {
+    let a = [[0]];
+    let k = 0;
+    while (a[0][0] < 1000) {
+        bump(a[0]);
+        k = 0;
+    }
+    assert(a[0][0] == 1000);
+}
+""")
+    assert (record.status, record.stopped_at) == ("pass", 0)
+
+
+def test_scalars_that_repeat_over_a_changing_array_are_not_a_repeat():
+    record = _only_record("""
+fn test_fill() {
+    let a = [0, 0];
+    let i = 1;
+    while (a[0] < 1000) {
+        a[0] = a[i - 1] + 1;
+    }
+    assert(a[0] == 1000);
+}
+""")
+    assert (record.status, record.stopped_at) == ("pass", 0)
+
+
+@pytest.mark.parametrize("body", ["let b = [0];", "i = i + 1;"],
+                         ids=["array_allocated", "counter_grows"])
+def test_loop_that_never_repeats_runs_to_its_budget(body):
+    record = _only_record(f"""
+fn test_spin() {{
+    let b = [0];
+    let i = 0;
+    while (true) {{
+        {body}
+    }}
+}}
+""", step_budget=5000)
+    assert (record.status, record.reason, record.stopped_at) == \
+        ("fail", "timeout", 0)
+
+
+def test_true_and_one_are_different_states():
+    # `x == 1` holds for `true` as well; only `if (x)` tells them apart. At
+    # n = 70, x turns from 1 to true and n goes back to 62: the states of
+    # heads 64 ... 71 come again, with x = true, 8 heads later.
+    record = _only_record("""
+fn is_bool(x) {
+    try {
+        if (x) {
+            return true;
+        }
+        return true;
+    } catch (e) {
+        return false;
+    }
+}
+
+fn test_typed() {
+    let x = 1;
+    let n = 0;
+    while (n < 200) {
+        if (n == 70 && !is_bool(x)) {
+            x = true;
+            n = 62;
+        }
+        n = n + 1;
+    }
+    assert(n == 200);
+}
+""")
+    assert (record.status, record.stopped_at) == ("pass", 0)
+
+
+# The seed-0 bench mutants (`corpus_seeds(7, 0, step_budget=20000)`) with a
+# test that spins to its budget.
+TIMEOUT_MUTANTS = {
+    "sorting": ["s5[1 -> 0]"],
+    "recurrences": ["s28[1 -> 0]"],
+    "scheduler": ["s32[== -> !=]", "s28[0 -> 1]", "s3[> -> >=]",
+                  "s28[0 -> -1]", "s31[1 -> 2]"],
+}
+
+
+def _records(events):
+    return [e.to_record() for e in events]
+
+
+def _unwound(events):
+    """A timeout trace's events before its evidence, split into the run
+    and the exits of the calls it unwound."""
+    body = events[:-1]
+    i = len(body)
+    while i and body[i - 1].kind == CALL_EXIT:
+        i -= 1
+    return body[:i], body[i:]
+
+
+def test_stopping_at_a_repeated_state_ends_as_the_full_run(monkeypatch):
+    """Each test ends with the status, reason and coverage of a run whose
+    state comparison never matches, and its trace is that run's, cut short:
+    the run up to the stop, the same unwinding of calls, and evidence on a
+    value of the same statement."""
+    mutants = []
+    for name, cases in TIMEOUT_MUTANTS.items():
+        for seed in seed_faults(load_corpus_program(name), 7, 0,
+                                step_budget=20_000):
+            if f"s{seed.sid}[{seed.rewrite}]" in cases:
+                mutants.append(parse(seed.source, seed.base_path))
+    assert len(mutants) == 7
+
+    def run_all():
+        runs = {}
+        for i, mutant in enumerate(mutants):
+            for budget in range(2000, 2010):
+                traces = {}
+                prof = profile(mutant, step_budget=budget,
+                               failing_traces=traces)
+                runs[i, budget] = prof, traces
+        return runs
+
+    fast = run_all()
+    monkeypatch.setattr(tracing._LoopWatch, "same",
+                        lambda self, heap, values: False)
+    full = run_all()
+    stopped = 0
+    for key, (prof, traces) in fast.items():
+        full_prof, full_traces = full[key]
+        for test, record in prof.tests.items():
+            other = full_prof.tests[test]
+            assert (record.status, record.reason, record.functions,
+                    record.statements) == (other.status, other.reason,
+                                           other.functions, other.statements)
+            assert other.stopped_at == 0
+            if test not in traces:
+                assert test not in full_traces
+                continue
+            cut, whole = traces[test].events, full_traces[test].events
+            if not record.stopped_at:
+                assert _records(cut) == _records(whole)
+                continue
+            stopped += 1
+            assert record.reason == "timeout"
+            (run, exits), (whole_run, whole_exits) = (_unwound(cut),
+                                                      _unwound(whole))
+            assert len(cut) <= len(whole)
+            assert _records(run) == _records(whole_run[:len(run)])
+            assert _records(exits) == _records(whole_exits)
+            assert (cut[-1].kind, cut[-1].stmt) == (whole[-1].kind,
+                                                    whole[-1].stmt)
+    # every timeout test but the two of recurrences `s28[1 -> 0]`, whose
+    # counter grows, at each budget
+    assert stopped == 31 * 10
