@@ -58,12 +58,17 @@ def factor_messages(p0, offsets, v2f_t, v2f_f):
     zeros = np.add.reduceat(zero, starts, dtype=np.int64)
     q = 1.0 - p0
     all_true = np.where(zeros > 0, 0.0, np.exp(total))
-    others = np.where(np.repeat(zeros, arity) > zero, 0.0,
-                      np.exp(np.repeat(total, arity) - log_t))
+    others = np.repeat(total, arity)
+    others -= log_t
+    np.exp(others, out=others)
+    others[np.repeat(zeros, arity) > zero] = 0.0
+    del log_t, zero
     child_t = v2f_t[starts]
     b = p0 * child_t + q * v2f_f[starts]
     to_f = np.repeat(b, arity)
-    to_t = np.repeat(child_t - b, arity) * others + to_f
+    to_t = np.repeat(child_t - b, arity)
+    to_t *= others
+    to_t += to_f
     to_t[starts] = q * all_true + p0
     to_f[starts] = q * (1.0 - all_true)
     return to_t, to_f
@@ -124,17 +129,25 @@ class _Engine:
 
     def _logistic(self, odds, zt, zf):
         """Normalised (t, f) with log-odds `odds`: (0, 1) where zt, (1, 0)
-        where zf, and the counted fallback (0.5, 0.5) where both."""
-        both = zt & zf
+        where zf, and the counted fallback (0.5, 0.5) where both.
+        Overwrites all three; it makes two more arrays of their length."""
+        np.copyto(odds, np.inf, where=zf)
+        np.copyto(odds, -np.inf, where=zt)
+        both = np.logical_and(zt, zf, out=zf)
         self.fallbacks += int(np.count_nonzero(both))
-        odds = np.where(zt, -np.inf, np.where(zf, np.inf, odds))
-        odds[both] = 0.0
+        np.copyto(odds, 0.0, where=both)
+        up = np.greater_equal(odds, 0.0, out=zt)
         # e^-|x| / (1 + e^-|x|) and 1 / (1 + e^-|x|) never overflow
-        small = np.exp(-np.abs(odds))
-        large = 1.0 / (1.0 + small)
+        small = np.abs(odds, out=odds)
+        np.negative(small, out=small)
+        np.exp(small, out=small)
+        large = np.add(small, 1.0)
+        np.divide(1.0, large, out=large)
         small *= large
-        up = odds >= 0.0
-        return np.where(up, large, small), np.where(up, small, large)
+        # t is the larger where up, f the smaller
+        t = np.where(up, large, small)
+        np.copyto(large, small, where=up)
+        return t, large
 
     def _sums(self):
         """The log-odds of each factor-to-variable message with its zero
@@ -152,7 +165,11 @@ class _Engine:
     def _v2f(self):
         (odds, zt, zf), (total, nzt, nzf) = self._sums()
         ev = self.edge_var
-        return self._logistic(total[ev] - odds, nzt[ev] > zt, nzf[ev] > zf)
+        # each edge's sums less its own term, in the buffers of its term
+        np.subtract(total[ev], odds, out=odds)
+        np.greater(nzt[ev], zt, out=zt)
+        np.greater(nzf[ev], zf, out=zf)
+        return self._logistic(odds, zt, zf)
 
     def _iterate(self) -> float:
         """One flooding round; returns the largest message change."""

@@ -122,10 +122,12 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     log = []
     timings = {}
 
+    # Loops are compressed while the tests run, so no raw trace is held.
+    period = cfg.loop_period if cfg.loop_compression else 0
     t0 = time.perf_counter()
     recorded = {}  # failing test -> its trace from the profile run
     prof = tracing.profile(program, step_budget=cfg.step_budget,
-                           failing_traces=recorded)
+                           failing_traces=recorded, period=period)
     timings["profile"] = time.perf_counter() - t0
     stopped = [t.stopped_at for t in prof.failing if t.stopped_at]
     log.append(f"repeated loop state: {len(stopped)} timeout tests stopped "
@@ -140,26 +142,21 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     # A failing test's trace from the profile run, which traced every
     # non-test function, is the one `traced` gives: each call is traced or
     # not when it is made, and `traced` holds every function the test
-    # entered. Popped, so that no raw trace outlives its compression.
-    traces = [recorded.pop(test) if test in recorded
+    # entered.
+    traces = [recorded[test] if test in recorded
               else tracing.trace(program, test, traced,
-                                 step_budget=cfg.step_budget)
+                                 step_budget=cfg.step_budget, period=period)
               for test in selected]
-    events = [sum(t.size() for t in traces)]
+    events = [sum(t.raw_events for t in traces)]
     # Only a failing trace over the event limit is worth folding.
     dropped = [t.test for t in traces
-               if not t.failing and t.size() > cfg.trace_limit]
+               if not t.failing and t.raw_events > cfg.trace_limit]
     if dropped:
         traces = [t for t in traces if t.test not in dropped]
         log.append(f"dropped oversized passing traces: {dropped}")
     timings["trace"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if cfg.loop_compression:
-        traces = [reduction.compress_loops(t, program, log,
-                                           period=cfg.loop_period)
-                  for t in traces]
-    timings["compress"] = time.perf_counter() - t0
+    for t in traces:
+        reduction.log_compression(t, log)
     events.append(sum(t.size() for t in traces))
 
     t0 = time.perf_counter()

@@ -1,22 +1,29 @@
 """Scalability reducers: test selection, loop compression, adaptive folding,
 and the model-size budget deciding which traces enter the dependency graph.
+
+The pipeline's loops are compressed by the interpreter while each test runs
+(`tracing.LoopRun` holds the rule); `compress_loops` replays the same rule
+offline over a raw trace.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from .errors import NoFailingTests
 from .tracing import (
+    ASSERT_FAIL,
     BRANCH,
     CALL_ENTER,
     CALL_EXIT,
     CALL_SUMMARY,
+    EXCEPTION_CATCH,
     EXEC,
+    LoopRun,
     Trace,
     TraceEvent,
+    flatten_aliases,
 )
 
 if TYPE_CHECKING:
@@ -47,40 +54,10 @@ def select_tests(profile, cfg: RunConfig) -> list:
 
 # --- loop compression ---
 
-def _shape(events):
-    # The kind tells a failed assert from a passed one, so an iteration whose
-    # assert fails is never removed as a repeat of one whose assert passed.
-    return [(e.kind, e.stmt, len(e.reads), len(e.writes)) for e in events]
-
-
-def _lag(shapes, shape, period):
-    """The least p in 2..`period` for which an iteration of `shape`, with
-    the p - 1 iterations before it, repeats the p iterations before those;
-    0 when there is none. `shapes` ends with the shapes of the run's
-    iterations so far, the latest last."""
-    n = len(shapes)
-    for p in range(2, period + 1):
-        if n < 2 * p - 1:
-            break
-        if shape == shapes[-p] and all(shapes[-i] == shapes[-i - p]
-                                       for i in range(1, p)):
-            return p
-    return 0
-
-
-def _writes(events):
-    return [w for e in events for w in e.writes]
-
-
 def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
-    """Remove loop iterations that repeat the iterations before them.
-
-    Within one run of a loop, an iteration is removed when, for the least
-    p <= `period`, it and the p - 1 iterations before it have the same
-    shapes as the p iterations before those. Each value it writes is then
-    an alias of the value written in its place by the iteration p before
-    it, or by the kept iteration that one stands for. At period 1 this is
-    the paper's rule: an iteration shaped like the one before it.
+    """Remove loop iterations that repeat the iterations before them, by
+    `tracing.LoopRun`'s rule: the offline replay, over a raw trace, of what
+    `tracing.trace` does while a test runs when given the same `period`.
 
     One pass over the events keeps a stack of open calls; every call in the
     trace returns, as the interpreter closes each call it opens. A call's
@@ -124,7 +101,10 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
             # The loop runs while items carry its condition's or body's
             # statements; each branch event of its condition starts an
             # iteration. Items with foreign statement ids (virtual call
-            # blocks, caught exceptions from callees) stay in their iteration.
+            # blocks) stay in their iteration, and so do a caught exception
+            # and a test's failing evidence, from whatever frame they came:
+            # they were recorded in the iteration or right after an
+            # exception or a timeout cut it short.
             cond = item.stmt
             # Only a loop with a nested loop of its own needs its
             # iterations compressed; any other iteration is just flattened.
@@ -134,6 +114,9 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
                 nxt = items[i]
                 if isinstance(nxt, list):
                     sid = nxt[0].stmt
+                elif nxt.kind == EXCEPTION_CATCH or nxt.kind == ASSERT_FAIL:
+                    i += 1
+                    continue
                 else:
                     sid = nxt.stmt
                     if sid == cond and nxt.kind == BRANCH:
@@ -143,32 +126,14 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
                     break
                 i += 1
             starts.append(i)
-            # Per iteration of the run, removed ones included: its shape,
-            # and the writes of the kept iteration that stands for it
-            # (itself if kept).
-            shapes = deque(maxlen=2 * period - 1)
-            kept_writes = deque(maxlen=period)
+            run = LoopRun(period, aliases, removed)
             for a, b in zip(starts, starts[1:]):
                 if nested:
                     iteration = [items[a]] + compress(items[a + 1:b], fn_name)
                 else:
                     iteration = flat(items[a:b])
-                shape = _shape(iteration)
-                if shapes and shape == shapes[-1]:
-                    p = 1
-                else:
-                    p = _lag(shapes, shape, period)
-                if p:
-                    # the iteration p back has this shape, and so has the
-                    # kept iteration standing for it
-                    rep = kept_writes[-p]
-                    aliases.update(zip(_writes(iteration), rep))
-                    removed[p] = removed.get(p, 0) + 1
-                else:
+                if not run.repeats(iteration):
                     out.extend(iteration)
-                    rep = _writes(iteration)
-                shapes.append(shape)
-                kept_writes.append(rep)
         return out
 
     stack = [(None, [])]  # per open call: its enter event and its items
@@ -182,22 +147,24 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
         else:
             stack[-1][1].append(ev)
 
-    events = compress(stack[0][1], tr.test)
-    # A value an inner loop kept may go with an outer iteration removed
-    # later, so aliases chain: flatten those.
-    for vid, target in aliases.items():
-        if target in aliases:
-            while target in aliases:
-                target = aliases[target]
-            aliases[vid] = target
-    if log is not None and removed:
+    out = replace(tr, events=compress(stack[0][1], tr.test),
+                  aliases=flatten_aliases(aliases),
+                  raw_events=len(tr.events), removed=removed)
+    if log is not None:
+        log_compression(out, log)
+    return out
+
+
+def log_compression(tr: Trace, log):
+    """The `log.txt` line of a trace loop compression removed iterations
+    from."""
+    if tr.removed:
         longer = ", ".join(f"period {p}: {k}"
-                           for p, k in sorted(removed.items()) if p > 1)
+                           for p, k in sorted(tr.removed.items()) if p > 1)
         log.append(f"loop compression: {tr.test}: removed "
-                   f"{sum(removed.values())} "
-                   f"iterations ({len(tr.events)} -> {len(events)} events)"
+                   f"{sum(tr.removed.values())} "
+                   f"iterations ({tr.raw_events} -> {tr.size()} events)"
                    + (f" ({longer})" if longer else ""))
-    return replace(tr, events=events, aliases=aliases)
 
 
 # --- adaptive folding ---
@@ -230,30 +197,38 @@ def _make_summary(enter, exit_event, escaped) -> TraceEvent:
 def _fold_calls(events, target, evidence):
     """Each call of `target` becomes the traced calls nested in it, followed
     by its summary unless its caller is folded too. A value of `evidence`
-    written by a folded event is written by the summary standing for it:
-    a timeout's evidence reads the last value written, which a call that
-    ran out of steps never hands back."""
+    written by a folded event is written by the summary standing for it,
+    and a failed assert folded away comes right after that summary: the
+    evidence of a failing test reads a value of the call's own, the last
+    one written by a call that ran out of steps or the one a failed assert
+    read, which the call never hands back."""
     out = []
-    # per open call, root first: enter, folded, evidence values folded in it
-    stack = [(None, False, [])]
+    # per open call, root first: enter, folded, evidence values and failed
+    # asserts folded in it
+    stack = [(None, False, [], [])]
     for ev in events:
         if ev.kind == CALL_ENTER:
             folded = ev.aux["callee"] == target
-            stack.append((ev, folded, []))
+            stack.append((ev, folded, [], []))
             if not folded:
                 out.append(ev)
         elif ev.kind == CALL_EXIT:
-            enter, folded, escaped = stack.pop()
+            enter, folded, escaped, failed = stack.pop()
             if not folded:
                 out.append(ev)
             elif stack[-1][1]:
                 stack[-1][2].extend(escaped)
+                stack[-1][3].extend(failed)
             else:
                 out.append(_make_summary(enter, ev, escaped))
+                out.extend(failed)
         elif not stack[-1][1]:
             out.append(ev)
-        elif not evidence.isdisjoint(ev.writes):
-            stack[-1][2].extend(w for w in ev.writes if w in evidence)
+        else:
+            if ev.kind == ASSERT_FAIL:
+                stack[-1][3].append(ev)
+            if not evidence.isdisjoint(ev.writes):
+                stack[-1][2].extend(w for w in ev.writes if w in evidence)
     return out
 
 
@@ -266,10 +241,15 @@ def adaptive_fold(tr: Trace, cfg: RunConfig, log=None) -> Trace:
     order = sorted((name for name in counts if name != tr.test),
                    key=lambda n: (-counts[n], n))
     events = tr.events
-    # a timeout trace's last event is its evidence, unless it wrote nothing;
-    # the value it reads may stand for one loop compression kept
-    evidence = frozenset(tr.aliases.get(v, v) for v in events[-1].reads
-                         if tr.reason == "timeout")
+    # A timeout's evidence is the trace's last event, unless the test wrote
+    # nothing, and a failed assert is followed only by the exits of the
+    # calls it ended; the value it reads may stand for one loop compression
+    # kept.
+    evidence = frozenset()
+    if tr.reason in ("timeout", "assert"):
+        last = next((e for e in reversed(events) if e.kind != CALL_EXIT), None)
+        if last is not None and last.kind == ASSERT_FAIL:
+            evidence = frozenset(tr.aliases.get(v, v) for v in last.reads)
     folded = []
     for name in order:
         if len(events) <= cfg.trace_limit:

@@ -14,6 +14,13 @@ ASSERT_FAIL events too. Only call events carry `aux`: every one names its
 `array_versions` of its array arguments, and one left by a MiniImp
 exception adds the `thrown` value.
 
+Given a loop period K > 0, both compress loops while the test runs: in a
+traced frame, each iteration of a `while` run goes through `LoopRun`'s rule
+when it ends, and a removed one is deleted from the events at once, its
+writes becoming aliases of the kept values. The trace is the one
+`reduction.compress_loops` makes of the raw trace at K, and no raw trace is
+held.
+
 Both run function bodies compiled once per program into nested Python
 closures (`_Compiler`), so no AST node is dispatched on at run time. An
 expression compiles to `f(ex, frame) -> (value, reads)`, where `reads` is a
@@ -27,6 +34,7 @@ import hashlib
 import json
 import operator
 import sys
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -87,6 +95,11 @@ class Trace:
     # Loop compression maps each value written in a removed iteration to
     # the value the kept iteration wrote in its place; never a chain.
     aliases: dict = field(default_factory=dict)
+    # The raw run's event count (set by the interpreter and by
+    # `reduction.compress_loops`), and the loop iterations compression
+    # removed at each period p.
+    raw_events: int | None = None
+    removed: dict = field(default_factory=dict)
 
     @property
     def failing(self):
@@ -191,9 +204,10 @@ _NO_VALUE = (0, None)
 
 
 class _Executor:
-    """State of one test run: steps, value ids, events, heap and coverage."""
+    """State of one test run: steps, value ids, events, heap, coverage and
+    loop compression."""
 
-    def __init__(self, program, traced_functions, step_budget):
+    def __init__(self, program, traced_functions, step_budget, period=0):
         self.functions = program.functions
         self.compiled = program.compiled
         self.traced = traced_functions
@@ -206,6 +220,18 @@ class _Executor:
         self.cov_statements = set()
         self.cov_functions = set()  # functions entered, the test's excluded
         self.stopped_at = 0  # see `CoverageRecord.stopped_at`
+        # Loop compression with period K = `period` in traced frames (0:
+        # none), and what it leaves of the raw run: see `Trace`.
+        self.period = period
+        self.aliases = {}
+        self.removed = {}
+        self.dropped = 0  # events removed
+        # The raw run's last write among the removed events, as (pos,
+        # event): it came after events[pos - 1] and before events[pos].
+        self.last_drop = None
+        # (run, start) of the iterations an exception cut short in the
+        # frame it is leaving, innermost loop first; see `settle`
+        self.pending = []
 
     # --- bookkeeping ---
 
@@ -216,6 +242,49 @@ class _Executor:
             fn = self.functions[name]
             code = self.compiled[name] = (fn.params, _Compiler(fn).block(fn.body))
         return code
+
+    # --- loop compression ---
+
+    def end_iteration(self, run, start, end):
+        """Apply `run`'s rule to the iteration events[start:end], which has
+        just ended, and delete it if it repeats."""
+        events = self.events
+        iteration = events[start:end]
+        if not run.repeats(iteration):
+            return
+        last = len(iteration) - 1
+        while last >= 0 and not iteration[last].writes:
+            last -= 1
+        pos, ev = self.last_drop or (-1, None)
+        if pos > end:
+            pos -= end - start
+        elif last >= 0 and (pos < start or start + last >= pos):
+            pos, ev = start, iteration[last]
+        elif pos >= start:
+            pos = start  # it came after this iteration's last write
+        if ev is not None:
+            self.last_drop = (pos, ev)
+        del events[start:end]
+        self.dropped += end - start
+
+    def settle(self):
+        """End the iterations an exception cut short in the frame it is
+        leaving or was caught in, innermost loop first. The caught exception
+        or failing evidence recorded since is part of each, as in
+        `reduction.compress_loops`."""
+        for run, start in self.pending:
+            self.end_iteration(run, start, len(self.events))
+        self.pending.clear()
+
+    def last_write(self):
+        """The raw run's last event that wrote a value, or None."""
+        events = self.events
+        j = len(events) - 1
+        while j >= 0 and not events[j].writes:
+            j -= 1
+        if self.last_drop is not None and self.last_drop[0] > j:
+            return self.last_drop[1]
+        return events[j] if j >= 0 else None
 
     def new_vid(self):
         vid = self.vid_counter
@@ -284,6 +353,8 @@ class _Executor:
         except (MiniThrow, _AssertFailure, _Timeout) as exc:
             self.depth -= 1
             if traced_call:
+                if self.pending:
+                    self.settle()
                 aux = {"callee": name}
                 if type(exc) is MiniThrow:
                     aux["thrown"] = exc.vid
@@ -347,25 +418,110 @@ class _Executor:
                     break
         except _AssertFailure:
             status, reason = "fail", "assert"
+            self.settle()
         except MiniThrow as exc:
             status, reason = "fail", "exception"
             if traced:
                 self.events.append(TraceEvent(ASSERT_FAIL, exc.origin_sid,
                                               (exc.vid,), (), _NO_AUX))
+                self.settle()
         except _Timeout:
             status, reason = "fail", "timeout"
             # The observable wrong output of a non-terminating test is the
             # last value it produced; clamp it incorrect, mirroring the
             # uncaught-exception evidence.
-            for ev in reversed(self.events):
-                if ev.writes:
-                    self.events.append(TraceEvent(ASSERT_FAIL, ev.stmt,
-                                                  (ev.writes[-1],), (), _NO_AUX))
-                    break
+            ev = self.last_write()
+            if ev is not None:
+                self.events.append(TraceEvent(ASSERT_FAIL, ev.stmt,
+                                              (ev.writes[-1],), (), _NO_AUX))
+            self.settle()
         finally:
             sys.setrecursionlimit(py_limit)
         self.depth = 0
         return status, reason
+
+
+# --- loop compression ---
+
+def _shape(events):
+    # The kind tells a failed assert from a passed one, so an iteration whose
+    # assert fails is never removed as a repeat of one whose assert passed.
+    return [(e.kind, e.stmt, len(e.reads), len(e.writes)) for e in events]
+
+
+def _lag(shapes, shape, period):
+    """The least p in 2..`period` for which an iteration of `shape`, with
+    the p - 1 iterations before it, repeats the p iterations before those;
+    0 when there is none. `shapes` ends with the shapes of the run's
+    iterations so far, the latest last."""
+    n = len(shapes)
+    for p in range(2, period + 1):
+        if n < 2 * p - 1:
+            break
+        if shape == shapes[-p] and all(shapes[-i] == shapes[-i - p]
+                                       for i in range(1, p)):
+            return p
+    return 0
+
+
+def _writes(events):
+    return [w for e in events for w in e.writes]
+
+
+class LoopRun:
+    """Loop compression of one run of a loop, fed its iterations in order.
+
+    An iteration is removed when, for the least p <= `period`, it and the
+    p - 1 iterations before it have the same shapes as the p iterations
+    before those, removed ones included. Each value it writes is then an
+    alias of the value written in its place by the iteration p before it,
+    or by the kept iteration that one stands for. At period 1 this is the
+    paper's rule: an iteration shaped like the one before it.
+
+    The run keeps the shapes of its last 2K - 1 iterations and the writes
+    of the kept iterations standing for its last K, and adds to the
+    `aliases` and per-p `removed` counts it is given.
+    """
+
+    __slots__ = ("period", "shapes", "kept", "aliases", "removed")
+
+    def __init__(self, period, aliases, removed):
+        self.period = period
+        self.shapes = deque(maxlen=2 * period - 1)
+        self.kept = deque(maxlen=period)
+        self.aliases = aliases
+        self.removed = removed
+
+    def repeats(self, iteration) -> bool:
+        """Whether the next iteration, a list of events, is removed."""
+        shape = _shape(iteration)
+        shapes = self.shapes
+        if shapes and shape == shapes[-1]:
+            p = 1
+        else:
+            p = _lag(shapes, shape, self.period)
+        if p:
+            # the iteration p back has this shape, and so has the kept
+            # iteration standing for it
+            rep = self.kept[-p]
+            self.aliases.update(zip(_writes(iteration), rep))
+            self.removed[p] = self.removed.get(p, 0) + 1
+        else:
+            rep = _writes(iteration)
+        shapes.append(shape)
+        self.kept.append(rep)
+        return p > 0
+
+
+def flatten_aliases(aliases):
+    """Point every alias at a kept value: a value an inner loop kept may go
+    with an outer iteration removed later, so aliases chain."""
+    for vid, target in aliases.items():
+        if target in aliases:
+            while target in aliases:
+                target = aliases[target]
+            aliases[vid] = target
+    return aliases
 
 
 # --- repeated loop states ---
@@ -506,26 +662,48 @@ class _Compiler:
             def while_stmt(ex, frame):
                 ex.step(sid)
                 countdown, watch = _LOOP_WARMUP, None
-                while True:
-                    # the loop head: a run past its warm-up watches its state
-                    if countdown:
-                        countdown -= 1
-                    elif watch is None:
-                        watch = _LoopWatch(ex, frame.env)
-                        countdown = _LOOP_STRIDE - 1
-                    else:
-                        countdown = watch.head(ex, frame.env)
-                    ex.step(sid)
-                    cond, reads = f(ex, frame)
-                    if type(cond) is not bool:
-                        ex.throw(frame, sid, reads, _TYPE_ERROR)
-                    ex.exec_event(frame, sid, reads, BRANCH)
-                    if not cond:
-                        return None
-                    for g in body:
-                        ret = g(ex, frame)
-                        if ret is not None:
-                            return ret
+                # A traced frame compresses the run as it goes: an iteration
+                # runs from a branch event of the condition to the next one,
+                # the loop's exit, or an exception that cuts it short.
+                run, start, ret = None, -1, None
+                if ex.period and frame.traced:
+                    run = LoopRun(ex.period, ex.aliases, ex.removed)
+                try:
+                    while True:
+                        # the loop head: a run past its warm-up watches its
+                        # state
+                        if countdown:
+                            countdown -= 1
+                        elif watch is None:
+                            watch = _LoopWatch(ex, frame.env)
+                            countdown = _LOOP_STRIDE - 1
+                        else:
+                            countdown = watch.head(ex, frame.env)
+                        ex.step(sid)
+                        cond, reads = f(ex, frame)
+                        if type(cond) is not bool:
+                            ex.throw(frame, sid, reads, _TYPE_ERROR)
+                        ex.exec_event(frame, sid, reads, BRANCH)
+                        if run is not None:
+                            if start >= 0:
+                                ex.end_iteration(run, start, len(ex.events) - 1)
+                            start = len(ex.events) - 1
+                        if not cond:
+                            break
+                        for g in body:
+                            ret = g(ex, frame)
+                            if ret is not None:
+                                break
+                        else:
+                            continue
+                        break
+                except (MiniThrow, _AssertFailure, _Timeout):
+                    if start >= 0:
+                        ex.pending.append((run, start))
+                    raise
+                if run is not None:
+                    ex.end_iteration(run, start, len(ex.events))
+                return ret
             return while_stmt
         if isinstance(s, A.Return):
             if s.expr is None:
@@ -576,6 +754,8 @@ class _Compiler:
                 if frame.traced:
                     ex.events.append(TraceEvent(EXCEPTION_CATCH, exc.origin_sid,
                                                 (exc.vid,), (), _NO_AUX))
+                    if ex.pending:
+                        ex.settle()
                 frame.env[name] = (exc.value, exc.vid)
                 for g in handler:
                     ret = g(ex, frame)
@@ -831,13 +1011,14 @@ class _Compiler:
 # --- entry points ---
 
 def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
-            failing_traces=None) -> CoverageProfile:
+            failing_traces=None, period=0) -> CoverageProfile:
     """Run every test once with coverage-only instrumentation.
 
     Given a dict as `failing_traces`, each test instead runs with every
-    non-test function traced, as `trace` would run it, and the dict gets
-    the `Trace` of each failing test under the test's name; the events of
-    passing tests are dropped. Coverage is the same either way.
+    non-test function traced, as `trace` would run it with the same
+    `period`, and the dict gets the `Trace` of each failing test under the
+    test's name; the events of passing tests are dropped. Coverage is the
+    same either way.
     """
     tests = program.test_names
     if not tests:
@@ -850,7 +1031,7 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
                            step_budget=step_budget)
             status, reason = ex.run_test(name, traced=False)
         else:
-            tr, ex = _record(program, name, app, step_budget)
+            tr, ex = _record(program, name, app, step_budget, period)
             status, reason = tr.status, tr.reason
             if tr.failing:
                 failing_traces[name] = tr
@@ -870,20 +1051,26 @@ def run_test(program: A.Program, test: str,
 
 
 def trace(program: A.Program, test: str, traced_functions,
-          step_budget=DEFAULT_STEP_BUDGET) -> Trace:
-    """Run one test with full event recording for `traced_functions`."""
+          step_budget=DEFAULT_STEP_BUDGET, period=0) -> Trace:
+    """Run one test with full event recording for `traced_functions`. With
+    a `period` K > 0, loops are compressed as they run (`LoopRun`), to the
+    trace `reduction.compress_loops` makes of the raw one at K."""
     if test not in program.functions:
         raise MalformedTrace(f"unknown test {test!r}")
-    return _record(program, test, traced_functions, step_budget)[0]
+    return _record(program, test, traced_functions, step_budget, period)[0]
 
 
-def _record(program, test, traced_functions, step_budget):
+def _record(program, test, traced_functions, step_budget, period):
     """Run `test` with itself and `traced_functions` traced. Returns its
     `Trace` and the `_Executor` that ran it."""
     traced = frozenset(traced_functions) | {test}
-    ex = _Executor(program, traced_functions=traced, step_budget=step_budget)
+    ex = _Executor(program, traced_functions=traced, step_budget=step_budget,
+                   period=period)
     status, reason = ex.run_test(test, traced=True)
-    return Trace(test=test, status=status, reason=reason, events=ex.events), ex
+    tr = Trace(test=test, status=status, reason=reason, events=ex.events,
+               aliases=flatten_aliases(ex.aliases),
+               raw_events=len(ex.events) + ex.dropped, removed=ex.removed)
+    return tr, ex
 
 
 # --- serialization ---

@@ -5,6 +5,8 @@ functions here read a graph back as (test, vid) keys and (kind, source,
 target) edges, and `NetBuilder` assembles a hand-made network one variable
 and one factor at a time. `statement_ids` lists a function's statements,
 and `p_faulty` reads a statement's fault probability off a marginal.
+`assert_compressed_as_compress_loops` checks a trace the interpreter
+compressed while the test ran against the offline replay.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from semfl.lang.ast import walk_statements
 from semfl.model import FaultNet
+from semfl.reduction import compress_loops, log_compression
 
 
 def statement_ids(fn):
@@ -160,3 +163,18 @@ class NetBuilder:
                         np.array(self.evidence, np.int8), offsets,
                         np.array(edge_var, np.int64),
                         np.array([p0 for _, _, p0 in self.factors], np.float64))
+
+
+def assert_compressed_as_compress_loops(online, raw, program, period):
+    """`online`, recorded with loop period `period`, is one pass of
+    `compress_loops` over `raw`, the raw trace of the same run: the same
+    events, aliases and log line, and the raw run's size and outcome."""
+    log, online_log = [], []
+    offline = compress_loops(raw, program, log, period=period)
+    log_compression(online, online_log)
+    assert [e.to_record() for e in online.events] == \
+           [e.to_record() for e in offline.events], (raw.test, period)
+    assert online.aliases == offline.aliases, (raw.test, period)
+    assert online_log == log
+    assert (online.status, online.reason, online.raw_events) == \
+           (raw.status, raw.reason, raw.size())

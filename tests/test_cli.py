@@ -60,8 +60,7 @@ def test_localize_writes_reports(buggy, tmp_path, capsys):
         assert (out / name).exists(), name
     timings = (out / "timings.txt").read_text()
     assert [ln.split(":")[0] for ln in timings.splitlines()] == [
-        "profile", "trace", "compress", "fold", "budget", "ddg", "net",
-        "lbp", "rank"]
+        "profile", "trace", "fold", "budget", "ddg", "net", "lbp", "rank"]
     log = (out / "log.txt").read_text()
     assert "zero-sum normalisations" in log
     assert "belief propagation residuals: " in log

@@ -44,6 +44,8 @@ from semfl.tracing import (
     trace,
 )
 
+from helpers import assert_compressed_as_compress_loops
+
 DIGESTS = Path(__file__).parent / "data" / "interp_digests.json"
 STEP_BUDGETS = (20_000, 300)
 MUTANTS_PER_PROGRAM = 5
@@ -119,6 +121,21 @@ def test_interpreter_matches_golden_digests(name):
 def test_failing_traces_recorded_while_profiling_match_golden_digests(name):
     expected = json.loads(DIGESTS.read_text())[name]
     assert digests(name, record=True) == expected
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_interpreter_compresses_loops_as_compress_loops_does(name):
+    # every (program, test, budget) above, timeouts included
+    for _, program in corpus_programs(name):
+        for budget in STEP_BUDGETS:
+            traced = traced_function_set(profile(program, step_budget=budget))
+            for test in program.test_names:
+                raw = trace(program, test, traced, step_budget=budget)
+                for period in (1, 2, 3):
+                    online = trace(program, test, traced,
+                                   step_budget=budget, period=period)
+                    assert_compressed_as_compress_loops(online, raw, program,
+                                                        period)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from semfl.bench import load_corpus_program, seed_faults
+from semfl.bench import corpus_seeds, load_corpus_program, seed_faults
 from semfl.ddg import build_ddg
 from semfl.errors import NoFailingTests
 from semfl.lang import parse
@@ -34,6 +34,7 @@ from semfl.tracing import (
 
 from compress_reference import compress_loops as reference_compress_loops
 from helpers import (
+    assert_compressed_as_compress_loops,
     assert_same_graph,
     check_acyclic,
     statement_ids,
@@ -559,6 +560,131 @@ def test_compress_matches_reference_on_nested_loops(traced):
         _assert_compresses_like_reference(trace(prog, test, traced), prog)
 
 
+# --- loop compression while a test runs ---
+
+def test_bench_mutants_compress_loops_as_they_run():
+    # every failing trace the profile run records and every selected
+    # passing trace, as `localize` gets them
+    for seed in corpus_seeds(7, 0, step_budget=20_000):
+        mutant = parse(seed.source, seed.base_path)
+        prof = profile(mutant, step_budget=20_000)
+        traced = traced_function_set(prof)
+        app = {f for f in mutant.functions if not f.startswith("test_")}
+        raw = {t: trace(mutant, t, app if prof.tests[t].status == "fail"
+                        else traced, step_budget=20_000)
+               for t in select_tests(prof, RunConfig())}
+        for period in (1, 2, 3):
+            recorded = {}
+            profile(mutant, step_budget=20_000, failing_traces=recorded,
+                    period=period)
+            for test, tr in raw.items():
+                online = (recorded[test] if test in recorded
+                          else trace(mutant, test, traced, step_budget=20_000,
+                                     period=period))
+                assert_compressed_as_compress_loops(online, tr, mutant, period)
+
+
+# Loop runs an exception or a timeout cuts short, whose last iteration the
+# event recorded after them belongs to in a raw trace: a caught exception
+# (`f`, `h`, `rec`) or a test's failing evidence (`test_c`, `test_g`). A
+# timeout in the condition of `spin` or of `test_g`'s loop ends a whole
+# iteration, which goes; its last write is a timeout's evidence. In `rec`,
+# the exception is caught in the loop body but was thrown by a statement
+# after the loop, in a deeper call of the same function.
+UNWOUND_LOOPS = """
+fn f(n) {
+    let i = 0;
+    let s = 0;
+    try {
+        while (i < n) {
+            s = s + 1;
+            if (i == 7) {
+                throw 3;
+            }
+            i = i + 1;
+        }
+    } catch (e) {
+        s = s + e;
+    }
+    return s;
+}
+
+fn g(n) {
+    let i = 0;
+    while (i < n) {
+        i = i + 1;
+        if (i == 5) {
+            throw 9;
+        }
+    }
+    return i;
+}
+
+fn h(n) {
+    let o = 0;
+    let acc = 0;
+    while (o < n) {
+        try {
+            let j = 0;
+            while (j < 4) {
+                acc = acc + g(j + o);
+                j = j + 1;
+            }
+        } catch (e) {
+            acc = acc - 1;
+        }
+        o = o + 1;
+    }
+    return acc;
+}
+
+fn rec(n) {
+    let i = 0;
+    while (i < 3) {
+        if (n > 0) {
+            try {
+                rec(n - 1);
+            } catch (e) {
+                i = i + 0;
+            }
+        }
+        i = i + 1;
+    }
+    if (n == 0) {
+        throw 1;
+    }
+    return n;
+}
+
+fn spin(n) {
+    let s = 0;
+    while (true) {
+        s = s + n;
+    }
+    return s;
+}
+
+fn test_a() { assert(f(20) == 11); }
+fn test_b() { assert(h(6) == 0); }
+fn test_c() { let i = 0; while (i < 100) { i = i + 1; let z = g(i); } }
+fn test_d() { let k = 0; while (k < 50) { k = k + 1; } let q = spin(k); }
+fn test_e() { assert(rec(2) == 2); }
+fn test_g() { let k = 0; while (true) { k = k + 1; } }
+"""
+
+
+@pytest.mark.parametrize("test", parse(UNWOUND_LOOPS).test_names)
+def test_loops_cut_short_compress_as_compress_loops_does(test):
+    program = parse(UNWOUND_LOOPS)
+    traced = {f for f in program.functions if not f.startswith("test_")}
+    for budget in (*range(40, 130), 1000):
+        raw = trace(program, test, traced, step_budget=budget)
+        for period in (1, 2, 3):
+            online = trace(program, test, traced, step_budget=budget,
+                           period=period)
+            assert_compressed_as_compress_loops(online, raw, program, period)
+
+
 # --- adaptive folding ---
 
 def _exec(stmt, vid, reads=()):
@@ -740,6 +866,46 @@ def test_fold_hands_the_timeout_evidence_out_of_nested_calls():
     out = adaptive_fold(tr, RunConfig(trace_limit=2))
     assert _kinds(out) == [CALL_SUMMARY, ASSERT_FAIL]
     assert (out.events[0].reads, out.events[0].writes) == ((1,), (3,))
+
+
+# `inc` is wrong, and the assert `check` fails is the only failing evidence.
+FOLDED_ASSERT = """
+fn inc(x) {
+    return x + 2;
+}
+
+fn check(x) {
+    let i = 0;
+    while (i < 20) {
+        i = i + 1;
+    }
+    assert(x == 1);
+    return x;
+}
+
+fn test_a() {
+    check(inc(0));
+}
+
+fn test_b() {
+    assert(inc(-1) == 1);
+}
+"""
+
+
+def test_fold_keeps_a_failed_assert_of_a_folded_call():
+    res = localize(parse(FOLDED_ASSERT), RunConfig(
+        trace_limit=10, loop_compression=False))
+    assert "adaptive folding: test_a: folded ['check'] -> 5 events" \
+        in res.log
+    (tr,) = [t for t in res.traces if t.failing]
+    summary, evidence = tr.events[-2:]
+    assert (summary.kind, summary.aux["callee"]) == (CALL_SUMMARY, "check")
+    # the summary writes the value the assert read, right before the assert
+    assert evidence.kind == ASSERT_FAIL
+    assert summary.writes == evidence.reads
+    anchors = [idx for idx, ok in res.ddg.evidence_anchors if not ok]
+    assert len(anchors) == 1 and res.ddg.producer[anchors[0]] >= 0
 
 
 # --- model budget ---

@@ -3,6 +3,7 @@ partial tracing, arrays, exceptions, and serialization."""
 
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -874,3 +875,39 @@ def test_stopping_at_a_repeated_state_ends_as_the_full_run(monkeypatch):
     # every timeout test but the two of recurrences `s28[1 -> 0]`, whose
     # counter grows, at each budget
     assert stopped == 31 * 10
+
+
+# `s` keeps growing, so the loop state never repeats and the test spins to
+# its budget, about one event per step.
+GROWING_SPIN = """
+fn triangular(n) {
+    let s = 0;
+    let i = 0;
+    while (i != n) {
+        i = i + 1;
+        s = s + i;
+    }
+    return s;
+}
+
+fn test_spin() {
+    assert(triangular(-1) == 0);
+}
+"""
+
+
+def test_a_spin_whose_state_never_repeats_is_compressed_as_it_runs():
+    # Held raw, its 80,002 events take about 215 B each. Compressed while
+    # it runs, it keeps 10; what still grows is the aliases, one entry per
+    # removed write.
+    program = parse(GROWING_SPIN)
+    localize(program, RunConfig(step_budget=100))  # compiles the functions
+    tracemalloc.start()
+    try:
+        res = localize(program, RunConfig(step_budget=80_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ("events: raw 80002, after compress 10, after fold 10, "
+            "modelled 10") in res.log
+    assert peak <= 80_002 * 215 / 3
