@@ -62,7 +62,7 @@ def factor_messages(p0, offsets, v2f_t, v2f_f):
     others -= log_t
     np.exp(others, out=others)
     others[np.repeat(zeros, arity) > zero] = 0.0
-    del log_t, zero
+    del log_t, zero  # two edge arrays fewer while the messages are made
     child_t = v2f_t[starts]
     b = p0 * child_t + q * v2f_f[starts]
     to_f = np.repeat(b, arity)
