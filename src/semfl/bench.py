@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
-from .errors import NoViableMutants
+from .errors import NoViableMutants, SemflError
 from .lang import ast as A
 from .lang import format_program, parse
 from .pipeline import RunConfig, localize
@@ -122,7 +122,7 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
         try:
             viable = _mixed_outcomes(parse(source, program.source_path),
                                      step_budget)
-        except Exception:
+        except SemflError:
             continue
         if viable:
             seeds.append(FaultSeed(program.source_path, point.sid,

@@ -1,5 +1,5 @@
 from .ast import FunctionDef, Program, StatementInfo
-from .cfg import EXIT, ControlFlowGraph, build_cfg, compute_postdominators
+from .cfg import EXIT, ControlFlowGraph, build_cfg
 from .parser import parse
 from .printer import format_program
 
@@ -10,7 +10,6 @@ __all__ = [
     "Program",
     "StatementInfo",
     "build_cfg",
-    "compute_postdominators",
     "format_program",
     "parse",
 ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 
 # --- expressions ---
@@ -246,7 +247,13 @@ class FunctionDef:
     name: str
     params: list
     body: list
-    cfg: object = None  # ControlFlowGraph, attached after parsing
+
+    @cached_property
+    def cfg(self):
+        """The function's ControlFlowGraph, built on first use: only the
+        dependency graph reads it, for the functions a trace enters."""
+        from .cfg import build_cfg  # cfg imports this module
+        return build_cfg(self)
 
     def loop_bodies(self):
         """Map while-cond sid -> set of sids syntactically inside the loop."""

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import MiniImpSyntaxError
 
@@ -12,16 +12,20 @@ KEYWORDS = {
     "try", "catch", "true", "false",
 }
 
-TWO_CHAR = {"<=", ">=", "==", "!=", "&&", "||"}
-ONE_CHAR = set("+-*/%<>!=(){}[],;")
-# Only ASCII: `str.isdigit` and `str.isalnum` also accept other scripts.
-DIGITS = set(string.digits)
-NAME_START = set(string.ascii_letters + "_")
-NAME_CHARS = NAME_START | DIGITS
+# Blanks, then one token: the alternatives are tried in order. The classes
+# are spelled out because `\d`, `\w` and `\s` also match other scripts:
+# numbers and names are ASCII only. A character that starts no token is
+# matched by `error`.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<newline>\n)
+  | (?P<comment>//[^\n]*)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>[0-9]+)
+  | (?P<op>[<>=!]=|&&|\|\||[-+*/%<>!=(){}\[\],;])
+  | (?P<error>.))""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # 'int', 'name', 'kw', 'op', 'eof'
     text: str
     line: int
@@ -30,51 +34,31 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    match = None
+    # Without trailing blanks, every blank precedes a token, so a match
+    # never has to give blanks back to `error`.
+    for match in _TOKEN.finditer(source.rstrip(" \t\r")):
+        kind = match.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = match.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c in DIGITS:
-            j = i
-            while j < n and source[j] in DIGITS:
-                j += 1
-            tokens.append(Token("int", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in NAME_START:
-            j = i
-            while j < n and source[j] in NAME_CHARS:
-                j += 1
-            text = source[i:j]
-            tokens.append(Token("kw" if text in KEYWORDS else "name", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if source[i:i + 2] in TWO_CHAR:
-            tokens.append(Token("op", source[i:i + 2], line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in ONE_CHAR:
-            tokens.append(Token("op", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise MiniImpSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        text = match[kind]
+        col = match.end() - len(text) - line_start + 1
+        if kind == "name":
+            if text in KEYWORDS:
+                kind = "kw"
+        elif kind == "error":
+            raise MiniImpSyntaxError(f"unexpected character {text!r}", line, col)
+        tokens.append(Token(kind, text, line, col))
+    # End of input sits after the last character, or at the start of a
+    # comment that ends the text.
+    if match and match.lastgroup == "comment":
+        end = match.start("comment")
+    else:
+        end = len(source)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens

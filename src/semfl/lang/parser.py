@@ -1,10 +1,9 @@
-"""Recursive-descent parser producing a Program with statement table and CFGs."""
+"""Recursive-descent parser producing a Program with its statement table."""
 
 from __future__ import annotations
 
 from ..errors import DuplicateFunction, MiniImpSyntaxError, UndefinedNameAtParseScope
 from . import ast as A
-from .cfg import build_cfg
 from .lexer import Token, tokenize
 
 # Statements and expressions nest at most this deep. One level each: a
@@ -16,27 +15,43 @@ MAX_NESTING = 40
 
 
 class _Parser:
+    """One pass over the tokens: builds the functions, numbers their
+    statements in pre-order and checks the names they use."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.tok = tokens[0]  # the current token; the parser never moves past eof
         self.depth = 0  # levels open around the current token
-
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        self.statements = []  # by sid
+        self.infos = []  # StatementInfo by sid
+        # Scope checks follow source order: a name is defined after its
+        # `let`, parameter or catch clause, anywhere earlier in the
+        # function. Each statement expression is one slot; within a slot
+        # reads are checked before calls. Syntax errors come first, so
+        # scope errors wait for the end of the parse: `scope_error` is the
+        # first failed read or assignment, as (slot, message), and `calls`
+        # holds (slot, name, nargs, function) per call in source order,
+        # checked once every function's arity is known.
+        self.fn_name = ""
+        self.defined = set()
+        self.slot = 0
+        self.scope_error = None
+        self.calls = []
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
+        tok = tok or self.tok
         raise MiniImpSyntaxError(message, tok.line, tok.col)
 
     def expect(self, text) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text!r}")
+        if self.tok.text != text:
+            self.fail(f"expected {text!r}, found {self.tok.text!r}")
         return self.next()
 
     def enter(self):
@@ -46,16 +61,35 @@ class _Parser:
             self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     def expect_name(self) -> Token:
-        tok = self.peek()
-        if tok.type != "name":
-            self.fail(f"expected identifier, found {tok.text!r}")
+        if self.tok.type != "name":
+            self.fail(f"expected identifier, found {self.tok.text!r}")
         return self.next()
+
+    def note_undefined(self, slot, message):
+        if self.scope_error is None:
+            self.scope_error = (slot, message)
+
+    def check_scopes(self, functions):
+        """Raise the first scope error in source order, if any."""
+        arities = {fn.name: len(fn.params) for fn in functions}
+        first_read = self.scope_error[0] if self.scope_error else self.slot + 1
+        for slot, name, nargs, fn_name in self.calls:
+            if slot >= first_read:
+                break
+            if name not in arities:
+                raise UndefinedNameAtParseScope(
+                    f"call to undefined function {name!r} in {fn_name!r}")
+            if arities[name] != nargs:
+                raise UndefinedNameAtParseScope(
+                    f"function {name!r} takes {arities[name]} arguments, got {nargs}")
+        if self.scope_error:
+            raise UndefinedNameAtParseScope(self.scope_error[1])
 
     # --- top level ---
 
     def parse_program(self):
         functions = []
-        while self.peek().type != "eof":
+        while self.tok.type != "eof":
             functions.append(self.parse_function())
         return functions
 
@@ -64,14 +98,16 @@ class _Parser:
         name = self.expect_name().text
         self.expect("(")
         params = []
-        if self.peek().text != ")":
+        if self.tok.text != ")":
             params.append(self.expect_name().text)
-            while self.peek().text == ",":
+            while self.tok.text == ",":
                 self.next()
                 params.append(self.expect_name().text)
         if len(set(params)) != len(params):
             self.fail(f"duplicate parameter in function {name!r}")
         self.expect(")")
+        self.fn_name = name
+        self.defined = set(params)
         body = self.parse_block()
         return A.FunctionDef(name=name, params=params, body=body)
 
@@ -79,110 +115,136 @@ class _Parser:
         self.expect("{")
         self.enter()
         stmts = []
-        while self.peek().text != "}":
+        while self.tok.text != "}":
             stmts.append(self.parse_statement())
         self.depth -= 1
         self.expect("}")
         return stmts
 
     def statement_expr(self):
-        """A statement's expression: its levels count on top of the
-        blocks around the statement."""
-        tok = self.peek()
+        """A statement's expression, one slot: its levels count on top of
+        the blocks around the statement."""
+        tok = self.tok
+        self.slot += 1
         expr, height = self.parse_expr()
         if self.depth + height > MAX_NESTING:
             self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
         return expr
 
+    def check_target(self, name):
+        """Check the target of an assignment, before its first slot."""
+        if name not in self.defined:
+            self.note_undefined(self.slot + 1, f"assignment to undeclared variable "
+                                               f"{name!r} in {self.fn_name!r}")
+
+    def index_assign_follows(self):
+        """Whether `name[...]` at the current token is the target of an
+        index assignment: the token after the matching `]` is `=`."""
+        depth, j = 0, self.pos + 1
+        while j < len(self.tokens):
+            t = self.tokens[j].text
+            if t == "[":
+                depth += 1
+            elif t == "]":
+                depth -= 1
+                if depth == 0:
+                    break
+            j += 1
+        return j + 1 < len(self.tokens) and self.tokens[j + 1].text == "="
+
     # --- statements ---
 
     def parse_statement(self):
-        tok = self.peek()
-        if tok.text == "let":
-            self.next()
-            name = self.expect_name().text
-            self.expect("=")
-            expr = self.statement_expr()
-            self.expect(";")
-            return A.Let(name=name, expr=expr, line=tok.line)
-        if tok.text == "if":
-            self.next()
-            self.expect("(")
-            cond = self.statement_expr()
-            self.expect(")")
-            then = self.parse_block()
-            orelse = []
-            if self.peek().text == "else":
-                self.next()
-                orelse = self.parse_block()
-            return A.If(cond=cond, then=then, orelse=orelse, line=tok.line)
-        if tok.text == "while":
-            self.next()
-            self.expect("(")
-            cond = self.statement_expr()
-            self.expect(")")
-            body = self.parse_block()
-            return A.While(cond=cond, body=body, line=tok.line)
-        if tok.text == "return":
-            self.next()
-            expr = None
-            if self.peek().text != ";":
-                expr = self.statement_expr()
-            self.expect(";")
-            return A.Return(expr=expr, line=tok.line)
-        if tok.text == "assert":
-            self.next()
-            self.expect("(")
-            expr = self.statement_expr()
-            self.expect(")")
-            self.expect(";")
-            return A.Assert(expr=expr, line=tok.line)
-        if tok.text == "throw":
-            self.next()
-            expr = self.statement_expr()
-            self.expect(";")
-            return A.Throw(expr=expr, line=tok.line)
+        tok = self.tok
         if tok.text == "try":
+            # structural only: no sid, its statements number in order
             self.next()
             body = self.parse_block()
             self.expect("catch")
             self.expect("(")
             name = self.expect_name().text
             self.expect(")")
+            self.defined.add(name)
             handler = self.parse_block()
             return A.Try(body=body, catch_name=name, handler=handler, line=tok.line)
-        if tok.type == "name":
-            if self.peek(1).text == "=":
+        # a statement's sid comes before those of the statements inside it
+        sid = len(self.statements)
+        self.statements.append(None)
+        self.infos.append(None)
+        ahead = self.tokens[self.pos + 1].text if tok.type == "name" else ""
+        if tok.text == "let":
+            self.next()
+            name = self.expect_name().text
+            self.expect("=")
+            expr = self.statement_expr()
+            self.expect(";")
+            self.defined.add(name)
+            stmt = A.Let(name=name, expr=expr, line=tok.line)
+        elif tok.text == "if":
+            self.next()
+            self.expect("(")
+            cond = self.statement_expr()
+            self.expect(")")
+            then = self.parse_block()
+            orelse = []
+            if self.tok.text == "else":
                 self.next()
-                self.expect("=")
+                orelse = self.parse_block()
+            stmt = A.If(cond=cond, then=then, orelse=orelse, line=tok.line)
+        elif tok.text == "while":
+            self.next()
+            self.expect("(")
+            cond = self.statement_expr()
+            self.expect(")")
+            body = self.parse_block()
+            stmt = A.While(cond=cond, body=body, line=tok.line)
+        elif tok.text == "return":
+            self.next()
+            expr = None
+            if self.tok.text != ";":
                 expr = self.statement_expr()
-                self.expect(";")
-                return A.Assign(name=tok.text, expr=expr, line=tok.line)
-            if self.peek(1).text == "[":
-                # Could be `a[i] = e;` or an expression statement; scan for
-                # the matching bracket and check the token after it.
-                depth, j = 0, self.pos + 1
-                while j < len(self.tokens):
-                    t = self.tokens[j].text
-                    if t == "[":
-                        depth += 1
-                    elif t == "]":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    j += 1
-                if j + 1 < len(self.tokens) and self.tokens[j + 1].text == "=":
-                    self.next()
-                    self.expect("[")
-                    index = self.statement_expr()
-                    self.expect("]")
-                    self.expect("=")
-                    expr = self.statement_expr()
-                    self.expect(";")
-                    return A.IndexAssign(name=tok.text, index=index, expr=expr, line=tok.line)
-        expr = self.statement_expr()
-        self.expect(";")
-        return A.ExprStmt(expr=expr, line=tok.line)
+            self.expect(";")
+            stmt = A.Return(expr=expr, line=tok.line)
+        elif tok.text == "assert":
+            self.next()
+            self.expect("(")
+            expr = self.statement_expr()
+            self.expect(")")
+            self.expect(";")
+            stmt = A.Assert(expr=expr, line=tok.line)
+        elif tok.text == "throw":
+            self.next()
+            expr = self.statement_expr()
+            self.expect(";")
+            stmt = A.Throw(expr=expr, line=tok.line)
+        elif ahead == "=":
+            self.next()
+            self.expect("=")
+            self.check_target(tok.text)
+            expr = self.statement_expr()
+            self.expect(";")
+            stmt = A.Assign(name=tok.text, expr=expr, line=tok.line)
+        elif ahead == "[" and self.index_assign_follows():
+            self.next()
+            self.expect("[")
+            self.check_target(tok.text)
+            index = self.statement_expr()
+            self.expect("]")
+            self.expect("=")
+            expr = self.statement_expr()
+            self.expect(";")
+            stmt = A.IndexAssign(name=tok.text, index=index, expr=expr, line=tok.line)
+        else:
+            expr = self.statement_expr()
+            self.expect(";")
+            stmt = A.ExprStmt(expr=expr, line=tok.line)
+        stmt.sid = sid
+        value = getattr(stmt, stmt.slots[-1])  # the expression giving its value
+        self.statements[sid] = stmt
+        self.infos[sid] = A.StatementInfo(
+            function=self.fn_name, line=tok.line, kind=stmt.kind,
+            root_op=A.root_op(value) if value is not None else "lit")
+        return stmt
 
     # --- expressions (precedence climbing over `ast.PRECEDENCE`) ---
     # Each returns (expression, its nesting height in levels).
@@ -190,7 +252,7 @@ class _Parser:
     def parse_expr(self, min_prec=1):
         """An expression whose binary operators bind at least as tightly as
         `min_prec`; operators of one level associate to the left."""
-        tok = self.peek()
+        tok = self.tok
         if tok.type == "op" and tok.text in A.UNARY_OPS:
             self.next()
             self.enter()
@@ -198,8 +260,14 @@ class _Parser:
             self.depth -= 1
             left, height = A.Unary(op=tok.text, operand=operand), height + 1
         else:
-            left, height = self.parse_postfix()
-        while (prec := A.PRECEDENCE.get(self.peek().text, 0)) >= min_prec:
+            left, height = self.parse_primary()
+            while self.tok.text == "[":
+                self.next()
+                index, index_height = self.nested_expr()
+                self.expect("]")
+                left = A.Index(base=left, index=index)
+                height = max(height, index_height) + 1
+        while (prec := A.PRECEDENCE.get(self.tok.text, 0)) >= min_prec:
             op = self.next().text
             right, right_height = self.parse_expr(prec + 1)
             left = A.Binary(op=op, left=left, right=right)
@@ -213,18 +281,8 @@ class _Parser:
         self.depth -= 1
         return expr, height
 
-    def parse_postfix(self):
-        expr, height = self.parse_primary()
-        while self.peek().text == "[":
-            self.next()
-            index, index_height = self.nested_expr()
-            self.expect("]")
-            expr = A.Index(base=expr, index=index)
-            height = max(height, index_height) + 1
-        return expr, height
-
     def parse_primary(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.type == "int":
             value = int(tok.text)
             if value > A.INT_MAX:
@@ -248,10 +306,17 @@ class _Parser:
             return A.ArrayLit(items=items), height
         if tok.type == "name":
             self.next()
-            if self.peek().text == "(":
+            if self.tok.text == "(":
                 self.next()
+                # listed before the calls in its arguments
+                at = len(self.calls)
+                self.calls.append(None)
                 args, height = self.expr_list(")")
+                self.calls[at] = (self.slot, tok.text, len(args), self.fn_name)
                 return A.Call(name=tok.text, args=args), height
+            if tok.text not in self.defined:
+                self.note_undefined(self.slot, f"undefined variable {tok.text!r} "
+                                               f"in function {self.fn_name!r}")
             return A.Var(name=tok.text), 1
         self.fail(f"expected expression, found {tok.text!r}")
 
@@ -259,105 +324,31 @@ class _Parser:
         """Comma-separated expressions up to `close`, one level down: the
         items and the height of the list."""
         items, height = [], 0
-        if self.peek().text != close:
+        if self.tok.text != close:
             while True:
                 item, item_height = self.nested_expr()
                 items.append(item)
                 height = max(height, item_height)
-                if self.peek().text != ",":
+                if self.tok.text != ",":
                     break
                 self.next()
         self.expect(close)
         return tuple(items), height + 1
 
 
-def _assign_ids(functions):
-    table = {}
-    stmt_map = {}
-    next_id = 0
-    for fn in functions:
-        for stmt in A.walk_statements(fn.body):
-            stmt.sid = next_id
-            slots = A.statement_slots(stmt)
-            table[next_id] = A.StatementInfo(
-                function=fn.name,
-                line=stmt.line,
-                kind=stmt.kind,
-                root_op=A.root_op(slots[-1][1]) if slots else "lit",
-            )
-            stmt_map[next_id] = stmt
-            next_id += 1
-    return table, stmt_map
-
-
-def _expr_names(expr, reads, calls):
-    if isinstance(expr, A.Var):
-        reads.append(expr.name)
-    elif isinstance(expr, A.Call):
-        calls.append((expr.name, len(expr.args)))
-    for child in A.children(expr):
-        _expr_names(child, reads, calls)
-
-
-def _check_scopes(functions):
-    """Lexical-order definedness check for variable reads and call targets."""
-    arities = {fn.name: len(fn.params) for fn in functions}
-
-    def check_expr(expr, defined, fn_name):
-        reads, calls = [], []
-        _expr_names(expr, reads, calls)
-        for name in reads:
-            if name not in defined:
-                raise UndefinedNameAtParseScope(
-                    f"undefined variable {name!r} in function {fn_name!r}")
-        for name, nargs in calls:
-            if name not in arities:
-                raise UndefinedNameAtParseScope(
-                    f"call to undefined function {name!r} in {fn_name!r}")
-            if arities[name] != nargs:
-                raise UndefinedNameAtParseScope(
-                    f"function {name!r} takes {arities[name]} arguments, got {nargs}")
-
-    def check_block(stmts, defined, fn_name):
-        for s in stmts:
-            if isinstance(s, A.Try):
-                check_block(s.body, defined, fn_name)
-                defined.add(s.catch_name)
-                check_block(s.handler, defined, fn_name)
-                continue
-            if isinstance(s, (A.Assign, A.IndexAssign)) and s.name not in defined:
-                raise UndefinedNameAtParseScope(
-                    f"assignment to undeclared variable {s.name!r} in {fn_name!r}")
-            for _, expr in A.statement_slots(s):
-                check_expr(expr, defined, fn_name)
-            if isinstance(s, A.Let):
-                defined.add(s.name)
-            elif isinstance(s, A.If):
-                check_block(s.then, defined, fn_name)
-                check_block(s.orelse, defined, fn_name)
-            elif isinstance(s, A.While):
-                check_block(s.body, defined, fn_name)
-
-    for fn in functions:
-        check_block(fn.body, set(fn.params), fn.name)
-
-
 def parse(source: str, source_path: str = "<string>") -> A.Program:
-    tokens = tokenize(source)
-    functions = _Parser(tokens).parse_program()
+    parser = _Parser(tokenize(source))
+    functions = parser.parse_program()
     seen = set()
     for fn in functions:
         if fn.name in seen:
             raise DuplicateFunction(f"function {fn.name!r} defined twice")
         seen.add(fn.name)
-    table, stmt_map = _assign_ids(functions)
-    _check_scopes(functions)
-    for fn in functions:
-        fn.cfg = build_cfg(fn)
+    parser.check_scopes(functions)
     return A.Program(
         functions={fn.name: fn for fn in functions},
         source_path=source_path,
-        statement_table=table,
-        statements=stmt_map,
+        statement_table=dict(enumerate(parser.infos)),
+        statements=dict(enumerate(parser.statements)),
         source_text=source,
     )

@@ -134,6 +134,18 @@ fn test_ident() {
         seed_faults(prog, 3, rng_seed=0)
 
 
+def test_seed_faults_lets_an_internal_error_through(monkeypatch):
+    # A mutant that semfl rejects is skipped; a bug in semfl is not.
+    prog = parse(CORRECT, "correct.mi")
+
+    def broken(source, source_path):
+        raise TypeError("front-end bug")
+
+    monkeypatch.setattr("semfl.bench.parse", broken)
+    with pytest.raises(TypeError, match="front-end bug"):
+        seed_faults(prog, 3, rng_seed=5)
+
+
 # The mutants seed_faults drew for 7 per corpus program, mutation seeds 0-3,
 # at step budgets 20,000 and 300, when it still ran every test of every
 # candidate to its end (the profile of each mutant).

@@ -1,5 +1,5 @@
-"""Frontend tests: parsing, statement tables, pretty-print round-trips,
-control-flow graphs, and post-dominators."""
+"""Frontend tests: tokens, parsing, statement tables, pretty-print
+round-trips, control-flow graphs, and post-dominators."""
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,9 +11,11 @@ from semfl.errors import (
 )
 from semfl.lang import EXIT, format_program, parse
 from semfl.lang import ast as A
+from semfl.lang.lexer import tokenize
 from semfl.lang.printer import format_expr
 
 from helpers import statement_ids
+from lexer_reference import tokenize as reference_tokenize
 
 COND_TEST = """
 fn foo(a) {
@@ -73,6 +75,62 @@ def test_rejected_token_carries_position(source, line, col, message):
     with pytest.raises(MiniImpSyntaxError, match=message) as err:
         parse(source)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+def _lexed(lex, text):
+    """The tokens `lex` makes of `text`, or the error that rejects it."""
+    try:
+        return [(t.type, t.text, t.line, t.col) for t in lex(text)]
+    except MiniImpSyntaxError as err:
+        return (str(err), err.line, err.col)
+
+
+# MiniImp's characters and words, the line endings and blanks it accepts,
+# and characters it rejects: a lone `&` or `|`, non-ASCII letters and
+# digits, and other blanks.
+LEXER_PIECES = st.one_of(
+    st.sampled_from(list("azAZ_09+-*/%<>!=(){}[],;&|#. \t\r\n")),
+    st.sampled_from(["fn", "let", "while", "true", "x1", "_y", "007",
+                     "//", "// note", "\r\n", "&&", "||", "<=", "==",
+                     "\u00e9", "\u00b2", "\u0663", "\u00a0", "\x0b"]),
+    st.characters())
+
+
+@given(st.lists(LEXER_PIECES, max_size=40).map("".join))
+@example("fn f() { return 1; } // ends the file")
+@example("let x = a & b;")
+@example("a |\r\n| b")
+@example("x = 1; \t// note \r")
+def test_lexer_matches_reference(text):
+    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+
+# Syntax errors come first, then a duplicate function, then scope errors
+# in source order: within one expression, its reads before its calls.
+@pytest.mark.parametrize("source, error, message", [
+    ("fn f() { return x; }\nfn g() { let y = ; }", MiniImpSyntaxError,
+     "2:18: expected expression, found ';'"),
+    ("fn f() { return x; }\nfn f() { return 1; }", DuplicateFunction,
+     "function 'f' defined twice"),
+    ("fn g() { return f(x); }", UndefinedNameAtParseScope,
+     "undefined variable 'x' in function 'g'"),
+    ("fn f(a) { return a; }\nfn g() { return f(1, 2); }\n"
+     "fn h() { return z; }", UndefinedNameAtParseScope,
+     "function 'f' takes 1 arguments, got 2"),
+    # an index assignment's index is checked before its value
+    ("fn f(a) { a[g(1)] = x; return a; }", UndefinedNameAtParseScope,
+     "call to undefined function 'g' in 'f'"),
+    # an assignment's target before its value, an outer call before an
+    # inner one
+    ("fn f() { y = g(x); }", UndefinedNameAtParseScope,
+     "assignment to undeclared variable 'y' in 'f'"),
+    ("fn f() { return g(h(1)); }\nfn h() { return 0; }",
+     UndefinedNameAtParseScope, "call to undefined function 'g' in 'f'"),
+])
+def test_parse_errors_come_in_order(source, error, message):
+    with pytest.raises(error) as err:
+        parse(source)
+    assert str(err.value) == message
 
 
 def test_largest_literal_parses():
@@ -188,6 +246,16 @@ fn f(a, b) {
 
 def _fn(src, name="f"):
     return parse(src).functions[name]
+
+
+def test_cfg_is_built_on_first_use():
+    prog = parse(COND_TEST)
+    assert [name for name, fn in prog.functions.items()
+            if "cfg" in vars(fn)] == []
+    fn = prog.functions["foo"]
+    cond, assign, ret = statement_ids(fn)
+    assert fn.cfg.ipostdom == {cond: ret, assign: ret, ret: EXIT}
+    assert vars(fn)["cfg"] is fn.cfg
 
 
 def test_straight_line_ipostdom():
