@@ -31,7 +31,7 @@ OP_SWAPS = {
 class MutationPoint:
     sid: int
     slot: str  # which expression of the statement ("expr", "cond", "index")
-    path: tuple  # child indices from the slot root to the mutated node
+    expr: object  # the slot's expression after the rewrite
     rewrite: str  # human-readable description, e.g. "<= -> <"
 
 
@@ -48,16 +48,19 @@ class FaultSeed:
         return {self.sid}
 
 
-def _points_in_expr(expr, path):
-    points = []
+def _rewrites(expr):
+    """(rewritten `expr`, description) of each mutation in `expr`, in
+    pre-order: the node's own swap, literal +1 before -1, then its
+    children left to right."""
     if isinstance(expr, A.Binary) and expr.op in OP_SWAPS:
-        points.append((path, f"{expr.op} -> {OP_SWAPS[expr.op]}"))
+        op = OP_SWAPS[expr.op]
+        yield replace(expr, op=op), f"{expr.op} -> {op}"
     if isinstance(expr, A.IntLit):
-        points.append((path, f"{expr.value} -> {expr.value + 1}"))
-        points.append((path, f"{expr.value} -> {expr.value - 1}"))
+        for value in (expr.value + 1, expr.value - 1):
+            yield A.IntLit(value), f"{expr.value} -> {value}"
     for i, child in enumerate(A.children(expr)):
-        points.extend(_points_in_expr(child, path + (i,)))
-    return points
+        for mutant, rewrite in _rewrites(child):
+            yield A.with_child(expr, i, mutant), rewrite
 
 
 def enumerate_mutations(program) -> list:
@@ -67,23 +70,9 @@ def enumerate_mutations(program) -> list:
             continue
         for stmt in A.walk_statements(fn.body):
             for slot, expr in A.statement_slots(stmt):
-                for path, rewrite in _points_in_expr(expr, ()):
-                    points.append(MutationPoint(stmt.sid, slot, path, rewrite))
+                for mutant, rewrite in _rewrites(expr):
+                    points.append(MutationPoint(stmt.sid, slot, mutant, rewrite))
     return points
-
-
-def _mutate_node(expr, path, rewrite):
-    if not path:
-        if isinstance(expr, A.Binary):
-            return replace(expr, op=OP_SWAPS[expr.op])
-        if isinstance(expr, A.IntLit):
-            target = rewrite.split(" -> ")[1]
-            if target not in (str(expr.value + 1), str(expr.value - 1)):
-                raise ValueError(f"bad literal rewrite {rewrite!r}")
-            return A.IntLit(int(target))
-        raise TypeError(f"cannot mutate {expr!r}")
-    child = A.children(expr)[path[0]]
-    return A.with_child(expr, path[0], _mutate_node(child, path[1:], rewrite))
 
 
 def apply_mutation(program, point: MutationPoint) -> str:
@@ -92,7 +81,7 @@ def apply_mutation(program, point: MutationPoint) -> str:
     the program's own statement for formatting and restored afterwards."""
     stmt = program.statements[point.sid]
     original = getattr(stmt, point.slot)
-    setattr(stmt, point.slot, _mutate_node(original, point.path, point.rewrite))
+    setattr(stmt, point.slot, point.expr)
     try:
         return format_program(program)
     finally:

@@ -121,9 +121,9 @@ def cmd_sbfl(args) -> int:
     return EXIT_OK
 
 
-# (name, RunConfig overrides): each switch marked as an ablation, as its
-# flag sets it
-ABLATIONS = tuple(
+# (name, RunConfig overrides): loop compression off, then each switch
+# marked as an ablation, as its flag sets it
+ABLATIONS = (("no-loop-compression", {"loop_period": 0}),) + tuple(
     (f.metadata["flag"].removeprefix("--"), {f.name: _switch_value(f)})
     for f in fields(RunConfig) if f.metadata.get("ablation"))
 

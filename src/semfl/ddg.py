@@ -198,7 +198,7 @@ class _Builder:
             fs.pred_stack.pop()
 
     def _push_branch(self, fs, sid, value_idx):
-        ipd = self.program.functions[fs.fn].cfg.ipostdom.get(sid, EXIT)
+        ipd = self.program.functions[fs.fn].ipostdom.get(sid, EXIT)
         pop_at = None if ipd == EXIT else ipd
         entry = (sid, value_idx, pop_at)
         if fs.pred_stack and fs.pred_stack[-1][0] == sid:

@@ -1,15 +1,13 @@
 from .ast import FunctionDef, Program, StatementInfo
-from .cfg import EXIT, ControlFlowGraph, build_cfg
+from .cfg import EXIT
 from .parser import parse
 from .printer import format_program
 
 __all__ = [
     "EXIT",
-    "ControlFlowGraph",
     "FunctionDef",
     "Program",
     "StatementInfo",
-    "build_cfg",
     "format_program",
     "parse",
 ]

@@ -249,11 +249,12 @@ class FunctionDef:
     body: list
 
     @cached_property
-    def cfg(self):
-        """The function's ControlFlowGraph, built on first use: only the
-        dependency graph reads it, for the functions a trace enters."""
-        from .cfg import build_cfg  # cfg imports this module
-        return build_cfg(self)
+    def ipostdom(self):
+        """Map each statement id to its immediate post-dominator (`cfg.EXIT`
+        for none), built on first use: only the dependency graph reads it,
+        for the functions a trace enters."""
+        from .cfg import immediate_postdominators  # cfg imports this module
+        return immediate_postdominators(self)
 
     def loop_bodies(self):
         """Map while-cond sid -> set of sids syntactically inside the loop."""

@@ -1,23 +1,16 @@
-"""Per-function control-flow graphs and post-dominators."""
+"""Immediate post-dominators over a function's control flow."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from . import ast as A
 
 EXIT = -1  # synthetic exit node shared by return/throw/fall-through paths
 
 
-@dataclass
-class ControlFlowGraph:
-    entry: int
-    nodes: list = field(default_factory=list)  # statement ids plus EXIT
-    succ: dict = field(default_factory=dict)  # node -> list of successor nodes
-    ipostdom: dict = field(default_factory=dict)  # node -> immediate post-dominator
-
-
-def build_cfg(fn: A.FunctionDef) -> ControlFlowGraph:
+def immediate_postdominators(fn: A.FunctionDef) -> dict:
+    """Map each statement id of `fn` to its immediate post-dominator, EXIT
+    for none: an iterative post-dominance fixed point over the function's
+    control-flow graph."""
     succ = {}
 
     def link_block(stmts, follow, catch_target):
@@ -45,34 +38,18 @@ def build_cfg(fn: A.FunctionDef) -> ControlFlowGraph:
             succ[s.sid] = [follow]
         return s.sid
 
-    entry = link_block(fn.body, EXIT, None)
-    succ[EXIT] = []
-    cfg = ControlFlowGraph(entry=entry, nodes=sorted(succ), succ=succ)
-    return compute_postdominators(cfg)
-
-
-def compute_postdominators(cfg: ControlFlowGraph) -> ControlFlowGraph:
-    """Iterative post-dominance fixed point; fills ipostdom."""
-    nodes = [n for n in cfg.nodes if n != EXIT]
-    pdom = {EXIT: {EXIT}}
-    for n in nodes:
-        pdom[n] = set(cfg.nodes)
+    link_block(fn.body, EXIT, None)
+    nodes = sorted(succ)
+    pdom = {n: {EXIT, *nodes} for n in nodes}
+    pdom[EXIT] = {EXIT}
     changed = True
     while changed:
         changed = False
         for n in nodes:
-            succ_sets = [pdom[s] for s in cfg.succ[n]]
-            new = set.intersection(*succ_sets) if succ_sets else set()
-            new = new | {n}
+            new = set.intersection(*[pdom[s] for s in succ[n]]) | {n}
             if new != pdom[n]:
                 pdom[n] = new
                 changed = True
-
-    cfg.ipostdom = {}
-    for n in nodes:
-        strict = pdom[n] - {n}
-        # Strict post-dominators are totally ordered; the immediate one has
-        # the largest post-dominator set.
-        cfg.ipostdom[n] = max(strict, key=lambda c: len(pdom[c]))
-
-    return cfg
+    # Strict post-dominators are totally ordered; the immediate one has the
+    # largest post-dominator set.
+    return {n: max(pdom[n] - {n}, key=lambda c: len(pdom[c])) for n in nodes}

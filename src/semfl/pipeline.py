@@ -38,11 +38,9 @@ class RunConfig:
     loop_period: int = _option(
         3, "--loop-period",
         "longest period of loop iterations that compression removes "
-        "(paper: 1)")
+        "(paper: 1; 0 keeps every iteration)")
     # ablation switches, in the order `semfl bench --ablations` runs them
-    loop_compression: bool = _option(
-        True, "--no-loop-compression", "keep every loop iteration",
-        ablation=True)
+    # after the one that sets loop_period to 0
     adaptive_folding: bool = _option(
         True, "--no-adaptive-folding", "keep failing traces whole at any length",
         ablation=True)
@@ -86,12 +84,10 @@ class RunConfig:
             v = getattr(self, name)
             if not v > 0:
                 raise ValueError(f"{name} must be positive, got {v}")
-        if not self.loop_period >= 1:
-            raise ValueError(
-                f"loop_period must be at least 1, got {self.loop_period}")
-        if not self.max_passing_tests >= 0:
-            raise ValueError("max_passing_tests must be non-negative, "
-                             f"got {self.max_passing_tests}")
+        for name in ("loop_period", "max_passing_tests"):
+            v = getattr(self, name)
+            if not v >= 0:
+                raise ValueError(f"{name} must be non-negative, got {v}")
 
 
 @dataclass
@@ -123,11 +119,11 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     timings = {}
 
     # Loops are compressed while the tests run, so no raw trace is held.
-    period = cfg.loop_period if cfg.loop_compression else 0
     t0 = time.perf_counter()
     recorded = {}  # failing test -> its trace from the profile run
     prof = tracing.profile(program, step_budget=cfg.step_budget,
-                           failing_traces=recorded, period=period)
+                           failing_traces=recorded,
+                           period=cfg.loop_period)
     timings["profile"] = time.perf_counter() - t0
     stopped = [t.stopped_at for t in prof.failing if t.stopped_at]
     log.append(f"repeated loop state: {len(stopped)} timeout tests stopped "
@@ -145,7 +141,8 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     # entered.
     traces = [recorded[test] if test in recorded
               else tracing.trace(program, test, traced,
-                                 step_budget=cfg.step_budget, period=period)
+                                 step_budget=cfg.step_budget,
+                                 period=cfg.loop_period)
               for test in selected]
     events = [sum(t.raw_events for t in traces)]
     # Only a failing trace over the event limit is worth folding.

@@ -226,9 +226,9 @@ class _Executor:
         self.aliases = {}
         self.removed = {}
         self.dropped = 0  # events removed
-        # The raw run's last write among the removed events, as (pos,
-        # event): it came after events[pos - 1] and before events[pos].
-        self.last_drop = None
+        # The last event recorded that writes a value, kept when compression
+        # deletes it: the raw run's last write.
+        self.last_write = None
         # (run, start) of the iterations an exception cut short in the
         # frame it is leaving, innermost loop first; see `settle`
         self.pending = []
@@ -248,24 +248,9 @@ class _Executor:
     def end_iteration(self, run, start, end):
         """Apply `run`'s rule to the iteration events[start:end], which has
         just ended, and delete it if it repeats."""
-        events = self.events
-        iteration = events[start:end]
-        if not run.repeats(iteration):
-            return
-        last = len(iteration) - 1
-        while last >= 0 and not iteration[last].writes:
-            last -= 1
-        pos, ev = self.last_drop or (-1, None)
-        if pos > end:
-            pos -= end - start
-        elif last >= 0 and (pos < start or start + last >= pos):
-            pos, ev = start, iteration[last]
-        elif pos >= start:
-            pos = start  # it came after this iteration's last write
-        if ev is not None:
-            self.last_drop = (pos, ev)
-        del events[start:end]
-        self.dropped += end - start
+        if run.repeats(self.events[start:end]):
+            del self.events[start:end]
+            self.dropped += end - start
 
     def settle(self):
         """End the iterations an exception cut short in the frame it is
@@ -275,16 +260,6 @@ class _Executor:
         for run, start in self.pending:
             self.end_iteration(run, start, len(self.events))
         self.pending.clear()
-
-    def last_write(self):
-        """The raw run's last event that wrote a value, or None."""
-        events = self.events
-        j = len(events) - 1
-        while j >= 0 and not events[j].writes:
-            j -= 1
-        if self.last_drop is not None and self.last_drop[0] > j:
-            return self.last_drop[1]
-        return events[j] if j >= 0 else None
 
     def new_vid(self):
         vid = self.vid_counter
@@ -298,7 +273,8 @@ class _Executor:
         vid = self.vid_counter
         self.vid_counter = vid + 1
         if frame.traced:
-            self.events.append(TraceEvent(kind, sid, reads, (vid,), _NO_AUX))
+            self.last_write = ev = TraceEvent(kind, sid, reads, (vid,), _NO_AUX)
+            self.events.append(ev)
         return vid
 
     def step(self, sid):
@@ -400,8 +376,11 @@ class _Executor:
             vid = self.new_vid()
             self.heap[addr].version = vid
             writes.append(vid)
-        self.events.append(TraceEvent(CALL_SUMMARY, sid, reads, tuple(writes),
-                                      {"callee": name}))
+        ev = TraceEvent(CALL_SUMMARY, sid, reads, tuple(writes),
+                        {"callee": name})
+        self.events.append(ev)
+        if writes:  # none when a traced callee of it wrote what it threw
+            self.last_write = ev
 
     # --- test entry point ---
 
@@ -430,7 +409,7 @@ class _Executor:
             # The observable wrong output of a non-terminating test is the
             # last value it produced; clamp it incorrect, mirroring the
             # uncaught-exception evidence.
-            ev = self.last_write()
+            ev = self.last_write
             if ev is not None:
                 self.events.append(TraceEvent(ASSERT_FAIL, ev.stmt,
                                               (ev.writes[-1],), (), _NO_AUX))

@@ -182,7 +182,7 @@ def test_localize_reports_are_reproducible(buggy, tmp_path):
 
 def test_localize_flag_variants_run(buggy, capsys):
     assert main(["localize", buggy, "--no-adaptive-folding",
-                 "--no-loop-compression"]) == EXIT_OK
+                 "--loop-period", "0"]) == EXIT_OK
     variant = capsys.readouterr().out
     assert main(["localize", buggy]) == EXIT_OK
     default = capsys.readouterr().out
@@ -224,7 +224,7 @@ def test_invalid_config_rejected(buggy, capsys):
     ("--max-passing-tests", "-1", "max_passing_tests"),
     ("--trace-limit", "0", "trace_limit"),
     ("--model-limit", "-5", "model_limit"),
-    ("--loop-period", "0", "loop_period"),
+    ("--loop-period", "-1", "loop_period"),
     ("--step-budget", "0", "step_budget"),
     ("--max-iters", "0", "max_iterations"),
     ("--eps", "0", "convergence_eps"),
@@ -285,7 +285,7 @@ BARE_ARGS = {
 
 CONFIG_FLAGS = {
     "--max-passing-tests", "--trace-limit", "--model-limit", "--loop-period",
-    "--no-loop-compression", "--no-adaptive-folding",
+    "--no-adaptive-folding",
     "--no-virtual-call-edges", "--no-exception-control",
     "--no-test-reduction", "--max-iters", "--eps",
     "--p0-moderate", "--p0-low", "--prior", "--step-budget",
@@ -310,7 +310,8 @@ def test_config_flags_match_run_config(command):
 def test_removed_flags_rejected(buggy, capsys):
     parser = build_parser()
     for flags in (["--jobs", "2"], ["--seed", "2"], ["--naive-inference"],
-                  ["--exact"], ["--exact-cap", "3"]):
+                  ["--exact"], ["--exact-cap", "3"],
+                  ["--no-loop-compression"]):
         with pytest.raises(SystemExit):
             parser.parse_args(["localize", "prog.mi", *flags])
         capsys.readouterr()
@@ -349,6 +350,8 @@ def test_flags_set_their_fields():
     assert [name for name, _ in cli.ABLATIONS] == [
         "no-loop-compression", "no-adaptive-folding",
         "no-virtual-call-edges", "no-exception-control", "no-test-reduction"]
+    # loop compression is turned off by its period, not by a switch
+    assert cli.ABLATIONS[0][1] == {"loop_period": 0}
 
 
 def test_trace_to_stdout_and_file(buggy, tmp_path, capsys):

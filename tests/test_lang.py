@@ -251,19 +251,19 @@ def _fn(src, name="f"):
 def test_cfg_is_built_on_first_use():
     prog = parse(COND_TEST)
     assert [name for name, fn in prog.functions.items()
-            if "cfg" in vars(fn)] == []
+            if "ipostdom" in vars(fn)] == []
     fn = prog.functions["foo"]
     cond, assign, ret = statement_ids(fn)
-    assert fn.cfg.ipostdom == {cond: ret, assign: ret, ret: EXIT}
-    assert vars(fn)["cfg"] is fn.cfg
+    assert fn.ipostdom == {cond: ret, assign: ret, ret: EXIT}
+    assert vars(fn)["ipostdom"] is fn.ipostdom
 
 
 def test_straight_line_ipostdom():
     fn = _fn("fn f(a) { let x = a; let y = x; return y; }")
     s = statement_ids(fn)
-    assert fn.cfg.ipostdom[s[0]] == s[1]
-    assert fn.cfg.ipostdom[s[1]] == s[2]
-    assert fn.cfg.ipostdom[s[2]] == EXIT
+    assert fn.ipostdom[s[0]] == s[1]
+    assert fn.ipostdom[s[1]] == s[2]
+    assert fn.ipostdom[s[2]] == EXIT
 
 
 def test_branch_with_early_return_controls_rest():
@@ -278,7 +278,7 @@ fn f(c, a, b) {
 }
 """)
     cond, ret_a, let_x, ret_x = statement_ids(fn)
-    assert fn.cfg.ipostdom[cond] == EXIT
+    assert fn.ipostdom[cond] == EXIT
 
 
 def test_while_controls_body_only():
@@ -292,7 +292,7 @@ fn f(n) {
 }
 """)
     let_i, cond, body, ret = statement_ids(fn)
-    assert fn.cfg.ipostdom[cond] == ret
+    assert fn.ipostdom[cond] == ret
 
 
 def test_if_region_excludes_join():
@@ -308,7 +308,7 @@ fn f(c) {
 }
 """)
     let_x, cond, a1, a2, ret = statement_ids(fn)
-    assert fn.cfg.ipostdom[cond] == ret
+    assert fn.ipostdom[cond] == ret
 
 
 def test_postdominators_form_tree():
@@ -331,7 +331,7 @@ fn f(n) {
         while node != EXIT:
             assert node not in seen
             seen.add(node)
-            node = fn.cfg.ipostdom[node]
+            node = fn.ipostdom[node]
 
 
 names = st.sampled_from(["a", "b", "c"])

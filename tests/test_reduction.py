@@ -685,6 +685,47 @@ def test_loops_cut_short_compress_as_compress_loops_does(test):
             assert_compressed_as_compress_loops(online, raw, program, period)
 
 
+# `check` is untraced, and `spin` calls it in its loop condition: when the
+# steps run out in `check`, its summary is the last value written, at the
+# end of an iteration shaped like the ones before it, which goes when the
+# timeout leaves `spin`.
+SUMMARY_SPIN = """
+fn check(n) {
+    let i = 0;
+    while (i < n) {
+        i = i + 1;
+    }
+    return i == n;
+}
+
+fn spin(k) {
+    while (check(k)) {
+        k = k + 0;
+    }
+    return k;
+}
+
+fn test_spin() {
+    assert(spin(2) == 2);
+}
+"""
+
+
+def test_a_removed_summary_is_a_timeouts_last_write():
+    program = parse(SUMMARY_SPIN)
+    removed = 0
+    for budget in range(40, 100):
+        raw = trace(program, "test_spin", {"spin"}, step_budget=budget)
+        producer = {w: e for e in raw.events for w in e.writes}
+        summary = producer[raw.events[-1].reads[0]].kind == CALL_SUMMARY
+        for period in (1, 2, 3):
+            online = trace(program, "test_spin", {"spin"}, step_budget=budget,
+                           period=period)
+            assert_compressed_as_compress_loops(online, raw, program, period)
+            removed += summary and online.events[-1].reads[0] in online.aliases
+    assert removed
+
+
 # --- adaptive folding ---
 
 def _exec(stmt, vid, reads=()):
@@ -841,7 +882,7 @@ def test_fold_keeps_a_producer_for_the_timeout_evidence(compression,
     # 2,001 steps that value is in an iteration compression removed
     res = localize(parse(SPIN), RunConfig(
         trace_limit=3, step_budget=step_budget,
-        loop_compression=compression))
+        loop_period=3 if compression else 0))
     (tr,) = res.traces
     assert (tr.events[-1].reads[0] in tr.aliases) == compression
     assert "adaptive folding: test_spin: folded ['spin'] -> 2 events" \
@@ -895,7 +936,7 @@ fn test_b() {
 
 def test_fold_keeps_a_failed_assert_of_a_folded_call():
     res = localize(parse(FOLDED_ASSERT), RunConfig(
-        trace_limit=10, loop_compression=False))
+        trace_limit=10, loop_period=0))
     assert "adaptive folding: test_a: folded ['check'] -> 5 events" \
         in res.log
     (tr,) = [t for t in res.traces if t.failing]

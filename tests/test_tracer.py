@@ -606,7 +606,7 @@ def test_dump_trace_lines():
 def _localize_raw(program, **settings):
     """`localize` with no reducer changing its traces, after checking each
     of them against a fresh `trace` of its test."""
-    cfg = RunConfig(loop_compression=False, adaptive_folding=False,
+    cfg = RunConfig(loop_period=0, adaptive_folding=False,
                     model_limit=10 ** 9, **settings)
     res = localize(program, cfg)
     traced = traced_function_set(res.profile)
@@ -686,6 +686,47 @@ def test_timeout_in_an_untraced_call_marks_its_summary():
     assert outcome.kind == ASSERT_FAIL
     assert outcome.stmt == summary.stmt
     assert outcome.reads == (summary.writes[0],)
+
+
+# The untraced `g` passes on what the traced `h` throws, so the summary of
+# `g` writes nothing; at 5 steps the budget ends right after the catch.
+THROWN_THROUGH_UNTRACED = """
+fn h(x) {
+    throw x;
+}
+
+fn g(x) {
+    h(x);
+    return x;
+}
+
+fn f(x) {
+    let y = x + 1;
+    try {
+        g(y);
+    } catch (e) {
+        y = 0;
+    }
+    return y;
+}
+
+fn test_f() {
+    assert(f(1) == 0);
+}
+"""
+
+
+def test_timeout_after_a_summary_that_writes_nothing():
+    tr = trace(parse(THROWN_THROUGH_UNTRACED), "test_f", {"f", "h"},
+               step_budget=5)
+    assert tr.reason == "timeout"
+    (summary,) = [e for e in tr.events if e.kind == CALL_SUMMARY]
+    (catch,) = [e for e in tr.events if e.kind == EXCEPTION_CATCH]
+    assert summary.writes == () and tr.events.index(summary) < \
+        tr.events.index(catch)
+    # the last value written is the one `h` threw
+    assert tr.events[-1].kind == ASSERT_FAIL
+    assert tr.events[-1].reads == catch.reads
 
 
 # --- repeated loop states ---
