@@ -20,7 +20,6 @@ from .ranking import (
     rank,
     sbfl_report,
     sbfl_scores,
-    topk_eval,
 )
 from .tracing import CoverageProfile, Trace, profile, trace
 
@@ -49,6 +48,5 @@ __all__ = [
     "run_lbp",
     "sbfl_report",
     "sbfl_scores",
-    "topk_eval",
     "trace",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -13,7 +12,7 @@ from .errors import NoViableMutants, SemflError
 from .lang import ast as A
 from .lang import format_program, parse
 from .pipeline import RunConfig, localize
-from .ranking import DSTAR, OCHIAI, sbfl_report, topk_eval
+from .ranking import DSTAR, OCHIAI, sbfl_report
 from .tracing import DEFAULT_STEP_BUDGET, run_test
 
 # operator -> replacement; both directions listed explicitly
@@ -41,11 +40,6 @@ class FaultSeed:
     sid: int
     rewrite: str
     source: str  # full mutant program text
-    rng_seed: int
-
-    @property
-    def ground_truth(self):
-        return {self.sid}
 
 
 def _rewrites(expr):
@@ -115,7 +109,7 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
             continue
         if viable:
             seeds.append(FaultSeed(program.source_path, point.sid,
-                                   point.rewrite, source, rng_seed))
+                                   point.rewrite, source))
     if not seeds:
         raise NoViableMutants(
             f"no mutation of {program.source_path} flips some tests "
@@ -140,18 +134,19 @@ def load_corpus_program(name):
         if entry["name"] == name:
             path = corpus_dir() / entry["file"]
             return parse(path.read_text(), entry["file"])
-    raise KeyError(f"no corpus program named {name!r}")
+    raise ValueError(f"no corpus program named {name!r}")
 
 
 def corpus_seeds(per_program, rng_seed, names=None,
                  step_budget=DEFAULT_STEP_BUDGET) -> list:
     """Mutants of the named corpus programs (default all), per_program
-    each, in manifest order unless names gives another."""
-    seeds = []
-    for name in names or [e["name"] for e in load_manifest()]:
-        seeds.extend(seed_faults(load_corpus_program(name), per_program,
-                                 rng_seed, step_budget=step_budget))
-    return seeds
+    each, in manifest order unless names gives another. Every program is
+    loaded, so every name checked, before any mutant is drawn."""
+    programs = [load_corpus_program(name)
+                for name in names or [e["name"] for e in load_manifest()]]
+    return [seed for program in programs
+            for seed in seed_faults(program, per_program, rng_seed,
+                                    step_budget=step_budget)]
 
 
 # --- batch runs ---
@@ -162,6 +157,7 @@ RANKERS = ("semfl", "ochiai", "dstar")
 # position among its ties.
 TIE_POLICIES = ("id", "average", "worst")
 REASONS = ("assert", "exception", "timeout")
+KS = (1, 3, 5, 10)  # the top-k cut-offs every table reports
 
 
 @dataclass
@@ -169,11 +165,18 @@ class CaseResult:
     case: str
     config: str
     error: str = ""
-    hits: dict = field(default_factory=dict)  # ranker -> {k: bool}
-    ranks: dict = field(default_factory=dict)  # ranker -> best rank
-    timings: dict = field(default_factory=dict)
     reason: str = ""  # why the mutant fails, one of REASONS
     tie_ranks: dict = field(default_factory=dict)  # ranker -> {policy: rank}
+
+    @property
+    def ranks(self):
+        """ranker -> the fault's position in its report (ties by id)"""
+        return {r: t["id"] for r, t in self.tie_ranks.items()}
+
+    @property
+    def hits(self):
+        """ranker -> {k: whether the fault is within the first k}"""
+        return {r: {k: rank <= k for k in KS} for r, rank in self.ranks.items()}
 
     def to_record(self):
         return {"case": self.case, "config": self.config, "error": self.error,
@@ -182,16 +185,11 @@ class CaseResult:
                 "ranks": self.ranks}
 
 
-def _tie_ranks(report, ground_truth) -> dict:
-    """The best rank of a ground-truth statement under each tie policy."""
-    best = {}
-    for e in report.entries:
-        if e.sid in ground_truth:
-            worst = sum(1 for x in report.entries
-                        if x.probability >= e.probability)
-            for policy, r in zip(TIE_POLICIES, (e.rank, e.avg_rank, worst)):
-                best[policy] = min(best.get(policy, r), r)
-    return best
+def _tie_ranks(report, sid) -> dict:
+    """The rank of statement `sid` under each tie policy."""
+    e = next(e for e in report.entries if e.sid == sid)
+    worst = sum(1 for x in report.entries if x.probability >= e.probability)
+    return dict(zip(TIE_POLICIES, (e.rank, e.avg_rank, worst)))
 
 
 def _failure_reason(profile) -> str:
@@ -202,52 +200,40 @@ def _failure_reason(profile) -> str:
                 "assert")
 
 
-def run_case(seed: FaultSeed, cfg: RunConfig, ks=(1, 3, 5, 10)) -> CaseResult:
-    case = f"{seed.base_path}#s{seed.sid}[{seed.rewrite}]"
-    result = CaseResult(case=case, config="")
-    t0 = time.perf_counter()
+def run_case(seed: FaultSeed, cfg: RunConfig) -> CaseResult:
+    result = CaseResult(case=f"{seed.base_path}#s{seed.sid}[{seed.rewrite}]",
+                        config="")
     try:
         program = parse(seed.source, seed.base_path)
         res = localize(program, cfg)
-        gt = seed.ground_truth
         reports = [("semfl", res.report)] + [
             (name, sbfl_report(res.profile, formula, program))
             for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR))]
-        for name, report in reports:
-            result.hits[name] = topk_eval(report, gt, ks)
-            result.tie_ranks[name] = _tie_ranks(report, gt)
-            result.ranks[name] = result.tie_ranks[name]["id"]
+        result.tie_ranks = {name: _tie_ranks(report, seed.sid)
+                            for name, report in reports}
         result.reason = _failure_reason(res.profile)
-        result.timings = dict(res.timings)
     except Exception as exc:  # record, never abort the batch
         result.error = f"{type(exc).__name__}: {exc}"
-    result.timings["total"] = time.perf_counter() - t0
     return result
 
 
-def run_benchmark(seeds, configs, ks=(1, 3, 5, 10)) -> dict:
-    """configs: list of (name, RunConfig). Returns rows plus aggregate
-    top-k hit counts per (config, ranker)."""
+def run_benchmark(seeds, configs) -> dict:
+    """configs: list of (name, RunConfig). Returns rows, the tie tables,
+    and top-k hit counts per (config, ranker)."""
     rows = []
     for name, cfg in configs:
         for seed in seeds:
-            r = run_case(seed, cfg, ks)
+            r = run_case(seed, cfg)
             r.config = name
             rows.append(r)
-    aggregate = {}
-    for name, _ in configs:
-        for ranker in RANKERS:
-            counts = {k: 0 for k in ks}
-            for r in rows:
-                if r.config == name and not r.error:
-                    for k in ks:
-                        counts[k] += bool(r.hits.get(ranker, {}).get(k))
-            aggregate[(name, ranker)] = counts
-    return {"rows": rows, "aggregate": aggregate, "ks": list(ks),
-            "ties": _tie_tables(rows, [name for name, _ in configs], ks)}
+    ties = _tie_tables(rows, [name for name, _ in configs])
+    # the first table is the `ties: id` table over all failure reasons
+    aggregate = {(t["config"], t["ranker"]): {k: t["hits"][str(k)] for k in KS}
+                 for t in ties if t["policy"] == "id" and t["reason"] == "all"}
+    return {"rows": rows, "aggregate": aggregate, "ties": ties}
 
 
-def _tie_tables(rows, configs, ks) -> list:
+def _tie_tables(rows, configs) -> list:
     """Top-k hits and mean fault rank per tie policy, config, ranker and
     failure reason ("all" first), over the rows that ran."""
     records = []
@@ -262,35 +248,31 @@ def _tie_tables(rows, configs, ks) -> list:
                         "policy": policy, "config": name, "ranker": ranker,
                         "reason": reason, "cases": len(ranks),
                         "hits": {str(k): sum(x <= k for x in ranks)
-                                 for k in ks},
+                                 for k in KS},
                         "mean_rank": (round(sum(ranks) / len(ranks), 4)
                                       if ranks else None)})
     return records
 
 
 def format_results(results) -> str:
-    ks = results["ks"]
     lines = [f"{'config':<24} {'ranker':<8} " +
-             " ".join(f"top-{k:<3}" for k in ks) + " cases"]
-    seen_configs = []
+             " ".join(f"top-{k:<3}" for k in KS) + " cases"]
     for (cfg, ranker), counts in results["aggregate"].items():
-        if cfg not in seen_configs:
-            seen_configs.append(cfg)
         n = sum(1 for r in results["rows"] if r.config == cfg and not r.error)
         lines.append(f"{cfg:<24} {ranker:<8} " +
-                     " ".join(f"{counts[k]:<7}" for k in ks) + f" {n}")
+                     " ".join(f"{counts[k]:<7}" for k in KS) + f" {n}")
     for policy in TIE_POLICIES:
         lines.append("")
         lines.append(f"ties: {policy}")
         lines.append(f"{'config':<24} {'ranker':<8} {'reason':<10} " +
-                     " ".join(f"top-{k:<3}" for k in ks) + " mean   cases")
+                     " ".join(f"top-{k:<3}" for k in KS) + " mean   cases")
         for t in results["ties"]:
             if t["policy"] == policy:
                 mean = ("-" if t["mean_rank"] is None
                         else f"{t['mean_rank']:.2f}")
                 lines.append(
                     f"{t['config']:<24} {t['ranker']:<8} {t['reason']:<10} "
-                    + " ".join(f"{t['hits'][str(k)]:<7}" for k in ks)
+                    + " ".join(f"{t['hits'][str(k)]:<7}" for k in KS)
                     + f" {mean:<6} {t['cases']}")
     errors = [r for r in results["rows"] if r.error]
     for r in errors:
@@ -300,7 +282,7 @@ def format_results(results) -> str:
 
 def results_to_json(results) -> str:
     doc = {
-        "ks": results["ks"],
+        "ks": list(KS),
         "rows": [{**r.to_record(), "reason": r.reason,
                   "tie_ranks": r.tie_ranks} for r in results["rows"]],
         "aggregate": [

@@ -70,7 +70,7 @@ def cmd_localize(args) -> int:
     cfg = config_from_args(args)
     res = localize(program, cfg)
     print(res.report.to_table(), end="")
-    methods = method_level(res.report, program)
+    methods = method_level(res.report)
     combine = export_combine_scores(res.report)
     _write(args.out, "report.json", res.report.to_json())
     _write(args.out, "report.txt", res.report.to_table())

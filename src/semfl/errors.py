@@ -36,9 +36,5 @@ class ConflictingEvidence(SemflError):
     pass
 
 
-class EmptyGroundTruth(SemflError):
-    pass
-
-
 class NoViableMutants(SemflError):
     pass

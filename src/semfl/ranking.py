@@ -1,12 +1,10 @@
-"""Ranked fault reports, spectrum-based baselines, and evaluation metrics."""
+"""Ranked fault reports, spectrum-based baselines, and method-level scores."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-
-from .errors import EmptyGroundTruth
 
 OCHIAI = "ochiai"
 DSTAR = "dstar"
@@ -122,28 +120,17 @@ def sbfl_scores(profile, formula, program) -> dict:
     return scores
 
 
-def sbfl_report(profile, formula, program, metadata=None) -> Report:
+def sbfl_report(profile, formula, program) -> Report:
     scores = sbfl_scores(profile, formula, program)
     executed = set()
     for t in profile.tests.values():
         executed |= t.statements
     scored = sorted(((sid, s, sid in executed) for sid, s in scores.items()),
                     key=lambda x: (-x[1], x[0]))
-    meta = dict(metadata or {})
-    meta["formula"] = formula
-    return Report(_attach_ranks(scored, program), meta)
+    return Report(_attach_ranks(scored, program), {"formula": formula})
 
 
-def topk_eval(report: Report, ground_truth, ks=(1, 3, 5, 10)) -> dict:
-    """Hit at k iff any ground-truth statement ranks within the first k."""
-    if not ground_truth:
-        raise EmptyGroundTruth("ground truth must name at least one statement")
-    best = min((e.rank for e in report.entries if e.sid in ground_truth),
-               default=math.inf)
-    return {k: best <= k for k in ks}
-
-
-def method_level(report: Report, program) -> list:
+def method_level(report: Report) -> list:
     """Functions scored by their most suspicious statement."""
     scores = {}
     for e in report.entries:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from semfl import bench
 from semfl.bench import (
     MutationPoint,
     apply_mutation,
@@ -322,3 +323,35 @@ def test_perfbench_layers_name_semfl_callables():
         assert module.split(".")[0] == "semfl", span
         fn = getattr(importlib.import_module(module), name, None)
         assert callable(fn), span
+
+
+# sha256 of each case's report.json and bench record, as perfbench digests
+# them, at step budget 20,000
+PERFBENCH_DIGESTS = {
+    "digits.mi#s30[/ -> *]":
+        "1fc29745e0f9c72d3a6b716f045cc8af373800525091a16a46f1ccedf4b83b41",
+    "digits.mi#s14[1 -> 0]":
+        "df5b25197a7c2e251490eb2ccfe908355f4d12ebed557d792e3c7ef2e2b96902",
+}
+
+
+def test_perfbench_checks_and_digests_bench_cases(monkeypatch):
+    # perfbench captures `localize` through a rebound wrapper, checks each
+    # case's `ranks` and `hits` and digests its `to_record()`
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # run.py imports `tracer`
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  perfbench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    cfg = RunConfig(step_budget=20_000)
+    capture = run.Capture(bench.localize)
+    undo = run.rebind(bench.localize, capture)
+    try:
+        outcomes = [run.run_checked(bench, seed, cfg, capture) for seed in
+                    corpus_seeds(2, 0, ["digits"], step_budget=20_000)]
+    finally:
+        run.restore(undo)
+    assert [o.problems for o in outcomes] == [[], []]
+    assert [o.hits["top1_hits"] for o in outcomes] == [True, False]
+    assert {o.case: o.digest for o in outcomes} == PERFBENCH_DIGESTS

@@ -431,6 +431,16 @@ def test_empty_program_list_is_a_usage_error(command, monkeypatch, capsys):
         in captured.err
 
 
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_unknown_program_name_rejected(command, monkeypatch, capsys):
+    # every name is checked before the valid ones listed first are seeded
+    monkeypatch.setattr(cli.bench, "seed_faults", _no_seeding)
+    assert main([command, "--programs", "digits", "nosuch"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no corpus program named 'nosuch'\n"
+
+
 @pytest.mark.parametrize("grid", [
     ["--moderate-values"], ["--low-values"],
     ["--moderate-values", "--low-values"]])

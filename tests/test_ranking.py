@@ -1,5 +1,5 @@
-"""Ranking and metric tests: report ordering, spectrum-based baselines,
-top-k evaluation, method aggregation, and combine-score export."""
+"""Ranking tests: report ordering, spectrum-based baselines, method
+aggregation, and combine-score export."""
 
 import json
 import math
@@ -8,7 +8,6 @@ import pytest
 
 from semfl.bench import load_corpus_program, seed_faults
 from semfl.ddg import build_ddg
-from semfl.errors import EmptyGroundTruth
 from semfl.lang import parse
 from semfl.model import build_net
 from semfl.inference import run_lbp
@@ -22,7 +21,6 @@ from semfl.ranking import (
     rank,
     sbfl_report,
     sbfl_scores,
-    topk_eval,
 )
 from semfl.tracing import CoverageProfile, CoverageRecord, profile, trace
 
@@ -139,7 +137,7 @@ def test_sbfl_report_on_cond_example_is_all_tied():
         assert rep.metadata["formula"] == formula
 
 
-# --- metrics ---
+# --- method scores and combine export ---
 
 def _flat_report(n, fault_probs=()):
     probs = dict(fault_probs)
@@ -151,29 +149,6 @@ def _flat_report(n, fault_probs=()):
     return Report(entries)
 
 
-def test_topk_single_fault_at_rank_seven():
-    rep = _flat_report(10, {6: 0.9, 0: 0.95, 1: 0.94, 2: 0.93, 3: 0.92,
-                            4: 0.91, 5: 0.905})
-    assert rep.rank_of(6) == 7
-    assert topk_eval(rep, {6}) == {1: False, 3: False, 5: False, 10: True}
-
-
-def test_topk_uses_best_ranked_fault():
-    rep = _flat_report(12, {3: 0.8, 9: 0.2})
-    # two faulty statements at ranks 1 and 2 of the nonzero block
-    assert topk_eval(rep, {3, 9}, ks=(1, 2)) == {1: True, 2: True}
-
-
-def test_topk_requires_ground_truth():
-    with pytest.raises(EmptyGroundTruth):
-        topk_eval(_flat_report(3), set())
-
-
-def test_topk_fault_missing_from_report():
-    assert topk_eval(_flat_report(3), {99}) == {1: False, 3: False,
-                                                5: False, 10: False}
-
-
 def test_method_level_takes_max_per_function():
     entries = [
         ReportEntry(0, 1, "f", 0.9, 1, 1, True),
@@ -181,7 +156,7 @@ def test_method_level_takes_max_per_function():
         ReportEntry(2, 1, "g", 0.4, 2, 2, True),
     ]
     rep = Report(sorted(entries, key=lambda e: e.rank))
-    assert method_level(rep, None) == [("f", 0.9), ("g", 0.4)]
+    assert method_level(rep) == [("f", 0.9), ("g", 0.4)]
 
 
 def test_combine_scores_normalized_ranks():
@@ -192,6 +167,10 @@ def test_combine_scores_normalized_ranks():
     assert n10[0][1] == 1.0 and n10[-1][1] == pytest.approx(0.1)
     scores = [s for _, s in n10]
     assert scores == sorted(scores, reverse=True)
+    rep = _flat_report(10, {6: 0.9, 0: 0.95, 1: 0.94, 2: 0.93, 3: 0.92,
+                            4: 0.91, 5: 0.905})
+    assert rep.rank_of(6) == 7
+    assert dict(export_combine_scores(rep))[6] == pytest.approx(0.4)
 
 
 def test_report_json_is_stable():
