@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
-from .errors import NoViableMutants, SemflError
+from .errors import MiniImpSyntaxError, NoViableMutants
 from .lang import ast as A
 from .lang import format_program, parse
+from .lang.parser import parse_slot
+from .lang.printer import format_expr
 from .pipeline import RunConfig, localize
 from .ranking import DSTAR, OCHIAI, sbfl_report
 from .tracing import DEFAULT_STEP_BUDGET, run_test
@@ -69,17 +72,47 @@ def enumerate_mutations(program) -> list:
     return points
 
 
-def apply_mutation(program, point: MutationPoint) -> str:
-    """Return mutant source text; statement ids are preserved because the
-    mutation never changes program shape. The mutated slot is swapped on
-    the program's own statement for formatting and restored afterwards."""
+@contextmanager
+def mutated(program, point: MutationPoint):
+    """`program` as the mutant at `point`: the slot rewritten in place and
+    its function's compiled closures stashed, so that the interpreter
+    compiles the mutant's and every other function keeps its own. Both are
+    put back on exit. Statement ids are the program's, as the mutation
+    never changes its shape; the statement table is not rewritten. Tests
+    run as on the parsed mutant text, where the one difference, a literal
+    -1 that parses back as `-` applied to 1, evaluates alike."""
     stmt = program.statements[point.sid]
+    function = program.statement_table[point.sid].function
     original = getattr(stmt, point.slot)
+    stashed = program.compiled.pop(function, None)
     setattr(stmt, point.slot, point.expr)
     try:
-        return format_program(program)
+        yield program
     finally:
         setattr(stmt, point.slot, original)
+        if stashed is None:
+            program.compiled.pop(function, None)
+        else:
+            program.compiled[function] = stashed
+
+
+def apply_mutation(program, point: MutationPoint) -> str:
+    """Return mutant source text."""
+    with mutated(program, point):
+        return format_program(program)
+
+
+def _parses(program, point) -> bool:
+    """Whether `parse` takes the mutant's text. Every other slot prints
+    with no more nesting than its source had, so only the rewritten one
+    can fail: a literal rewritten past INT_MAX, or a `-1` or a swap that
+    needs parentheses nesting it past the parser's limit."""
+    try:
+        parse_slot(format_expr(point.expr),
+                   program.statement_table[point.sid].depth)
+    except MiniImpSyntaxError:
+        return False
+    return True
 
 
 def _mixed_outcomes(mutant, step_budget) -> bool:
@@ -93,7 +126,9 @@ def _mixed_outcomes(mutant, step_budget) -> bool:
 
 
 def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
-    """Draw up to n single-statement mutants with mixed test outcomes."""
+    """Draw up to n single-statement mutants with mixed test outcomes. A
+    candidate runs on `program` itself, `mutated`; only a drawn one is
+    printed."""
     points = enumerate_mutations(program)
     rng = random.Random(rng_seed)
     rng.shuffle(points)
@@ -101,15 +136,12 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
     for point in points:
         if len(seeds) >= n:
             break
-        source = apply_mutation(program, point)
-        try:
-            viable = _mixed_outcomes(parse(source, program.source_path),
-                                     step_budget)
-        except SemflError:
+        if not _parses(program, point):
             continue
-        if viable:
-            seeds.append(FaultSeed(program.source_path, point.sid,
-                                   point.rewrite, source))
+        with mutated(program, point):
+            if _mixed_outcomes(program, step_budget):
+                seeds.append(FaultSeed(program.source_path, point.sid,
+                                       point.rewrite, format_program(program)))
     if not seeds:
         raise NoViableMutants(
             f"no mutation of {program.source_path} flips some tests "

@@ -128,12 +128,20 @@ ABLATIONS = (("no-loop-compression", {"loop_period": 0}),) + tuple(
     for f in fields(RunConfig) if f.metadata.get("ablation"))
 
 
+def _check_distinct(flag, values):
+    """Reject a value listed twice, whose cases would run and count twice."""
+    for i, value in enumerate(values or ()):
+        if value in values[:i]:
+            raise ValueError(f"{flag} lists {value!r} more than once")
+
+
 def _run_corpus(args, base: RunConfig, configs, name) -> int:
     """Seed the corpus mutants, run each (name, config) of `configs` on
     them, print the table and write `<name>.json` and `<name>.txt`."""
     if args.per_program < 1:
         raise ValueError(
             f"per_program must be at least 1, got {args.per_program}")
+    _check_distinct("--programs", args.programs)
     seeds = bench.corpus_seeds(args.per_program, args.seed, args.programs,
                                step_budget=base.step_budget)
     results = bench.run_benchmark(seeds, configs)
@@ -159,6 +167,8 @@ def cmd_sweep(args) -> int:
     if not args.moderate_values or not args.low_values:
         raise ValueError("the p0 grid is empty: give at least one "
                          "--moderate-values and one --low-values value")
+    _check_distinct("--moderate-values", args.moderate_values)
+    _check_distinct("--low-values", args.low_values)
     configs = []
     for pm in args.moderate_values:
         for pl in args.low_values:

@@ -240,6 +240,7 @@ class StatementInfo:
     line: int
     kind: str
     root_op: str
+    depth: int  # blocks open around the statement, its function's included
 
 
 @dataclass

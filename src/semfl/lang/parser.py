@@ -243,7 +243,8 @@ class _Parser:
         self.statements[sid] = stmt
         self.infos[sid] = A.StatementInfo(
             function=self.fn_name, line=tok.line, kind=stmt.kind,
-            root_op=A.root_op(value) if value is not None else "lit")
+            root_op=A.root_op(value) if value is not None else "lit",
+            depth=self.depth)
         return stmt
 
     # --- expressions (precedence climbing over `ast.PRECEDENCE`) ---
@@ -334,6 +335,18 @@ class _Parser:
                 self.next()
         self.expect(close)
         return tuple(items), height + 1
+
+
+def parse_slot(text: str, depth: int):
+    """Parse `text` as the expression of a statement `depth` blocks deep,
+    with `parse`'s checks on syntax, literals and nesting; names are not
+    checked."""
+    parser = _Parser(tokenize(text))
+    parser.depth = depth
+    expr = parser.statement_expr()
+    if parser.tok.type != "eof":
+        parser.fail(f"expected end of expression, found {parser.tok.text!r}")
+    return expr
 
 
 def parse(source: str, source_path: str = "<string>") -> A.Program:

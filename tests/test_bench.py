@@ -23,11 +23,11 @@ from semfl.bench import (
     results_to_json,
     seed_faults,
 )
-from semfl.errors import NoViableMutants
+from semfl.errors import MiniImpSyntaxError, NoViableMutants
 from semfl.lang import format_program, parse
 from semfl.pipeline import RunConfig, localize
 from semfl.ranking import rank
-from semfl.tracing import profile
+from semfl.tracing import profile, run_test
 
 from helpers import statement_ids
 from lbp_reference import run_reference
@@ -139,12 +139,99 @@ def test_seed_faults_lets_an_internal_error_through(monkeypatch):
     # A mutant that semfl rejects is skipped; a bug in semfl is not.
     prog = parse(CORRECT, "correct.mi")
 
-    def broken(source, source_path):
-        raise TypeError("front-end bug")
+    def broken(program, test, step_budget):
+        raise TypeError("interpreter bug")
 
-    monkeypatch.setattr("semfl.bench.parse", broken)
-    with pytest.raises(TypeError, match="front-end bug"):
+    monkeypatch.setattr("semfl.bench.run_test", broken)
+    with pytest.raises(TypeError, match="interpreter bug"):
         seed_faults(prog, 3, rng_seed=5)
+
+
+def test_seed_faults_parses_no_candidate(monkeypatch):
+    prog = load_corpus_program("digits")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr("semfl.bench.parse", counting)
+    assert len(seed_faults(prog, 7, 0, step_budget=20_000)) == 7
+    assert calls == []
+
+
+def test_seeding_leaves_the_program_as_it_found_it():
+    # Candidates run on the program itself: no rewritten slot and no
+    # mutant's compiled closures may be left in it. Seeded first with
+    # nothing compiled, then with every function its tests call compiled.
+    text = format_program(load_corpus_program("intervals"))
+    expected = profile(parse(text)).tests
+    prog = parse(text)
+    for _ in range(2):
+        seed_faults(prog, 7, 0, step_budget=20_000)
+        assert format_program(prog) == text
+        assert profile(prog).tests == expected
+
+
+@pytest.mark.parametrize("name", ["scheduler", "recurrences"])
+def test_a_mutated_program_runs_as_its_reparsed_text(name):
+    prog = load_corpus_program(name)
+    profile(prog)  # compiled closures that the mutant must not run
+    for point in enumerate_mutations(prog):
+        reparsed = parse(apply_mutation(prog, point))
+        with bench.mutated(prog, point) as mutant:
+            for test in prog.test_names:
+                assert run_test(mutant, test, 300) \
+                    == run_test(reparsed, test, 300), (point, test)
+
+
+# `parse` rejects two one-slot rewrites: a literal past 64-bit range, and
+# `0 -> -1` where the literal is already as deeply nested as the parser
+# allows (its function's block and 39 levels: `-1` prints as one more
+# unary minus).
+OUT_OF_RANGE = """
+fn big() {
+    return 9223372036854775807;
+}
+
+fn test_value() {
+    assert(big() == 9223372036854775807);
+}
+
+fn test_sign() {
+    assert(big() > 0);
+}
+"""
+TOO_DEEP = """
+fn deep() {
+    return %s0;
+}
+
+fn test_value() {
+    assert(deep() == 0);
+}
+
+fn test_other() {
+    assert(true);
+}
+""" % ("-" * 38)
+
+
+@pytest.mark.parametrize("source, skipped, drawn", [
+    (OUT_OF_RANGE, "9223372036854775807 -> 9223372036854775808",
+     "9223372036854775807 -> 9223372036854775806"),
+    (TOO_DEEP, "0 -> -1", "0 -> 1"),
+], ids=["literal-range", "nesting"])
+def test_seeding_skips_a_mutant_parse_rejects(source, skipped, drawn):
+    prog = parse(source, "edge.mi")
+    point = next(p for p in enumerate_mutations(prog) if p.rewrite == skipped)
+    with pytest.raises(MiniImpSyntaxError):
+        parse(apply_mutation(prog, point))
+    # its tests would have mixed outcomes if it ran
+    with bench.mutated(prog, point) as mutant:
+        assert [run_test(mutant, t)[0] for t in mutant.test_names] \
+            == ["fail", "pass"]
+    assert [s.rewrite for s in seed_faults(prog, 2, 0)] == [drawn]
 
 
 # The mutants seed_faults drew for 7 per corpus program, mutation seeds 0-3,

@@ -441,6 +441,25 @@ def test_unknown_program_name_rejected(command, monkeypatch, capsys):
     assert captured.err == "error: no corpus program named 'nosuch'\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["bench", "--programs", "digits", "digits"],
+     "--programs lists 'digits' more than once"),
+    (["sweep", "--programs", "sorting", "digits", "sorting"],
+     "--programs lists 'sorting' more than once"),
+    (["sweep", "--moderate-values", "0.5", "0.50", "--low-values", "0.01"],
+     "--moderate-values lists 0.5 more than once"),
+    (["sweep", "--moderate-values", "0.5", "--low-values", "0.01", "1e-2"],
+     "--low-values lists 0.01 more than once"),
+], ids=["bench-programs", "sweep-programs", "moderate", "low"])
+def test_repeated_value_rejected(argv, err, monkeypatch, capsys):
+    # a repeated program or grid value would run and count its cases twice
+    monkeypatch.setattr(cli.bench, "corpus_seeds", _no_seeding)
+    assert main([*argv, "--per-program", "1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("grid", [
     ["--moderate-values"], ["--low-values"],
     ["--moderate-values", "--low-values"]])
