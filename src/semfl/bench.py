@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -63,7 +64,7 @@ def _rewrites(expr):
 def enumerate_mutations(program) -> list:
     points = []
     for fn in program.functions.values():
-        if fn.name.startswith("test_"):
+        if A.is_test(fn.name):
             continue
         for stmt in A.walk_statements(fn.body):
             for slot, expr in A.statement_slots(stmt):
@@ -128,25 +129,34 @@ def _mixed_outcomes(mutant, step_budget) -> bool:
 def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
     """Draw up to n single-statement mutants with mixed test outcomes. A
     candidate runs on `program` itself, `mutated`; only a drawn one is
-    printed."""
-    points = enumerate_mutations(program)
+    printed. Two drawn mutants with the same statement and rewrite get
+    the rewrite's occurrence in that statement as a suffix, "== -> != (2)",
+    so no two share a case name."""
+    points = []  # (point, its occurrence among the statement's alike)
+    occurrences = Counter()
+    for point in enumerate_mutations(program):
+        occurrences[point.sid, point.rewrite] += 1
+        points.append((point, occurrences[point.sid, point.rewrite]))
     rng = random.Random(rng_seed)
     rng.shuffle(points)
-    seeds = []
-    for point in points:
-        if len(seeds) >= n:
+    drawn = []  # (point, occurrence, mutant text)
+    for point, occurrence in points:
+        if len(drawn) >= n:
             break
         if not _parses(program, point):
             continue
         with mutated(program, point):
             if _mixed_outcomes(program, step_budget):
-                seeds.append(FaultSeed(program.source_path, point.sid,
-                                       point.rewrite, format_program(program)))
-    if not seeds:
+                drawn.append((point, occurrence, format_program(program)))
+    if not drawn:
         raise NoViableMutants(
             f"no mutation of {program.source_path} flips some tests "
             "while keeping others passing")
-    return seeds
+    alike = Counter((point.sid, point.rewrite) for point, _, _ in drawn)
+    return [FaultSeed(program.source_path, point.sid,
+                      point.rewrite if alike[point.sid, point.rewrite] == 1
+                      else f"{point.rewrite} ({occurrence})", source)
+            for point, occurrence, source in drawn]
 
 
 # --- corpus ---

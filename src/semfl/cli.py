@@ -11,6 +11,7 @@ from pathlib import Path
 from . import bench, tracing
 from .errors import MiniImpSyntaxError, NoFailingTests, SemflError
 from .lang import parse
+from .lang.ast import is_test
 from .pipeline import RunConfig, localize, traced_function_set
 from .ranking import DSTAR, OCHIAI, export_combine_scores, method_level, sbfl_report
 
@@ -23,31 +24,29 @@ EXIT_SYNTAX = 3
 SWEEP_MODERATE = (0.3, 0.4, 0.5, 0.6, 0.7)
 SWEEP_LOW = (0.001, 0.005, 0.01, 0.05, 0.1)
 
-
-def _switch_value(f):
-    """The value a switch's flag gives its field: the negation of a bool
-    default. None for a field whose flag takes a value."""
-    return not f.default if isinstance(f.default, bool) else None
+CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
 
 
-def add_config_args(p: argparse.ArgumentParser):
-    """One flag per `RunConfig` field, named, documented and defaulted by
-    the field."""
+def add_config_args(p: argparse.ArgumentParser, names=CONFIG_FIELDS):
+    """One flag per `RunConfig` field in `names`, the fields the command
+    reads, named, documented and defaulted by the field. A bool field is
+    a stage on by default, and its flag turns it off."""
     g = p.add_argument_group("pipeline configuration")
     for f in fields(RunConfig):
+        if f.name not in names:
+            continue
         flag, help = f.metadata["flag"], f.metadata["help"]
-        const = _switch_value(f)
-        if const is None:
+        if isinstance(f.default, bool):
+            g.add_argument(flag, dest=f.name, action="store_false", help=help)
+        else:
             g.add_argument(flag, dest=f.name, type=type(f.default),
                            default=f.default, help=help)
-        else:
-            g.add_argument(flag, dest=f.name, action="store_const",
-                           const=const, default=f.default, help=help)
 
 
 def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(**{f.name: getattr(args, f.name)
-                       for f in fields(RunConfig)})
+    """The flags' configuration; a field without a flag keeps its default."""
+    cfg = RunConfig(**{name: value for name, value in vars(args).items()
+                       if name in CONFIG_FIELDS})
     cfg.validate()
     return cfg
 
@@ -96,7 +95,7 @@ def cmd_trace(args) -> int:
     traced = traced_function_set(prof)
     if not traced:
         traced = frozenset(f for f in prof.tests[args.test].functions
-                           if not f.startswith("test_"))
+                           if not is_test(f))
     tr = tracing.trace(program, args.test, traced,
                        step_budget=cfg.step_budget)
     text = tracing.dump_trace(tr, program)
@@ -121,11 +120,12 @@ def cmd_sbfl(args) -> int:
     return EXIT_OK
 
 
-# (name, RunConfig overrides): loop compression off, then each switch
-# marked as an ablation, as its flag sets it
+# (name, RunConfig overrides): loop compression off, each switch marked as
+# an ablation off, then test reduction off
 ABLATIONS = (("no-loop-compression", {"loop_period": 0}),) + tuple(
-    (f.metadata["flag"].removeprefix("--"), {f.name: _switch_value(f)})
-    for f in fields(RunConfig) if f.metadata.get("ablation"))
+    (f.metadata["flag"].removeprefix("--"), {f.name: False})
+    for f in fields(RunConfig) if f.metadata.get("ablation")) + (
+    ("no-test-reduction", {"max_passing_tests": None}),)
 
 
 def _check_distinct(flag, values):
@@ -194,14 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("program")
     tp.add_argument("--test", required=True)
     tp.add_argument("--out", help="trace output file (default stdout)")
-    add_config_args(tp)
+    add_config_args(tp, {"step_budget"})
     tp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("sbfl", help="spectrum-based baseline ranking")
     sp.add_argument("program")
     sp.add_argument("--formula", choices=["ochiai", "dstar"], default="ochiai")
     sp.add_argument("--out", help="directory for report files")
-    add_config_args(sp)
+    add_config_args(sp, {"step_budget"})
     sp.set_defaults(func=cmd_sbfl)
 
     bp = sub.add_parser("bench", help="seeded-fault benchmark on the corpus")
@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--low-values", type=float, nargs="*",
                     default=list(SWEEP_LOW))
     wp.add_argument("--out", help="directory for result files")
-    add_config_args(wp)
+    # the grid sets both p0 values of every config
+    add_config_args(wp, CONFIG_FIELDS - {"p0_moderate", "p0_low"})
     wp.set_defaults(func=cmd_sweep)
     return p
 

@@ -135,8 +135,11 @@ class _Builder:
                 raise MalformedTrace(f"{test}: unknown statement {ev.stmt}")
             same_frame = info.function == fs.fn
 
+            # An exception_catch event carries the throw's statement,
+            # which may be another frame's, so it closes no region.
             if same_frame and ev.kind in (EXEC, BRANCH, CALL_ENTER,
-                                          CALL_SUMMARY):
+                                          CALL_SUMMARY, ASSERT_PASS,
+                                          ASSERT_FAIL):
                 self._pop_reached(fs, ev.stmt)
 
             if ev.kind == EXEC or ev.kind == BRANCH:

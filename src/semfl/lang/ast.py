@@ -266,6 +266,12 @@ class FunctionDef:
         return out
 
 
+def is_test(name) -> bool:
+    """Whether function `name` is test code, which runs but is never a
+    fault candidate: a function named `test_...`."""
+    return name.startswith("test_")
+
+
 @dataclass
 class Program:
     functions: dict  # name -> FunctionDef, in source order
@@ -279,11 +285,11 @@ class Program:
 
     @property
     def test_names(self):
-        return [n for n in self.functions if n.startswith("test_")]
+        return [n for n in self.functions if is_test(n)]
 
     def app_statement_ids(self):
         """Fault-candidate statements: everything outside test functions."""
         return sorted(
             sid for sid, info in self.statement_table.items()
-            if not info.function.startswith("test_")
+            if not is_test(info.function)
         )

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field
 from . import reduction, tracing
 from .ddg import build_ddg
 from .inference import InferenceResult, run_lbp
+from .lang.ast import is_test
 from .model import build_net
 from .ranking import Report, rank
 
@@ -23,10 +24,10 @@ def _option(default, flag, help, **metadata):
 @dataclass
 class RunConfig:
     """Every pipeline parameter with its paper or artifact default. Each
-    stage reads the fields it needs; the CLI makes one flag per field."""
+    stage reads the fields it needs; a command has a flag per field it reads."""
 
-    # reducers
-    max_passing_tests: int = _option(
+    # reducers; max_passing_tests None keeps every passing test
+    max_passing_tests: int | None = _option(
         50, "--max-passing-tests",
         "passing tests kept by test reduction (paper default 50)")
     trace_limit: int = _option(
@@ -40,7 +41,7 @@ class RunConfig:
         "longest period of loop iterations that compression removes "
         "(paper: 1; 0 keeps every iteration)")
     # ablation switches, in the order `semfl bench --ablations` runs them
-    # after the one that sets loop_period to 0
+    # (`cli.ABLATIONS`)
     adaptive_folding: bool = _option(
         True, "--no-adaptive-folding", "keep failing traces whole at any length",
         ablation=True)
@@ -51,10 +52,6 @@ class RunConfig:
     exception_control: bool = _option(
         True, "--no-exception-control",
         "caught exceptions control no later statement", ablation=True)
-    test_reduction: bool = _option(
-        True, "--no-test-reduction",
-        "keep every passing test that shares a function with a failing one",
-        ablation=True)
     # inference
     max_iterations: int = _option(
         100, "--max-iters",
@@ -86,6 +83,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive, got {v}")
         for name in ("loop_period", "max_passing_tests"):
             v = getattr(self, name)
+            if v is None and name == "max_passing_tests":
+                continue  # no limit
             if not v >= 0:
                 raise ValueError(f"{name} must be non-negative, got {v}")
 
@@ -109,7 +108,7 @@ def traced_function_set(profile):
     entered = set()
     for t in profile.failing:
         entered |= t.functions
-    return frozenset(f for f in entered if not f.startswith("test_"))
+    return frozenset(f for f in entered if not is_test(f))
 
 
 def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:

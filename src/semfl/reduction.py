@@ -34,7 +34,8 @@ def select_tests(profile, cfg: RunConfig) -> list:
     """Failing tests first, then passing tests by coverage overlap with them.
 
     Passing tests that share no covered function with any failing test carry
-    no information and are dropped; at most `max_passing_tests` survive.
+    no information and are dropped; at most `max_passing_tests` survive,
+    every one when it is None.
     """
     failing = sorted(t.test for t in profile.failing)
     if not failing:
@@ -48,8 +49,7 @@ def select_tests(profile, cfg: RunConfig) -> list:
         if overlap > 0:
             scored.append((-overlap, t.test))
     scored.sort()
-    limit = cfg.max_passing_tests if cfg.test_reduction else len(scored)
-    return failing + [name for _, name in scored[:limit]]
+    return failing + [name for _, name in scored[:cfg.max_passing_tests]]
 
 
 # --- loop compression ---

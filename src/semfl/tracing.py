@@ -597,7 +597,7 @@ class _Compiler:
 
     def __init__(self, fn):
         # Literal arguments of calls made by test code are root inputs.
-        self.in_test = fn.name.startswith("test_")
+        self.in_test = A.is_test(fn.name)
         self.sid = -1  # statement being compiled; its events carry this id
 
     def block(self, stmts):
@@ -1002,7 +1002,7 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
     tests = program.test_names
     if not tests:
         raise NoTests("program defines no test_ functions")
-    app = frozenset(n for n in program.functions if not n.startswith("test_"))
+    app = frozenset(n for n in program.functions if not A.is_test(n))
     records = {}
     for name in tests:
         if failing_traces is None:

@@ -42,6 +42,18 @@ def test_every_run_config_field_is_read():
             if f.name not in reads.names] == []
 
 
+def test_test_code_is_defined_once():
+    # `lang.ast.is_test` alone tells test code by its "test_" prefix.
+    uses = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path != SRC / "lang" / "ast.py":
+            tree = ast.parse(path.read_text(), str(path))
+            uses += [f"{path.relative_to(SRC)}:{node.lineno}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and node.value == "test_"]
+    assert uses == []
+
+
 def _tree(name):
     path = SRC / name
     return ast.parse(path.read_text(), str(path))

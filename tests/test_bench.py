@@ -234,6 +234,22 @@ def test_seeding_skips_a_mutant_parse_rejects(source, skipped, drawn):
     assert [s.rewrite for s in seed_faults(prog, 2, 0)] == [drawn]
 
 
+def test_alike_drawn_mutants_are_named_by_occurrence():
+    # Seed 8 draws two of the three `==` of `a == b || b == c || a == c`.
+    prog = load_corpus_program("geometry")
+    drawn = seed_faults(prog, 7, 8, step_budget=300)
+    names = [f"s{s.sid}[{s.rewrite}]" for s in drawn]
+    assert len(set(names)) == len(names)
+    alike = [p for p in enumerate_mutations(prog)
+             if p.sid == 23 and p.rewrite == "== -> !="]
+    assert len(alike) == 3
+    suffixed = {s.rewrite: s.source for s in drawn if "(" in s.rewrite}
+    assert sorted(suffixed) == ["== -> != (1)", "== -> != (2)"]
+    for k in (1, 2):
+        assert suffixed[f"== -> != ({k})"] == apply_mutation(prog,
+                                                             alike[k - 1])
+
+
 # The mutants seed_faults drew for 7 per corpus program, mutation seeds 0-3,
 # at step budgets 20,000 and 300, when it still ran every test of every
 # candidate to its end (the profile of each mutant).
@@ -330,7 +346,7 @@ def test_run_case_reports_all_rankers():
 def test_run_benchmark_shape_and_determinism():
     seeds = _seeds()
     configs = [("default", RunConfig()),
-               ("no-test-reduction", RunConfig(test_reduction=False))]
+               ("no-test-reduction", RunConfig(max_passing_tests=None))]
     res = run_benchmark(seeds, configs)
     assert len(res["rows"]) == len(seeds) * len(configs)
     assert set(res["aggregate"]) == {(c, r) for c, _ in configs
@@ -416,9 +432,9 @@ def test_perfbench_layers_name_semfl_callables():
 # them, at step budget 20,000
 PERFBENCH_DIGESTS = {
     "digits.mi#s30[/ -> *]":
-        "1fc29745e0f9c72d3a6b716f045cc8af373800525091a16a46f1ccedf4b83b41",
+        "a24ec071c9f9bd18d0b8a9e18dc4fdbe29d480d5edb8ef62c836cfe348f61f30",
     "digits.mi#s14[1 -> 0]":
-        "df5b25197a7c2e251490eb2ccfe908355f4d12ebed557d792e3c7ef2e2b96902",
+        "309bda8f7fef73c2fa969f33ed27c323a75c6be7ba86a956072f4f0fabb33dde",
 }
 
 

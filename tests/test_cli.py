@@ -238,7 +238,12 @@ def test_out_of_range_limit_rejected(buggy, capsys, command, flag, value,
         argv += ["--test", "test_fail"]
     assert main(argv) == EXIT_INTERNAL
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+    if field not in COMMAND_FIELDS[command]:
+        # trace and sbfl offer only the step budget
+        assert f"unrecognized arguments: {flag} {value}" in err
+    else:
+        assert err.startswith(f"error: {field} must be ")
+        assert err.count("\n") == 1
 
 
 def test_unexpected_exception_is_one_line(buggy, monkeypatch, capsys):
@@ -287,13 +292,23 @@ CONFIG_FLAGS = {
     "--max-passing-tests", "--trace-limit", "--model-limit", "--loop-period",
     "--no-adaptive-folding",
     "--no-virtual-call-edges", "--no-exception-control",
-    "--no-test-reduction", "--max-iters", "--eps",
+    "--max-iters", "--eps",
     "--p0-moderate", "--p0-low", "--prior", "--step-budget",
+}
+ALL_FIELDS = {f.name for f in fields(RunConfig)}
+# the RunConfig fields each command reads, each set by one flag
+COMMAND_FIELDS = {
+    "localize": ALL_FIELDS,
+    "bench": ALL_FIELDS,
+    "sweep": ALL_FIELDS - {"p0_moderate", "p0_low"},
+    "trace": {"step_budget"},
+    "sbfl": {"step_budget"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(BARE_ARGS))
 def test_config_flags_match_run_config(command):
+    assert len(ALL_FIELDS) == 13
     parser = build_parser()
     args = parser.parse_args(BARE_ARGS[command])
     assert config_from_args(args) == RunConfig()
@@ -302,20 +317,30 @@ def test_config_flags_match_run_config(command):
     flags = {}
     for f in fields(RunConfig):
         setters = [a for a in actions if a.dest == f.name]
-        assert len(setters) == 1, f.name
-        (flags[f.name],) = setters[0].option_strings
-    assert set(flags.values()) == CONFIG_FLAGS
+        assert len(setters) == (f.name in COMMAND_FIELDS[command]), f.name
+        if setters:
+            (flags[f.name],) = setters[0].option_strings
+    assert set(flags.values()) <= CONFIG_FLAGS
 
 
-def test_removed_flags_rejected(buggy, capsys):
+def test_removed_flags_rejected(capsys):
+    # a usage error ends the run before the program is read
     parser = build_parser()
-    for flags in (["--jobs", "2"], ["--seed", "2"], ["--naive-inference"],
-                  ["--exact"], ["--exact-cap", "3"],
-                  ["--no-loop-compression"]):
+    removed = [("localize", flags) for flags in (
+        ["--jobs", "2"], ["--seed", "2"], ["--naive-inference"], ["--exact"],
+        ["--exact-cap", "3"], ["--no-loop-compression"],
+        ["--no-test-reduction"])]
+    removed += [("bench", ["--no-test-reduction"])]
+    removed += [("sweep", [flag, "0.5"]) for flag in ("--p0-moderate",
+                                                       "--p0-low")]
+    removed += [(command, flags) for command in ("trace", "sbfl")
+                for flags in (["--loop-period", "1"], ["--prior", "0.9"])]
+    for command, flags in removed:
+        argv = BARE_ARGS[command] + flags
         with pytest.raises(SystemExit):
-            parser.parse_args(["localize", "prog.mi", *flags])
+            parser.parse_args(argv)
         capsys.readouterr()
-        assert main(["localize", buggy, *flags]) == EXIT_INTERNAL
+        assert main(argv) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
@@ -342,16 +367,18 @@ def test_help_exits_ok(capsys):
 
 def test_flags_set_their_fields():
     args = build_parser().parse_args([
-        "localize", "prog.mi", "--no-test-reduction", "--loop-period", "5",
-        "--eps", "0.001", "--prior", "0.25"])
+        "localize", "prog.mi", "--no-virtual-call-edges", "--loop-period",
+        "5", "--eps", "0.001", "--prior", "0.25"])
     assert config_from_args(args) == RunConfig(
-        test_reduction=False, loop_period=5, convergence_eps=0.001,
+        virtual_call_edges=False, loop_period=5, convergence_eps=0.001,
         statement_prior=0.25)
     assert [name for name, _ in cli.ABLATIONS] == [
         "no-loop-compression", "no-adaptive-folding",
         "no-virtual-call-edges", "no-exception-control", "no-test-reduction"]
-    # loop compression is turned off by its period, not by a switch
+    # loop compression and test reduction are turned off by their limits,
+    # not by switches
     assert cli.ABLATIONS[0][1] == {"loop_period": 0}
+    assert cli.ABLATIONS[-1][1] == {"max_passing_tests": None}
 
 
 def test_trace_to_stdout_and_file(buggy, tmp_path, capsys):

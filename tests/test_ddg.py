@@ -105,6 +105,32 @@ fn test_f() {
     assert check_acyclic(g)
 
 
+def test_branch_region_closes_at_an_assert_on_a_variable():
+    # `assert(ok)` records only an assert event; as the if's immediate
+    # post-dominator it ends the branch's control over later statements.
+    prog = parse("""
+fn f(a) {
+    let ok = true;
+    if (a > 0) {
+        ok = a < 100;
+    }
+    assert(ok);
+    let y = a + 1;
+    return y;
+}
+
+fn test_small() {
+    assert(f(5) == 6);
+}
+""")
+    _, cond, inner, _, let_y, ret = statement_ids(prog.functions["f"])
+    g = build_ddg(prog, [trace(prog, "test_small", {"f"})])
+    producer = producers(g)
+    controlled = {producer[dst] for kind, _, dst in edges(g) if kind == "ctrl"}
+    assert controlled == {inner}
+    assert {let_y, ret} <= set(producer.values())
+
+
 def test_while_predicate_is_replaced_on_top():
     prog = parse("""
 fn count(n) {

@@ -86,8 +86,19 @@ def test_select_cap_disabled_by_toggle():
     entries = [("test_fail", "fail", {"f"})]
     entries += [(f"test_p{i:02}", "pass", {"f"}) for i in range(60)]
     prof = _profile(entries)
-    cfg = RunConfig(test_reduction=False)
+    cfg = RunConfig(max_passing_tests=None)
     assert len(select_tests(prof, cfg)) == 61
+
+
+def test_select_without_a_limit_keeps_only_overlapping_tests():
+    prof = _profile([
+        ("test_fail", "fail", {"f", "test_fail"}),
+        ("test_p1", "pass", {"f", "test_p1"}),
+        ("test_p2", "pass", {"h", "test_p2"}),
+    ])
+    assert select_tests(prof, RunConfig(max_passing_tests=None)) == \
+        ["test_fail", "test_p1"]
+    assert select_tests(prof, RunConfig(max_passing_tests=0)) == ["test_fail"]
 
 
 # --- loop compression ---
