@@ -8,6 +8,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 
 from .errors import MiniImpSyntaxError, NoViableMutants
@@ -38,12 +39,31 @@ class MutationPoint:
     rewrite: str  # human-readable description, e.g. "<= -> <"
 
 
+class BaseProgram:
+    """A program as printed, parsed on first use: the one program that the
+    cases of its seeds run on, mutated. A mutant's text has the printed
+    text's lines, not those of the program's file."""
+
+    def __init__(self, program):
+        self.text = format_program(program)
+        self.path = program.source_path
+
+    @cached_property
+    def program(self):
+        return parse(self.text, self.path)
+
+
 @dataclass
 class FaultSeed:
     base_path: str
-    sid: int
     rewrite: str
     source: str  # full mutant program text
+    point: MutationPoint
+    base: BaseProgram = field(repr=False, compare=False)
+
+    @property
+    def sid(self):
+        return self.point.sid
 
 
 def _rewrites(expr):
@@ -74,33 +94,34 @@ def enumerate_mutations(program) -> list:
 
 
 @contextmanager
-def mutated(program, point: MutationPoint):
-    """`program` as the mutant at `point`: the slot rewritten in place and
-    its function's compiled closures stashed, so that the interpreter
-    compiles the mutant's and every other function keeps its own. Both are
-    put back on exit. Statement ids are the program's, as the mutation
-    never changes its shape; the statement table is not rewritten. Tests
-    run as on the parsed mutant text, where the one difference, a literal
-    -1 that parses back as `-` applied to 1, evaluates alike."""
+def mutated(program, point: MutationPoint, source_text=None):
+    """`program` as the mutant at `point`: the slot rewritten in place, its
+    function's compiled closures stashed, so that the interpreter compiles
+    the mutant's and every other function keeps its own, and `source_text`,
+    when given, as the program's text. All are put back on exit. Statement
+    ids and control flow are the program's, as the mutation never changes
+    its shape, so `ipostdom` stays valid. The statement table is not
+    rewritten; its `root_op` stays the base's, which `classify_p0` reads as
+    it would the parsed mutant's: a swap never crosses `BOOLEAN_OPS` and a
+    rewritten literal is never boolean. Tests run as on the parsed mutant
+    text, where a literal -1 parses back as `-` applied to 1."""
     stmt = program.statements[point.sid]
     function = program.statement_table[point.sid].function
     original = getattr(stmt, point.slot)
+    text = program.source_text
     stashed = program.compiled.pop(function, None)
     setattr(stmt, point.slot, point.expr)
+    if source_text is not None:
+        program.source_text = source_text
     try:
         yield program
     finally:
         setattr(stmt, point.slot, original)
+        program.source_text = text
         if stashed is None:
             program.compiled.pop(function, None)
         else:
             program.compiled[function] = stashed
-
-
-def apply_mutation(program, point: MutationPoint) -> str:
-    """Return mutant source text."""
-    with mutated(program, point):
-        return format_program(program)
 
 
 def _parses(program, point) -> bool:
@@ -131,7 +152,8 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
     candidate runs on `program` itself, `mutated`; only a drawn one is
     printed. Two drawn mutants with the same statement and rewrite get
     the rewrite's occurrence in that statement as a suffix, "== -> != (2)",
-    so no two share a case name."""
+    so no two share a case name. The seeds share one `BaseProgram` of
+    `program`, which their cases run on."""
     points = []  # (point, its occurrence among the statement's alike)
     occurrences = Counter()
     for point in enumerate_mutations(program):
@@ -153,9 +175,11 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
             f"no mutation of {program.source_path} flips some tests "
             "while keeping others passing")
     alike = Counter((point.sid, point.rewrite) for point, _, _ in drawn)
-    return [FaultSeed(program.source_path, point.sid,
+    base = BaseProgram(program)
+    return [FaultSeed(program.source_path,
                       point.rewrite if alike[point.sid, point.rewrite] == 1
-                      else f"{point.rewrite} ({occurrence})", source)
+                      else f"{point.rewrite} ({occurrence})", source, point,
+                      base)
             for point, occurrence, source in drawn]
 
 
@@ -243,14 +267,17 @@ def _failure_reason(profile) -> str:
 
 
 def run_case(seed: FaultSeed, cfg: RunConfig) -> CaseResult:
+    """Rank the seed's fault by every ranker, on its base program `mutated`
+    with the mutant's text: the reports are those of the parsed text."""
     result = CaseResult(case=f"{seed.base_path}#s{seed.sid}[{seed.rewrite}]",
                         config="")
     try:
-        program = parse(seed.source, seed.base_path)
-        res = localize(program, cfg)
-        reports = [("semfl", res.report)] + [
-            (name, sbfl_report(res.profile, formula, program))
-            for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR))]
+        program = seed.base.program
+        with mutated(program, seed.point, seed.source):
+            res = localize(program, cfg)
+            reports = [("semfl", res.report)] + [
+                (name, sbfl_report(res.profile, formula, program))
+                for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR))]
         result.tie_ranks = {name: _tie_ranks(report, seed.sid)
                             for name, report in reports}
         result.reason = _failure_reason(res.profile)

@@ -6,7 +6,8 @@ target) edges, and `NetBuilder` assembles a hand-made network one variable
 and one factor at a time. `statement_ids` lists a function's statements,
 and `p_faulty` reads a statement's fault probability off a marginal.
 `assert_compressed_as_compress_loops` checks a trace the interpreter
-compressed while the test ran against the offline replay.
+compressed while the test ran against the offline replay, and
+`apply_mutation` prints a mutant's source text.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import fields
 
 import numpy as np
 
+from semfl.bench import mutated
+from semfl.lang import format_program
 from semfl.lang.ast import walk_statements
 from semfl.model import FaultNet
 from semfl.reduction import compress_loops, log_compression
@@ -178,3 +181,9 @@ def assert_compressed_as_compress_loops(online, raw, program, period):
     assert online_log == log
     assert (online.status, online.reason, online.raw_events) == \
            (raw.status, raw.reason, raw.size())
+
+
+def apply_mutation(program, point):
+    """The source text of the mutant at `point`, as `program` prints it."""
+    with mutated(program, point):
+        return format_program(program)

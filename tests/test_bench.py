@@ -11,8 +11,8 @@ import pytest
 
 from semfl import bench
 from semfl.bench import (
+    OP_SWAPS,
     MutationPoint,
-    apply_mutation,
     corpus_seeds,
     enumerate_mutations,
     format_results,
@@ -25,11 +25,15 @@ from semfl.bench import (
 )
 from semfl.errors import MiniImpSyntaxError, NoViableMutants
 from semfl.lang import format_program, parse
+from semfl.lang.ast import IntLit, root_op
+from semfl.lang.parser import parse_slot
+from semfl.lang.printer import format_expr
+from semfl.model import BOOLEAN_OPS
 from semfl.pipeline import RunConfig, localize
-from semfl.ranking import rank
-from semfl.tracing import profile, run_test
+from semfl.ranking import DSTAR, OCHIAI, rank, sbfl_report
+from semfl.tracing import profile, program_hash, run_test
 
-from helpers import statement_ids
+from helpers import apply_mutation, statement_ids
 from lbp_reference import run_reference
 
 CORRECT = """
@@ -183,6 +187,24 @@ def test_a_mutated_program_runs_as_its_reparsed_text(name):
             for test in prog.test_names:
                 assert run_test(mutant, test, 300) \
                     == run_test(reparsed, test, 300), (point, test)
+
+
+def test_a_mutated_statement_reads_as_the_same_p0_class():
+    # `mutated` leaves the statement's root_op at the base's, where the
+    # parsed mutant reads the swapped operator, or `-` for a literal
+    # rewritten to -1; `classify_p0` must read the two alike.
+    for op, swapped in OP_SWAPS.items():
+        assert (op in BOOLEAN_OPS) == (swapped in BOOLEAN_OPS), op
+    boolean = BOOLEAN_OPS | {"boollit"}
+    for e in load_manifest():
+        prog = load_corpus_program(e["name"])
+        for p in enumerate_mutations(prog):
+            base = getattr(prog.statements[p.sid], p.slot)
+            parsed = parse_slot(format_expr(p.expr), 1)
+            assert len({root_op(x) in boolean
+                        for x in (base, p.expr, parsed)}) == 1, p
+            if isinstance(p.expr, IntLit):
+                assert root_op(parsed) in ("lit", "-"), p
 
 
 # `parse` rejects two one-slot rewrites: a literal past 64-bit range, and
@@ -341,6 +363,96 @@ def test_run_case_reports_all_rankers():
     for ranker in r.hits:
         assert set(r.hits[ranker]) == {1, 3, 5, 10}
         assert r.ranks[ranker] >= 1
+
+
+def _run_case_as_is(monkeypatch, seed, cfg):
+    """run_case's result for `seed`, with the `localize` result and the two
+    SBFL report texts it computed."""
+    seen = {"sbfl": []}
+
+    def capture(program, cfg):
+        seen["localize"] = localize(program, cfg)
+        return seen["localize"]
+
+    def capture_sbfl(profile, formula, program):
+        report = sbfl_report(profile, formula, program)
+        seen["sbfl"].append(report.to_json())
+        return report
+
+    with monkeypatch.context() as m:
+        m.setattr(bench, "localize", capture)
+        m.setattr(bench, "sbfl_report", capture_sbfl)
+        result = run_case(seed, cfg)
+    return result, seen["localize"], seen["sbfl"]
+
+
+# At step budget 300, intervals' draw for mutation seed 2 holds a `0 -> -1`
+# and an `&& -> ||`; recurrences' holds a `0 -> -1` that times out.
+EQUIVALENCE_CASES = [("intervals", 4, "0 -> -1", "exception"),
+                     ("intervals", 5, "&& -> ||", "assert"),
+                     ("recurrences", 2, "0 -> -1", "timeout")]
+
+
+@pytest.mark.parametrize("name, index, rewrite, reason", EQUIVALENCE_CASES)
+def test_run_case_reports_as_the_parsed_mutant(monkeypatch, name, index,
+                                              rewrite, reason):
+    cfg = RunConfig(step_budget=300)
+    seed = seed_faults(load_corpus_program(name), 7, 2,
+                       step_budget=300)[index]
+    assert seed.rewrite == rewrite
+    result, got, got_sbfl = _run_case_as_is(monkeypatch, seed, cfg)
+    assert not result.error and result.reason == reason
+    mutant = parse(seed.source, seed.base_path)
+    want = localize(mutant, cfg)
+    assert got.report.to_json() == want.report.to_json()
+    assert got.log == want.log
+    assert got_sbfl == [sbfl_report(want.profile, formula, mutant).to_json()
+                        for formula in (OCHIAI, DSTAR)]
+    assert got.report.metadata["program"] == program_hash(mutant)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ran", "raised"])
+def test_run_case_leaves_the_shared_program_as_it_found_it(monkeypatch,
+                                                           fails):
+    cfg = RunConfig(step_budget=300)
+    first, second = seed_faults(load_corpus_program("intervals"), 7, 2,
+                                step_budget=300)[4:6]
+    program = first.base.program
+    function = program.statement_table[first.sid].function
+    if fails:
+        def failing(program, cfg):
+            profile(program, step_budget=300)  # compiles the mutant's closures
+            raise RuntimeError("localize failed")
+
+        monkeypatch.setattr(bench, "localize", failing)
+    result = run_case(first, cfg)
+    monkeypatch.undo()
+    assert result.error == ("RuntimeError: localize failed" if fails else "")
+    assert format_program(program) == first.base.text
+    assert program.source_text == first.base.text
+    assert function not in program.compiled
+    assert profile(program, step_budget=300).tests == \
+        profile(parse(first.base.text), step_budget=300).tests
+    _, got, _ = _run_case_as_is(monkeypatch, second, cfg)
+    want = localize(parse(second.source, second.base_path), cfg)
+    assert got.report.to_json() == want.report.to_json()
+
+
+def test_bench_parses_each_program_once(monkeypatch):
+    seeds = corpus_seeds(2, 0, ["digits", "sorting"], step_budget=20_000)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr("semfl.bench.parse", counting)
+    configs = [("default", RunConfig(step_budget=20_000)),
+               ("no-folding", RunConfig(step_budget=20_000,
+                                        adaptive_folding=False))]
+    res = run_benchmark(seeds, configs)
+    assert not any(r.error for r in res["rows"])
+    assert calls == ["digits.mi", "sorting.mi"]
 
 
 def test_run_benchmark_shape_and_determinism():

@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from semfl.bench import (
-    apply_mutation,
     enumerate_mutations,
     load_corpus_program,
     load_manifest,
@@ -44,7 +43,7 @@ from semfl.tracing import (
     trace,
 )
 
-from helpers import assert_compressed_as_compress_loops
+from helpers import apply_mutation, assert_compressed_as_compress_loops
 
 DIGESTS = Path(__file__).parent / "data" / "interp_digests.json"
 STEP_BUDGETS = (20_000, 300)
