@@ -18,7 +18,7 @@ from .lang.parser import parse_slot
 from .lang.printer import format_expr
 from .pipeline import RunConfig, localize
 from .ranking import DSTAR, OCHIAI, sbfl_report
-from .tracing import DEFAULT_STEP_BUDGET, run_test
+from .tracing import DEFAULT_STEP_BUDGET, profile, run_test
 
 # operator -> replacement; both directions listed explicitly
 OP_SWAPS = {
@@ -42,15 +42,32 @@ class MutationPoint:
 class BaseProgram:
     """A program as printed, parsed on first use: the one program that the
     cases of its seeds run on, mutated. A mutant's text has the printed
-    text's lines, not those of the program's file."""
+    text's lines, not those of the program's file. `records` maps each
+    test to its `CoverageRecord` from one coverage-only run of the
+    unmutated program at `step_budget`; the printed program has the same
+    statement ids and runs each test alike."""
 
-    def __init__(self, program):
+    def __init__(self, program, records, step_budget):
         self.text = format_program(program)
         self.path = program.source_path
+        self.records = records
+        self.step_budget = step_budget
 
     @cached_property
     def program(self):
         return parse(self.text, self.path)
+
+    def unreached(self, sid, step_budget) -> dict:
+        """The records of the tests that passed here without stepping
+        statement `sid`, if `step_budget` is the one they ran at, else
+        none. Such a test runs on a mutant at `sid` as it ran here: MiniImp
+        is deterministic, and the mutant differs only in an expression
+        evaluated after `sid`'s step, so its steps, coverage, outcome and
+        any stop at a repeated loop state are the same."""
+        if step_budget != self.step_budget:
+            return {}
+        return {test: r for test, r in self.records.items()
+                if r.status == "pass" and sid not in r.statements}
 
 
 @dataclass
@@ -137,23 +154,30 @@ def _parses(program, point) -> bool:
     return True
 
 
-def _mixed_outcomes(mutant, step_budget) -> bool:
-    """Whether some test of `mutant` passes and another fails."""
-    seen = set()
-    for test in mutant.test_names:
-        seen.add(run_test(mutant, test, step_budget)[0])
+def _mixed_outcomes(mutant, sid, records, step_budget) -> bool:
+    """Whether some test of `mutant`, a mutant at statement `sid`, passes
+    and another fails. Only the tests whose base run, in `records`,
+    stepped `sid` run; every other one has its base outcome
+    (`BaseProgram.unreached` says why)."""
+    seen = {r.status for r in records.values() if sid not in r.statements}
+    for test, r in records.items():
         if len(seen) == 2:
-            return True
-    return False
+            break
+        if sid in r.statements:
+            seen.add(run_test(mutant, test, step_budget)[0])
+    return len(seen) == 2
 
 
 def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
     """Draw up to n single-statement mutants with mixed test outcomes. A
     candidate runs on `program` itself, `mutated`; only a drawn one is
-    printed. Two drawn mutants with the same statement and rewrite get
-    the rewrite's occurrence in that statement as a suffix, "== -> != (2)",
-    so no two share a case name. The seeds share one `BaseProgram` of
-    `program`, which their cases run on."""
+    printed. Every test first runs once on `program` unmutated, and a
+    candidate runs only the tests whose run stepped its statement. Two
+    drawn mutants with the same statement and rewrite get the rewrite's
+    occurrence in that statement as a suffix, "== -> != (2)", so no two
+    share a case name. The seeds share one `BaseProgram` of `program`,
+    which their cases run on and which keeps the unmutated runs'
+    records."""
     points = []  # (point, its occurrence among the statement's alike)
     occurrences = Counter()
     for point in enumerate_mutations(program):
@@ -161,6 +185,8 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
         points.append((point, occurrences[point.sid, point.rewrite]))
     rng = random.Random(rng_seed)
     rng.shuffle(points)
+    records = (profile(program, step_budget).tests if program.test_names
+               else {})
     drawn = []  # (point, occurrence, mutant text)
     for point, occurrence in points:
         if len(drawn) >= n:
@@ -168,14 +194,14 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
         if not _parses(program, point):
             continue
         with mutated(program, point):
-            if _mixed_outcomes(program, step_budget):
+            if _mixed_outcomes(program, point.sid, records, step_budget):
                 drawn.append((point, occurrence, format_program(program)))
     if not drawn:
         raise NoViableMutants(
             f"no mutation of {program.source_path} flips some tests "
             "while keeping others passing")
     alike = Counter((point.sid, point.rewrite) for point, _, _ in drawn)
-    base = BaseProgram(program)
+    base = BaseProgram(program, records, step_budget)
     return [FaultSeed(program.source_path,
                       point.rewrite if alike[point.sid, point.rewrite] == 1
                       else f"{point.rewrite} ({occurrence})", source, point,
@@ -268,13 +294,17 @@ def _failure_reason(profile) -> str:
 
 def run_case(seed: FaultSeed, cfg: RunConfig) -> CaseResult:
     """Rank the seed's fault by every ranker, on its base program `mutated`
-    with the mutant's text: the reports are those of the parsed text."""
+    with the mutant's text: the reports are those of the parsed text. At
+    the step budget the seed was drawn at, the profile takes the base's
+    record of each test that passed there without stepping the mutated
+    statement (`BaseProgram.unreached`) and runs every other test."""
     result = CaseResult(case=f"{seed.base_path}#s{seed.sid}[{seed.rewrite}]",
                         config="")
     try:
         program = seed.base.program
         with mutated(program, seed.point, seed.source):
-            res = localize(program, cfg)
+            res = localize(program, cfg,
+                           seed.base.unreached(seed.sid, cfg.step_budget))
             reports = [("semfl", res.report)] + [
                 (name, sbfl_report(res.profile, formula, program))
                 for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR))]

@@ -111,7 +111,11 @@ def traced_function_set(profile):
     return frozenset(f for f in entered if not is_test(f))
 
 
-def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
+def localize(program, cfg: RunConfig | None = None,
+             given=None) -> LocalizeResult:
+    """Rank `program`'s statements by their probability of being faulty.
+    `given` holds `CoverageRecord`s of tests that the profile takes as run
+    (`tracing.profile`), each one that a run at `cfg.step_budget` makes."""
     cfg = cfg or RunConfig()
     cfg.validate()
     log = []
@@ -122,7 +126,7 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     recorded = {}  # failing test -> its trace from the profile run
     prof = tracing.profile(program, step_budget=cfg.step_budget,
                            failing_traces=recorded,
-                           period=cfg.loop_period)
+                           period=cfg.loop_period, given=given)
     timings["profile"] = time.perf_counter() - t0
     stopped = [t.stopped_at for t in prof.failing if t.stopped_at]
     log.append(f"repeated loop state: {len(stopped)} timeout tests stopped "
@@ -138,17 +142,21 @@ def localize(program, cfg: RunConfig | None = None) -> LocalizeResult:
     # non-test function, is the one `traced` gives: each call is traced or
     # not when it is made, and `traced` holds every function the test
     # entered.
-    traces = [recorded[test] if test in recorded
-              else tracing.trace(program, test, traced,
-                                 step_budget=cfg.step_budget,
-                                 period=cfg.loop_period)
-              for test in selected]
-    events = [sum(t.raw_events for t in traces)]
-    # Only a failing trace over the event limit is worth folding.
-    dropped = [t.test for t in traces
-               if not t.failing and t.raw_events > cfg.trace_limit]
+    traces, dropped, raw = [], [], 0
+    for test in selected:
+        t = recorded[test] if test in recorded else tracing.trace(
+            program, test, traced, step_budget=cfg.step_budget,
+            period=cfg.loop_period)
+        raw += t.raw_events
+        # Only a failing trace over the event limit is worth folding; an
+        # oversized passing one is freed before the next test runs.
+        if not t.failing and t.raw_events > cfg.trace_limit:
+            dropped.append(test)
+            del t
+        else:
+            traces.append(t)
+    events = [raw]
     if dropped:
-        traces = [t for t in traces if t.test not in dropped]
         log.append(f"dropped oversized passing traces: {dropped}")
     timings["trace"] = time.perf_counter() - t0
     for t in traces:

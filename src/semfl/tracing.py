@@ -990,7 +990,7 @@ class _Compiler:
 # --- entry points ---
 
 def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
-            failing_traces=None, period=0) -> CoverageProfile:
+            failing_traces=None, period=0, given=None) -> CoverageProfile:
     """Run every test once with coverage-only instrumentation.
 
     Given a dict as `failing_traces`, each test instead runs with every
@@ -998,13 +998,22 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
     `period`, and the dict gets the `Trace` of each failing test under the
     test's name; the events of passing tests are dropped. Coverage is the
     same either way.
+
+    A test named in `given`, a mapping of test name to `CoverageRecord`,
+    does not run: its record is taken as given, so it must be the one a
+    run at `step_budget` would make, and `failing_traces` gets no trace
+    of it.
     """
     tests = program.test_names
     if not tests:
         raise NoTests("program defines no test_ functions")
     app = frozenset(n for n in program.functions if not A.is_test(n))
+    given = given or {}
     records = {}
     for name in tests:
+        if name in given:
+            records[name] = given[name]
+            continue
         if failing_traces is None:
             ex = _Executor(program, traced_functions=frozenset(),
                            step_budget=step_budget)

@@ -5,11 +5,12 @@ import hashlib
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from semfl import bench
+from semfl import bench, tracing
 from semfl.bench import (
     OP_SWAPS,
     MutationPoint,
@@ -25,13 +26,13 @@ from semfl.bench import (
 )
 from semfl.errors import MiniImpSyntaxError, NoViableMutants
 from semfl.lang import format_program, parse
-from semfl.lang.ast import IntLit, root_op
+from semfl.lang.ast import IntLit, root_op, statement_slots
 from semfl.lang.parser import parse_slot
 from semfl.lang.printer import format_expr
 from semfl.model import BOOLEAN_OPS
 from semfl.pipeline import RunConfig, localize
 from semfl.ranking import DSTAR, OCHIAI, rank, sbfl_report
-from semfl.tracing import profile, program_hash, run_test
+from semfl.tracing import DEFAULT_STEP_BUDGET, profile, program_hash, run_test
 
 from helpers import apply_mutation, statement_ids
 from lbp_reference import run_reference
@@ -370,8 +371,8 @@ def _run_case_as_is(monkeypatch, seed, cfg):
     SBFL report texts it computed."""
     seen = {"sbfl": []}
 
-    def capture(program, cfg):
-        seen["localize"] = localize(program, cfg)
+    def capture(program, cfg, given):
+        seen["localize"] = localize(program, cfg, given)
         return seen["localize"]
 
     def capture_sbfl(profile, formula, program):
@@ -420,22 +421,166 @@ def test_run_case_leaves_the_shared_program_as_it_found_it(monkeypatch,
     program = first.base.program
     function = program.statement_table[first.sid].function
     if fails:
-        def failing(program, cfg):
+        def failing(program, cfg, given):
             profile(program, step_budget=300)  # compiles the mutant's closures
             raise RuntimeError("localize failed")
 
         monkeypatch.setattr(bench, "localize", failing)
-    result = run_case(first, cfg)
+    # The first case finds the mutated function not yet compiled, the
+    # second its base closures, compiled by a base run.
+    for base_run in (False, True):
+        if base_run:
+            profile(program, step_budget=300)
+        closures = program.compiled.get(function)
+        result = run_case(first, cfg)
+        assert program.compiled.get(function) is closures
     monkeypatch.undo()
     assert result.error == ("RuntimeError: localize failed" if fails else "")
     assert format_program(program) == first.base.text
     assert program.source_text == first.base.text
-    assert function not in program.compiled
     assert profile(program, step_budget=300).tests == \
         profile(parse(first.base.text), step_budget=300).tests
     _, got, _ = _run_case_as_is(monkeypatch, second, cfg)
     want = localize(parse(second.source, second.base_path), cfg)
     assert got.report.to_json() == want.report.to_json()
+
+
+def _tests_run(m):
+    """The names of the tests that run, in run order, once `m` has patched
+    the interpreter to log them."""
+    ran = []
+    run = tracing._Executor.run_test
+
+    def logged(ex, test, traced):
+        ran.append(test)
+        return run(ex, test, traced)
+
+    m.setattr(tracing._Executor, "run_test", logged)
+    return ran
+
+
+# No passing test is traced again, so every test a case runs, its profile
+# runs.
+NO_PASSING = RunConfig(step_budget=20_000, max_passing_tests=0)
+
+
+def test_run_case_runs_only_the_tests_that_reach_the_mutant(monkeypatch):
+    skipped = 0
+    for seed in corpus_seeds(7, 0, step_budget=20_000):
+        records = seed.base.records
+        with monkeypatch.context() as m:
+            ran = _tests_run(m)
+            assert not run_case(seed, NO_PASSING).error
+        assert ran == [t for t, r in records.items()
+                       if seed.sid in r.statements]
+        skipped += len(records) - len(ran)
+    assert skipped > 0
+
+
+def test_a_case_at_another_step_budget_runs_every_test(monkeypatch):
+    seed = corpus_seeds(1, 0, ["recurrences"], step_budget=20_000)[0]
+    assert len(seed.base.unreached(seed.sid, 20_000)) > 0
+    with monkeypatch.context() as m:
+        ran = _tests_run(m)
+        cfg = replace(NO_PASSING, step_budget=20_001)
+        assert not run_case(seed, cfg).error
+    assert ran == list(seed.base.records)
+
+
+# test_other fails on the base and never calls inc; test_dec passes on the
+# base and never calls inc.
+BASE_FAILING = """
+fn inc(a) {
+    return a + 1;
+}
+
+fn dec(a) {
+    return a - 1;
+}
+
+fn test_inc() {
+    assert(inc(1) == 2);
+}
+
+fn test_inc_zero() {
+    assert(inc(0) == 1);
+}
+
+fn test_other() {
+    assert(dec(1) == 1);
+}
+
+fn test_dec() {
+    assert(dec(3) == 2);
+}
+"""
+
+
+def test_a_base_failing_test_that_misses_the_mutant_still_runs(monkeypatch):
+    prog = parse(BASE_FAILING, "failing.mi")
+    assert [t.test for t in profile(prog).failing] == ["test_other"]
+    seed = next(s for s in seed_faults(prog, 20, 0) if s.rewrite == "+ -> -")
+    assert list(seed.base.unreached(seed.sid, DEFAULT_STEP_BUDGET)) == \
+        ["test_dec"]
+    cfg = RunConfig()
+    with monkeypatch.context() as m:
+        ran = _tests_run(m)
+        result, got, got_sbfl = _run_case_as_is(monkeypatch, seed, cfg)
+    # the profile's runs, then the one passing test traced again
+    assert ran == ["test_inc", "test_inc_zero", "test_other", "test_dec"]
+    assert not result.error
+    mutant = parse(seed.source, seed.base_path)
+    want = localize(mutant, cfg)
+    assert got.report.to_json() == want.report.to_json()
+    assert got.log == want.log
+    assert got_sbfl == [sbfl_report(want.profile, formula, mutant).to_json()
+                        for formula in (OCHIAI, DSTAR)]
+
+
+@pytest.mark.parametrize("budget", [20_000, 300])
+def test_a_mutants_profile_with_base_records_is_its_full_profile(budget):
+    # Every test runs once: `got` runs the tests that reach the mutant and
+    # `full` runs the others, taking `got`'s records of the tests it ran,
+    # so `full` is the profile with every test run.
+    given = 0
+    for e in load_manifest():
+        prog = load_corpus_program(e["name"])
+        base = seed_faults(prog, 1, 0, step_budget=budget)[0].base
+        for point in enumerate_mutations(prog):
+            unreached = base.unreached(point.sid, budget)
+            given += len(unreached)
+            traces, more = {}, {}
+            with bench.mutated(prog, point):
+                got = profile(prog, budget, failing_traces=traces, period=3,
+                              given=unreached)
+                ran = {t: r for t, r in got.tests.items()
+                       if t not in unreached}
+                full = profile(prog, budget, failing_traces=more, period=3,
+                               given=ran)
+            assert list(full.tests) == list(got.tests)
+            assert full.tests == got.tests, point
+            assert more == {}, point  # the failing traces are `traces`
+            assert set(traces) == {t.test for t in got.failing}
+    assert given > 0
+
+
+@pytest.mark.parametrize("budget", [20_000, 300])
+def test_the_printed_program_runs_as_the_file_it_was_seeded_from(budget):
+    # Seeding runs the file's program; the cases run its printed form and
+    # take the seeding runs' records.
+    for e in load_manifest():
+        prog = load_corpus_program(e["name"])
+        base = seed_faults(prog, 1, 0, step_budget=budget)[0].base
+        printed = base.program
+        assert _statements(printed) == _statements(prog)
+        assert profile(printed, budget).tests == base.records
+
+
+def _statements(program):
+    """Each statement id's function, kind, depth and evaluated slots."""
+    return {sid: (info.function, info.kind, info.depth,
+                  list(statement_slots(program.statements[sid])))
+            for sid, info in program.statement_table.items()}
 
 
 def test_bench_parses_each_program_once(monkeypatch):

@@ -2,6 +2,7 @@
 reproducibility, and one flag per config field."""
 
 import json
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -17,8 +18,8 @@ from semfl.cli import (
     main,
 )
 from semfl.lang import parse
-from semfl.pipeline import RunConfig
-from semfl.tracing import profile
+from semfl.pipeline import RunConfig, localize
+from semfl.tracing import profile, trace
 
 BUGGY = """
 fn foo(a) {
@@ -122,6 +123,24 @@ def test_localize_logs_event_counts(tmp_path, limits, lines):
     assert main(["localize", str(p), "--out", str(out), *limits]) == EXIT_OK
     log = (out / "log.txt").read_text().splitlines()
     assert all(line in log for line in lines), log
+
+
+def test_an_oversized_passing_trace_is_freed_before_the_next_runs(
+        monkeypatch):
+    program = parse(LOOP + "fn test_three() {\n    assert(sum(3) == 3);\n}\n")
+    held = []
+
+    def traced(*args, **kwargs):
+        assert [ref() for ref in held] == [None] * len(held)
+        tr = trace(*args, **kwargs)
+        held.append(weakref.ref(tr))
+        return tr
+
+    monkeypatch.setattr("semfl.tracing.trace", traced)
+    res = localize(program, RunConfig(trace_limit=12, model_limit=20))
+    assert len(held) == 2
+    assert ("dropped oversized passing traces: ['test_small', 'test_three']"
+            in res.log)
 
 
 WALK = """
