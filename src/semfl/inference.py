@@ -9,6 +9,11 @@ over the edge arrays that multiplies messages as sums of logarithms, so no
 degree makes a product underflow. Factor messages have a closed form that
 is linear in the factor degree (`factor_messages`). The enumeration
 oracles it is checked against live in the tests (`tests/lbp_reference.py`).
+
+What a net fixes is built once per run: the factor of each edge, 1 - p0,
+the prior log-odds and the exact zeros that priors and evidence set. A
+round does only the work that depends on the messages; exact zeros in
+messages are still counted apart, but only in rounds that have them.
 """
 
 from __future__ import annotations
@@ -37,6 +42,16 @@ class InferenceResult:
     residuals: list = field(default_factory=list)
 
 
+class _Factors:
+    """A net's factor structure, built once per net: factor a has the edges
+    starts[a]:starts[a + 1] (the last up to the end), its child first, and
+    `factor` names the factor of every edge. q is 1 - p0."""
+
+    def __init__(self, offsets, p0):
+        self.starts, self.p0, self.q = offsets[:-1], p0, 1.0 - p0
+        self.factor = np.repeat(np.arange(len(p0)), np.diff(offsets))
+
+
 def factor_messages(p0, offsets, v2f_t, v2f_f):
     """Closed-form messages of noisy-conjunction factors on the flat edge
     arrays: factor a, with leak p0[a], has the edges offsets[a]:offsets[a +
@@ -49,28 +64,36 @@ def factor_messages(p0, offsets, v2f_t, v2f_f):
     constant b, so it needs only the product of the other parents'. Both
     come from one sum of logarithms per factor, less the edge's own term,
     with exact zeros counted apart."""
-    starts, arity = offsets[:-1], np.diff(offsets)
-    zero = v2f_t == 0.0
-    log_t = np.log(v2f_t, out=np.zeros_like(v2f_t), where=~zero)
-    log_t[starts] = 0.0  # the child is not a parent
-    zero[starts] = False
-    total = np.add.reduceat(log_t, starts)
-    zeros = np.add.reduceat(zero, starts, dtype=np.int64)
-    q = 1.0 - p0
-    all_true = np.where(zeros > 0, 0.0, np.exp(total))
-    others = np.repeat(total, arity)
-    others -= log_t
-    np.exp(others, out=others)
-    others[np.repeat(zeros, arity) > zero] = 0.0
-    del log_t, zero  # two edge arrays fewer while the messages are made
+    return _factor_messages(_Factors(offsets, p0),
+                            np.array(v2f_t, np.float64), v2f_f)
+
+
+def _factor_messages(fs: _Factors, v2f_t, v2f_f):
+    """factor_messages on a built structure; overwrites v2f_t. Parents'
+    exact zeros are masked and counted only when some parent sends one."""
+    starts, factor = fs.starts, fs.factor
     child_t = v2f_t[starts]
-    b = p0 * child_t + q * v2f_f[starts]
-    to_f = np.repeat(b, arity)
-    to_t = np.repeat(child_t - b, arity)
+    b = fs.p0 * child_t + fs.q * v2f_f[starts]
+    log_t = v2f_t
+    log_t[starts] = 1.0  # the child is not a parent: its logarithm is 0
+    zero = None if log_t.all() else log_t == 0.0
+    # a zero's logarithm stays 0: the zero is counted apart
+    np.log(log_t, out=log_t, where=True if zero is None else ~zero)
+    total = np.add.reduceat(log_t, starts)
+    all_true = np.exp(total)
+    # each parent's product of the other parents, in its logarithm's buffer
+    others = np.subtract(total[factor], log_t, out=log_t)
+    np.exp(others, out=others)
+    if zero is not None:  # a zero makes every product it is in zero
+        zeros = np.add.reduceat(zero, starts, dtype=np.int64)
+        all_true[zeros > 0] = 0.0
+        others[zeros[factor] > zero] = 0.0
+    to_f = b[factor]
+    to_t = (child_t - b)[factor]
     to_t *= others
     to_t += to_f
-    to_t[starts] = q * all_true + p0
-    to_f[starts] = q * (1.0 - all_true)
+    to_t[starts] = fs.q * all_true + fs.p0
+    to_f[starts] = fs.q * (1.0 - all_true)
     return to_t, to_f
 
 
@@ -82,6 +105,23 @@ def _log_odds(t, f):
     odds = np.log(t, out=np.zeros_like(t), where=finite)
     odds -= np.log(f, out=np.zeros_like(f), where=finite)
     return odds, zt, zf
+
+
+def _logistic(odds):
+    """Normalised (t, f) with log-odds `odds`: (1, 0) at +inf and (0, 1) at
+    -inf. Overwrites odds; it makes three more arrays of its length."""
+    up = odds >= 0.0
+    # e^-|x| / (1 + e^-|x|) and 1 / (1 + e^-|x|) never overflow
+    small = np.abs(odds, out=odds)
+    np.negative(small, out=small)
+    np.exp(small, out=small)
+    large = np.add(small, 1.0)
+    np.divide(1.0, large, out=large)
+    small *= large
+    # t is the larger where up, f the smaller
+    t = np.where(up, large, small)
+    np.copyto(large, small, where=up)
+    return t, large
 
 
 class _Engine:
@@ -99,82 +139,98 @@ class _Engine:
     `fallbacks`, only where certain messages contradict each other.
     Results are float64-close to, not bit-identical with, the probability
     products of the reference engine kept in the tests.
+
+    What does not change between rounds is built once per net: the factor
+    structure (`_Factors`), the prior log-odds, and the zeros that priors
+    and evidence fix, as counts per variable (`fixed`) and as the
+    variables they make certain (`certain`). A round whose factor
+    messages hold no exact zero uses those: each edge of a certain
+    variable inherits its certainty from the variable's sum, so the round
+    masks and counts nothing per edge. Only a round with an exact zero
+    counts the zeros of every message, and the factor side counts its
+    parents' zeros only when a parent sends one.
     """
 
     def __init__(self, net: FaultNet, cfg: RunConfig):
         self.cfg = cfg
-        self.offsets, self.p0 = net.offsets, net.p0
-        self.prior, self.edge_var = net.prior, net.edge_var
+        self.factors = _Factors(net.offsets, net.p0)
+        self.edge_var, self.n = net.edge_var, len(net.prior)
         self.observed = net.evidence >= 0
-        bt = np.where(self.observed, net.evidence, self.prior)
-        self.base = _log_odds(bt, 1.0 - bt)
+        bt = np.where(self.observed, net.evidence, net.prior)
+        self.base_odds, *zeros = _log_odds(bt, 1.0 - bt)
         # Evidence holds whatever the messages say: an observed variable
         # counts more zeros than it has edges on the side it rules out.
-        self.clamp = [np.where(z, len(self.edge_var) + 1, 0)[self.observed]
-                      for z in self.base[1:]]
+        clamp = len(self.edge_var) + 1
+        self.fixed = [np.where(self.observed, z * clamp, z) for z in zeros]
+        self.certain = [z > 0 for z in self.fixed]
         self.f2v_t = np.full(len(self.edge_var), 0.5)
         self.f2v_f = np.full(len(self.edge_var), 0.5)
         self.fallbacks = 0
 
     def _normalize(self, t, f):
         """t / (t + f) and f / (t + f); (0.5, 0.5), counted, if both are 0.
-        Overwrites t and f."""
+        Overwrites t and f and returns them."""
         s = t + f
         zero = s <= 0.0
-        self.fallbacks += int(np.count_nonzero(zero))
-        np.copyto(t, 0.5, where=zero)
-        np.copyto(f, 0.5, where=zero)
-        np.copyto(s, 1.0, where=zero)
-        return t / s, f / s
+        fallbacks = int(np.count_nonzero(zero))
+        if fallbacks:
+            self.fallbacks += fallbacks
+            np.copyto(t, 0.5, where=zero)
+            np.copyto(f, 0.5, where=zero)
+            np.copyto(s, 1.0, where=zero)
+        t /= s
+        f /= s
+        return t, f
 
-    def _logistic(self, odds, zt, zf):
-        """Normalised (t, f) with log-odds `odds`: (0, 1) where zt, (1, 0)
-        where zf, and the counted fallback (0.5, 0.5) where both.
-        Overwrites all three; it makes two more arrays of their length."""
+    def _pin(self, odds, zt, zf):
+        """Log-odds -inf where zt and +inf where zf; where both, certain
+        messages contradict each other, and the log-odds is 0, the counted
+        fallback (0.5, 0.5)."""
         np.copyto(odds, np.inf, where=zf)
         np.copyto(odds, -np.inf, where=zt)
-        both = np.logical_and(zt, zf, out=zf)
-        self.fallbacks += int(np.count_nonzero(both))
-        np.copyto(odds, 0.0, where=both)
-        up = np.greater_equal(odds, 0.0, out=zt)
-        # e^-|x| / (1 + e^-|x|) and 1 / (1 + e^-|x|) never overflow
-        small = np.abs(odds, out=odds)
-        np.negative(small, out=small)
-        np.exp(small, out=small)
-        large = np.add(small, 1.0)
-        np.divide(1.0, large, out=large)
-        small *= large
-        # t is the larger where up, f the smaller
-        t = np.where(up, large, small)
-        np.copyto(large, small, where=up)
-        return t, large
+        both = np.logical_and(zt, zf)
+        fallbacks = int(np.count_nonzero(both))
+        if fallbacks:
+            self.fallbacks += fallbacks
+            np.copyto(odds, 0.0, where=both)
+
+    def _total(self, odds):
+        """Per variable, the log-odds of its prior times all its incoming
+        messages, from the messages' log-odds."""
+        return np.bincount(self.edge_var, odds, self.n) + self.base_odds
 
     def _sums(self):
         """The log-odds of each factor-to-variable message with its zero
         masks, and per variable the log-odds of its prior times all its
         incoming messages, with counts of the zero components."""
         odds, zt, zf = _log_odds(self.f2v_t, self.f2v_f)
-        base_odds, base_zt, base_zf = self.base
-        ev, n = self.edge_var, len(self.prior)
-        total = np.bincount(ev, odds, n) + base_odds
-        nzt = np.bincount(ev, zt, n) + base_zt
-        nzf = np.bincount(ev, zf, n) + base_zf
-        nzt[self.observed], nzf[self.observed] = self.clamp
-        return (odds, zt, zf), (total, nzt, nzf)
+        counts = [np.where(self.observed, fixed,
+                           np.bincount(self.edge_var, z, self.n) + fixed)
+                  for z, fixed in zip((zt, zf), self.fixed)]
+        return (odds, zt, zf), (self._total(odds), *counts)
 
     def _v2f(self):
-        (odds, zt, zf), (total, nzt, nzf) = self._sums()
-        ev = self.edge_var
-        # each edge's sums less its own term, in the buffers of its term
-        np.subtract(total[ev], odds, out=odds)
-        np.greater(nzt[ev], zt, out=zt)
-        np.greater(nzf[ev], zf, out=zf)
-        return self._logistic(odds, zt, zf)
+        t, f, ev = self.f2v_t, self.f2v_f, self.edge_var
+        if t.all() and f.all():
+            # no certain message: only priors and evidence make a
+            # variable certain, and then on all its edges
+            odds = np.log(t)
+            odds -= np.log(f)
+            total = self._total(odds)
+            self._pin(total, *self.certain)
+            np.subtract(total[ev], odds, out=odds)
+        else:
+            (odds, zt, zf), (total, nzt, nzf) = self._sums()
+            # each edge's sums less its own term, in the buffers of its term
+            np.subtract(total[ev], odds, out=odds)
+            self._pin(odds, np.greater(nzt[ev], zt, out=zt),
+                      np.greater(nzf[ev], zf, out=zf))
+        return _logistic(odds)
 
     def _iterate(self) -> float:
         """One flooding round; returns the largest message change."""
-        new_t, new_f = self._normalize(*factor_messages(
-            self.p0, self.offsets, *self._v2f()))
+        new_t, new_f = self._normalize(*_factor_messages(
+            self.factors, *self._v2f()))
         delta = max(np.abs(new_t - self.f2v_t).max(initial=0.0),
                     np.abs(new_f - self.f2v_f).max(initial=0.0))
         self.f2v_t, self.f2v_f = new_t, new_f
@@ -182,8 +238,8 @@ class _Engine:
 
     def _marginals(self) -> np.ndarray:
         _, (total, nzt, nzf) = self._sums()
-        t, _ = self._logistic(total, nzt > 0, nzf > 0)
-        return t
+        self._pin(total, nzt > 0, nzf > 0)
+        return _logistic(total)[0]
 
     def run(self) -> InferenceResult:
         converged = False

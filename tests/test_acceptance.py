@@ -12,15 +12,22 @@ comparisons the moderate leak instead of the low one. With that leak the
 condition ranks last, under LBP and exact enumeration alike. Criterion 2
 checks this, then sets the return leak back to the example's low leak and
 checks that the condition ranks first with criterion 1's posteriors.
+
+Beside criteria 8 and 9, the benchmark's run checks every case's
+report.json against the digests recorded in data/report_digests.json.
 """
 
+import hashlib
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from semfl import bench
 from semfl.bench import results_to_json, run_benchmark, seed_faults
 from semfl.bench import load_corpus_program, load_manifest
 from semfl.ddg import build_ddg
@@ -452,21 +459,53 @@ def test_criterion_07_linear_scaling():
 
 # --- criteria 8 and 9: seeded-fault benchmark, determinism ---
 
-@pytest.fixture(scope="module")
-def corpus_runs():
+# sha256 of each bench case's report.json, by case name; rewrite it with
+# `PYTHONPATH=src python tests/test_acceptance.py` only when a change is
+# meant to move the reports
+REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
+CORPUS_CONFIGS = [("default", RunConfig(step_budget=20_000))]
+
+
+def _corpus_seeds():
+    """The bench mutants: 7 per corpus program, seed 0, step budget
+    20,000."""
     seeds = []
     for entry in load_manifest():
         program = load_corpus_program(entry["name"])
         seeds.extend(seed_faults(program, 7, rng_seed=0, step_budget=20_000))
-    configs = [("default", RunConfig(step_budget=20_000))]
-    first = run_benchmark(seeds, configs)
-    second = run_benchmark(seeds, configs)
-    return seeds, first, second
+    return seeds
+
+
+def _run_digesting_reports(seeds):
+    """run_benchmark over seeds, and the sha256 of each case's report.json
+    by case name."""
+    digests = []
+
+    def digesting(*args):
+        res = localize(*args)
+        digests.append(
+            hashlib.sha256(res.report.to_json().encode()).hexdigest())
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "localize", digesting)
+        results = run_benchmark(seeds, CORPUS_CONFIGS)
+    cases = [r.case for r in results["rows"]]
+    assert len(digests) == len(set(cases)) == len(cases)
+    return results, dict(zip(cases, digests))
+
+
+@pytest.fixture(scope="module")
+def corpus_runs():
+    seeds = _corpus_seeds()
+    first, digests = _run_digesting_reports(seeds)
+    second = run_benchmark(seeds, CORPUS_CONFIGS)
+    return seeds, first, second, digests
 
 
 def test_criterion_08_benchmark_beats_baselines(corpus_runs):
     t0 = time.perf_counter()
-    seeds, results, _ = corpus_runs
+    seeds, results, _, _ = corpus_runs
     programs = {s.base_path for s in seeds}
     agg = results["aggregate"]
     top5 = {r: agg[("default", r)][5] for r in ("semfl", "ochiai", "dstar")}
@@ -479,9 +518,15 @@ def test_criterion_08_benchmark_beats_baselines(corpus_runs):
 
 
 def test_criterion_09_benchmark_determinism(corpus_runs):
-    _, first, second = corpus_runs
+    _, first, second, _ = corpus_runs
     ok = results_to_json(first) == results_to_json(second)
     assert _verdict(9, ok)
+
+
+def test_bench_reports_match_golden_digests(corpus_runs):
+    # every case's report.json, byte for byte as recorded
+    *_, digests = corpus_runs
+    assert digests == json.loads(REPORT_DIGESTS.read_text())
 
 
 # --- criterion 10: ablation sanity ---
@@ -503,7 +548,7 @@ fn test_nested() {
 
 
 def test_criterion_10_ablations(corpus_runs):
-    seeds, _, _ = corpus_runs
+    seeds, _, _, _ = corpus_runs
     program = parse(seeds[0].source)
     fast = localize(program, RunConfig(step_budget=20_000))
     agree = True
@@ -520,3 +565,9 @@ def test_criterion_10_ablations(corpus_runs):
     ok = agree and severed
     assert _verdict(10, ok, f"naive agrees={agree}, "
                             f"virtual edges severed={severed}")
+
+
+if __name__ == "__main__":
+    _, golden = _run_digesting_reports(_corpus_seeds())
+    REPORT_DIGESTS.write_text(json.dumps(golden, indent=1, sort_keys=True)
+                              + "\n")

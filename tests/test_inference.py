@@ -2,8 +2,10 @@
 linear-time and enumeration message updates, agreement of the edge-array
 engine with the tuple-per-message reference engine, tree exactness against
 the joint-enumeration oracle, high-degree exactness against rational
-arithmetic, and guard rails."""
+arithmetic, rounds with and without exact-zero messages, and guard
+rails."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semfl.inference import factor_messages, run_lbp
+from semfl.inference import _Engine, factor_messages, run_lbp
+from semfl import pipeline
 from semfl.lang import parse
+from semfl.model import build_net
 from semfl.pipeline import RunConfig, localize
 
 from helpers import NetBuilder
@@ -317,3 +321,115 @@ def test_all_evidence_factors():
     net = net.build()
     _assert_same_as_reference(net)
     _assert_same_as_reference(net, naive=True)
+
+
+# --- exact zeros: rounds that count them and rounds that need not ---
+
+def _run_counting_zeros(monkeypatch, net):
+    """run_lbp on net, checked against the reference, and per round
+    whether the variable side counted exact zeros: it does once a factor
+    message holds one."""
+    rounds, sums = [], []
+    counting, v2f = _Engine._sums, _Engine._v2f
+
+    def counted_sums(self):
+        sums.append(None)
+        return counting(self)
+
+    def recorded_v2f(self):
+        before = len(sums)
+        out = v2f(self)
+        rounds.append(len(sums) > before)
+        return out
+
+    monkeypatch.setattr(_Engine, "_sums", counted_sums)
+    monkeypatch.setattr(_Engine, "_v2f", recorded_v2f)
+    return _assert_same_as_reference(net), rounds
+
+
+def test_zero_factor_message_in_the_first_round(monkeypatch):
+    # v1 is observed incorrect and its co-parent v0 is certainly correct,
+    # so round 1 tells s it is certainly incorrect: (0, 1). From round 2
+    # s sends that zero on to w's factor as a parent, and w is correct
+    # only by the leak.
+    net = NetBuilder()
+    s = net.add_variable(0.5)
+    v0 = net.add_variable(1.0)
+    v1 = net.add_variable(0.5)
+    w = net.add_variable(0.5)
+    net.add_factor(v1, [s, v0], 0.01)
+    net.add_factor(w, [s], 0.01)
+    net.set_evidence(v1, False)
+    net = net.build()
+    res, rounds = _run_counting_zeros(monkeypatch, net)
+    assert rounds == [False, True, True]
+    assert res.marginals.tolist() == [0.0, 1.0, 0.0, 0.01]
+    assert res.marginals.tolist() == exact_marginals(net).tolist()
+    assert res.fallbacks == 0
+
+
+def test_zero_factor_message_first_in_a_later_round(monkeypatch):
+    # Ten observed-correct values, each from s and a prior-1.0 input,
+    # give s log-odds of about 46 after round 1; in round 2 its message
+    # to w's factor rounds to exactly (1, 0), so w, observed incorrect,
+    # tells u it is certainly incorrect. Rounds 1 and 2 count no zeros,
+    # round 3 does.
+    net = NetBuilder()
+    s = net.add_variable(0.5)
+    for _ in range(10):
+        v = net.add_variable(0.5)
+        net.add_factor(v, [s, net.add_variable(1.0)], 0.01)
+        net.set_evidence(v, True)
+    u = net.add_variable(0.5)
+    w = net.add_variable(0.5)
+    net.add_factor(w, [s, u], 0.01)
+    net.set_evidence(w, False)
+    res, rounds = _run_counting_zeros(monkeypatch, net.build())
+    assert rounds == [False, False, True]
+    assert res.marginals[u] == 0.0
+    assert res.fallbacks == 0
+
+
+def test_contradicting_certain_messages_fall_back_counted(monkeypatch):
+    # v is certainly correct by its factor (its parent x has prior 1.0)
+    # and certainly incorrect by each of two observed-incorrect values it
+    # makes with a prior-1.0 co-parent. From round 2 each of v's edges to
+    # those two factors sees a zero on both sides besides its own: two
+    # fallbacks a round, in rounds 2 and 3. The marginals fall back for v
+    # and for x, which v's certainly incorrect message contradicts: two
+    # more.
+    net = NetBuilder()
+    x = net.add_variable(1.0)
+    v = net.add_variable(0.5)
+    net.add_factor(v, [x], 0.01)
+    for _ in range(2):
+        w = net.add_variable(0.5)
+        net.add_factor(w, [net.add_variable(1.0), v], 0.01)
+        net.set_evidence(w, False)
+    res, rounds = _run_counting_zeros(monkeypatch, net.build())
+    assert rounds == [False, True, True]
+    assert res.fallbacks == 6
+    assert res.marginals.tolist() == [0.5, 0.5, 0.0, 1.0, 0.0, 1.0]
+
+
+def test_run_lbp_leaves_its_net_unchanged(monkeypatch):
+    # a copy of the pipeline's net as built, before any run
+    built = []
+
+    def copy_built(*args):
+        net = build_net(*args)
+        built.append(copy.deepcopy(net))
+        return net
+
+    monkeypatch.setattr(pipeline, "build_net", copy_built)
+    localize(parse(SUM_BUG), RunConfig())
+    net, = built
+    arrays = ("prior", "evidence", "offsets", "edge_var", "p0")
+    before = [getattr(net, name).tobytes() for name in arrays]
+    first, second = run_lbp(net), run_lbp(net)
+    assert [getattr(net, name).tobytes() for name in arrays] == before
+    assert first.marginals.tobytes() == second.marginals.tobytes()
+    assert (first.iterations, first.converged, first.log, first.fallbacks,
+            first.residuals) == (second.iterations, second.converged,
+                                 second.log, second.fallbacks,
+                                 second.residuals)
