@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
 
+from . import tracing
 from .errors import MiniImpSyntaxError, NoViableMutants
 from .lang import ast as A
 from .lang import format_program, parse
@@ -45,13 +46,18 @@ class BaseProgram:
     text's lines, not those of the program's file. `records` maps each
     test to its `CoverageRecord` from one coverage-only run of the
     unmutated program at `step_budget`; the printed program has the same
-    statement ids and runs each test alike."""
+    statement ids and runs each test alike.
+
+    `traces` holds the trace of each test its cases took as given
+    (`trace`), under the key (test, traced set ∩ the functions the test
+    entered, loop period)."""
 
     def __init__(self, program, records, step_budget):
         self.text = format_program(program)
         self.path = program.source_path
         self.records = records
         self.step_budget = step_budget
+        self.traces = {}
 
     @cached_property
     def program(self):
@@ -68,6 +74,29 @@ class BaseProgram:
             return {}
         return {test: r for test, r in self.records.items()
                 if r.status == "pass" and sid not in r.statements}
+
+    def trace(self, test, traced, cfg):
+        """The trace of `test`, one of `unreached`'s for the mutant that
+        `program` runs as, with `traced` and `cfg`'s loop period: the one
+        kept under its key, else one recorded now and kept if within
+        `cfg.trace_limit`. One over the limit is not held here, so the
+        pipeline frees it as it would any other.
+
+        It is any such mutant's trace. The test runs on the mutant as on
+        the unmutated program (`unreached`); each call is traced or not
+        when it is made, and value ids do not depend on tracing, so the
+        traced functions the test never enters change nothing."""
+        key = (test, traced & self.records[test].functions, cfg.loop_period)
+        tr = self.traces.get(key)
+        if tr is None:
+            tr = tracing.trace(self.program, test, traced,
+                               step_budget=self.step_budget,
+                               period=cfg.loop_period)
+            if tr.raw_events <= cfg.trace_limit:
+                self.traces[key] = tr
+        elif tr.raw_events > cfg.trace_limit:
+            del self.traces[key]
+        return tr
 
 
 @dataclass
@@ -297,14 +326,18 @@ def run_case(seed: FaultSeed, cfg: RunConfig) -> CaseResult:
     with the mutant's text: the reports are those of the parsed text. At
     the step budget the seed was drawn at, the profile takes the base's
     record of each test that passed there without stepping the mutated
-    statement (`BaseProgram.unreached`) and runs every other test."""
+    statement (`BaseProgram.unreached`) and runs every other test, and the
+    trace stage takes such a test's trace from the base
+    (`BaseProgram.trace`)."""
     result = CaseResult(case=f"{seed.base_path}#s{seed.sid}[{seed.rewrite}]",
                         config="")
     try:
-        program = seed.base.program
+        base = seed.base
+        program = base.program
         with mutated(program, seed.point, seed.source):
             res = localize(program, cfg,
-                           seed.base.unreached(seed.sid, cfg.step_budget))
+                           base.unreached(seed.sid, cfg.step_budget),
+                           lambda test, traced: base.trace(test, traced, cfg))
             reports = [("semfl", res.report)] + [
                 (name, sbfl_report(res.profile, formula, program))
                 for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR))]

@@ -9,6 +9,12 @@ Values are numbered densely in the order replay first sees them, whether
 read or written, trace after trace. The graph is a few flat arrays over
 those numbers: the trace-local id of each value, its producing statement
 and its parents in CSR form (one offsets array plus one flat index array).
+
+Each trace replays from a fresh value numbering and no edge crosses two
+traces, so the graph is one segment per trace, laid end to end: a
+segment's arrays are local to its trace, and joining them only offsets
+its value indices. A trace keeps its segment per pair of edge switches,
+so a trace the benchmark shares between cases replays once per pair.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,13 +80,29 @@ class _Frame:
         self.params = params
 
 
+class _Segment(NamedTuple):
+    """One trace's part of the graph, before joining: value indices count
+    from 0 at the trace's first value, and the parent lists are in the
+    order replay produced their values. Built once, never changed."""
+
+    value_nodes: array  # "q": trace-local vid per value
+    producer: array  # "q": sid per value, -1 for an input value
+    produced: array  # "q": index of each produced value
+    n_parents: array  # "q": parent count of each produced value
+    ctrl: array  # "b": per produced value
+    parents: array  # "q": every produced value's parents in turn
+    statements: frozenset  # sids of the producing statements
+    anchors: tuple  # (value index, expected bool)
+
+
 class _Builder:
+    """Replays one trace into its segment."""
+
     def __init__(self, program, virtual_call_edges=True, exception_control=True):
         self.program = program
         self.virtual_call_edges = virtual_call_edges
         self.exception_control = exception_control
         self.value_nodes = array("q")
-        self.trace_starts = []
         self.producer = array("q")  # sid per value, -1 until produced
         self.anchors = []
         self._stmt_nodes = set()
@@ -118,11 +142,10 @@ class _Builder:
         self._ctrl.append(has_ctrl)
         self._flat_parents.extend(parents)
 
-    def replay(self, tr):
+    def replay(self, tr) -> _Segment:
         test = tr.test
-        self._ids = {}  # vid -> value index, for this trace
+        self._ids = {}  # vid -> value index
         self._aliases = tr.aliases
-        self.trace_starts.append((test, len(self.value_nodes)))
         value = self.value
         statements = self.program.statement_table
         frames = [_Frame(test)]
@@ -179,6 +202,9 @@ class _Builder:
                 self.anchors.append((value(ev.reads[0]), ev.kind == ASSERT_PASS))
             else:
                 raise MalformedTrace(f"{test}: unknown event kind {ev.kind!r}")
+        return _Segment(self.value_nodes, self.producer, self._produced,
+                        self._n_parents, self._ctrl, self._flat_parents,
+                        frozenset(self._stmt_nodes), tuple(self.anchors))
 
     def _replay_summary(self, ev, fs):
         ctrl = fs.pred_stack[-1][1] if fs.pred_stack else None
@@ -209,38 +235,61 @@ class _Builder:
         else:
             fs.pred_stack.append(entry)
 
-    def finish(self):
-        """Reorder the parent lists from production order into value
-        order: a folded summary can produce a value seen earlier."""
-        n = len(self.value_nodes)
-        produced = np.asarray(self._produced, np.int64)
-        n_parents = np.asarray(self._n_parents, np.int64)
-        counts = np.zeros(n, np.int64)
-        counts[produced] = n_parents
-        parent_start = np.zeros(n + 1, np.int64)
-        np.cumsum(counts, out=parent_start[1:])
-        src_start = np.cumsum(n_parents) - n_parents
-        order = np.argsort(produced, kind="stable")
-        gather = np.repeat(src_start[order] - parent_start[produced[order]],
-                           n_parents[order])
-        gather += np.arange(len(gather))
-        ctrl = np.zeros(n, bool)
-        ctrl[produced] = np.asarray(self._ctrl, bool)
-        return DepGraph(
-            statement_nodes=sorted(self._stmt_nodes),
-            value_nodes=np.asarray(self.value_nodes, np.int64),
-            trace_starts=self.trace_starts,
-            producer=np.asarray(self.producer, np.int64),
-            parent_start=parent_start,
-            parents=np.asarray(self._flat_parents, np.int64)[gather],
-            ctrl=ctrl,
-            evidence_anchors=self.anchors)
+
+def _cat(arrays, dtype):
+    """A new numpy array of `arrays` (of `array`s) end to end."""
+    return np.frombuffer(bytearray().join(arrays), dtype)
+
+
+def _join(traces, segments) -> DepGraph:
+    """The graph of `segments`, one per trace, laid end to end. The parent
+    lists are reordered from production order into value order: a folded
+    summary can produce a value seen earlier."""
+    starts = list(accumulate((len(s.value_nodes) for s in segments),
+                             initial=0))
+    n = starts.pop()
+    offsets = np.array(starts, np.int64)
+    produced = _cat([s.produced for s in segments], np.int64)
+    produced += np.repeat(offsets, [len(s.produced) for s in segments])
+    flat_parents = _cat([s.parents for s in segments], np.int64)
+    flat_parents += np.repeat(offsets, [len(s.parents) for s in segments])
+    n_parents = _cat([s.n_parents for s in segments], np.int64)
+    counts = np.zeros(n, np.int64)
+    counts[produced] = n_parents
+    parent_start = np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=parent_start[1:])
+    src_start = np.cumsum(n_parents) - n_parents
+    order = np.argsort(produced, kind="stable")
+    gather = np.repeat(src_start[order] - parent_start[produced[order]],
+                       n_parents[order])
+    gather += np.arange(len(gather))
+    ctrl = np.zeros(n, bool)
+    ctrl[produced] = _cat([s.ctrl for s in segments], bool)
+    return DepGraph(
+        statement_nodes=sorted(set().union(
+            *(s.statements for s in segments))),
+        value_nodes=_cat([s.value_nodes for s in segments], np.int64),
+        trace_starts=[(tr.test, start)
+                      for tr, start in zip(traces, starts)],
+        producer=_cat([s.producer for s in segments], np.int64),
+        parent_start=parent_start,
+        parents=flat_parents[gather],
+        ctrl=ctrl,
+        evidence_anchors=[(idx + start, ok)
+                          for s, start in zip(segments, starts)
+                          for idx, ok in s.anchors])
 
 
 def build_ddg(program, traces, virtual_call_edges=True,
               exception_control=True) -> DepGraph:
-    builder = _Builder(program, virtual_call_edges=virtual_call_edges,
-                       exception_control=exception_control)
+    """The graph of `traces`, replayed on `program`, the program that
+    recorded them. A trace's segment is replayed on the first call with
+    its pair of switches and kept in the trace's `segments`."""
+    flags = (virtual_call_edges, exception_control)
+    segments = []
     for tr in traces:
-        builder.replay(tr)
-    return builder.finish()
+        seg = tr.segments.get(flags)
+        if seg is None:
+            seg = tr.segments[flags] = _Builder(program, *flags).replay(tr)
+        segments.append(seg)
+    return _join(traces, segments)

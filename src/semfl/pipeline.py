@@ -111,11 +111,15 @@ def traced_function_set(profile):
     return frozenset(f for f in entered if not is_test(f))
 
 
-def localize(program, cfg: RunConfig | None = None,
-             given=None) -> LocalizeResult:
+def localize(program, cfg: RunConfig | None = None, given=None,
+             given_trace=None) -> LocalizeResult:
     """Rank `program`'s statements by their probability of being faulty.
     `given` holds `CoverageRecord`s of tests that the profile takes as run
-    (`tracing.profile`), each one that a run at `cfg.step_budget` makes."""
+    (`tracing.profile`), each one that a run at `cfg.step_budget` makes.
+    `given_trace(test, traced)`, when passed, returns the trace of a
+    passing test of `given` that `tracing.trace` records with the traced
+    set `traced` at `cfg`'s step budget and loop period; it is called
+    instead of tracing that test again, and no stage changes the trace."""
     cfg = cfg or RunConfig()
     cfg.validate()
     log = []
@@ -144,9 +148,14 @@ def localize(program, cfg: RunConfig | None = None,
     # entered.
     traces, dropped, raw = [], [], 0
     for test in selected:
-        t = recorded[test] if test in recorded else tracing.trace(
-            program, test, traced, step_budget=cfg.step_budget,
-            period=cfg.loop_period)
+        if test in recorded:
+            t = recorded[test]
+        elif given_trace is not None and test in given:
+            t = given_trace(test, traced)
+        else:
+            t = tracing.trace(program, test, traced,
+                              step_budget=cfg.step_budget,
+                              period=cfg.loop_period)
         raw += t.raw_events
         # Only a failing trace over the event limit is worth folding; an
         # oversized passing one is freed before the next test runs.

@@ -100,6 +100,11 @@ class Trace:
     # removed at each period p.
     raw_events: int | None = None
     removed: dict = field(default_factory=dict)
+    # The dependency graph's segment of this trace per pair of edge
+    # switches, built on first use (`ddg.build_ddg`). A trace made from
+    # this one by `replace` starts with none.
+    segments: dict = field(init=False, default_factory=dict, repr=False,
+                           compare=False)
 
     @property
     def failing(self):
@@ -1042,7 +1047,11 @@ def trace(program: A.Program, test: str, traced_functions,
           step_budget=DEFAULT_STEP_BUDGET, period=0) -> Trace:
     """Run one test with full event recording for `traced_functions`. With
     a `period` K > 0, loops are compressed as they run (`LoopRun`), to the
-    trace `reduction.compress_loops` makes of the raw one at K."""
+    trace `reduction.compress_loops` makes of the raw one at K.
+
+    Each call is traced or not when it is made, and value ids do not
+    depend on tracing, so the trace depends on `traced_functions` only
+    through the functions the test enters."""
     if test not in program.functions:
         raise MalformedTrace(f"unknown test {test!r}")
     return _record(program, test, traced_functions, step_budget, period)[0]

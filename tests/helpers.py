@@ -12,7 +12,7 @@ compressed while the test ran against the offline replay, and
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -104,6 +104,12 @@ def check_acyclic(g):
         if src[0] != dst[0] or src[1] >= dst[1]:
             return False
     return True
+
+
+def trace_copy(tr):
+    """A deep copy of trace `tr`, with no dependency-graph segment."""
+    return replace(tr, events=[replace(e, aux=dict(e.aux)) for e in tr.events],
+                   aliases=dict(tr.aliases), removed=dict(tr.removed))
 
 
 def assert_same_graph(a, b):

@@ -5,6 +5,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 from semfl import bench, tracing
 from semfl.bench import (
     OP_SWAPS,
+    BaseProgram,
     MutationPoint,
     corpus_seeds,
     enumerate_mutations,
@@ -24,6 +27,7 @@ from semfl.bench import (
     results_to_json,
     seed_faults,
 )
+from semfl.ddg import build_ddg
 from semfl.errors import MiniImpSyntaxError, NoViableMutants
 from semfl.lang import format_program, parse
 from semfl.lang.ast import IntLit, root_op, statement_slots
@@ -32,9 +36,20 @@ from semfl.lang.printer import format_expr
 from semfl.model import BOOLEAN_OPS
 from semfl.pipeline import RunConfig, localize
 from semfl.ranking import DSTAR, OCHIAI, rank, sbfl_report
-from semfl.tracing import DEFAULT_STEP_BUDGET, profile, program_hash, run_test
+from semfl.tracing import (
+    DEFAULT_STEP_BUDGET,
+    dump_trace,
+    profile,
+    program_hash,
+    run_test,
+)
 
-from helpers import apply_mutation, statement_ids
+from helpers import (
+    apply_mutation,
+    assert_same_graph,
+    statement_ids,
+    trace_copy,
+)
 from lbp_reference import run_reference
 
 CORRECT = """
@@ -371,8 +386,8 @@ def _run_case_as_is(monkeypatch, seed, cfg):
     SBFL report texts it computed."""
     seen = {"sbfl": []}
 
-    def capture(program, cfg, given):
-        seen["localize"] = localize(program, cfg, given)
+    def capture(program, cfg, given, given_trace):
+        seen["localize"] = localize(program, cfg, given, given_trace)
         return seen["localize"]
 
     def capture_sbfl(profile, formula, program):
@@ -421,7 +436,7 @@ def test_run_case_leaves_the_shared_program_as_it_found_it(monkeypatch,
     program = first.base.program
     function = program.statement_table[first.sid].function
     if fails:
-        def failing(program, cfg, given):
+        def failing(program, cfg, given, given_trace):
             profile(program, step_budget=300)  # compiles the mutant's closures
             raise RuntimeError("localize failed")
 
@@ -535,6 +550,182 @@ def test_a_base_failing_test_that_misses_the_mutant_still_runs(monkeypatch):
     assert got.log == want.log
     assert got_sbfl == [sbfl_report(want.profile, formula, mutant).to_json()
                         for formula in (OCHIAI, DSTAR)]
+
+
+# --- given traces, shared by a program's cases ---
+
+def _given_traces(m):
+    """Once `m` has patched the tracer and `BaseProgram.trace` to log
+    them: the traces `tracing.trace` returns, in call order, and the calls
+    of `BaseProgram.trace` as (base, test, traced, cfg, trace, whether
+    that call recorded it)."""
+    log = {"traced": [], "given": []}
+    trace, given = tracing.trace, BaseProgram.trace
+
+    def logged_trace(*args, **kwargs):
+        log["traced"].append(trace(*args, **kwargs))
+        return log["traced"][-1]
+
+    def logged_given(base, test, traced, cfg):
+        before = len(log["traced"])
+        tr = given(base, test, traced, cfg)
+        log["given"].append((base, test, traced, cfg, tr,
+                             len(log["traced"]) > before))
+        return tr
+
+    m.setattr(tracing, "trace", logged_trace)
+    m.setattr(BaseProgram, "trace", logged_given)
+    return log
+
+
+def test_memoized_traces_are_the_mutants_own(monkeypatch):
+    seeds = ([(s, 20_000) for s in corpus_seeds(7, 0, step_budget=20_000)]
+             + [(s, 300) for s in corpus_seeds(7, 2, step_budget=300)])
+    mutants = [parse(seed.source, seed.base_path) for seed, _ in seeds]
+    served = {}  # (base, test) -> traced ∩ entered of each serving
+    kept = {}  # id -> (memoized trace, program, its dump when recorded)
+    fresh = 0  # passing traces of tests that step the mutant
+    for period in (3, 0, 3):
+        for (seed, budget), mutant in zip(seeds, mutants):
+            base, program = seed.base, seed.base.program
+            cfg = RunConfig(step_budget=budget, loop_period=period)
+            with monkeypatch.context() as m:
+                log = _given_traces(m)
+                result, res, _ = _run_case_as_is(monkeypatch, seed, cfg)
+            assert not result.error
+            unreached = base.unreached(seed.sid, budget)
+            for _, test, traced, _, tr, recorded in log["given"]:
+                assert test in unreached
+                if recorded:
+                    if any(tr is t for t in base.traces.values()):
+                        kept[id(tr)] = (tr, program,
+                                        dump_trace(tr, program))
+                    continue
+                served.setdefault((base, test), set()).add(
+                    traced & base.records[test].functions)
+                want = tracing.trace(mutant, test, traced,
+                                     step_budget=budget, period=period)
+                assert dump_trace(tr, mutant) == dump_trace(want, mutant)
+                assert (tr.aliases, tr.raw_events, tr.removed) == \
+                    (want.aliases, want.raw_events, want.removed)
+            # the spy: a passing test that steps the mutant is traced in
+            # this case, never served
+            for tr in res.traces:
+                if not tr.failing and tr.test not in unreached:
+                    assert any(tr is t for t in log["traced"]), tr.test
+                    fresh += 1
+    assert fresh > 0
+    assert any(len(keys) > 1 for keys in served.values())
+    assert kept and all(dump_trace(tr, program) == dump
+                        for tr, program, dump in kept.values())
+    # the memo holds traces that a key by test name alone, or one
+    # without the period, would confuse
+    dumps = {}
+    for seed, _ in seeds:
+        for (test, functions, period), tr in seed.base.traces.items():
+            dumps.setdefault((seed.base, test), {})[functions, period] = \
+                dump_trace(tr, seed.base.program)
+    assert any(len(set(d.values())) > 1 for d in dumps.values()
+               if len({f for f, p in d if p == 3}) > 1)
+    assert any(d[f, 0] != d[f, 3] for d in dumps.values()
+               for f, p in d if p == 0 and (f, 3) in d)
+
+
+SWITCH_PAIRS = [(False, True), (True, False), (False, False), (True, True)]
+
+
+def test_segment_built_graphs_equal_fresh_ones(monkeypatch):
+    # localize builds each graph at (True, True); the other pairs then
+    # find that pair's segment on the shared traces
+    cfg = RunConfig(step_budget=20_000)
+    second = 0
+    for seed in corpus_seeds(7, 0, step_budget=20_000):
+        result, res, _ = _run_case_as_is(monkeypatch, seed, cfg)
+        assert not result.error
+        mutant = parse(seed.source, seed.base_path)
+        for flags in SWITCH_PAIRS:
+            second += sum(bool(t.segments) and flags not in t.segments
+                          for t in res.traces)
+            got = build_ddg(seed.base.program, res.traces, *flags)
+            copies = [trace_copy(t) for t in res.traces]
+            assert not any(t.segments for t in copies)
+            assert_same_graph(got, build_ddg(mutant, copies, *flags))
+        assert_same_graph(res.ddg, got)
+    assert second > 0
+
+
+def test_a_programs_configs_share_its_given_traces(monkeypatch):
+    # as `semfl sweep` runs them
+    configs = [("p0-low=0.01", RunConfig(step_budget=20_000)),
+               ("p0-low=0.001", RunConfig(step_budget=20_000, p0_low=0.001))]
+    seeds = corpus_seeds(7, 0, ["sorting"], step_budget=20_000)
+    with monkeypatch.context() as m:
+        log = _given_traces(m)
+        res = run_benchmark(seeds, configs)
+    recorded = Counter((cfg.p0_low, rec) for *_, cfg, _, rec in log["given"])
+    assert recorded[0.01, True] > 0 and recorded[0.001, False] > 0
+    assert recorded[0.001, True] == 0
+    fresh = run_benchmark(corpus_seeds(7, 0, ["sorting"],
+                                       step_budget=20_000), configs[1:])
+    assert [r for r in res["rows"] if r.config == configs[1][0]] == \
+        fresh["rows"]
+    assert not any(r.error for r in res["rows"])
+
+
+def test_bench_cases_that_fold_report_as_their_mutants(monkeypatch):
+    # At this limit 32 of the 70 cases fold a failing trace, and longer
+    # passing traces, given ones among them, are dropped.
+    cfg = RunConfig(step_budget=20_000, trace_limit=30)
+    folded = 0
+    for seed in corpus_seeds(7, 0, step_budget=20_000):
+        result, got, _ = _run_case_as_is(monkeypatch, seed, cfg)
+        assert not result.error
+        want = localize(parse(seed.source, seed.base_path), cfg)
+        assert got.report.to_json() == want.report.to_json()
+        assert got.log == want.log
+        folded += any(line.startswith("adaptive folding") for line in got.log)
+    assert folded > 0
+
+
+def test_an_oversized_given_trace_is_freed_before_the_next_test_runs(
+        monkeypatch):
+    seeds = corpus_seeds(7, 0, ["sorting"], step_budget=20_000)
+    base = seeds[0].base
+    refs = []  # to the oversized given traces not yet seen freed
+    freed = Counter()
+    given, run = BaseProgram.trace, tracing._Executor.run_test
+
+    def spied_given(base, test, traced, cfg):
+        was_kept = [id(t) for t in base.traces.values()]
+        tr = given(base, test, traced, cfg)
+        if tr.raw_events > cfg.trace_limit:
+            assert not any(tr is t for t in base.traces.values())
+            refs.append((weakref.ref(tr), id(tr) in was_kept))
+        return tr
+
+    def check_freed():
+        for ref, was_kept in refs:
+            assert ref() is None
+            freed[was_kept] += 1
+        refs.clear()
+
+    def spied_run(ex, test, traced):
+        check_freed()
+        return run(ex, test, traced)
+
+    # the memo keeps traces of up to 112 events at the default limit; at
+    # a limit of 50 the longer ones are served once and let go, then
+    # recorded and let go
+    for cfg in (RunConfig(step_budget=20_000),
+                RunConfig(step_budget=20_000, trace_limit=50),
+                RunConfig(step_budget=20_000, trace_limit=50)):
+        for seed in seeds:
+            with monkeypatch.context() as m:
+                m.setattr(BaseProgram, "trace", spied_given)
+                m.setattr(tracing._Executor, "run_test", spied_run)
+                assert not run_case(seed, cfg).error
+            check_freed()
+    assert freed[True] > 0 and freed[False] > 0
 
 
 @pytest.mark.parametrize("budget", [20_000, 300])

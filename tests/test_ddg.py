@@ -1,6 +1,8 @@
 """Dependency-graph tests: data and control edges, virtual call edges,
 exception control, acyclicity, and malformed-trace rejection."""
 
+from dataclasses import replace
+
 import pytest
 
 from semfl.ddg import build_ddg
@@ -17,11 +19,13 @@ from semfl.tracing import (
 )
 
 from helpers import (
+    assert_same_graph,
     check_acyclic,
     dump_ddg,
     edges,
     producers,
     statement_ids,
+    trace_copy,
     value_keys,
     value_parents,
 )
@@ -359,6 +363,43 @@ def test_multi_test_graphs_are_acyclic_and_disjoint():
     for kind, src, dst in edges(g):
         if kind != "stmt":
             assert src[0] == dst[0]
+
+
+def test_a_graph_is_its_traces_graphs_end_to_end():
+    prog, traces, g = _cond_graph()
+    parts = [build_ddg(prog, [trace_copy(tr)]) for tr in traces]
+    assert value_keys(g) == value_keys(parts[0]) + value_keys(parts[1])
+    assert sorted(edges(g)) == sorted(edges(parts[0]) + edges(parts[1]))
+    n = len(parts[0].value_nodes)
+    assert g.evidence_anchors == parts[0].evidence_anchors + [
+        (i + n, ok) for i, ok in parts[1].evidence_anchors]
+
+
+@pytest.mark.parametrize("flags", [(True, True), (False, True),
+                                   (True, False), (False, False)])
+def test_a_trace_replays_once_per_switch_pair(flags):
+    prog, traces, _ = _cond_graph()
+    kept = []
+    for tr in traces:
+        first = build_ddg(prog, [tr], *flags)
+        kept.append(tr.segments[flags])
+        # a graph shares no array with the segments it was joined from
+        for name in ("value_nodes", "producer", "parent_start", "parents",
+                     "ctrl"):
+            getattr(first, name)[:] = 0
+    again = build_ddg(prog, traces[::-1] + traces, *flags)
+    assert all(tr.segments[flags] is seg for tr, seg in zip(traces, kept))
+    assert_same_graph(again, build_ddg(
+        prog, [trace_copy(tr) for tr in traces[::-1] + traces], *flags))
+
+
+def test_a_trace_made_by_replace_replays_its_own_events():
+    prog, traces, _ = _cond_graph()
+    tr = traces[1]
+    cut = replace(tr, events=tr.events[:len(tr.events) // 2])
+    assert tr.segments and not cut.segments
+    assert_same_graph(build_ddg(prog, [cut]),
+                      build_ddg(prog, [trace_copy(cut)]))
 
 
 def test_unknown_statement_rejected():
