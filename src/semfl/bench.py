@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 
 from . import tracing
@@ -40,17 +40,19 @@ class MutationPoint:
     rewrite: str  # human-readable description, e.g. "<= -> <"
 
 
+# What a case takes from its base program as run (`BaseProgram.given`), in
+# the form `pipeline.localize` reads.
+Given = namedtuple("Given", "records trace")
+
+
 class BaseProgram:
     """A program as printed, parsed on first use: the one program that the
     cases of its seeds run on, mutated. A mutant's text has the printed
     text's lines, not those of the program's file. `records` maps each
     test to its `CoverageRecord` from one coverage-only run of the
     unmutated program at `step_budget`; the printed program has the same
-    statement ids and runs each test alike.
-
-    `traces` holds the trace of each test its cases took as given
-    (`trace`), under the key (test, traced set ∩ the functions the test
-    entered, loop period)."""
+    statement ids and runs each test alike. `traces` memoises the given
+    traces of its cases (`trace`)."""
 
     def __init__(self, program, records, step_budget):
         self.text = format_program(program)
@@ -63,29 +65,30 @@ class BaseProgram:
     def program(self):
         return parse(self.text, self.path)
 
-    def unreached(self, sid, step_budget) -> dict:
-        """The records of the tests that passed here without stepping
-        statement `sid`, if `step_budget` is the one they ran at, else
-        none. Such a test runs on a mutant at `sid` as it ran here: MiniImp
-        is deterministic, and the mutant differs only in an expression
+    def given(self, sid, cfg) -> Given:
+        """What a case at `cfg` of a mutant at statement `sid` takes as run,
+        in place of running it: the record of each test that passed here
+        without stepping `sid`, if `cfg.step_budget` is the one it ran at,
+        else none, and such a test's trace from `trace`.
+
+        Such a test runs on the mutant as it ran here: MiniImp is
+        deterministic, and the mutant differs only in an expression
         evaluated after `sid`'s step, so its steps, coverage, outcome and
-        any stop at a repeated loop state are the same."""
-        if step_budget != self.step_budget:
-            return {}
-        return {test: r for test, r in self.records.items()
-                if r.status == "pass" and sid not in r.statements}
+        any stop at a repeated loop state are the same. Each call is
+        traced or not when it is made, and value ids do not depend on
+        tracing, so its trace depends on the traced set only through the
+        functions it entered: one kept by an earlier case is this case's."""
+        records = {} if cfg.step_budget != self.step_budget else {
+            test: r for test, r in self.records.items()
+            if r.status == "pass" and sid not in r.statements}
+        return Given(records, partial(self.trace, cfg=cfg))
 
     def trace(self, test, traced, cfg):
-        """The trace of `test`, one of `unreached`'s for the mutant that
-        `program` runs as, with `traced` and `cfg`'s loop period: the one
-        kept under its key, else one recorded now and kept if within
-        `cfg.trace_limit`. One over the limit is not held here, so the
-        pipeline frees it as it would any other.
-
-        It is any such mutant's trace. The test runs on the mutant as on
-        the unmutated program (`unreached`); each call is traced or not
-        when it is made, and value ids do not depend on tracing, so the
-        traced functions the test never enters change nothing."""
+        """The trace of given test `test` with `traced` and `cfg`'s loop
+        period: the one kept under (test, `traced` ∩ the functions it
+        entered, loop period), else one recorded now and kept, sharing its
+        graph segments, if within `cfg.trace_limit`. One over the limit is
+        not held here, so the pipeline frees it as it would any other."""
         key = (test, traced & self.records[test].functions, cfg.loop_period)
         tr = self.traces.get(key)
         if tr is None:
@@ -93,6 +96,7 @@ class BaseProgram:
                                step_budget=self.step_budget,
                                period=cfg.loop_period)
             if tr.raw_events <= cfg.trace_limit:
+                tr.segments = {}
                 self.traces[key] = tr
         elif tr.raw_events > cfg.trace_limit:
             del self.traces[key]
@@ -187,7 +191,7 @@ def _mixed_outcomes(mutant, sid, records, step_budget) -> bool:
     """Whether some test of `mutant`, a mutant at statement `sid`, passes
     and another fails. Only the tests whose base run, in `records`,
     stepped `sid` run; every other one has its base outcome
-    (`BaseProgram.unreached` says why)."""
+    (`BaseProgram.given` says why)."""
     seen = {r.status for r in records.values() if sid not in r.statements}
     for test, r in records.items():
         if len(seen) == 2:
@@ -323,21 +327,15 @@ def _failure_reason(profile) -> str:
 
 def run_case(seed: FaultSeed, cfg: RunConfig) -> CaseResult:
     """Rank the seed's fault by every ranker, on its base program `mutated`
-    with the mutant's text: the reports are those of the parsed text. At
-    the step budget the seed was drawn at, the profile takes the base's
-    record of each test that passed there without stepping the mutated
-    statement (`BaseProgram.unreached`) and runs every other test, and the
-    trace stage takes such a test's trace from the base
-    (`BaseProgram.trace`)."""
+    with the mutant's text, taking the tests the base gives as run
+    (`BaseProgram.given`): the reports are those of the parsed text."""
     result = CaseResult(case=f"{seed.base_path}#s{seed.sid}[{seed.rewrite}]",
                         config="")
     try:
         base = seed.base
         program = base.program
         with mutated(program, seed.point, seed.source):
-            res = localize(program, cfg,
-                           base.unreached(seed.sid, cfg.step_budget),
-                           lambda test, traced: base.trace(test, traced, cfg))
+            res = localize(program, cfg, base.given(seed.sid, cfg))
             reports = [("semfl", res.report)] + [
                 (name, sbfl_report(res.profile, formula, program))
                 for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR))]

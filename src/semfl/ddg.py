@@ -13,8 +13,8 @@ and its parents in CSR form (one offsets array plus one flat index array).
 Each trace replays from a fresh value numbering and no edge crosses two
 traces, so the graph is one segment per trace, laid end to end: a
 segment's arrays are local to its trace, and joining them only offsets
-its value indices. A trace keeps its segment per pair of edge switches,
-so a trace the benchmark shares between cases replays once per pair.
+its value indices. Only a trace the benchmark shares keeps its segment per
+pair of edge switches, replaying once per pair; `semfl localize` keeps none.
 """
 
 from __future__ import annotations
@@ -283,13 +283,14 @@ def _join(traces, segments) -> DepGraph:
 def build_ddg(program, traces, virtual_call_edges=True,
               exception_control=True) -> DepGraph:
     """The graph of `traces`, replayed on `program`, the program that
-    recorded them. A trace's segment is replayed on the first call with
-    its pair of switches and kept in the trace's `segments`."""
+    recorded them. A trace whose `segments` is a dict keeps them there,
+    one per pair of switches; every other trace keeps none."""
     flags = (virtual_call_edges, exception_control)
     segments = []
     for tr in traces:
-        seg = tr.segments.get(flags)
+        kept = {} if tr.segments is None else tr.segments
+        seg = kept.get(flags)
         if seg is None:
-            seg = tr.segments[flags] = _Builder(program, *flags).replay(tr)
+            seg = kept[flags] = _Builder(program, *flags).replay(tr)
         segments.append(seg)
     return _join(traces, segments)

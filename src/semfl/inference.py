@@ -7,7 +7,7 @@ leak per factor. Messages are length-2 vectors over (correct, incorrect),
 normalized after every update. Each side of an iteration is one flat pass
 over the edge arrays that multiplies messages as sums of logarithms, so no
 degree makes a product underflow. Factor messages have a closed form that
-is linear in the factor degree (`factor_messages`). The enumeration
+is linear in the factor degree (`_factor_messages`). The enumeration
 oracles it is checked against live in the tests (`tests/lbp_reference.py`).
 
 What a net fixes is built once per run: the factor of each edge, 1 - p0,
@@ -52,25 +52,19 @@ class _Factors:
         self.factor = np.repeat(np.arange(len(p0)), np.diff(offsets))
 
 
-def factor_messages(p0, offsets, v2f_t, v2f_f):
-    """Closed-form messages of noisy-conjunction factors on the flat edge
-    arrays: factor a, with leak p0[a], has the edges offsets[a]:offsets[a +
-    1], its child first, whose variables send v2f_t and v2f_f. Returns the
-    unnormalised messages back, two arrays with one entry per edge.
+def _factor_messages(fs: _Factors, v2f_t, v2f_f):
+    """Closed-form messages of the noisy-conjunction factors `fs` on the
+    flat edge arrays, whose variables send v2f_t and v2f_f. Returns the
+    unnormalised messages back, two arrays with one entry per edge, and
+    overwrites v2f_t.
 
     Summed over parent assignments, the message to the child depends only
     on the product of the parents' correct-components. For a parent,
     every assignment of the others but the all-correct one gives the same
     constant b, so it needs only the product of the other parents'. Both
-    come from one sum of logarithms per factor, less the edge's own term,
-    with exact zeros counted apart."""
-    return _factor_messages(_Factors(offsets, p0),
-                            np.array(v2f_t, np.float64), v2f_f)
-
-
-def _factor_messages(fs: _Factors, v2f_t, v2f_f):
-    """factor_messages on a built structure; overwrites v2f_t. Parents'
-    exact zeros are masked and counted only when some parent sends one."""
+    come from one sum of logarithms per factor, less the edge's own term;
+    parents' exact zeros are masked and counted apart, only when some
+    parent sends one."""
     starts, factor = fs.starts, fs.factor
     child_t = v2f_t[starts]
     b = fs.p0 * child_t + fs.q * v2f_f[starts]

@@ -111,15 +111,13 @@ def traced_function_set(profile):
     return frozenset(f for f in entered if not is_test(f))
 
 
-def localize(program, cfg: RunConfig | None = None, given=None,
-             given_trace=None) -> LocalizeResult:
+def localize(program, cfg: RunConfig | None = None,
+             given=None) -> LocalizeResult:
     """Rank `program`'s statements by their probability of being faulty.
-    `given` holds `CoverageRecord`s of tests that the profile takes as run
-    (`tracing.profile`), each one that a run at `cfg.step_budget` makes.
-    `given_trace(test, traced)`, when passed, returns the trace of a
-    passing test of `given` that `tracing.trace` records with the traced
-    set `traced` at `cfg`'s step budget and loop period; it is called
-    instead of tracing that test again, and no stage changes the trace."""
+    `given`, when passed, holds tests taken as run (`bench.Given`): the
+    profile takes its `records` as run (`tracing.profile`), and the trace
+    stage takes a selected test's trace from `given.trace(test, traced)`
+    when the test is one of them. No stage changes a given trace."""
     cfg = cfg or RunConfig()
     cfg.validate()
     log = []
@@ -130,7 +128,8 @@ def localize(program, cfg: RunConfig | None = None, given=None,
     recorded = {}  # failing test -> its trace from the profile run
     prof = tracing.profile(program, step_budget=cfg.step_budget,
                            failing_traces=recorded,
-                           period=cfg.loop_period, given=given)
+                           period=cfg.loop_period,
+                           given=given and given.records)
     timings["profile"] = time.perf_counter() - t0
     stopped = [t.stopped_at for t in prof.failing if t.stopped_at]
     log.append(f"repeated loop state: {len(stopped)} timeout tests stopped "
@@ -150,8 +149,8 @@ def localize(program, cfg: RunConfig | None = None, given=None,
     for test in selected:
         if test in recorded:
             t = recorded[test]
-        elif given_trace is not None and test in given:
-            t = given_trace(test, traced)
+        elif given and test in given.records:
+            t = given.trace(test, traced)
         else:
             t = tracing.trace(program, test, traced,
                               step_budget=cfg.step_budget,

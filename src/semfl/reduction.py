@@ -44,9 +44,9 @@ def select_tests(profile, cfg: RunConfig) -> list:
     for t in profile.failing:
         fail_funcs |= t.functions
     scored = []
-    for t in profile.passing:
+    for t in profile.tests.values():
         overlap = len(t.functions & fail_funcs)
-        if overlap > 0:
+        if t.status == "pass" and overlap > 0:
             scored.append((-overlap, t.test))
     scored.sort()
     return failing + [name for _, name in scored[:cfg.max_passing_tests]]

@@ -100,11 +100,11 @@ class Trace:
     # removed at each period p.
     raw_events: int | None = None
     removed: dict = field(default_factory=dict)
-    # The dependency graph's segment of this trace per pair of edge
-    # switches, built on first use (`ddg.build_ddg`). A trace made from
-    # this one by `replace` starts with none.
-    segments: dict = field(init=False, default_factory=dict, repr=False,
-                           compare=False)
+    # A trace the benchmark shares (`bench.BaseProgram.trace`) keeps its
+    # graph segment per pair of edge switches here (`ddg.build_ddg`); any
+    # other, one made from it by `replace` among them, has None.
+    segments: dict | None = field(init=False, default=None, repr=False,
+                                  compare=False)
 
     @property
     def failing(self):
@@ -133,10 +133,6 @@ class CoverageProfile:
     @property
     def failing(self):
         return [t for t in self.tests.values() if t.status == "fail"]
-
-    @property
-    def passing(self):
-        return [t for t in self.tests.values() if t.status == "pass"]
 
     @property
     def num_failing(self):

@@ -3,8 +3,10 @@
 `semfl.ddg.DepGraph` and `semfl.model.FaultNet` hold flat arrays. The
 functions here read a graph back as (test, vid) keys and (kind, source,
 target) edges, and `NetBuilder` assembles a hand-made network one variable
-and one factor at a time. `statement_ids` lists a function's statements,
-and `p_faulty` reads a statement's fault probability off a marginal.
+and one factor at a time, and `factor_messages` runs the engine's closed
+form on hand-made edge arrays. `statement_ids` lists a function's
+statements, and `p_faulty` reads a statement's fault probability off a
+marginal.
 `assert_compressed_as_compress_loops` checks a trace the interpreter
 compressed while the test ran against the offline replay, and
 `apply_mutation` prints a mutant's source text.
@@ -17,6 +19,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from semfl.bench import mutated
+from semfl.inference import _factor_messages, _Factors
 from semfl.lang import format_program
 from semfl.lang.ast import walk_statements
 from semfl.model import FaultNet
@@ -172,6 +175,14 @@ class NetBuilder:
                         np.array(self.evidence, np.int8), offsets,
                         np.array(edge_var, np.int64),
                         np.array([p0 for _, _, p0 in self.factors], np.float64))
+
+
+def factor_messages(p0, offsets, v2f_t, v2f_f):
+    """The engine's unnormalised closed-form messages of noisy-conjunction
+    factors: factor a, with leak p0[a], has the edges offsets[a]:offsets[a
+    + 1], its child first, whose variables send v2f_t and v2f_f."""
+    return _factor_messages(_Factors(offsets, p0),
+                            np.array(v2f_t, np.float64), v2f_f)
 
 
 def assert_compressed_as_compress_loops(online, raw, program, period):

@@ -31,7 +31,7 @@ from semfl import bench
 from semfl.bench import results_to_json, run_benchmark, seed_faults
 from semfl.bench import load_corpus_program, load_manifest
 from semfl.ddg import build_ddg
-from semfl.inference import factor_messages, run_lbp
+from semfl.inference import run_lbp
 from semfl.lang import parse
 from semfl.model import build_net, classify_p0
 from semfl.pipeline import RunConfig, localize
@@ -41,6 +41,7 @@ from semfl.tracing import BRANCH, EXEC, profile, trace
 
 from helpers import (
     NetBuilder,
+    factor_messages,
     node_count,
     p_faulty,
     statement_ids,

@@ -37,7 +37,6 @@ from semfl.model import BOOLEAN_OPS
 from semfl.pipeline import RunConfig, localize
 from semfl.ranking import DSTAR, OCHIAI, rank, sbfl_report
 from semfl.tracing import (
-    DEFAULT_STEP_BUDGET,
     dump_trace,
     profile,
     program_hash,
@@ -138,7 +137,8 @@ def test_seed_faults_deterministic_and_viable():
     assert [(s.sid, s.rewrite) for s in a] == [(s.sid, s.rewrite) for s in b]
     for s in a:
         prof = profile(parse(s.source))
-        assert prof.num_failing > 0 and len(prof.passing) > 0
+        assert prof.num_failing > 0 and any(
+            r.status == "pass" for r in prof.tests.values())
 
 
 def test_no_viable_mutants_raises():
@@ -386,8 +386,8 @@ def _run_case_as_is(monkeypatch, seed, cfg):
     SBFL report texts it computed."""
     seen = {"sbfl": []}
 
-    def capture(program, cfg, given, given_trace):
-        seen["localize"] = localize(program, cfg, given, given_trace)
+    def capture(program, cfg, given):
+        seen["localize"] = localize(program, cfg, given)
         return seen["localize"]
 
     def capture_sbfl(profile, formula, program):
@@ -436,7 +436,7 @@ def test_run_case_leaves_the_shared_program_as_it_found_it(monkeypatch,
     program = first.base.program
     function = program.statement_table[first.sid].function
     if fails:
-        def failing(program, cfg, given, given_trace):
+        def failing(program, cfg, given):
             profile(program, step_budget=300)  # compiles the mutant's closures
             raise RuntimeError("localize failed")
 
@@ -494,7 +494,8 @@ def test_run_case_runs_only_the_tests_that_reach_the_mutant(monkeypatch):
 
 def test_a_case_at_another_step_budget_runs_every_test(monkeypatch):
     seed = corpus_seeds(1, 0, ["recurrences"], step_budget=20_000)[0]
-    assert len(seed.base.unreached(seed.sid, 20_000)) > 0
+    assert len(seed.base.given(seed.sid, RunConfig(step_budget=20_000))
+               .records) > 0
     with monkeypatch.context() as m:
         ran = _tests_run(m)
         cfg = replace(NO_PASSING, step_budget=20_001)
@@ -535,7 +536,7 @@ def test_a_base_failing_test_that_misses_the_mutant_still_runs(monkeypatch):
     prog = parse(BASE_FAILING, "failing.mi")
     assert [t.test for t in profile(prog).failing] == ["test_other"]
     seed = next(s for s in seed_faults(prog, 20, 0) if s.rewrite == "+ -> -")
-    assert list(seed.base.unreached(seed.sid, DEFAULT_STEP_BUDGET)) == \
+    assert list(seed.base.given(seed.sid, RunConfig()).records) == \
         ["test_dec"]
     cfg = RunConfig()
     with monkeypatch.context() as m:
@@ -555,10 +556,11 @@ def test_a_base_failing_test_that_misses_the_mutant_still_runs(monkeypatch):
 # --- given traces, shared by a program's cases ---
 
 def _given_traces(m):
-    """Once `m` has patched the tracer and `BaseProgram.trace` to log
-    them: the traces `tracing.trace` returns, in call order, and the calls
-    of `BaseProgram.trace` as (base, test, traced, cfg, trace, whether
-    that call recorded it)."""
+    """Once `m` has patched the tracer and `BaseProgram.trace`, which
+    serves each case's `given.trace` (`BaseProgram.given`), to log them:
+    the traces `tracing.trace` returns, in call order, and the calls of
+    `BaseProgram.trace` as (base, test, traced, cfg, trace, whether that
+    call recorded it)."""
     log = {"traced": [], "given": []}
     trace, given = tracing.trace, BaseProgram.trace
 
@@ -593,7 +595,7 @@ def test_memoized_traces_are_the_mutants_own(monkeypatch):
                 log = _given_traces(m)
                 result, res, _ = _run_case_as_is(monkeypatch, seed, cfg)
             assert not result.error
-            unreached = base.unreached(seed.sid, budget)
+            unreached = base.given(seed.sid, cfg).records
             for _, test, traced, _, tr, recorded in log["given"]:
                 assert test in unreached
                 if recorded:
@@ -636,12 +638,19 @@ SWITCH_PAIRS = [(False, True), (True, False), (False, False), (True, True)]
 
 def test_segment_built_graphs_equal_fresh_ones(monkeypatch):
     # localize builds each graph at (True, True); the other pairs then
-    # find that pair's segment on the shared traces
+    # find that pair's segment on the shared traces. The first pass over
+    # the 70 cases records 84 given traces (2,241 events) and serves 107.
     cfg = RunConfig(step_budget=20_000)
     second = 0
+    given = Counter()
     for seed in corpus_seeds(7, 0, step_budget=20_000):
-        result, res, _ = _run_case_as_is(monkeypatch, seed, cfg)
+        with monkeypatch.context() as m:
+            log = _given_traces(m)
+            result, res, _ = _run_case_as_is(monkeypatch, seed, cfg)
         assert not result.error
+        for *_, tr, recorded in log["given"]:
+            given["recorded" if recorded else "served"] += 1
+            given["events"] += tr.size() if recorded else 0
         mutant = parse(seed.source, seed.base_path)
         for flags in SWITCH_PAIRS:
             second += sum(bool(t.segments) and flags not in t.segments
@@ -652,6 +661,7 @@ def test_segment_built_graphs_equal_fresh_ones(monkeypatch):
             assert_same_graph(got, build_ddg(mutant, copies, *flags))
         assert_same_graph(res.ddg, got)
     assert second > 0
+    assert given == {"recorded": 84, "events": 2241, "served": 107}
 
 
 def test_a_programs_configs_share_its_given_traces(monkeypatch):
@@ -738,7 +748,8 @@ def test_a_mutants_profile_with_base_records_is_its_full_profile(budget):
         prog = load_corpus_program(e["name"])
         base = seed_faults(prog, 1, 0, step_budget=budget)[0].base
         for point in enumerate_mutations(prog):
-            unreached = base.unreached(point.sid, budget)
+            unreached = base.given(point.sid,
+                                   RunConfig(step_budget=budget)).records
             given += len(unreached)
             traces, more = {}, {}
             with bench.mutated(prog, point):

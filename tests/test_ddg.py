@@ -8,6 +8,7 @@ import pytest
 from semfl.ddg import build_ddg
 from semfl.errors import MalformedTrace
 from semfl.lang import parse
+from semfl.pipeline import localize
 from semfl.tracing import (
     BRANCH,
     CALL_EXIT,
@@ -52,6 +53,15 @@ def _cond_graph():
     prog = parse(COND_TEST)
     traces = [trace(prog, t, {"foo"}) for t in ("test_pass", "test_fail")]
     return prog, traces, build_ddg(prog, traces)
+
+
+def _shared_traces():
+    """`_cond_graph`'s program and traces, opted into keeping their graph
+    segments as a trace the benchmark shares is."""
+    prog, traces, _ = _cond_graph()
+    for tr in traces:
+        tr.segments = {}
+    return prog, traces
 
 
 def test_cond_example_statement_nodes():
@@ -378,7 +388,7 @@ def test_a_graph_is_its_traces_graphs_end_to_end():
 @pytest.mark.parametrize("flags", [(True, True), (False, True),
                                    (True, False), (False, False)])
 def test_a_trace_replays_once_per_switch_pair(flags):
-    prog, traces, _ = _cond_graph()
+    prog, traces = _shared_traces()
     kept = []
     for tr in traces:
         first = build_ddg(prog, [tr], *flags)
@@ -394,12 +404,22 @@ def test_a_trace_replays_once_per_switch_pair(flags):
 
 
 def test_a_trace_made_by_replace_replays_its_own_events():
-    prog, traces, _ = _cond_graph()
+    prog, traces = _shared_traces()
     tr = traces[1]
+    build_ddg(prog, [tr])
     cut = replace(tr, events=tr.events[:len(tr.events) // 2])
     assert tr.segments and not cut.segments
     assert_same_graph(build_ddg(prog, [cut]),
                       build_ddg(prog, [trace_copy(cut)]))
+
+
+def test_only_a_shared_trace_keeps_its_segments():
+    res = localize(parse(COND_TEST))
+    assert res.traces and not any(tr.segments for tr in res.traces)
+    prog, traces, _ = _cond_graph()
+    for flags in [(True, True), (False, False)]:
+        build_ddg(prog, res.traces + traces, *flags)
+    assert not any(tr.segments for tr in res.traces + traces)
 
 
 def test_unknown_statement_rejected():

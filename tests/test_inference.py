@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semfl.inference import _Engine, factor_messages, run_lbp
+from semfl.inference import _Engine, run_lbp
 from semfl import pipeline
 from semfl.lang import parse
 from semfl.model import build_net
 from semfl.pipeline import RunConfig, localize
 
-from helpers import NetBuilder
+from helpers import NetBuilder, factor_messages
 from lbp_reference import exact_marginals, factor_to_var_naive, run_reference
 
 
