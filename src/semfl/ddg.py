@@ -150,8 +150,6 @@ class _Builder:
         statements = self.program.statement_table
         frames = [_Frame(test)]
         for ev in tr.events:
-            if not frames:
-                raise MalformedTrace(f"{test}: event after root frame closed")
             fs = frames[-1]
             info = statements.get(ev.stmt)
             if info is None:

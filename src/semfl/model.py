@@ -13,7 +13,6 @@ right. Every other statement, such as arithmetic, a call or a plain
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -34,21 +33,16 @@ class Factor(NamedTuple):
     p0: float
 
 
-class Factors(Sequence):
-    """A read-only view of a net's factors. Each item is built when it is
-    read, so the view costs nothing until it is iterated."""
+class Factors:
+    """A net's factors, built as they are iterated, so the view costs
+    nothing until then. No pipeline stage reads it: the tests and perfbench
+    count and walk a net's factors through it."""
 
     def __init__(self, net):
         self._net = net
 
     def __len__(self):
         return len(self._net.p0)
-
-    def __getitem__(self, a):
-        a = range(len(self))[a]
-        lo, hi = self._net.offsets[a:a + 2].tolist()
-        edges = self._net.edge_var[lo:hi].tolist()
-        return Factor(edges[0], edges[1:], self._net.p0[a].item())
 
     def __iter__(self):
         edge_var = self._net.edge_var.tolist()

@@ -2,8 +2,10 @@
 and the model-size budget deciding which traces enter the dependency graph.
 
 The pipeline's loops are compressed by the interpreter while each test runs
-(`tracing.LoopRun` holds the rule); `compress_loops` replays the same rule
-offline over a raw trace.
+(`tracing.LoopRun` holds the rule). `compress_loops` replays the same rule
+offline over a raw trace. No pipeline stage calls it: it is the reference
+the tests and acceptance criterion 06 hold the interpreter to, and the
+function perfbench's `reduction.compress` layer wraps.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def select_tests(profile, cfg: RunConfig) -> list:
 
 # --- loop compression ---
 
-def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
+def compress_loops(tr: Trace, program, *, period) -> Trace:
     """Remove loop iterations that repeat the iterations before them, by
     `tracing.LoopRun`'s rule: the offline replay, over a raw trace, of what
     `tracing.trace` does while a test runs when given the same `period`.
@@ -62,9 +64,11 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
     One pass over the events keeps a stack of open calls; every call in the
     trace returns, as the interpreter closes each call it opens. A call's
     items are compressed when it returns, and its caller then sees it as one
-    flat block whose statement is the call's. The kept events are the
-    interpreter's own; the aliases go into the trace's `aliases`, and the
-    dependency graph resolves them there.
+    flat block whose statement is the call's. An iteration's items after
+    its condition's branch event are compressed the same way before the
+    iteration goes through the rule, so inner loops go first. The kept
+    events are the interpreter's own; the aliases go into the trace's
+    `aliases`, and the dependency graph resolves them there.
     """
     loops = {name: fn.loop_bodies() for name, fn in program.functions.items()}
     stmt_fn = {sid: info.function
@@ -72,18 +76,9 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
     aliases = dict(tr.aliases)
     removed = {}  # lag -> iterations removed at it
 
-    def flat(items):
-        out = []
-        for it in items:
-            if isinstance(it, list):
-                out.extend(it)
-            else:
-                out.append(it)
-        return out
-
     def compress(items, fn_name):
-        """The events of one call's items (events and closed call blocks),
-        innermost loops compressed first."""
+        """The events of one call's or iteration's items (events and closed
+        call blocks), innermost loops compressed first."""
         fn_loops = loops.get(fn_name, {})
         out = []
         n = len(items)
@@ -106,9 +101,6 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
             # they were recorded in the iteration or right after an
             # exception or a timeout cut it short.
             cond = item.stmt
-            # Only a loop with a nested loop of its own needs its
-            # iterations compressed; any other iteration is just flattened.
-            nested = not body.isdisjoint(fn_loops)
             starts = [i - 1]
             while i < n:
                 nxt = items[i]
@@ -128,10 +120,7 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
             starts.append(i)
             run = LoopRun(period, aliases, removed)
             for a, b in zip(starts, starts[1:]):
-                if nested:
-                    iteration = [items[a]] + compress(items[a + 1:b], fn_name)
-                else:
-                    iteration = flat(items[a:b])
+                iteration = [items[a]] + compress(items[a + 1:b], fn_name)
                 if not run.repeats(iteration):
                     out.extend(iteration)
         return out
@@ -147,12 +136,9 @@ def compress_loops(tr: Trace, program, log=None, *, period) -> Trace:
         else:
             stack[-1][1].append(ev)
 
-    out = replace(tr, events=compress(stack[0][1], tr.test),
-                  aliases=flatten_aliases(aliases),
-                  raw_events=len(tr.events), removed=removed)
-    if log is not None:
-        log_compression(out, log)
-    return out
+    return replace(tr, events=compress(stack[0][1], tr.test),
+                   aliases=flatten_aliases(aliases),
+                   raw_events=len(tr.events), removed=removed)
 
 
 def log_compression(tr: Trace, log):

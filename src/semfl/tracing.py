@@ -18,8 +18,8 @@ Given a loop period K > 0, both compress loops while the test runs: in a
 traced frame, each iteration of a `while` run goes through `LoopRun`'s rule
 when it ends, and a removed one is deleted from the events at once, its
 writes becoming aliases of the kept values. The trace is the one
-`reduction.compress_loops` makes of the raw trace at K, and no raw trace is
-held.
+`reduction.compress_loops`, the offline replay the tests hold the
+interpreter to, makes of the raw trace at K, and no raw trace is held.
 
 Both run function bodies compiled once per program into nested Python
 closures (`_Compiler`), so no AST node is dispatched on at run time. An
@@ -385,8 +385,8 @@ class _Executor:
 
     # --- test entry point ---
 
-    def run_test(self, test_name, traced):
-        frame = _Frame({}, traced)
+    def run_test(self, test_name):
+        frame = _Frame({}, test_name in self.traced)
         self.depth = 1
         status, reason = "pass", ""
         py_limit = sys.getrecursionlimit()
@@ -401,7 +401,7 @@ class _Executor:
             self.settle()
         except MiniThrow as exc:
             status, reason = "fail", "exception"
-            if traced:
+            if frame.traced:
                 self.events.append(TraceEvent(ASSERT_FAIL, exc.origin_sid,
                                               (exc.vid,), (), _NO_AUX))
                 self.settle()
@@ -1016,14 +1016,13 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
             records[name] = given[name]
             continue
         if failing_traces is None:
-            ex = _Executor(program, traced_functions=frozenset(),
-                           step_budget=step_budget)
-            status, reason = ex.run_test(name, traced=False)
+            ex, (status, reason) = _run(program, name, frozenset(),
+                                        step_budget)
         else:
-            tr, ex = _record(program, name, app, step_budget, period)
-            status, reason = tr.status, tr.reason
-            if tr.failing:
-                failing_traces[name] = tr
+            ex, (status, reason) = _run(program, name, app | {name},
+                                        step_budget, period)
+            if status == "fail":
+                failing_traces[name] = _to_trace(ex, name, status, reason)
         records[name] = CoverageRecord(
             test=name, status=status, reason=reason,
             functions=ex.cov_functions | {name},
@@ -1034,9 +1033,7 @@ def profile(program: A.Program, step_budget=DEFAULT_STEP_BUDGET,
 def run_test(program: A.Program, test: str,
              step_budget=DEFAULT_STEP_BUDGET) -> tuple:
     """Run one test with nothing traced; its (status, reason)."""
-    ex = _Executor(program, traced_functions=frozenset(),
-                   step_budget=step_budget)
-    return ex.run_test(test, traced=False)
+    return _run(program, test, frozenset(), step_budget)[1]
 
 
 def trace(program: A.Program, test: str, traced_functions,
@@ -1050,20 +1047,25 @@ def trace(program: A.Program, test: str, traced_functions,
     through the functions the test enters."""
     if test not in program.functions:
         raise MalformedTrace(f"unknown test {test!r}")
-    return _record(program, test, traced_functions, step_budget, period)[0]
+    ex, (status, reason) = _run(program, test,
+                                frozenset(traced_functions) | {test},
+                                step_budget, period)
+    return _to_trace(ex, test, status, reason)
 
 
-def _record(program, test, traced_functions, step_budget, period):
-    """Run `test` with itself and `traced_functions` traced. Returns its
-    `Trace` and the `_Executor` that ran it."""
-    traced = frozenset(traced_functions) | {test}
-    ex = _Executor(program, traced_functions=traced, step_budget=step_budget,
-                   period=period)
-    status, reason = ex.run_test(test, traced=True)
-    tr = Trace(test=test, status=status, reason=reason, events=ex.events,
-               aliases=flatten_aliases(ex.aliases),
-               raw_events=len(ex.events) + ex.dropped, removed=ex.removed)
-    return tr, ex
+def _run(program, test, traced, step_budget, period=0):
+    """Run `test` in a new `_Executor` that traces the functions in
+    `traced`, the test's own body if the test is one of them. Returns the
+    executor and the test's (status, reason)."""
+    ex = _Executor(program, traced, step_budget, period)
+    return ex, ex.run_test(test)
+
+
+def _to_trace(ex, test, status, reason) -> Trace:
+    """The `Trace` of a run that traced its test."""
+    return Trace(test=test, status=status, reason=reason, events=ex.events,
+                 aliases=flatten_aliases(ex.aliases),
+                 raw_events=len(ex.events) + ex.dropped, removed=ex.removed)
 
 
 # --- serialization ---

@@ -190,7 +190,8 @@ def assert_compressed_as_compress_loops(online, raw, program, period):
     `compress_loops` over `raw`, the raw trace of the same run: the same
     events, aliases and log line, and the raw run's size and outcome."""
     log, online_log = [], []
-    offline = compress_loops(raw, program, log, period=period)
+    offline = compress_loops(raw, program, period=period)
+    log_compression(offline, log)
     log_compression(online, online_log)
     assert [e.to_record() for e in online.events] == \
            [e.to_record() for e in offline.events], (raw.test, period)

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from semfl import bench
-from semfl.bench import results_to_json, run_benchmark, seed_faults
+from semfl.bench import corpus_seeds, results_to_json, run_benchmark
 from semfl.bench import load_corpus_program, load_manifest
 from semfl.ddg import build_ddg
 from semfl.inference import run_lbp
@@ -467,16 +467,6 @@ REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 CORPUS_CONFIGS = [("default", RunConfig(step_budget=20_000))]
 
 
-def _corpus_seeds():
-    """The bench mutants: 7 per corpus program, seed 0, step budget
-    20,000."""
-    seeds = []
-    for entry in load_manifest():
-        program = load_corpus_program(entry["name"])
-        seeds.extend(seed_faults(program, 7, rng_seed=0, step_budget=20_000))
-    return seeds
-
-
 def _run_digesting_reports(seeds):
     """run_benchmark over seeds, and the sha256 of each case's report.json
     by case name."""
@@ -498,7 +488,7 @@ def _run_digesting_reports(seeds):
 
 @pytest.fixture(scope="module")
 def corpus_runs():
-    seeds = _corpus_seeds()
+    seeds = corpus_seeds(7, 0, step_budget=20_000)
     first, digests = _run_digesting_reports(seeds)
     second = run_benchmark(seeds, CORPUS_CONFIGS)
     return seeds, first, second, digests
@@ -569,6 +559,7 @@ def test_criterion_10_ablations(corpus_runs):
 
 
 if __name__ == "__main__":
-    _, golden = _run_digesting_reports(_corpus_seeds())
+    _, golden = _run_digesting_reports(
+        corpus_seeds(7, 0, step_budget=20_000))
     REPORT_DIGESTS.write_text(json.dumps(golden, indent=1, sort_keys=True)
                               + "\n")

@@ -466,9 +466,9 @@ def _tests_run(m):
     ran = []
     run = tracing._Executor.run_test
 
-    def logged(ex, test, traced):
+    def logged(ex, test):
         ran.append(test)
-        return run(ex, test, traced)
+        return run(ex, test)
 
     m.setattr(tracing._Executor, "run_test", logged)
     return ran
@@ -607,9 +607,7 @@ def test_memoized_traces_are_the_mutants_own(monkeypatch):
                     traced & base.records[test].functions)
                 want = tracing.trace(mutant, test, traced,
                                      step_budget=budget, period=period)
-                assert dump_trace(tr, mutant) == dump_trace(want, mutant)
-                assert (tr.aliases, tr.raw_events, tr.removed) == \
-                    (want.aliases, want.raw_events, want.removed)
+                assert tr == want
             # the spy: a passing test that steps the mutant is traced in
             # this case, never served
             for tr in res.traces:
@@ -719,9 +717,9 @@ def test_an_oversized_given_trace_is_freed_before_the_next_test_runs(
             freed[was_kept] += 1
         refs.clear()
 
-    def spied_run(ex, test, traced):
+    def spied_run(ex, test):
         check_freed()
-        return run(ex, test, traced)
+        return run(ex, test)
 
     # the memo keeps traces of up to 112 events at the default limit; at
     # a limit of 50 the longer ones are served once and let go, then
@@ -856,6 +854,18 @@ def test_tie_policies_and_failure_reasons():
     assert doc["rows"][0]["reason"] == "exception"
     assert doc["rows"][0]["tie_ranks"]["ochiai"]["worst"] == 5
     assert len(doc["ties"]) == 3 * 3 * 4
+
+
+def test_a_case_that_raised_is_listed_after_the_tables(monkeypatch):
+    def failing(program, cfg, given):
+        raise RuntimeError("localize failed")
+
+    monkeypatch.setattr(bench, "localize", failing)
+    seed, = corpus_seeds(1, 0, ["digits"], step_budget=20_000)
+    text = format_results(run_benchmark([seed], [("default", RunConfig())]))
+    case = f"{seed.base_path}#s{seed.sid}[{seed.rewrite}]"
+    assert text.splitlines()[-1] == \
+        f"error: {case} [default]: RuntimeError: localize failed"
 
 
 def test_run_benchmark_empty_configs():

@@ -410,6 +410,18 @@ def test_trace_to_stdout_and_file(buggy, tmp_path, capsys):
     assert out.read_text() == text
 
 
+def test_trace_without_failing_tests_traces_what_the_test_enters(tmp_path,
+                                                                capsys):
+    ok = tmp_path / "ok.mi"
+    ok.write_text(CORRECT)
+    assert main(["trace", str(ok), "--test", "test_pass"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[0])["status"] == "pass"
+    enters = [json.loads(line) for line in lines[1:]
+              if json.loads(line)["kind"] == "call_enter"]
+    assert [e["aux"]["callee"] for e in enters] == ["foo"]
+
+
 def test_trace_unknown_test(buggy, capsys):
     assert main(["trace", buggy, "--test", "test_nope"]) == EXIT_INTERNAL
 
@@ -419,6 +431,11 @@ def test_sbfl_table_and_exit_codes(buggy, tmp_path, capsys):
         assert main(["sbfl", buggy, "--formula", formula]) == EXIT_OK
         table = capsys.readouterr().out
         assert len(table.splitlines()) == 4
+    out = tmp_path / "sbfl"
+    assert main(["sbfl", buggy, "--out", str(out)]) == EXIT_OK
+    table = capsys.readouterr().out
+    doc = json.loads((out / "sbfl_ochiai.json").read_text())
+    assert len(doc["statements"]) == len(table.splitlines()) - 1
     ok = tmp_path / "ok.mi"
     ok.write_text(CORRECT)
     assert main(["sbfl", str(ok)]) == EXIT_NO_FAILING
@@ -432,6 +449,17 @@ def test_bench_smoke(tmp_path, capsys):
     assert "top-1" in header and "top-5" in header
     doc = json.loads((out / "bench.json").read_text())
     assert doc["rows"] and doc["aggregate"]
+
+
+def test_bench_ablations(capsys):
+    assert main(["bench", "--ablations", "--programs", "digits",
+                 "--per-program", "1", "--step-budget", "20000"]) == EXIT_OK
+    # the first table: each config's row per ranker
+    table = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    names = ["default"] + [name for name, _ in cli.ABLATIONS]
+    assert [line.split()[:2] for line in table[1:]] == [
+        [name, ranker] for name in names
+        for ranker in ("semfl", "ochiai", "dstar")]
 
 
 def test_sweep_smoke(capsys):

@@ -430,6 +430,14 @@ def test_unknown_statement_rejected():
         build_ddg(prog, [bad])
 
 
+def test_unknown_event_kind_rejected():
+    prog = parse(COND_TEST)
+    bad = Trace(test="test_x", status="fail",
+                events=[TraceEvent("jump", 0, (), (1,))])
+    with pytest.raises(MalformedTrace, match="unknown event kind 'jump'"):
+        build_ddg(prog, [bad])
+
+
 def test_unmatched_call_exit_rejected():
     prog = parse(COND_TEST)
     bad = Trace(test="test_x", status="fail",

@@ -433,3 +433,22 @@ def test_run_lbp_leaves_its_net_unchanged(monkeypatch):
             first.residuals) == (second.iterations, second.converged,
                                  second.log, second.fallbacks,
                                  second.residuals)
+
+
+def test_a_factor_that_rules_out_its_evidence_falls_back_counted():
+    # With a leak of 1.0, v is correct whatever its parents are, and v is
+    # observed incorrect: no state of s or u explains it, so the factor's
+    # messages to them are (0, 0) and fall back to (0.5, 0.5), two in each
+    # of the two rounds to convergence. RunConfig accepts that leak.
+    net = NetBuilder()
+    s = net.add_variable(0.5)
+    u = net.add_variable(1.0)
+    v = net.add_variable(0.5)
+    net.add_factor(v, [s, u], 1.0)
+    net.set_evidence(v, False)
+    net = net.build()
+    res = _assert_same_as_reference(net)
+    _assert_same_as_reference(net, naive=True)
+    assert res.fallbacks == 4
+    assert res.marginals.tolist() == [0.5, 1.0, 0.0]
+    RunConfig(p0_moderate=1.0).validate()

@@ -70,6 +70,9 @@ def test_syntax_error_carries_position():
     ("fn f() {\n  return 2 + \u00b2;\n}", 2, 14, "unexpected character"),
     ("fn f(x) { return x\u00b2; }", 1, 19, "unexpected character"),
     ("fn f() { let \u00e9 = 1; }", 1, 14, "unexpected character"),
+    ("fn f() { let x = 1 }", 1, 20, "expected ';', found '}'"),
+    ("fn f(a, b, a) { return a; }", 1, 13,
+     "duplicate parameter in function 'f'"),
 ])
 def test_rejected_token_carries_position(source, line, col, message):
     with pytest.raises(MiniImpSyntaxError, match=message) as err:

@@ -14,6 +14,7 @@ from semfl.reduction import (
     adaptive_fold,
     budget_traces,
     compress_loops,
+    log_compression,
     select_tests,
 )
 from semfl.tracing import (
@@ -304,8 +305,9 @@ def test_compress_starts_iterations_at_the_condition_not_its_arguments(
         cond, traced):
     prog = parse(CALL_IN_CONDITION % cond)
     tr = trace(prog, "test_count", traced)
+    out = compress_loops(tr, prog, period=PERIOD)
     log = []
-    out = compress_loops(tr, prog, log, period=PERIOD)
+    log_compression(out, log)
     assert len(_condition_events(tr, prog)) == 51
     # the first iteration and the final check
     assert len(_condition_events(out, prog)) == 2
@@ -370,8 +372,9 @@ fn test_alternate() {
 def test_compress_removes_a_period_two_run(period):
     prog = parse(ALTERNATE)
     tr = trace(prog, "test_alternate", {"alternate"})
+    out = compress_loops(tr, prog, period=period)
     log = []
-    out = compress_loops(tr, prog, log, period=period)
+    log_compression(out, log)
     before = statement_level_edges(build_ddg(prog, [tr]))
     assert statement_level_edges(build_ddg(prog, [out])) == before
     if period == 1:
@@ -388,13 +391,14 @@ def test_compress_memory_does_not_grow_with_the_period():
     # a huge one costs no memory of its own.
     prog = parse(ALTERNATE)
     tr = trace(prog, "test_alternate", {"alternate"})
-    log = []
     tracemalloc.start()
     try:
-        out = compress_loops(tr, prog, log, period=10**7)
+        out = compress_loops(tr, prog, period=10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    log = []
+    log_compression(out, log)
     assert peak < 1_000_000
     assert out.events == compress_loops(tr, prog, period=PERIOD).events
     assert log == ["loop compression: test_alternate: removed 7 "
@@ -482,7 +486,8 @@ def _assert_compresses_like_reference(tr, prog):
     # The reference re-binds the kept events' value ids; compress_loops
     # keeps the events as they are and leaves that to the graph builder.
     log, ref_log = [], []
-    out = compress_loops(tr, prog, log, period=1)
+    out = compress_loops(tr, prog, period=1)
+    log_compression(out, log)
     ref = reference_compress_loops(tr, prog, ref_log)
     assert [(e.kind, e.stmt, e.writes) for e in out.events] == \
            [(e.kind, e.stmt, e.writes) for e in ref.events], tr.test
@@ -969,8 +974,11 @@ def _sized(name, status, n):
 
 def test_budget_failing_only_when_over():
     traces = [_sized("test_f", "fail", 1100), _sized("test_p", "pass", 10)]
-    out = budget_traces(traces, RunConfig(model_limit=1000))
+    log = []
+    out = budget_traces(traces, RunConfig(model_limit=1000), log)
     assert [t.test for t in out] == ["test_f"]
+    assert log == ["budget: failing traces alone exceed the model limit; "
+                   "no passing traces considered"]
 
 
 def test_budget_ascending_until_limit():

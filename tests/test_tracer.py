@@ -9,7 +9,7 @@ import pytest
 
 from semfl.bench import load_corpus_program, seed_faults
 from semfl import tracing
-from semfl.errors import MiniImpSyntaxError, NoTests
+from semfl.errors import MalformedTrace, MiniImpSyntaxError, NoTests
 from semfl.lang import parse
 from semfl.lang.parser import MAX_NESTING
 from semfl.pipeline import RunConfig, localize, traced_function_set
@@ -270,6 +270,10 @@ fn div(a, b) {
     return a / b;
 }
 
+fn rem(a, b) {
+    return a % b;
+}
+
 fn test_div() {
     try {
         let q = div(1, 0);
@@ -278,8 +282,143 @@ fn test_div() {
         assert(true);
     }
 }
+
+// division truncates; the remainder takes the dividend's sign
+fn test_signs() {
+    assert(div(0 - 7, 2) == 0 - 3);
+    assert(rem(0 - 7, 2) == 0 - 1);
+    assert(div(7, 0 - 2) == 0 - 3);
+    assert(rem(7, 0 - 2) == 1);
+}
 """)
-    assert profile(prog).tests["test_div"].status == "pass"
+    prof = profile(prog)
+    assert prof.tests["test_div"].status == "pass"
+    assert prof.tests["test_signs"].status == "pass"
+
+
+# `bad(k)` makes a different type error for each k from 0 to 13
+TYPE_ERRORS = """
+fn bad(k) {
+    let n = 1;
+    let a = [0];
+    if (k == 0) {
+        let x = !n;
+    }
+    if (k == 1) {
+        while (n) {
+        }
+    }
+    if (k == 2) {
+        n[0] = 1;
+    }
+    if (k == 3) {
+        a[true] = 1;
+    }
+    if (k == 4) {
+        a[0] = a;
+    }
+    if (k == 5) {
+        assert(n);
+    }
+    if (k == 6) {
+        let x = true && n;
+    }
+    if (k == 7) {
+        let x = false || n;
+    }
+    if (k == 8) {
+        let x = n < true;
+    }
+    if (k == 9) {
+        let x = n - true;
+    }
+    if (k == 10) {
+        let x = n / true;
+    }
+    if (k == 11) {
+        let x = n || true;
+    }
+    if (k == 12) {
+        let x = n[0];
+    }
+    if (k == 13) {
+        let x = -a;
+    }
+    return 0;
+}
+
+fn test_types() {
+    let first = 0;
+    try {
+        let v = bad(0);
+    } catch (e) {
+        first = e;
+    }
+    try {
+        let v = 1 / 0;
+    } catch (e) {
+        assert(e != first);
+    }
+    let k = 1;
+    while (k <= 13) {
+        try {
+            let v = bad(k);
+            assert(false);
+        } catch (e) {
+            assert(e == first);
+        }
+        k = k + 1;
+    }
+}
+"""
+
+
+def test_type_errors_are_catchable():
+    # every one throws the exception `!1` throws, which a division by zero
+    # does not
+    prog = parse(TYPE_ERRORS)
+    assert profile(prog).tests["test_types"].status == "pass"
+    assert trace(prog, "test_types", {"bad"}).status == "pass"
+
+
+VOID_ARGUMENT = """
+fn nop() {
+    return;
+}
+
+fn inc(x) {
+    return x + 2;
+}
+
+fn test_early() {
+    assert(inc(nop()) == 2);
+    return;
+    assert(false);
+}
+
+fn test_void() {
+    assert(inc(nop()) == 3);
+}
+"""
+
+
+def test_return_without_a_value():
+    # `return;` hands back 0, which no event of the callee produces: as a
+    # call argument it is a value of the calling statement
+    prog = parse(VOID_ARGUMENT)
+    prof = profile(prog)
+    early = prof.tests["test_early"]
+    assert early.status == "pass"
+    assert statement_ids(prog.functions["test_early"])[2] \
+        not in early.statements
+    tr = trace(prog, "test_void", {"nop", "inc"})
+    assert tr.status == "fail"
+    assert [e.kind for e in tr.events] == [
+        CALL_ENTER, CALL_EXIT, EXEC, CALL_ENTER, EXEC, CALL_EXIT, EXEC,
+        ASSERT_FAIL]
+    nop_exit, arg, inc_enter = tr.events[1:4]
+    assert nop_exit.aux["ret"] is None
+    assert arg.reads == () and inc_enter.reads == arg.writes
 
 
 def test_overflow_is_catchable():
@@ -583,6 +722,11 @@ def test_trace_status_matches_profile_status():
         assert tr.status == prof.tests[name].status
 
 
+def test_trace_of_an_unknown_test_is_rejected():
+    with pytest.raises(MalformedTrace, match="unknown test 'test_nope'"):
+        trace(parse(COND_TEST), "test_nope", {"foo"})
+
+
 def test_tracing_is_deterministic():
     prog = parse(COND_TEST)
     t1 = dump_trace(trace(prog, "test_fail", {"foo"}), prog)
@@ -613,7 +757,7 @@ def _localize_raw(program, **settings):
     traced = traced_function_set(res.profile)
     for tr in res.traces:
         fresh = trace(program, tr.test, traced, step_budget=cfg.step_budget)
-        assert dump_trace(tr, program) == dump_trace(fresh, program), tr.test
+        assert tr == fresh, tr.test
     return res
 
 
