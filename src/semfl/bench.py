@@ -14,9 +14,9 @@ from importlib import resources
 from . import tracing
 from .errors import MiniImpSyntaxError, NoViableMutants
 from .lang import ast as A
-from .lang import format_program, parse
+from .lang import parse
 from .lang.parser import parse_slot
-from .lang.printer import format_expr
+from .lang.printer import format_expr, format_head, format_lines
 from .pipeline import RunConfig, localize
 from .ranking import DSTAR, OCHIAI, sbfl_report
 from .tracing import DEFAULT_STEP_BUDGET, profile, run_test
@@ -46,17 +46,17 @@ Given = namedtuple("Given", "records trace")
 
 
 class BaseProgram:
-    """A program as printed, parsed on first use: the one program that the
-    cases of its seeds run on, mutated. A mutant's text has the printed
-    text's lines, not those of the program's file. `records` maps each
-    test to its `CoverageRecord` from one coverage-only run of the
-    unmutated program at `step_budget`; the printed program has the same
-    statement ids and runs each test alike. `traces` memoises the given
-    traces of its cases (`trace`)."""
+    """A program's printed `text`, parsed on first use: the one program
+    that the cases of its seeds run on, mutated. A mutant's text has the
+    printed text's lines, not those of the program's file at `path`.
+    `records` maps each test to its `CoverageRecord` from one coverage-only
+    run of the unmutated program at `step_budget`; the printed program has
+    the same statement ids and runs each test alike. `traces` memoises the
+    given traces of its cases (`trace`)."""
 
-    def __init__(self, program, records, step_budget):
-        self.text = format_program(program)
-        self.path = program.source_path
+    def __init__(self, text, path, records, step_budget):
+        self.text = text
+        self.path = path
         self.records = records
         self.step_budget = step_budget
         self.traces = {}
@@ -201,16 +201,27 @@ def _mixed_outcomes(mutant, sid, records, step_budget) -> bool:
     return len(seen) == 2
 
 
+def _spliced(lines, heads, stmt) -> str:
+    """The text of a program printed as `lines`, with `heads` from
+    `format_lines`, in which `stmt` has been rewritten: only its first line
+    is printed again, since every mutation slot sits on it."""
+    at, indent = heads[stmt.sid]
+    text = lines.copy()
+    text[at] = format_head(stmt, indent)
+    return "\n".join(text)
+
+
 def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
     """Draw up to n single-statement mutants with mixed test outcomes. A
-    candidate runs on `program` itself, `mutated`; only a drawn one is
-    printed. Every test first runs once on `program` unmutated, and a
-    candidate runs only the tests whose run stepped its statement. Two
-    drawn mutants with the same statement and rewrite get the rewrite's
-    occurrence in that statement as a suffix, "== -> != (2)", so no two
-    share a case name. The seeds share one `BaseProgram` of `program`,
-    which their cases run on and which keeps the unmutated runs'
-    records."""
+    candidate runs on `program` itself, `mutated`. `program` is printed
+    once, unmutated, and a drawn mutant's text is that one with its
+    statement's first line printed again (`_spliced`). Every test first
+    runs once on `program` unmutated, and a candidate runs only the tests
+    whose run stepped its statement. Two drawn mutants with the same
+    statement and rewrite get the rewrite's occurrence in that statement
+    as a suffix, "== -> != (2)", so no two share a case name. The seeds
+    share one `BaseProgram` of `program`, which their cases run on and
+    which keeps the unmutated runs' records."""
     points = []  # (point, its occurrence among the statement's alike)
     occurrences = Counter()
     for point in enumerate_mutations(program):
@@ -220,6 +231,7 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
     rng.shuffle(points)
     records = (profile(program, step_budget).tests if program.test_names
                else {})
+    lines, heads = format_lines(program)
     drawn = []  # (point, occurrence, mutant text)
     for point, occurrence in points:
         if len(drawn) >= n:
@@ -228,13 +240,15 @@ def seed_faults(program, n, rng_seed, step_budget=DEFAULT_STEP_BUDGET) -> list:
             continue
         with mutated(program, point):
             if _mixed_outcomes(program, point.sid, records, step_budget):
-                drawn.append((point, occurrence, format_program(program)))
+                drawn.append((point, occurrence, _spliced(
+                    lines, heads, program.statements[point.sid])))
     if not drawn:
         raise NoViableMutants(
             f"no mutation of {program.source_path} flips some tests "
             "while keeping others passing")
     alike = Counter((point.sid, point.rewrite) for point, _, _ in drawn)
-    base = BaseProgram(program, records, step_budget)
+    base = BaseProgram("\n".join(lines), program.source_path, records,
+                       step_budget)
     return [FaultSeed(program.source_path,
                       point.rewrite if alike[point.sid, point.rewrite] == 1
                       else f"{point.rewrite} ({occurrence})", source, point,

@@ -32,50 +32,68 @@ def format_expr(expr, parent_prec=0) -> str:
     return f"({text})" if prec < parent_prec else text
 
 
-def _format_block(stmts, indent, out):
+def format_head(s, indent) -> str:
+    """The first line statement `s` prints as at `indent` levels, which
+    holds every expression of it: all of a simple statement, a compound
+    one's opening line. A rewrite of any of its expressions shows there
+    alone."""
+    pad = "    " * indent
+    if isinstance(s, A.Let):
+        return f"{pad}let {s.name} = {format_expr(s.expr)};"
+    if isinstance(s, A.Assign):
+        return f"{pad}{s.name} = {format_expr(s.expr)};"
+    if isinstance(s, A.IndexAssign):
+        return f"{pad}{s.name}[{format_expr(s.index)}] = {format_expr(s.expr)};"
+    if isinstance(s, A.If):
+        return f"{pad}if ({format_expr(s.cond)}) {{"
+    if isinstance(s, A.While):
+        return f"{pad}while ({format_expr(s.cond)}) {{"
+    if isinstance(s, A.Return):
+        return (f"{pad}return {format_expr(s.expr)};" if s.expr is not None
+                else f"{pad}return;")
+    if isinstance(s, A.Assert):
+        return f"{pad}assert({format_expr(s.expr)});"
+    if isinstance(s, A.Throw):
+        return f"{pad}throw {format_expr(s.expr)};"
+    if isinstance(s, A.ExprStmt):
+        return f"{pad}{format_expr(s.expr)};"
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def _format_block(stmts, indent, out, heads):
     pad = "    " * indent
     for s in stmts:
-        if isinstance(s, A.Let):
-            out.append(f"{pad}let {s.name} = {format_expr(s.expr)};")
-        elif isinstance(s, A.Assign):
-            out.append(f"{pad}{s.name} = {format_expr(s.expr)};")
-        elif isinstance(s, A.IndexAssign):
-            out.append(f"{pad}{s.name}[{format_expr(s.index)}] = {format_expr(s.expr)};")
-        elif isinstance(s, A.If):
-            out.append(f"{pad}if ({format_expr(s.cond)}) {{")
-            _format_block(s.then, indent + 1, out)
+        if isinstance(s, A.Try):
+            out.append(f"{pad}try {{")
+            _format_block(s.body, indent + 1, out, heads)
+            out.append(f"{pad}}} catch ({s.catch_name}) {{")
+            _format_block(s.handler, indent + 1, out, heads)
+            out.append(f"{pad}}}")
+            continue
+        heads[s.sid] = (len(out), indent)
+        out.append(format_head(s, indent))
+        if isinstance(s, A.If):
+            _format_block(s.then, indent + 1, out, heads)
             if s.orelse:
                 out.append(f"{pad}}} else {{")
-                _format_block(s.orelse, indent + 1, out)
+                _format_block(s.orelse, indent + 1, out, heads)
             out.append(f"{pad}}}")
         elif isinstance(s, A.While):
-            out.append(f"{pad}while ({format_expr(s.cond)}) {{")
-            _format_block(s.body, indent + 1, out)
+            _format_block(s.body, indent + 1, out, heads)
             out.append(f"{pad}}}")
-        elif isinstance(s, A.Return):
-            out.append(f"{pad}return {format_expr(s.expr)};" if s.expr is not None
-                       else f"{pad}return;")
-        elif isinstance(s, A.Assert):
-            out.append(f"{pad}assert({format_expr(s.expr)});")
-        elif isinstance(s, A.Throw):
-            out.append(f"{pad}throw {format_expr(s.expr)};")
-        elif isinstance(s, A.Try):
-            out.append(f"{pad}try {{")
-            _format_block(s.body, indent + 1, out)
-            out.append(f"{pad}}} catch ({s.catch_name}) {{")
-            _format_block(s.handler, indent + 1, out)
-            out.append(f"{pad}}}")
-        elif isinstance(s, A.ExprStmt):
-            out.append(f"{pad}{format_expr(s.expr)};")
-        else:
-            raise TypeError(f"not a statement: {s!r}")
+
+
+def format_lines(program) -> tuple:
+    """The lines `format_program` joins, and where each statement prints:
+    statement id -> (index of its first line, indent level)."""
+    out, heads = [], {}
+    for fn in program.functions.values():
+        out.append(f"fn {fn.name}({', '.join(fn.params)}) {{")
+        _format_block(fn.body, 1, out, heads)
+        out.append("}")
+        out.append("")
+    return out, heads
 
 
 def format_program(program: A.Program) -> str:
-    out = []
-    for fn in program.functions.values():
-        out.append(f"fn {fn.name}({', '.join(fn.params)}) {{")
-        _format_block(fn.body, 1, out)
-        out.append("}")
-        out.append("")
-    return "\n".join(out)
+    return "\n".join(format_lines(program)[0])

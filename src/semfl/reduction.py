@@ -69,6 +69,13 @@ def compress_loops(tr: Trace, program, *, period) -> Trace:
     iteration goes through the rule, so inner loops go first. The kept
     events are the interpreter's own; the aliases go into the trace's
     `aliases`, and the dependency graph resolves them there.
+
+    At period 1 compression is idempotent: a second pass removes nothing.
+    At K >= 2 it is not: the rule compares an iteration with those before
+    it, removed ones included, and once those are gone the kept ones can
+    line up into new repeats, so a second pass can remove more:
+    recurrences `s31[1 -> 0]` `test_collatz` goes 1,010 -> 35 -> 25 events
+    at K = 3. The pipeline compresses once.
     """
     loops = {name: fn.loop_bodies() for name, fn in program.functions.items()}
     stmt_fn = {sid: info.function

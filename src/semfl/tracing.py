@@ -25,7 +25,13 @@ Both run function bodies compiled once per program into nested Python
 closures (`_Compiler`), so no AST node is dispatched on at run time. An
 expression compiles to `f(ex, frame) -> (value, reads)`, where `reads` is a
 tuple of value ids, and a statement to `g(ex, frame)`, which returns None or,
-for a `return`, the pair `(value, vid)`.
+for a `return`, the pair `(value, vid)`. The commonest shapes cost fewer
+Python calls: an arithmetic, order or equality operator whose left operand
+is a variable and whose right one is a variable or an integer literal is
+one closure that fetches both operands itself (`_Compiler.fused`), and a
+`let` or assignment, an `if` and a `while` head count their step and draw
+their value's id inline, where every other statement calls
+`_Executor.step` and `exec_event`.
 """
 
 from __future__ import annotations
@@ -267,14 +273,14 @@ class _Executor:
         self.vid_counter = vid + 1
         return vid
 
-    def exec_event(self, frame, sid, reads, kind=EXEC):
+    def exec_event(self, frame, sid, reads):
         """Draw the id of a value computed by statement `sid`; record its
-        event, of `kind`, when the frame is traced. Untraced frames still
-        draw ids, so numbering does not depend on what is traced."""
+        EXEC event when the frame is traced. Untraced frames still draw
+        ids, so numbering does not depend on what is traced."""
         vid = self.vid_counter
         self.vid_counter = vid + 1
         if frame.traced:
-            self.last_write = ev = TraceEvent(kind, sid, reads, (vid,), _NO_AUX)
+            self.last_write = ev = TraceEvent(EXEC, sid, reads, (vid,), _NO_AUX)
             self.events.append(ev)
         return vid
 
@@ -510,9 +516,10 @@ def flatten_aliases(aliases):
 # spin cut short sooner would leave loop compression a shorter run to
 # compress, and loops that end mostly end before it.
 _LOOP_WARMUP = 64
-# After it, every eighth head is checked: a check costs about a quarter of
-# the shortest loop's iteration. A cycle of p heads is then found
-# lcm(p, 8) heads after a kept state in it.
+# After it, every eighth head is checked: a check costs about 0.6 of the
+# shortest loop's iteration, so a loop of 20,000 iterations that ends runs
+# about 10% slower. A cycle of p heads is then found lcm(p, 8) heads after
+# a kept state in it.
 _LOOP_STRIDE = 8
 
 _first = operator.itemgetter(0)
@@ -591,10 +598,17 @@ class _LoopWatch:
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
           ">=": operator.ge}
+# the operators `_Compiler.fused` fetches the operands of
+_FUSED = {**_ARITHMETIC, **_ORDER, "==": operator.eq, "!=": operator.ne}
 
 
 class _Compiler:
-    """Compiles one function body into closures over `_Executor` state."""
+    """Compiles one function body into closures over `_Executor` state:
+    one closure per statement and per expression, except that a `Binary`
+    of a `_FUSED` operator over a variable and a variable or an integer
+    literal is one (`fused`), and that the `let`, assignment, `if` and
+    `while` closures do `_Executor.step`'s and `exec_event`'s work inline.
+    """
 
     def __init__(self, fn):
         # Literal arguments of calls made by test code are root inputs.
@@ -614,9 +628,18 @@ class _Compiler:
             name, f = s.name, self.expr(s.expr)
 
             def let(ex, frame):
-                ex.step(sid)
+                ex.steps = steps = ex.steps + 1
+                if steps > ex.step_budget:
+                    raise _Timeout()
+                ex.cov_statements.add(sid)
                 value, reads = f(ex, frame)
-                frame.env[name] = (value, ex.exec_event(frame, sid, reads))
+                vid = ex.vid_counter
+                ex.vid_counter = vid + 1
+                if frame.traced:
+                    ex.last_write = ev = TraceEvent(EXEC, sid, reads, (vid,),
+                                                    _NO_AUX)
+                    ex.events.append(ev)
+                frame.env[name] = (value, vid)
             return let
         if isinstance(s, A.IndexAssign):
             return self.index_assign(s)
@@ -625,11 +648,19 @@ class _Compiler:
             then, orelse = self.block(s.then), self.block(s.orelse)
 
             def if_stmt(ex, frame):
-                ex.step(sid)
+                ex.steps = steps = ex.steps + 1
+                if steps > ex.step_budget:
+                    raise _Timeout()
+                ex.cov_statements.add(sid)
                 cond, reads = f(ex, frame)
                 if type(cond) is not bool:
                     ex.throw(frame, sid, reads, _TYPE_ERROR)
-                ex.exec_event(frame, sid, reads, BRANCH)
+                vid = ex.vid_counter
+                ex.vid_counter = vid + 1
+                if frame.traced:
+                    ex.last_write = ev = TraceEvent(BRANCH, sid, reads, (vid,),
+                                                    _NO_AUX)
+                    ex.events.append(ev)
                 for g in then if cond else orelse:
                     ret = g(ex, frame)
                     if ret is not None:
@@ -659,11 +690,19 @@ class _Compiler:
                             countdown = _LOOP_STRIDE - 1
                         else:
                             countdown = watch.head(ex, frame.env)
-                        ex.step(sid)
+                        ex.steps = steps = ex.steps + 1
+                        if steps > ex.step_budget:
+                            raise _Timeout()
+                        ex.cov_statements.add(sid)
                         cond, reads = f(ex, frame)
                         if type(cond) is not bool:
                             ex.throw(frame, sid, reads, _TYPE_ERROR)
-                        ex.exec_event(frame, sid, reads, BRANCH)
+                        vid = ex.vid_counter
+                        ex.vid_counter = vid + 1
+                        if frame.traced:
+                            ex.last_write = ev = TraceEvent(
+                                BRANCH, sid, reads, (vid,), _NO_AUX)
+                            ex.events.append(ev)
                         if run is not None:
                             if start >= 0:
                                 ex.end_iteration(run, start, len(ex.events) - 1)
@@ -841,7 +880,11 @@ class _Compiler:
         if isinstance(e, A.Unary):
             return self.unary(e.op, self.expr(e.operand))
         if isinstance(e, A.Binary):
-            return self.binary(e.op, self.expr(e.left), self.expr(e.right))
+            f = self.binary(e.op, self.expr(e.left), self.expr(e.right))
+            if (e.op in _FUSED and isinstance(e.left, A.Var)
+                    and isinstance(e.right, (A.Var, A.IntLit))):
+                return self.fused(_FUSED[e.op], e.left.name, e.right, f)
+            return f
         if isinstance(e, A.Call):
             name, fs = e.name, tuple(self.arg(a) for a in e.args)
 
@@ -947,6 +990,43 @@ class _Compiler:
                 return (q if quotient else left - q * right), reads
             return division
         raise TypeError(f"unknown operator {op!r}")
+
+    def fused(self, apply, name, right, nested):
+        """`name op right`, for `right` a variable or an integer literal and
+        `apply` the operator, as one closure that fetches its operands from
+        the frame itself (a superoperator). When both are bound integers and
+        the result is in range, it gives what the `nested` closures give;
+        otherwise it runs them, and they throw or compare as they would.
+        Reading a variable twice is safe: a read has no side effect."""
+        if isinstance(right, A.IntLit):
+            literal = right.value
+
+            def fused_literal(ex, frame):
+                try:
+                    left, vid = frame.env[name]
+                except KeyError:
+                    return nested(ex, frame)
+                if type(left) is int:
+                    value = apply(left, literal)
+                    if INT_MIN <= value <= INT_MAX:
+                        return value, (vid,)
+                return nested(ex, frame)
+            return fused_literal
+        other = right.name
+
+        def fused_vars(ex, frame):
+            env = frame.env
+            try:
+                left, vid = env[name]
+                right, right_vid = env[other]
+            except KeyError:
+                return nested(ex, frame)
+            if type(left) is int and type(right) is int:
+                value = apply(left, right)
+                if INT_MIN <= value <= INT_MAX:
+                    return value, (vid, right_vid)
+            return nested(ex, frame)
+        return fused_vars
 
     def arg(self, a):
         """Compile a call argument to `f(ex, frame) -> (value, vid)`, the vid

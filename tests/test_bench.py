@@ -32,7 +32,7 @@ from semfl.errors import MiniImpSyntaxError, NoViableMutants
 from semfl.lang import format_program, parse
 from semfl.lang.ast import IntLit, root_op, statement_slots
 from semfl.lang.parser import parse_slot
-from semfl.lang.printer import format_expr
+from semfl.lang.printer import format_expr, format_lines
 from semfl.model import BOOLEAN_OPS
 from semfl.pipeline import RunConfig, localize
 from semfl.ranking import DSTAR, OCHIAI, rank, sbfl_report
@@ -128,6 +128,25 @@ def test_mutant_texts_match_recorded_digest():
     texts = [apply_mutation(prog, p) for p in enumerate_mutations(prog)]
     digest = hashlib.sha256("\n\0".join(texts).encode()).hexdigest()
     assert digest == SCHEDULER_MUTANTS
+
+
+@pytest.mark.parametrize("name", [e["name"] for e in load_manifest()])
+def test_a_spliced_mutant_is_the_printed_mutant(name):
+    # seeding prints the program once and reprints only a drawn mutant's
+    # statement's first line: that must be the whole mutant printed
+    prog = load_corpus_program(name)
+    lines, heads = format_lines(prog)
+    spliced = 0
+    for point in enumerate_mutations(prog):
+        if not bench._parses(prog, point):
+            continue
+        with bench.mutated(prog, point):
+            assert bench._spliced(lines, heads, prog.statements[point.sid]) \
+                == format_program(prog), point
+        spliced += 1
+    assert spliced
+    assert seed_faults(prog, 1, 0, step_budget=20_000)[0].base.text \
+        == format_program(prog)
 
 
 def test_seed_faults_deterministic_and_viable():

@@ -11,7 +11,7 @@ from semfl.bench import load_corpus_program, seed_faults
 from semfl import tracing
 from semfl.errors import MalformedTrace, MiniImpSyntaxError, NoTests
 from semfl.lang import parse
-from semfl.lang.parser import MAX_NESTING
+from semfl.lang.parser import MAX_NESTING, parse_slot
 from semfl.pipeline import RunConfig, localize, traced_function_set
 from semfl.tracing import (
     ASSERT_FAIL,
@@ -490,6 +490,65 @@ def test_negation_overflow_is_catchable():
     assert tr.events[-1].stmt == statement_ids(prog.functions["negate"])[0]
     quotient = prof.tests["test_quotient"]
     assert (quotient.status, quotient.reason) == ("fail", "exception")
+
+
+# Operands of the fused-binary cases: name -> (value, vid). `a` holds the
+# one array, whose contents have version 5; the let that bound `a` wrote 3.
+FUSED_ENV = {"a": (tracing.ArrayRef(0), 3), "y": (2, 11), "n": (1, 12),
+             "big": (tracing.INT_MAX, 13), "t": (True, 14)}
+
+
+@pytest.mark.parametrize("text, value, reads, thrown", [
+    ("x + y", tracing._UNBOUND, (), True),  # unbound on the left
+    ("y < x", tracing._UNBOUND, (), True),  # unbound on the right
+    ("x * 3", tracing._UNBOUND, (), True),  # unbound, literal on the right
+    ("a + n", tracing._TYPE_ERROR, (5, 12), True),  # reads a's version
+    ("n < a", tracing._TYPE_ERROR, (12, 5), True),
+    ("a - 1", tracing._TYPE_ERROR, (5,), True),
+    ("big + 1", tracing._OVERFLOW, (13,), True),
+    ("big * y", tracing._OVERFLOW, (13, 11), True),
+    ("n - big", -tracing.INT_MAX + 1, (12, 13), False),
+    ("t == 1", True, (14,), False),  # `true == 1`, as Python compares them
+    ("a == a", True, (5, 5), False),
+    ("a != n", True, (5, 12), False),
+    ("y >= n", True, (11, 12), False),
+    ("y * 3", 6, (11,), False),
+])
+def test_fused_binaries_run_as_the_nested_closures(text, value, reads,
+                                                   thrown):
+    # A binary over a variable and a variable or an integer literal is one
+    # closure that fetches its operands itself; off its integer path it
+    # must do what the nested closures do, on inputs the corpus never
+    # reaches. A throw is one exec event of the statement (sid 9) writing
+    # the thrown value's id, the next one drawn (20).
+    expr = parse_slot(text, 1)
+    prog = parse("fn test_t() {\n}")
+    compiler = tracing._Compiler(prog.functions["test_t"])
+    compiler.sid = 9
+    fused = compiler.expr(expr)
+    assert fused.__name__ in ("fused_vars", "fused_literal")
+    nested = compiler.binary(expr.op, compiler.expr(expr.left),
+                             compiler.expr(expr.right))
+    runs = []
+    for f in (fused, nested):
+        ex = tracing._Executor(prog, frozenset({"test_t"}), 100)
+        ex.heap[0] = tracing._Array([1, 2], 5)
+        ex.vid_counter = 20
+        try:
+            got = f(ex, tracing._Frame(dict(FUSED_ENV), True))
+        except tracing.MiniThrow as exc:
+            got = (exc.value, (exc.vid,))
+        runs.append((got, [e.to_record() for e in ex.events],
+                     ex.vid_counter))
+    assert runs[0] == runs[1]
+    got, events, _ = runs[0]
+    if thrown:
+        assert got == (value, (20,))
+        assert events == [{"kind": EXEC, "stmt": 9, "reads": list(reads),
+                           "writes": [20], "aux": {}}]
+    else:
+        assert got == (value, reads) and type(got[0]) is type(value)
+        assert events == []
 
 
 UNBOUND = """
