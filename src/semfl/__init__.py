@@ -6,11 +6,12 @@ correctness variables, and ranks statements by their posterior probability
 of being faulty via loopy belief propagation.
 """
 
+from .config import RunConfig
 from .ddg import DepGraph, build_ddg
 from .inference import InferenceResult, run_lbp
 from .lang import parse
 from .model import FaultNet, build_net, classify_p0
-from .pipeline import LocalizeResult, RunConfig, localize
+from .pipeline import LocalizeResult, localize
 from .ranking import (
     DSTAR,
     OCHIAI,

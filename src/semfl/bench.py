@@ -12,13 +12,14 @@ from functools import cached_property, partial
 from importlib import resources
 
 from . import tracing
+from .config import RunConfig
 from .errors import MiniImpSyntaxError, NoViableMutants
 from .lang import ast as A
 from .lang import parse
 from .lang.parser import parse_slot
 from .lang.printer import format_expr, format_head, format_lines
-from .pipeline import RunConfig, localize
-from .ranking import DSTAR, OCHIAI, sbfl_report
+from .pipeline import localize
+from .ranking import SBFL, sbfl_report
 from .tracing import DEFAULT_STEP_BUDGET, profile, run_test
 
 # operator -> replacement; both directions listed explicitly
@@ -290,7 +291,7 @@ def corpus_seeds(per_program, rng_seed, names=None,
 
 # --- batch runs ---
 
-RANKERS = ("semfl", "ochiai", "dstar")
+RANKERS = ("semfl", *SBFL)
 # How the fault's rank reads ties: its position in the report, where ties
 # break by statement id; the average position over its ties; the last
 # position among its ties.
@@ -351,8 +352,8 @@ def run_case(seed: FaultSeed, cfg: RunConfig) -> CaseResult:
         with mutated(program, seed.point, seed.source):
             res = localize(program, cfg, base.given(seed.sid, cfg))
             reports = [("semfl", res.report)] + [
-                (name, sbfl_report(res.profile, formula, program))
-                for name, formula in (("ochiai", OCHIAI), ("dstar", DSTAR))]
+                (name, sbfl_report(res.profile, name, program))
+                for name in SBFL]
         result.tie_ranks = {name: _tie_ranks(report, seed.sid)
                             for name, report in reports}
         result.reason = _failure_reason(res.profile)

@@ -9,11 +9,12 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import bench, tracing
+from .config import RunConfig
 from .errors import MiniImpSyntaxError, NoFailingTests, SemflError
 from .lang import parse
 from .lang.ast import is_test
-from .pipeline import RunConfig, localize, traced_function_set
-from .ranking import DSTAR, OCHIAI, export_combine_scores, method_level, sbfl_report
+from .pipeline import localize, traced_function_set
+from .ranking import SBFL, export_combine_scores, method_level, sbfl_report
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -45,10 +46,8 @@ def add_config_args(p: argparse.ArgumentParser, names=CONFIG_FIELDS):
 
 def config_from_args(args) -> RunConfig:
     """The flags' configuration; a field without a flag keeps its default."""
-    cfg = RunConfig(**{name: value for name, value in vars(args).items()
-                       if name in CONFIG_FIELDS})
-    cfg.validate()
-    return cfg
+    return RunConfig(**{name: value for name, value in vars(args).items()
+                        if name in CONFIG_FIELDS})
 
 
 def _load_program(path):
@@ -112,8 +111,7 @@ def cmd_sbfl(args) -> int:
     prof = tracing.profile(program, step_budget=cfg.step_budget)
     if prof.num_failing == 0:
         raise NoFailingTests("no failing tests")
-    formula = OCHIAI if args.formula == "ochiai" else DSTAR
-    report = sbfl_report(prof, formula, program)
+    report = sbfl_report(prof, args.formula, program)
     print(report.to_table(), end="")
     if args.out:
         _write(args.out, f"sbfl_{args.formula}.json", report.to_json())
@@ -169,12 +167,9 @@ def cmd_sweep(args) -> int:
                          "--moderate-values and one --low-values value")
     _check_distinct("--moderate-values", args.moderate_values)
     _check_distinct("--low-values", args.low_values)
-    configs = []
-    for pm in args.moderate_values:
-        for pl in args.low_values:
-            cfg = replace(base, p0_moderate=pm, p0_low=pl)
-            cfg.validate()  # the whole grid, before any case runs
-            configs.append((f"p0m={pm},p0l={pl}", cfg))
+    # `replace` checks each config, so the whole grid before any case runs
+    configs = [(f"p0m={pm},p0l={pl}", replace(base, p0_moderate=pm, p0_low=pl))
+               for pm in args.moderate_values for pl in args.low_values]
     return _run_corpus(args, base, configs, "sweep")
 
 
@@ -199,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sbfl", help="spectrum-based baseline ranking")
     sp.add_argument("program")
-    sp.add_argument("--formula", choices=["ochiai", "dstar"], default="ochiai")
+    sp.add_argument("--formula", choices=list(SBFL), default="ochiai")
     sp.add_argument("--out", help="directory for report files")
     add_config_args(sp, {"step_budget"})
     sp.set_defaults(func=cmd_sbfl)

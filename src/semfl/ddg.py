@@ -98,7 +98,7 @@ class _Segment(NamedTuple):
 class _Builder:
     """Replays one trace into its segment."""
 
-    def __init__(self, program, virtual_call_edges=True, exception_control=True):
+    def __init__(self, program, virtual_call_edges, exception_control):
         self.program = program
         self.virtual_call_edges = virtual_call_edges
         self.exception_control = exception_control

@@ -19,14 +19,11 @@ messages are still counted apart, but only in rounds that have them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import RunConfig
 from .model import FaultNet
-
-if TYPE_CHECKING:
-    from .pipeline import RunConfig
 
 
 @dataclass
@@ -255,7 +252,4 @@ class _Engine:
 def run_lbp(net: FaultNet, cfg: RunConfig | None = None) -> InferenceResult:
     """Flooding LBP with cfg's iteration cap and convergence threshold
     (RunConfig's defaults when cfg is None)."""
-    if cfg is None:
-        from .pipeline import RunConfig  # pipeline imports this module
-        cfg = RunConfig()
-    return _Engine(net, cfg).run()
+    return _Engine(net, cfg or RunConfig()).run()

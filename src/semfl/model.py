@@ -14,14 +14,12 @@ right. Every other statement, such as arithmetic, a call or a plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConflictingEvidence
-
-if TYPE_CHECKING:
-    from .pipeline import RunConfig
 
 BOOLEAN_OPS = frozenset({"<", "<=", ">", ">=", "==", "!=", "%", "&&", "||", "!"})
 BOOLEAN_KINDS = frozenset({"if_cond", "while_cond", "assert"})
@@ -86,9 +84,7 @@ def build_net(ddg, program, cfg: RunConfig | None = None) -> FaultNet:
     """Statement variables come first, in sid order, then one variable per
     value in value order. Each produced value is the child of one factor,
     in value order, whose parents are its statement and its parent values."""
-    if cfg is None:
-        from .pipeline import RunConfig  # pipeline imports this module
-        cfg = RunConfig()
+    cfg = cfg or RunConfig()
     n_stmts = len(ddg.statement_nodes)
     produced = ddg.producer >= 0
     # Test inputs are correct by construction.

@@ -10,6 +10,23 @@ OCHIAI = "ochiai"
 DSTAR = "dstar"
 
 
+def _ochiai(ef, ep, failing):
+    denom = math.sqrt(failing * (ef + ep))
+    return ef / denom if denom > 0 else 0.0
+
+
+def _dstar(ef, ep, failing):
+    if ef == 0:
+        return 0.0
+    denom = ep + (failing - ef)
+    return (ef * ef) / denom if denom > 0 else math.inf
+
+
+# Spectrum-based formulas by name: the suspiciousness of a statement that
+# `ef` failing and `ep` passing tests ran, with `failing` failing tests.
+SBFL = {OCHIAI: _ochiai, DSTAR: _dstar}
+
+
 @dataclass
 class ReportEntry:
     sid: int
@@ -95,29 +112,18 @@ def rank(marginals, net, program, metadata=None) -> Report:
 
 def sbfl_scores(profile, formula, program) -> dict:
     """Suspiciousness per candidate statement from coverage counts alone."""
-    total_fail = profile.num_failing
+    score = SBFL.get(formula)
+    if score is None:
+        raise ValueError(f"unknown formula {formula!r}")
+    failing = profile.num_failing
     e_f = {}
     e_p = {}
     for t in profile.tests.values():
         bucket = e_f if t.status == "fail" else e_p
         for sid in t.statements:
             bucket[sid] = bucket.get(sid, 0) + 1
-    scores = {}
-    for sid in program.app_statement_ids():
-        ef = e_f.get(sid, 0)
-        ep = e_p.get(sid, 0)
-        if formula == OCHIAI:
-            denom = math.sqrt(total_fail * (ef + ep))
-            scores[sid] = ef / denom if denom > 0 else 0.0
-        elif formula == DSTAR:
-            if ef == 0:
-                scores[sid] = 0.0
-            else:
-                denom = ep + (total_fail - ef)
-                scores[sid] = (ef * ef) / denom if denom > 0 else math.inf
-        else:
-            raise ValueError(f"unknown formula {formula!r}")
-    return scores
+    return {sid: score(e_f.get(sid, 0), e_p.get(sid, 0), failing)
+            for sid in program.app_statement_ids()}
 
 
 def sbfl_report(profile, formula, program) -> Report:

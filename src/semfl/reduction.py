@@ -11,8 +11,8 @@ function perfbench's `reduction.compress` layer wraps.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
+from .config import RunConfig
 from .errors import NoFailingTests
 from .tracing import (
     ASSERT_FAIL,
@@ -27,9 +27,6 @@ from .tracing import (
     TraceEvent,
     flatten_aliases,
 )
-
-if TYPE_CHECKING:
-    from .pipeline import RunConfig
 
 
 def select_tests(profile, cfg: RunConfig) -> list:

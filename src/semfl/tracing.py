@@ -45,11 +45,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
+from .config import DEFAULT_STEP_BUDGET
 from .errors import MalformedTrace, NoTests
 from .lang import ast as A
 from .lang.ast import INT_MAX, INT_MIN
-
-DEFAULT_STEP_BUDGET = 10 ** 6
 
 # MiniImp calls nest at most this deep below a test; a call past it throws
 # a catchable `stack_overflow`.

@@ -436,7 +436,8 @@ def _scaled_net(n):
 
 
 def _lbp_seconds_per_iteration(net):
-    cfg = RunConfig(max_iterations=10, convergence_eps=0.0)
+    # the smallest positive threshold, so LBP runs to its cap of 10 rounds
+    cfg = RunConfig(max_iterations=10, convergence_eps=5e-324)
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()

@@ -2,11 +2,15 @@
 of its traces."""
 
 import ast
-from dataclasses import fields
+import math
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
+import pytest
+
 import semfl
-from semfl.pipeline import RunConfig
+import semfl.pipeline
+from semfl.config import RunConfig
 from semfl.tracing import Trace
 
 SRC = Path(semfl.__file__).parent
@@ -52,6 +56,63 @@ def test_test_code_is_defined_once():
                      for node in ast.walk(tree)
                      if isinstance(node, ast.Constant) and node.value == "test_"]
     assert uses == []
+
+
+def _imports_pipeline(node):
+    if isinstance(node, ast.Import):
+        return any(a.name == "semfl.pipeline" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module in ("pipeline", "semfl.pipeline") or (
+            node.module in (None, "semfl")
+            and any(a.name == "pipeline" for a in node.names))
+    return False
+
+
+def test_pipeline_is_imported_only_at_module_level():
+    # `RunConfig` lives in `config`, which imports no stage, so no stage
+    # defers importing `pipeline` to a function or to type checking.
+    nested = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        top = set(map(id, tree.body))
+        nested += [f"{path.relative_to(SRC)}:{node.lineno}"
+                   for node in ast.walk(tree)
+                   if _imports_pipeline(node) and id(node) not in top]
+    assert nested == []
+
+
+def test_pipeline_run_config_is_the_config_module_one():
+    # perfbench builds its config as `semfl.pipeline.RunConfig`
+    assert semfl.pipeline.RunConfig is RunConfig
+    assert semfl.RunConfig is RunConfig
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("p0_moderate", 0.0, "p0_moderate must be in (0, 1], got 0.0"),
+    ("p0_low", 1.5, "p0_low must be in (0, 1], got 1.5"),
+    ("statement_prior", math.nan, "statement_prior must be in (0, 1], got nan"),
+    ("trace_limit", 0, "trace_limit must be positive, got 0"),
+    ("model_limit", -5, "model_limit must be positive, got -5"),
+    ("step_budget", 0, "step_budget must be positive, got 0"),
+    ("max_iterations", 0, "max_iterations must be positive, got 0"),
+    ("convergence_eps", 0.0, "convergence_eps must be positive, got 0.0"),
+    ("convergence_eps", math.nan, "convergence_eps must be positive, got nan"),
+    ("loop_period", -1, "loop_period must be non-negative, got -1"),
+    ("max_passing_tests", -1, "max_passing_tests must be non-negative, got -1"),
+])
+def test_run_config_rejects_an_out_of_range_value(name, value, message):
+    with pytest.raises(ValueError) as made:
+        RunConfig(**{name: value})
+    with pytest.raises(ValueError) as replaced:
+        replace(RunConfig(), **{name: value})
+    assert str(made.value) == str(replaced.value) == message
+
+
+def test_run_config_cannot_change():
+    cfg = RunConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.trace_limit = 10
+    assert cfg == RunConfig()
 
 
 def _tree(name):

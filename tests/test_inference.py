@@ -451,4 +451,4 @@ def test_a_factor_that_rules_out_its_evidence_falls_back_counted():
     _assert_same_as_reference(net, naive=True)
     assert res.fallbacks == 4
     assert res.marginals.tolist() == [0.5, 1.0, 0.0]
-    RunConfig(p0_moderate=1.0).validate()
+    RunConfig(p0_moderate=1.0)
